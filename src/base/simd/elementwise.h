@@ -52,8 +52,8 @@ void AccumulateF64(double* acc, const float* x, int64_t n);
 void StoreF64AsF32(const double* acc, float* out, int64_t n);
 }  // namespace simd_scalar
 
-// Vector variants, defined in elementwise_simd.cc (the only base TU allowed
-// to include intrinsics headers — see tools/lint).
+// Vector variants, defined in elementwise_simd.cc (only *_simd.cc TUs may
+// include intrinsics headers — see tools/lint).
 #if defined(__x86_64__)
 namespace simd_avx2 {
 double MaxAbsF32(const float* x, int64_t n);

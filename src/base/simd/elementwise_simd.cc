@@ -105,6 +105,11 @@ void StoreF64AsF32(const double* acc, float* out, int64_t n) {
     _mm_storeu_ps(out + i, _mm256_cvtpd_ps(_mm256_loadu_pd(acc + i)));
   }
   for (; i < n; ++i) out[i] = static_cast<float>(acc[i]);
+  // GCC's automatic vzeroupper misses the exit after vcvtpd2ps (its result
+  // is an xmm register), which left the upper YMM halves dirty and made
+  // later legacy-SSE code on the thread (libm, Rng) run several times
+  // slower. Clear them explicitly.
+  _mm256_zeroupper();
 }
 
 }  // namespace simd_avx2

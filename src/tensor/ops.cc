@@ -5,8 +5,71 @@
 #include <cmath>
 
 #include "base/logging.h"
+#include "base/simd/gemm.h"
 
 namespace lpsgd {
+
+namespace {
+
+// Gemm's blocking. op(B) is cut into panels of k rows by j columns, 32K
+// floats (128 KiB) each, visited in ascending k so every C element
+// accumulates its k terms in order. A panel is packed once into
+// kGemmNr-wide strips stored k-major, and then stays in L2 while every row
+// of op(A) runs over it: one row's nonzero alpha * a_ik are packed, and
+// the micro-kernel walks them along each strip with a kGemmNr-wide tile of
+// C in registers. Packing reads the source a row at a time, so each panel
+// is long along the source's rows (B's run along j, B^T's along k), and a
+// 4 KiB row of B streams whole. The buffers are fixed-size thread-locals:
+// Gemm never allocates.
+constexpr int64_t kPanelFloats = 128 * 256;
+constexpr int64_t kPanelKOfB = 32;     // 32 x 1024
+constexpr int64_t kPanelKOfBt = 128;   // 128 x 256
+static_assert(kPanelFloats / kPanelKOfB % kGemmNr == 0 &&
+              kPanelFloats / kPanelKOfBt % kGemmNr == 0);
+
+constexpr int64_t kMaxPanelK = std::max(kPanelKOfB, kPanelKOfBt);
+
+alignas(64) thread_local float t_b_panel[kPanelFloats];
+alignas(64) thread_local float t_a_values[kMaxPanelK];
+thread_local int32_t t_a_index[kMaxPanelK];
+
+// Packs rows [p0, p0 + kc) x columns [j0, j0 + nc) of row-major B (row
+// stride ldb) into kGemmNr-wide strips: strip s holds out[s * kc * kGemmNr
+// + k * kGemmNr + j]. The last strip is zero-padded.
+void PackB(const float* bd, int64_t ldb, int64_t p0, int64_t kc, int64_t j0,
+           int64_t nc, float* out) {
+  for (int64_t k = 0; k < kc; ++k) {
+    const float* row = bd + (p0 + k) * ldb + j0;
+    for (int64_t j = 0; j < nc; j += kGemmNr) {
+      float* dst = out + j * kc + k * kGemmNr;
+      const int64_t cols = std::min(kGemmNr, nc - j);
+      std::copy(row + j, row + j + cols, dst);
+      std::fill(dst + cols, dst + kGemmNr, 0.0f);
+    }
+  }
+}
+
+// Packs row i of op(A), k-range [p0, p0 + kc): the products alpha * a_ik
+// that are not zero (either sign; NaN is kept), k ascending, with their
+// panel-relative k. Dropping the zeros is Gemm's skip rule. Returns how
+// many were packed.
+int64_t PackARow(bool transpose_a, float alpha, const float* ad, int64_t lda,
+                 int64_t i, int64_t p0, int64_t kc, float* values,
+                 int32_t* index) {
+  const float* src = transpose_a ? ad + p0 * lda + i : ad + i * lda + p0;
+  const int64_t step = transpose_a ? lda : 1;
+  int64_t count = 0;
+  for (int64_t k = 0; k < kc; ++k) {
+    const float aik = alpha * src[k * step];
+    if (aik == 0.0f) continue;
+    values[count] = aik;
+    index[count] = static_cast<int32_t>(k);
+    ++count;
+  }
+  return count;
+}
+
+}  // namespace
 
 void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor* c) {
@@ -19,31 +82,61 @@ void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
   CHECK_EQ(c->cols(), n);
 
   float* cd = c->data();
-  if (beta == 0.0f) {
-    std::fill(cd, cd + m * n, 0.0f);
-  } else if (beta != 1.0f) {
-    for (int64_t i = 0; i < m * n; ++i) cd[i] *= beta;
+  if (k == 0) {
+    // No panel runs, so beta is applied here rather than by the kernel.
+    if (beta == 0.0f) {
+      std::fill(cd, cd + m * n, 0.0f);
+    } else if (beta != 1.0f) {
+      for (int64_t i = 0; i < m * n; ++i) cd[i] *= beta;
+    }
+    return;
   }
 
+  const GemmKernels& kernels = ActiveGemmKernels();
   const float* ad = a.data();
   const float* bd = b.data();
   const int64_t lda = a.cols();
   const int64_t ldb = b.cols();
 
-  // i-k-j ordering keeps the inner loop streaming over contiguous rows of B
-  // (or C), the cache-friendly pattern for row-major storage.
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik =
-          alpha * (transpose_a ? ad[kk * lda + i] : ad[i * lda + kk]);
-      if (aik == 0.0f) continue;
-      float* crow = cd + i * n;
-      if (!transpose_b) {
-        const float* brow = bd + kk * ldb;
-        for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+  const int64_t panel_k = transpose_b ? kPanelKOfBt : kPanelKOfB;
+  const int64_t panel_n = kPanelFloats / panel_k;
+  for (int64_t jc = 0; jc < n; jc += panel_n) {
+    const int64_t nc = std::min(panel_n, n - jc);
+    for (int64_t pc = 0; pc < k; pc += panel_k) {
+      const int64_t kc = std::min(panel_k, k - pc);
+      // The first k-panel scales C by beta as the kernel loads each tile.
+      const float panel_beta = pc == 0 ? beta : 1.0f;
+      if (transpose_b) {
+        for (int64_t jr = 0; jr < nc; jr += kGemmNr) {
+          kernels.pack_transposed(bd + (jc + jr) * ldb + pc, ldb,
+                                  std::min(kGemmNr, nc - jr), kc,
+                                  t_b_panel + jr * kc);
+        }
       } else {
-        const float* bcol = bd + kk;  // stride ldb
-        for (int64_t j = 0; j < n; ++j) crow[j] += aik * bcol[j * ldb];
+        PackB(bd, ldb, pc, kc, jc, nc, t_b_panel);
+      }
+      for (int64_t i = 0; i < m; ++i) {
+        const int64_t count = PackARow(transpose_a, alpha, ad, lda, i, pc, kc,
+                                       t_a_values, t_a_index);
+        // Every update of the row skips, and beta 1 (an accumulating
+        // weight gradient, say) leaves it as it is.
+        if (count == 0 && panel_beta == 1.0f) continue;
+        float* crow = cd + i * n + jc;
+        for (int64_t jr = 0; jr < nc; jr += kGemmNr) {
+          const float* strip = t_b_panel + jr * kc;
+          const int64_t nr = std::min(kGemmNr, nc - jr);
+          if (nr == kGemmNr) {
+            kernels.micro_kernel(count, t_a_values, t_a_index, strip,
+                                 panel_beta, crow + jr);
+            continue;
+          }
+          // Edge tile: run the full-width kernel on a padded copy.
+          float tile[kGemmNr] = {};
+          std::copy(crow + jr, crow + jr + nr, tile);
+          kernels.micro_kernel(count, t_a_values, t_a_index, strip,
+                               panel_beta, tile);
+          std::copy(tile, tile + nr, crow + jr);
+        }
       }
     }
   }

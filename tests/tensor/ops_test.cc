@@ -1,12 +1,18 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "base/simd/simd.h"
 
 namespace lpsgd {
 namespace {
@@ -37,51 +43,262 @@ TEST(GemmTest, AlphaAndBeta) {
   EXPECT_FLOAT_EQ(c.at(0), 2.0f * 11.0f + 0.5f * 10.0f);
 }
 
-// Property sweep: Gemm with all transpose flag combinations must match the
-// naive reference on random matrices.
-struct GemmCase {
-  bool trans_a;
-  bool trans_b;
-  int m, k, n;
-};
-
-class GemmReferenceTest : public ::testing::TestWithParam<GemmCase> {};
-
-TEST_P(GemmReferenceTest, MatchesNaiveReference) {
-  const GemmCase c = GetParam();
-  Rng rng(c.m * 10007 + c.k * 101 + c.n + (c.trans_a ? 7 : 0) +
-          (c.trans_b ? 13 : 0));
-  Tensor a(c.trans_a ? Shape({c.k, c.m}) : Shape({c.m, c.k}));
-  Tensor b(c.trans_b ? Shape({c.n, c.k}) : Shape({c.k, c.n}));
-  a.FillGaussian(&rng, 1.0f);
-  b.FillGaussian(&rng, 1.0f);
-
-  Tensor out(Shape({c.m, c.n}));
-  Gemm(c.trans_a, c.trans_b, 1.0f, a, b, 0.0f, &out);
-
-  for (int i = 0; i < c.m; ++i) {
-    for (int j = 0; j < c.n; ++j) {
-      double expected = 0.0;
-      for (int kk = 0; kk < c.k; ++kk) {
-        const float av = c.trans_a ? a.at(kk, i) : a.at(i, kk);
-        const float bv = c.trans_b ? b.at(j, kk) : b.at(kk, j);
-        expected += static_cast<double>(av) * bv;
+// The i-k-j loop Gemm was before it was blocked, kept verbatim as the
+// golden reference: the blocked kernels must reproduce it byte for byte,
+// for every ISA, transpose combination and shape.
+void ReferenceGemm(bool transpose_a, bool transpose_b, float alpha,
+                   const Tensor& a, const Tensor& b, float beta, Tensor* c) {
+  const int64_t m = transpose_a ? a.cols() : a.rows();
+  const int64_t k = transpose_a ? a.rows() : a.cols();
+  const int64_t n = transpose_b ? b.rows() : b.cols();
+  float* cd = c->data();
+  if (beta == 0.0f) {
+    std::fill(cd, cd + m * n, 0.0f);
+  } else if (beta != 1.0f) {
+    for (int64_t i = 0; i < m * n; ++i) cd[i] *= beta;
+  }
+  const float* ad = a.data();
+  const float* bd = b.data();
+  const int64_t lda = a.cols();
+  const int64_t ldb = b.cols();
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float aik =
+          alpha * (transpose_a ? ad[kk * lda + i] : ad[i * lda + kk]);
+      if (aik == 0.0f) continue;
+      float* crow = cd + i * n;
+      if (!transpose_b) {
+        const float* brow = bd + kk * ldb;
+        for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+      } else {
+        const float* bcol = bd + kk;  // stride ldb
+        for (int64_t j = 0; j < n; ++j) crow[j] += aik * bcol[j * ldb];
       }
-      EXPECT_NEAR(out.at(i, j), expected, 1e-3)
-          << "at (" << i << "," << j << ")";
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllTransposeCombos, GemmReferenceTest,
-    ::testing::Values(GemmCase{false, false, 4, 5, 6},
-                      GemmCase{true, false, 4, 5, 6},
-                      GemmCase{false, true, 4, 5, 6},
-                      GemmCase{true, true, 4, 5, 6},
-                      GemmCase{false, false, 1, 1, 1},
-                      GemmCase{true, true, 7, 3, 2},
-                      GemmCase{false, true, 16, 8, 16}));
+// The NaN an invalid operation (0 * inf) produces on this CPU. When both
+// operands of an add or multiply are NaN, which payload survives depends on
+// operand order, which the compiler may swap; if every NaN in the inputs
+// is this one, every NaN in every result is too, and the byte comparison
+// stays exact.
+float HardwareNan() {
+  volatile float zero = 0.0f;
+  return zero * std::numeric_limits<float>::infinity();
+}
+
+struct GemmShape {
+  int64_t m, k, n;
+};
+
+struct GemmScalars {
+  float alpha, beta;
+};
+
+constexpr GemmScalars kAllScalars[] = {{1.0f, 0.0f}, {1.0f, 1.0f},
+                                       {1.0f, 0.5f}, {0.5f, 0.0f},
+                                       {0.5f, 1.0f}, {0.5f, 0.5f}};
+
+std::vector<SimdIsa> IsasUnderTest() {
+  std::vector<SimdIsa> isas = {SimdIsa::kScalar};
+  if (SimdIsaSupported(SimdIsa::kAvx2)) isas.push_back(SimdIsa::kAvx2);
+  return isas;
+}
+
+// Random operands with the special values sprinkled in: A gets 0.0, -0.0
+// (skipped updates) and NaN, B gets +-inf and NaN, and C starts with -0.0
+// entries (which beta = 1 keeps and a skipped row must not flip).
+void FillOperands(uint64_t seed, bool specials, Tensor* a, Tensor* b,
+                  Tensor* c) {
+  Rng rng(seed);
+  auto pick = [&rng](const Tensor* t) {
+    return static_cast<int64_t>(
+        rng.NextUint64(static_cast<uint64_t>(t->size())));
+  };
+  a->FillGaussian(&rng, 1.0f);
+  b->FillGaussian(&rng, 1.0f);
+  c->FillGaussian(&rng, 1.0f);
+  // Sparse zero runs, as after a ReLU.
+  for (int64_t i = 0; i < a->size(); ++i) {
+    if (rng.NextUint64(3) == 0) a->data()[i] = 0.0f;
+  }
+  for (int64_t i = 0; i < c->size(); i += 5) c->data()[i] = -0.0f;
+  if (!specials) return;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = HardwareNan();
+  a->data()[pick(a)] = -0.0f;
+  a->data()[pick(a)] = nan;
+  b->data()[pick(b)] = inf;
+  b->data()[pick(b)] = -inf;
+  b->data()[pick(b)] = nan;
+}
+
+// Runs one Gemm under every ISA and compares each output's bytes with the
+// reference's.
+void ExpectBitIdentical(bool ta, bool tb, GemmShape s, GemmScalars x,
+                        uint64_t seed, bool specials) {
+  Tensor a(ta ? Shape({s.k, s.m}) : Shape({s.m, s.k}));
+  Tensor b(tb ? Shape({s.n, s.k}) : Shape({s.k, s.n}));
+  Tensor c0(Shape({s.m, s.n}));
+  FillOperands(seed, specials, &a, &b, &c0);
+  Tensor expected = c0;
+  ReferenceGemm(ta, tb, x.alpha, a, b, x.beta, &expected);
+  for (const SimdIsa isa : IsasUnderTest()) {
+    ScopedSimdIsa force(isa);
+    Tensor got = c0;
+    Gemm(ta, tb, x.alpha, a, b, x.beta, &got);
+    ASSERT_EQ(std::memcmp(got.data(), expected.data(),
+                          sizeof(float) * static_cast<size_t>(got.size())),
+              0)
+        << SimdIsaName(isa) << " ta=" << ta << " tb=" << tb << " m=" << s.m
+        << " k=" << s.k << " n=" << s.n << " alpha=" << x.alpha
+        << " beta=" << x.beta << " specials=" << specials;
+  }
+}
+
+// Shapes straddling the 32-wide register tile, vector widths, and the
+// panels (32 x 1024 for B, 128 x 256 for B^T).
+std::vector<GemmShape> EdgeShapes() {
+  std::vector<GemmShape> shapes;
+  for (const int64_t m : {1, 3, 4, 5, 17}) {
+    for (const int64_t n :
+         {1, 7, 8, 15, 16, 17, 27, 31, 32, 33, 256, 257, 1024, 1025}) {
+      for (const int64_t k : {1, 27, 32, 33, 128, 129, 1024}) {
+        shapes.push_back({m, k, n});
+      }
+    }
+  }
+  return shapes;
+}
+
+void AddDense(int64_t batch, int64_t in, int64_t out,
+              std::vector<GemmShape>* shapes) {
+  // y = x W^T, dW += dy^T x, dx = dy W.
+  shapes->push_back({batch, in, out});
+  shapes->push_back({out, batch, in});
+  shapes->push_back({batch, out, in});
+}
+
+void AddConv(int64_t in_channels, int64_t out_channels, int64_t plane,
+             std::vector<GemmShape>* shapes) {
+  // 3x3 kernels over im2col patches {plane x in_channels * 9}:
+  // out = W patches^T, dW += dout patches, dpatches = dout^T W.
+  const int64_t patch = in_channels * 9;
+  shapes->push_back({out_channels, patch, plane});
+  shapes->push_back({out_channels, plane, patch});
+  shapes->push_back({plane, out_channels, patch});
+}
+
+void AddLstm(int64_t batch, int64_t in, int64_t hidden,
+             std::vector<GemmShape>* shapes) {
+  // gates = x Wx^T + h Wh^T; dWx += dgates^T x; dx = dgates Wx (and the
+  // same for Wh).
+  for (const int64_t width : {in, hidden}) {
+    shapes->push_back({batch, width, 4 * hidden});
+    shapes->push_back({4 * hidden, batch, width});
+    shapes->push_back({batch, 4 * hidden, width});
+  }
+}
+
+// Every Gemm the benchmark's model-zoo networks run, at their per-rank
+// batch sizes.
+std::vector<GemmShape> ModelShapes() {
+  std::vector<GemmShape> shapes;
+  // BuildMlp({256, 1024, 1024, 10}), batch 4.
+  AddDense(4, 256, 1024, &shapes);
+  AddDense(4, 1024, 1024, &shapes);
+  AddDense(4, 1024, 10, &shapes);
+  // BuildMiniResNet(3, 16, 2, 16, 10), batch 16: stem, block convs, fc.
+  AddConv(3, 16, 16 * 16, &shapes);
+  AddConv(16, 16, 16 * 16, &shapes);
+  AddDense(16, 16, 10, &shapes);
+  // BuildDeepLstmClassifier(32, 64, 2, 8), batch 8.
+  AddLstm(8, 32, 64, &shapes);
+  AddLstm(8, 64, 64, &shapes);
+  AddDense(8, 64, 8, &shapes);
+  // BuildMiniAlexNet(3, 32, 10), batch 8: conv1, conv2, fc1, fc2.
+  AddConv(3, 8, 32 * 32, &shapes);
+  AddConv(8, 16, 16 * 16, &shapes);
+  AddDense(8, 16 * 8 * 8, 64, &shapes);
+  AddDense(8, 64, 10, &shapes);
+  return shapes;
+}
+
+TEST(GemmBitExactTest, EdgeShapesMatchReference) {
+  // Every shape and transpose combination, cycling through the scalar
+  // pairs; every other case carries the special values.
+  uint64_t seed = 1;
+  for (const GemmShape& s : EdgeShapes()) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        const GemmScalars x = kAllScalars[seed % std::size(kAllScalars)];
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectBitIdentical(ta, tb, s, x, seed, seed % 2 == 0));
+        ++seed;
+      }
+    }
+  }
+}
+
+TEST(GemmBitExactTest, EveryScalarPairOnPanelEdges) {
+  uint64_t seed = 100;
+  for (const GemmShape s : {GemmShape{5, 129, 17}, GemmShape{17, 257, 33},
+                            GemmShape{3, 1, 257}, GemmShape{4, 33, 1025}}) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        for (const GemmScalars x : kAllScalars) {
+          for (const bool specials : {false, true}) {
+            ASSERT_NO_FATAL_FAILURE(
+                ExpectBitIdentical(ta, tb, s, x, seed++, specials));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmBitExactTest, ModelShapesMatchReference) {
+  uint64_t seed = 1000;
+  for (const GemmShape& s : ModelShapes()) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        for (const float beta : {0.0f, 1.0f}) {
+          ASSERT_NO_FATAL_FAILURE(ExpectBitIdentical(
+              ta, tb, s, {1.0f, beta}, seed, seed % 2 == 0));
+          ++seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmBitExactTest, NanInANotSkippedAndSignedZeroSkipped) {
+  // Row 0 of A is all -0.0: every update is skipped, so C keeps its
+  // entries, -0.0 included, even against inf in B. Row 1 has a NaN, which
+  // is not skipped and poisons the row.
+  Tensor a = MakeTensor(Shape({2, 2}), {-0.0f, -0.0f, 1.0f, HardwareNan()});
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor b = MakeTensor(Shape({2, 2}), {inf, 1.0f, -inf, 2.0f});
+  for (const SimdIsa isa : IsasUnderTest()) {
+    ScopedSimdIsa force(isa);
+    Tensor c = MakeTensor(Shape({2, 2}), {-0.0f, 3.0f, 0.0f, 0.0f});
+    Gemm(false, false, 1.0f, a, b, 1.0f, &c);
+    EXPECT_TRUE(std::signbit(c.at(0, 0))) << SimdIsaName(isa);
+    EXPECT_EQ(c.at(0, 0), 0.0f);
+    EXPECT_EQ(c.at(0, 1), 3.0f);
+    EXPECT_TRUE(std::isnan(c.at(1, 0)));
+    EXPECT_TRUE(std::isnan(c.at(1, 1)));
+  }
+}
+
+TEST(GemmBitExactTest, EmptyInnerDimensionOnlyScalesC) {
+  Tensor a(Shape({3, 0}));
+  Tensor b(Shape({0, 2}));
+  Tensor c(Shape({3, 2}), 4.0f);
+  Gemm(false, false, 1.0f, a, b, 0.5f, &c);
+  for (int64_t i = 0; i < c.size(); ++i) EXPECT_EQ(c.data()[i], 2.0f);
+}
 
 TEST(AxpyTest, AddsScaled) {
   Tensor x = MakeTensor(Shape({3}), {1, 2, 3});

@@ -86,6 +86,8 @@ const std::pair<const char*, int> kRequiredHotPathMarkers[] = {
     {"src/quant/topk_simd.cc", 2},
     {"src/base/simd/elementwise.cc", 6},
     {"src/base/simd/elementwise_simd.cc", 13},
+    {"src/base/simd/gemm.cc", 2},
+    {"src/base/simd/gemm_simd.cc", 4},
 };
 
 // Directories that are cold-path by contract: durable checkpointing runs
