@@ -59,10 +59,91 @@ void SetMetricHooks(CountHook count, ObserveHook observe) {
   g_observe_hook.store(observe, std::memory_order_release);
 }
 
+// Free list of batch blocks. std::allocate_shared places a batch's control
+// block and the Batch itself in one block of a fixed size; when the last
+// reference drops — on whichever thread — the block parks here until the
+// next ParallelFor takes it. At most one batch per thread is alive at a
+// time (the posted one plus late workers still holding older ones), and
+// the first allocation provisions that many blocks up front, so the pool
+// never touches the heap again, however the workers are scheduled
+// (DESIGN.md §7).
+class BatchStorage {
+ public:
+  explicit BatchStorage(int num_threads)
+      : capacity_(static_cast<size_t>(num_threads) + 1) {
+    free_.reserve(capacity_);
+  }
+  BatchStorage(const BatchStorage&) = delete;
+  BatchStorage& operator=(const BatchStorage&) = delete;
+  ~BatchStorage() {
+    for (void* block : free_) ::operator delete(block);
+  }
+
+  void* Allocate(size_t bytes) {
+    MutexLock lock(mu_);
+    if (!provisioned_) {
+      provisioned_ = true;
+      while (free_.size() < capacity_) free_.push_back(::operator new(bytes));
+    }
+    if (free_.empty()) return ::operator new(bytes);  // concurrent submitters
+    void* block = free_.back();
+    free_.pop_back();
+    return block;
+  }
+
+  void Free(void* block) {
+    {
+      MutexLock lock(mu_);
+      if (free_.size() < capacity_) {
+        free_.push_back(block);  // within the reserved capacity
+        return;
+      }
+    }
+    ::operator delete(block);
+  }
+
+ private:
+  const size_t capacity_;
+  Mutex mu_;
+  bool provisioned_ LPSGD_GUARDED_BY(mu_) = false;
+  std::vector<void*> free_ LPSGD_GUARDED_BY(mu_);
+};
+
 }  // namespace pool_internal
 
-// One ParallelFor invocation. Heap-allocated and shared with the workers
-// so a late-waking worker can never touch a dead stack frame.
+namespace {
+
+// Allocator handing std::allocate_shared the pool's recycled blocks. Every
+// rebinding allocates the same single object type, so blocks are
+// interchangeable.
+template <typename T>
+struct BatchAllocator {
+  using value_type = T;
+
+  explicit BatchAllocator(pool_internal::BatchStorage* storage)
+      : storage(storage) {}
+  template <typename U>
+  BatchAllocator(const BatchAllocator<U>& other)  // NOLINT: rebinding
+      : storage(other.storage) {}
+
+  T* allocate(size_t count) {
+    return static_cast<T*>(storage->Allocate(count * sizeof(T)));
+  }
+  void deallocate(T* block, size_t /*count*/) { storage->Free(block); }
+
+  template <typename U>
+  bool operator==(const BatchAllocator<U>& other) const {
+    return storage == other.storage;
+  }
+
+  pool_internal::BatchStorage* storage;
+};
+
+}  // namespace
+
+// One ParallelFor invocation. Shared with the workers (its storage comes
+// from batch_storage_) so a late-waking worker can never touch a dead
+// stack frame.
 struct ThreadPool::Batch {
   int64_t end = 0;
   int64_t total = 0;  // indices in the batch
@@ -81,7 +162,9 @@ struct ThreadPool::Batch {
 };
 
 ThreadPool::ThreadPool(int num_threads)
-    : num_threads_(ResolveThreadCount(num_threads)) {
+    : num_threads_(ResolveThreadCount(num_threads)),
+      batch_storage_(
+          std::make_unique<pool_internal::BatchStorage>(num_threads_)) {
   // The submitting thread is one of the executors, so spawn one fewer.
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int i = 1; i < num_threads_; ++i) {
@@ -178,7 +261,8 @@ Status ThreadPool::ParallelFor(int64_t begin, int64_t end,
     hook("pool/parallel_for_calls", 1);
   }
 
-  auto batch = std::make_shared<Batch>();
+  auto batch = std::allocate_shared<Batch>(
+      BatchAllocator<Batch>(batch_storage_.get()));
   batch->end = end;
   batch->total = count;
   batch->fn = &fn;

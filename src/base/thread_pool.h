@@ -41,6 +41,9 @@ using CountHook = void (*)(const char* name, int64_t delta);
 using ObserveHook = void (*)(const char* name, double value);
 void SetMetricHooks(CountHook count, ObserveHook observe);
 
+// Recycled storage for finished ParallelFor batches (thread_pool.cc).
+class BatchStorage;
+
 }  // namespace pool_internal
 
 // Fixed-size worker pool. A pool of `num_threads` runs parallel loops on
@@ -95,6 +98,10 @@ class ThreadPool {
                             std::exception_ptr exception);
 
   int num_threads_ = 1;
+  // Batches are allocated from here, so steady-state ParallelFor calls
+  // reuse the storage of finished ones instead of touching the heap.
+  // Declared before everything that can hold a batch.
+  std::unique_ptr<pool_internal::BatchStorage> batch_storage_;
   std::vector<std::thread> workers_;
 
   // Serializes whole batches submitted from different user threads.

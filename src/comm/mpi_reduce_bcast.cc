@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <utility>
 
 #include "base/logging.h"
@@ -99,271 +100,325 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
   }
   const int k = num_ranks_;
   const int64_t num_matrices = static_cast<int64_t>(slots->size());
-  if (aggregate_errors_.size() < slots->size()) {
-    aggregate_errors_.resize(slots->size());
-  }
-
   const bool identity_codec = spec_.kind == CodecKind::kFullPrecision;
-
-  // Per-matrix accounting and scratch, merged in matrix order at the end:
-  // totals (including float encode_seconds sums) are byte-identical at any
-  // thread count because the merge order is fixed. All of it lives in
-  // member buffers that keep their capacity across calls (grown entries
-  // are never dropped), so steady-state calls allocate nothing.
-  // The serial setup below (scratch sizing, first-call allocations,
-  // residual zeroing) is exchange staging: attribute it so a cold first
-  // step keeps its breakdown coverage.
-  {
-    obs::PhaseTimer setup_timer(&workspaces_[0].phases, obs::kPhaseSum);
-    per_matrix_.assign(slots->size(), CommStats{});
-    rank_blob_bytes_.assign(slots->size(), 0);
-    if (decoded_.size() < slots->size()) decoded_.resize(slots->size());
-    if (sparse_indices_.size() < slots->size()) {
-      sparse_indices_.resize(slots->size());
-    }
-    if (sparse_values_.size() < slots->size()) {
-      sparse_values_.resize(slots->size());
-    }
-    if (aggregates_.size() < slots->size()) {
-      aggregates_.resize(slots->size());
-    }
-    if (bcasts_.size() < slots->size()) bcasts_.resize(slots->size());
-    if (fp_sums_.size() < slots->size()) fp_sums_.resize(slots->size());
-
-    for (int64_t m = 0; m < num_matrices; ++m) {
-      MatrixSlot& slot = (*slots)[static_cast<size_t>(m)];
-      CHECK_EQ(static_cast<int>(slot.rank_grads.size()), k);
-      if (slot.quantized && !identity_codec) {
-        const bool sparse = codec_->SparseCount(slot.quant_shape) > 0;
-        auto& per_rank = sparse ? sparse_values_[static_cast<size_t>(m)]
-                                : decoded_[static_cast<size_t>(m)];
-        if (per_rank.size() < static_cast<size_t>(k)) {
-          per_rank.resize(static_cast<size_t>(k));
-        }
-        if (sparse &&
-            sparse_indices_[static_cast<size_t>(m)].size() <
-                static_cast<size_t>(k)) {
-          sparse_indices_[static_cast<size_t>(m)].resize(
-              static_cast<size_t>(k));
-        }
-      }
-      // Size the owner-side aggregation residual here, in the serial
-      // setup, so the stage-2 exchange lambda below stays allocation-free
-      // (it is an LPSGD_HOT_PATH region; tools/lint enforces this).
-      if (slot.quantized && !identity_codec && codec_->UsesErrorFeedback()) {
-        auto& residual = aggregate_errors_[static_cast<size_t>(m)];
-        const auto n =
-            static_cast<size_t>(slot.quant_shape.element_count());
-        if (residual.size() != n) residual.assign(n, 0.0f);
-      }
-    }
-  }
-
-  // Stage 1 (parallel over (matrix, rank)): every rank encodes its local
-  // gradient, folding in its error-feedback residual, and the blob is
-  // decoded into that rank's scratch buffer. Stochastic tags depend only
-  // on (iteration, m, r), residuals are per (m, r), and scratch buffers
-  // are disjoint — scheduling cannot change a single bit.
-  const uint64_t reduce_span =
-      obs::Tracer::Global().Begin("mpi_reduce_bcast/reduce", "comm");
-  const Status reduce_status = exec_.ParallelFor(
-      0, num_matrices * k, LPSGD_HOT_PATH [&](int64_t task) -> Status {
-        const size_t m = static_cast<size_t>(task / k);
-        const size_t r = static_cast<size_t>(task % k);
-        MatrixSlot& slot = (*slots)[m];
-        if (!slot.quantized || identity_codec) return OkStatus();
-        const int slot_id = ThreadPool::CurrentSlot();
-        CHECK_LT(static_cast<size_t>(slot_id), workspaces_.size());
-        CodecWorkspace& ws = workspaces_[static_cast<size_t>(slot_id)];
-        const int64_t n = slot.quant_shape.element_count();
-        const uint64_t tag = comm_internal::ExchangeRankTag(
-            iteration, static_cast<int64_t>(m), static_cast<int>(r));
-        std::vector<float>* error =
-            codec_->UsesErrorFeedback() ? slot.rank_errors[r] : nullptr;
-        codec_->Encode(slot.rank_grads[r], slot.quant_shape, tag, error, &ws,
-                       &ws.blob);
-        if (wire_tamper_) {
-          wire_tamper_(iteration, static_cast<int64_t>(m),
-                       static_cast<int>(r), ws.blob.data(),
-                       static_cast<int64_t>(ws.blob.size()));
-        }
-        if (r == 0) {  // blob sizes are shape-determined, uniform per rank
-          rank_blob_bytes_[m] = static_cast<int64_t>(ws.blob.size());
-        }
-        const int64_t sparse_count = codec_->SparseCount(slot.quant_shape);
-        if (sparse_count > 0) {
-          // Sparse wire form: decode the (index, value) runs directly; the
-          // owner scatter-adds them in stage 2 without densifying k blobs.
-          uint32_t* indices;
-          float* values;
-          {
-            // First-call growth of the decode scratch is staging work.
-            obs::PhaseTimer scratch_timer(&ws.phases, obs::kPhaseSum);
-            indices = quant_internal::EnsureSize(
-                &sparse_indices_[m][r], static_cast<size_t>(sparse_count));
-            values = quant_internal::EnsureSize(
-                &sparse_values_[m][r], static_cast<size_t>(sparse_count));
-          }
-          LPSGD_RETURN_IF_ERROR(codec_->DecodeSparse(
-              ws.blob.data(), static_cast<int64_t>(ws.blob.size()),
-              slot.quant_shape, &ws, indices, values));
-          return OkStatus();
-        }
-        float* out;
-        {
-          // First-call growth of the decode scratch is staging work.
-          obs::PhaseTimer scratch_timer(&ws.phases, obs::kPhaseSum);
-          out = quant_internal::EnsureSize(&decoded_[m][r],
-                                           static_cast<size_t>(n));
-        }
-        LPSGD_RETURN_IF_ERROR(
-            codec_->Decode(ws.blob.data(), static_cast<int64_t>(ws.blob.size()),
-                           slot.quant_shape, &ws, out));
-        return OkStatus();
-      });
-  if (!reduce_status.ok()) {
-    obs::Tracer::Global().End(reduce_span);
+  const auto quantized = [&](const MatrixSlot& slot) {
+    return slot.quantized && !identity_codec;
+  };
+  const auto fail = [&](const Status& status) {
     RollbackExchangeState();
     // Partial phase scratch from the failed attempt must not leak into the
     // next (retried) exchange's breakdown.
     for (CodecWorkspace& ws : workspaces_) ws.phases.Clear();
-    return reduce_status;
-  }
+    return status;
+  };
+
+  // Serial setup: size the persistent buffers, zero first-use residuals,
+  // and cut every matrix into tiles. All of it lives in member buffers
+  // that keep their capacity across calls (grown entries are never
+  // dropped), so steady-state calls allocate nothing, and the parallel
+  // stages below never grow a buffer. Attributed as exchange staging so a
+  // cold first step keeps its breakdown coverage.
   int64_t reduce_bytes = 0;
-  for (int64_t bytes : rank_blob_bytes_) reduce_bytes += bytes * k;
+  {
+    obs::PhaseTimer setup_timer(&workspaces_[0].phases, obs::kPhaseSum);
+    const auto grow = [&](auto* per_matrix) {
+      if (per_matrix->size() < slots->size()) {
+        per_matrix->resize(slots->size());
+      }
+    };
+    grow(&aggregate_errors_);
+    grow(&rank_blobs_);
+    grow(&aggregate_blobs_);
+    grow(&sparse_indices_);
+    grow(&sparse_values_);
+    tiles_.clear();
+    // Longest tile of each kind, sizing the per-slot scratch: quantized
+    // tiles need an aggregate tile (and a decode tile unless the codec is
+    // sparse), bypassed tiles a double accumulator.
+    int64_t longest_sum = 0;
+    int64_t longest_decode = 0;
+    int64_t longest_fp = 0;
+    for (int64_t mi = 0; mi < num_matrices; ++mi) {
+      const size_t m = static_cast<size_t>(mi);
+      const MatrixSlot& slot = (*slots)[m];
+      CHECK_EQ(static_cast<int>(slot.rank_grads.size()), k);
+      const int64_t n = slot.quant_shape.element_count();
+      int64_t tile = kTileElements;
+      if (quantized(slot)) {
+        const int64_t blob_bytes =
+            codec_->EncodedSizeBytes(slot.quant_shape);
+        reduce_bytes += blob_bytes * k;
+        quant_internal::EnsureSize(&aggregate_blobs_[m],
+                                   static_cast<size_t>(blob_bytes));
+        if (rank_blobs_[m].size() < static_cast<size_t>(k)) {
+          rank_blobs_[m].resize(static_cast<size_t>(k));
+        }
+        const int64_t sparse_count =
+            codec_->SparseCount(slot.quant_shape);
+        if (sparse_count > 0) {
+          if (sparse_indices_[m].size() < static_cast<size_t>(k)) {
+            sparse_indices_[m].resize(static_cast<size_t>(k));
+            sparse_values_[m].resize(static_cast<size_t>(k));
+          }
+          for (int r = 0; r < k; ++r) {
+            quant_internal::EnsureSize(&sparse_indices_[m][r],
+                                       static_cast<size_t>(sparse_count));
+            quant_internal::EnsureSize(&sparse_values_[m][r],
+                                       static_cast<size_t>(sparse_count));
+          }
+        }
+        if (codec_->UsesErrorFeedback()) {
+          std::vector<float>& residual = aggregate_errors_[m];
+          if (residual.size() != static_cast<size_t>(n)) {
+            residual.assign(static_cast<size_t>(n), 0.0f);
+          }
+        }
+        // Whole aligned units of about kTileElements; a codec whose blob
+        // cannot be split gets one tile per matrix.
+        const int64_t alignment = codec_->RangeAlignment(slot.quant_shape);
+        tile = alignment == 0 ? n
+                              : std::max(alignment, kTileElements /
+                                                        alignment * alignment);
+        longest_sum = std::max(longest_sum, std::min(tile, n));
+        if (sparse_count == 0) {
+          longest_decode = std::max(longest_decode, std::min(tile, n));
+        }
+      } else {
+        longest_fp = std::max(longest_fp, std::min(tile, n));
+      }
+      for (int64_t begin = 0; begin < n; begin += tile) {
+        tiles_.push_back({mi, begin, std::min(begin + tile, n)});
+      }
+    }
+    if (tile_scratch_.size() < workspaces_.size()) {
+      tile_scratch_.resize(workspaces_.size());
+    }
+    for (TileScratch& scratch : tile_scratch_) {
+      quant_internal::EnsureSize(&scratch.sum,
+                                 static_cast<size_t>(longest_sum));
+      quant_internal::EnsureSize(&scratch.decoded,
+                                 static_cast<size_t>(longest_decode));
+      quant_internal::EnsureSize(&scratch.fp_sum,
+                                 static_cast<size_t>(longest_fp));
+    }
+  }
+  const int64_t num_tiles = static_cast<int64_t>(tiles_.size());
+
+  // Stage 1 (parallel over (matrix, rank)): every rank encodes its local
+  // gradient, folding in its error-feedback residual, into its persistent
+  // blob, which is then verified (sparse codecs decode their (index,
+  // value) runs here instead). Stochastic tags depend only on
+  // (iteration, m, r), residuals and blobs are per (m, r) — scheduling
+  // cannot change a single bit.
+  const auto encode_rank = LPSGD_HOT_PATH [&](int64_t task) -> Status {
+    const size_t m = static_cast<size_t>(task / k);
+    const size_t r = static_cast<size_t>(task % k);
+    MatrixSlot& slot = (*slots)[m];
+    if (!quantized(slot)) return OkStatus();
+    CodecWorkspace& ws = SlotWorkspace();
+    const uint64_t tag = comm_internal::ExchangeRankTag(
+        iteration, static_cast<int64_t>(m), static_cast<int>(r));
+    std::vector<float>* error =
+        codec_->UsesErrorFeedback() ? slot.rank_errors[r] : nullptr;
+    std::vector<uint8_t>& blob = rank_blobs_[m][r];
+    codec_->Encode(slot.rank_grads[r], slot.quant_shape, tag, error, &ws,
+                   &blob);
+    const int64_t blob_bytes = static_cast<int64_t>(blob.size());
+    if (wire_tamper_) {
+      wire_tamper_(iteration, static_cast<int64_t>(m), static_cast<int>(r),
+                   blob.data(), blob_bytes);
+    }
+    if (codec_->SparseCount(slot.quant_shape) > 0) {
+      return codec_->DecodeSparse(blob.data(), blob_bytes, slot.quant_shape,
+                                  &ws, sparse_indices_[m][r].data(),
+                                  sparse_values_[m][r].data());
+    }
+    obs::PhaseTimer verify_timer(&ws.phases, obs::kPhaseDecode);
+    return codec_internal::VerifyWireBlob(
+        codec_->MetricName(), blob.data(), blob_bytes,
+        codec_->EncodedSizeBytes(slot.quant_shape));
+  };
+  const uint64_t reduce_span =
+      obs::Tracer::Global().Begin("mpi_reduce_bcast/reduce", "comm");
+  const Status reduce_status =
+      exec_.ParallelFor(0, num_matrices * k, std::ref(encode_rank));
+  if (!reduce_status.ok()) {
+    obs::Tracer::Global().End(reduce_span);
+    return fail(reduce_status);
+  }
   obs::Tracer::Global().EndWithBytes(reduce_span, reduce_bytes);
 
-  // Stage 2 (parallel over matrices): the owner sums the decoded blobs in
-  // rank order (fixed fp summation order), re-encodes the aggregate with
-  // its persistent residual, and broadcasts; every rank decodes. Bypassed
-  // matrices travel the full-precision reduce+broadcast here instead.
+  // Stage 2 (parallel over tiles): the owner zeroes an aggregate tile,
+  // decodes each rank's range of it into cache-resident scratch and adds
+  // it in rank order (each element's fp summation order is fixed), then
+  // re-encodes the range into the aggregate blob with the owner tag and
+  // the range of its persistent residual. Bypassed matrices sum their tile
+  // in double and store it to every rank instead.
+  const auto reduce_tile = LPSGD_HOT_PATH [&](int64_t t) -> Status {
+    const Tile& tile = tiles_[static_cast<size_t>(t)];
+    const size_t m = static_cast<size_t>(tile.matrix);
+    MatrixSlot& slot = (*slots)[m];
+    const int64_t begin = tile.begin;
+    const int64_t length = tile.end - tile.begin;
+    CodecWorkspace& ws = SlotWorkspace();
+    TileScratch& scratch =
+        tile_scratch_[static_cast<size_t>(ThreadPool::CurrentSlot())];
+    const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
+
+    if (!quantized(slot)) {
+      // Full-precision pipeline: plain reduce + broadcast of fp32 data.
+      // Each sum[i] accumulates over ranks in fixed order; within one rank
+      // pass the elements are independent, so the widened add and the fp32
+      // store dispatch to the elementwise SIMD kernels without changing
+      // any rounding.
+      double* sum = scratch.fp_sum.data();
+      {
+        obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
+        std::fill(sum, sum + length, 0.0);
+        for (int r = 0; r < k; ++r) {
+          elementwise.accumulate_f64(
+              sum, slot.rank_grads[static_cast<size_t>(r)] + begin, length);
+        }
+      }
+      obs::PhaseTimer wire_timer(&ws.phases, obs::kPhaseWire);
+      for (int r = 0; r < k; ++r) {
+        elementwise.store_f64_as_f32(
+            sum, slot.rank_grads[static_cast<size_t>(r)] + begin, length);
+      }
+      return OkStatus();
+    }
+
+    // The codec range calls address buffers by absolute element, so the
+    // tile-local scratch is passed offset back by `begin`.
+    float* sum = scratch.sum.data();
+    const int64_t sparse_count = codec_->SparseCount(slot.quant_shape);
+    if (sparse_count > 0) {
+      // Scatter-add the k (index, value) runs in rank order. Each absent
+      // component contributes an exact 0.0f, so the result is
+      // element-equal to the dense sum at any thread count. A sparse blob
+      // cannot be split, so the tile is the whole matrix.
+      CHECK_EQ(length, slot.quant_shape.element_count());
+      obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
+      std::fill(sum, sum + length, 0.0f);
+      for (int r = 0; r < k; ++r) {
+        const uint32_t* indices =
+            sparse_indices_[m][static_cast<size_t>(r)].data();
+        const float* values =
+            sparse_values_[m][static_cast<size_t>(r)].data();
+        for (int64_t i = 0; i < sparse_count; ++i) {
+          sum[indices[i]] += values[i];
+        }
+      }
+    } else {
+      float* decoded = scratch.decoded.data();
+      {
+        obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
+        std::fill(sum, sum + length, 0.0f);
+      }
+      for (int r = 0; r < k; ++r) {
+        {
+          obs::PhaseTimer decode_timer(&ws.phases, obs::kPhaseDecode);
+          LPSGD_RETURN_IF_ERROR(codec_->DecodeRange(
+              rank_blobs_[m][static_cast<size_t>(r)].data(), slot.quant_shape,
+              begin, tile.end, &ws, decoded - begin));
+        }
+        obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
+        elementwise.add_assign_f32(sum, decoded, length);
+      }
+    }
+
+    const int owner = static_cast<int>(m) % k;
+    // Residual already sized by the serial setup above.
+    std::vector<float>* agg_error =
+        codec_->UsesErrorFeedback() ? &aggregate_errors_[m] : nullptr;
+    const uint64_t agg_tag = comm_internal::ExchangeAggregateTag(
+        iteration, static_cast<int64_t>(m), owner);
+    obs::PhaseTimer encode_timer(&ws.phases, obs::kPhaseEncode);
+    codec_->EncodeRange(sum - begin, slot.quant_shape, agg_tag, agg_error,
+                        begin, tile.end, &ws, aggregate_blobs_[m].data());
+    return OkStatus();
+  };
+
+  // Stage 3 (parallel over matrices): seal each aggregate blob — the
+  // owner's broadcast message — and verify it on receipt.
+  const auto seal_aggregate = LPSGD_HOT_PATH [&](int64_t mi) -> Status {
+    const size_t m = static_cast<size_t>(mi);
+    if (!quantized((*slots)[m])) return OkStatus();
+    obs::TraceSpan matrix_span("mpi_reduce_bcast/matrix", "comm");
+    CodecWorkspace& ws = SlotWorkspace();
+    std::vector<uint8_t>& blob = aggregate_blobs_[m];
+    const int64_t blob_bytes = static_cast<int64_t>(blob.size());
+    {
+      obs::PhaseTimer encode_timer(&ws.phases, obs::kPhaseEncode);
+      codec_internal::SealWireBlob(
+          blob.data(), blob_bytes - codec_internal::kWireChecksumBytes);
+    }
+    if (wire_tamper_) {
+      wire_tamper_(iteration, mi, /*rank=*/-1, blob.data(), blob_bytes);
+    }
+    matrix_span.set_bytes(blob_bytes);
+    obs::PhaseTimer verify_timer(&ws.phases, obs::kPhaseDecode);
+    return codec_internal::VerifyWireBlob(
+        codec_->MetricName(), blob.data(), blob_bytes,
+        codec_->EncodedSizeBytes((*slots)[m].quant_shape));
+  };
+
+  // Stage 4 (parallel over tiles): every rank decodes the broadcast
+  // aggregate; rank 0 decodes its range and the others copy it.
+  const auto broadcast_tile = LPSGD_HOT_PATH [&](int64_t t) -> Status {
+    const Tile& tile = tiles_[static_cast<size_t>(t)];
+    const size_t m = static_cast<size_t>(tile.matrix);
+    MatrixSlot& slot = (*slots)[m];
+    if (!quantized(slot)) return OkStatus();
+    CodecWorkspace& ws = SlotWorkspace();
+    float* rank0 = slot.rank_grads[0];
+    {
+      obs::PhaseTimer decode_timer(&ws.phases, obs::kPhaseDecode);
+      LPSGD_RETURN_IF_ERROR(
+          codec_->DecodeRange(aggregate_blobs_[m].data(), slot.quant_shape,
+                              tile.begin, tile.end, &ws, rank0));
+    }
+    obs::PhaseTimer wire_timer(&ws.phases, obs::kPhaseWire);
+    const size_t bytes =
+        static_cast<size_t>(tile.end - tile.begin) * sizeof(float);
+    for (int r = 1; r < k; ++r) {
+      std::memcpy(slot.rank_grads[static_cast<size_t>(r)] + tile.begin,
+                  rank0 + tile.begin, bytes);
+    }
+    return OkStatus();
+  };
+
   const uint64_t bcast_span =
       obs::Tracer::Global().Begin("mpi_reduce_bcast/broadcast", "comm");
-  const Status bcast_status = exec_.ParallelFor(
-      0, num_matrices, LPSGD_HOT_PATH [&](int64_t mi) -> Status {
-        const size_t m = static_cast<size_t>(mi);
-        MatrixSlot& slot = (*slots)[m];
-        obs::TraceSpan matrix_span("mpi_reduce_bcast/matrix", "comm");
-        const int64_t n = slot.quant_shape.element_count();
-        const int64_t raw_bytes = n * static_cast<int64_t>(sizeof(float));
-        CommStats& stats = per_matrix_[m];
-        stats.raw_bytes += raw_bytes;
-
-        const int slot_id = ThreadPool::CurrentSlot();
-        CHECK_LT(static_cast<size_t>(slot_id), workspaces_.size());
-        CodecWorkspace& ws = workspaces_[static_cast<size_t>(slot_id)];
-
-        const bool quantize = slot.quantized && !identity_codec;
-        if (!quantize) {
-          // Full-precision pipeline: plain reduce + broadcast of fp32 data
-          // through the matrix's persistent double accumulator.
-          // Each sum[i] accumulates over ranks in fixed order; within one
-          // rank pass the elements are independent, so the widened add and
-          // the fp32 store dispatch to the elementwise SIMD kernels without
-          // changing any rounding.
-          const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
-          double* sum;
-          {
-            obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
-            sum = quant_internal::EnsureSize(&fp_sums_[m],
-                                             static_cast<size_t>(n));
-            std::fill(sum, sum + n, 0.0);
-            for (int r = 0; r < k; ++r) {
-              elementwise.accumulate_f64(
-                  sum, slot.rank_grads[static_cast<size_t>(r)], n);
-            }
-          }
-          {
-            obs::PhaseTimer wire_timer(&ws.phases, obs::kPhaseWire);
-            for (int r = 0; r < k; ++r) {
-              elementwise.store_f64_as_f32(
-                  sum, slot.rank_grads[static_cast<size_t>(r)], n);
-            }
-          }
-          stats.wire_bytes += raw_bytes;
-          stats.messages += 2;
-          matrix_span.set_bytes(raw_bytes);
-          return OkStatus();
-        }
-
-        const int64_t sparse_count = codec_->SparseCount(slot.quant_shape);
-        float* aggregate;
-        {
-          obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
-          aggregate = quant_internal::EnsureSize(&aggregates_[m],
-                                                 static_cast<size_t>(n));
-          std::fill(aggregate, aggregate + n, 0.0f);
-          if (sparse_count > 0) {
-            // Scatter-add the k (index, value) runs in rank order. Each
-            // absent component contributes an exact 0.0f, so the result is
-            // element-equal to the dense sum at any thread count.
-            for (int r = 0; r < k; ++r) {
-              const uint32_t* indices =
-                  sparse_indices_[m][static_cast<size_t>(r)].data();
-              const float* values =
-                  sparse_values_[m][static_cast<size_t>(r)].data();
-              for (int64_t i = 0; i < sparse_count; ++i) {
-                aggregate[indices[i]] += values[i];
-              }
-            }
-          } else {
-            const ElementwiseKernels& elementwise =
-                ActiveElementwiseKernels();
-            for (int r = 0; r < k; ++r) {
-              elementwise.add_assign_f32(
-                  aggregate, decoded_[m][static_cast<size_t>(r)].data(), n);
-            }
-          }
-        }
-
-        const int owner = static_cast<int>(m) % k;
-        // Residual already sized by the serial setup loop above.
-        std::vector<float>* agg_error =
-            codec_->UsesErrorFeedback() ? &aggregate_errors_[m] : nullptr;
-        const uint64_t agg_tag = comm_internal::ExchangeAggregateTag(
-            iteration, static_cast<int64_t>(m), owner);
-        codec_->Encode(aggregate, slot.quant_shape, agg_tag, agg_error, &ws,
-                       &ws.blob);
-        if (wire_tamper_) {
-          wire_tamper_(iteration, static_cast<int64_t>(m), /*rank=*/-1,
-                       ws.blob.data(), static_cast<int64_t>(ws.blob.size()));
-        }
-        const int64_t blob_bytes = static_cast<int64_t>(ws.blob.size());
-        float* bcast;
-        {
-          obs::PhaseTimer scratch_timer(&ws.phases, obs::kPhaseSum);
-          bcast = quant_internal::EnsureSize(&bcasts_[m],
-                                             static_cast<size_t>(n));
-        }
-        LPSGD_RETURN_IF_ERROR(codec_->Decode(ws.blob.data(), blob_bytes,
-                                             slot.quant_shape, &ws, bcast));
-        {
-          obs::PhaseTimer wire_timer(&ws.phases, obs::kPhaseWire);
-          for (int r = 0; r < k; ++r) {
-            std::memcpy(slot.rank_grads[static_cast<size_t>(r)], bcast,
-                        static_cast<size_t>(n) * sizeof(float));
-          }
-        }
-
-        stats.wire_bytes += blob_bytes;
-        stats.messages += 2;
-        matrix_span.set_bytes(blob_bytes);
-        // Per-rank kernel work: encode own gradient, decode the aggregate,
-        // and an amortized share of the owner-side decodes and re-encode.
-        const int64_t chunks = codec_->NumChunks(slot.quant_shape);
-        stats.encode_seconds +=
-            3.0 * cost_model_.QuantKernelSeconds(n, chunks);
-        return OkStatus();
-      });
-  obs::Tracer::Global().End(bcast_span);
-  if (!bcast_status.ok()) {
-    RollbackExchangeState();
-    for (CodecWorkspace& ws : workspaces_) ws.phases.Clear();
-    return bcast_status;
+  Status bcast_status = exec_.ParallelFor(0, num_tiles, std::ref(reduce_tile));
+  if (bcast_status.ok()) {
+    bcast_status =
+        exec_.ParallelFor(0, num_matrices, std::ref(seal_aggregate));
   }
+  if (bcast_status.ok()) {
+    bcast_status = exec_.ParallelFor(0, num_tiles, std::ref(broadcast_tile));
+  }
+  obs::Tracer::Global().End(bcast_span);
+  if (!bcast_status.ok()) return fail(bcast_status);
 
+  // Accounting, in matrix order so the float sums are identical at any
+  // thread count.
   CommStats stats;
-  for (const CommStats& matrix_stats : per_matrix_) stats.Add(matrix_stats);
+  for (const MatrixSlot& slot : *slots) {
+    const int64_t n = slot.quant_shape.element_count();
+    const int64_t raw_bytes = n * static_cast<int64_t>(sizeof(float));
+    stats.raw_bytes += raw_bytes;
+    stats.messages += 2;
+    if (!quantized(slot)) {
+      stats.wire_bytes += raw_bytes;
+      continue;
+    }
+    stats.wire_bytes += codec_->EncodedSizeBytes(slot.quant_shape);
+    // Per-rank kernel work: encode own gradient, decode the aggregate, and
+    // an amortized share of the owner-side decodes and re-encode.
+    const int64_t chunks = codec_->NumChunks(slot.quant_shape);
+    stats.encode_seconds += 3.0 * cost_model_.QuantKernelSeconds(n, chunks);
+  }
   stats.comm_seconds +=
       cost_model_.MpiExchangeSeconds(stats.wire_bytes, stats.messages, k);
   allreduce_span.set_bytes(stats.wire_bytes);
@@ -378,6 +433,12 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     }
   }
   return stats;
+}
+
+CodecWorkspace& MpiReduceBcastAggregator::SlotWorkspace() {
+  const int slot_id = ThreadPool::CurrentSlot();
+  CHECK_LT(static_cast<size_t>(slot_id), workspaces_.size());
+  return workspaces_[static_cast<size_t>(slot_id)];
 }
 
 }  // namespace lpsgd

@@ -19,15 +19,26 @@ namespace lpsgd {
 //
 //   1. Every rank encodes each gradient matrix with the configured codec,
 //      folding in its local error-feedback residual.
-//   2. The matrix's owner rank (round-robin by matrix index, standing in
-//      for CNTK's contiguous-range ownership) decodes all K blobs and sums
-//      them.
-//   3. The owner re-encodes the aggregate — carrying a persistent
-//      aggregation residual of its own, exactly like CNTK's 1bitSGD — and
-//      broadcasts it; every rank decodes it into its gradient buffer.
+//   2. The matrix's owner rank (round-robin by matrix index) decodes all K
+//      blobs and sums them, then re-encodes the aggregate — carrying a
+//      persistent aggregation residual of its own, exactly like CNTK's
+//      1bitSGD.
+//   3. The owner broadcasts the aggregate; every rank decodes it into its
+//      gradient buffer.
+//
+// Like CNTK, which splits every matrix into contiguous ranges that workers
+// reduce independently, steps 2 and 3 run per bucket-aligned *tile* of a
+// matrix (GradientCodec::RangeAlignment; one tile per matrix for codecs
+// whose blob cannot be split). A tile's owner decodes each rank's range
+// into a cache-resident scratch tile and adds it straight into the
+// aggregate tile, so no dense per-rank copy of a matrix is ever
+// materialized. The per-element summation order, stochastic tags, and
+// residual updates are those of a whole-matrix pipeline, so results are
+// bit-identical to it at any tile split and thread count (DESIGN.md §7
+// "Range-split exchange").
 //
 // Matrices bypassed by the quantization policy (slot.quantized == false)
-// travel the full-precision pipeline.
+// travel the full-precision pipeline, tile by tile.
 class MpiReduceBcastAggregator : public GradientAggregator {
  public:
   // Creates an aggregator for `num_ranks` simulated GPUs exchanging
@@ -36,6 +47,12 @@ class MpiReduceBcastAggregator : public GradientAggregator {
   [[nodiscard]] static StatusOr<std::unique_ptr<MpiReduceBcastAggregator>>
   Create(int num_ranks, const CodecSpec& spec, const MachineSpec& machine,
          const ExecutionContext& execution);
+
+  // Tile length in elements of the per-tile reduce and broadcast steps
+  // (64 KiB of fp32): a slot's aggregate and decode tiles stay
+  // cache-resident while the K rank blobs stream through them. Each matrix
+  // rounds it to a multiple of its codec's RangeAlignment.
+  static constexpr int64_t kTileElements = int64_t{1} << 14;
 
   std::string Name() const override { return "MPI reduce-and-broadcast"; }
   StatusOr<CommStats> AllReduce(std::vector<MatrixSlot>* slots,
@@ -61,11 +78,11 @@ class MpiReduceBcastAggregator : public GradientAggregator {
 
   const GradientCodec& codec() const { return *codec_; }
 
-  // Test seam: invoked after every stage-1 encode (rank >= 0) and stage-2
-  // aggregate encode (rank == -1) with the encoded blob; returning true
-  // means the bytes were tampered with. Lets fault tests corrupt the real
-  // wire path and exercise checksum verification end to end. Null (the
-  // default) disables it.
+  // Test seam: invoked with every sealed rank blob (rank >= 0) and every
+  // sealed aggregate blob (rank == -1) before it is verified; returning
+  // true means the bytes were tampered with. Lets fault tests corrupt the
+  // real wire path and exercise checksum verification end to end. Null
+  // (the default) disables it.
   using WireTamper = std::function<bool(int64_t iteration, int64_t matrix,
                                         int rank, uint8_t* data,
                                         int64_t size)>;
@@ -76,6 +93,9 @@ class MpiReduceBcastAggregator : public GradientAggregator {
                            std::unique_ptr<GradientCodec> codec,
                            const MachineSpec& machine,
                            ExecutionContext execution);
+
+  // This thread's codec scratch (see workspaces_).
+  CodecWorkspace& SlotWorkspace();
 
   int num_ranks_;
   CodecSpec spec_;
@@ -100,25 +120,32 @@ class MpiReduceBcastAggregator : public GradientAggregator {
   // Codec scratch, one per thread-pool slot (ThreadPool::CurrentSlot());
   // sized to exec_.threads() at construction.
   std::vector<CodecWorkspace> workspaces_;
-  // decoded_[m][r]: rank r's gradient for matrix m after its encode/decode
-  // round trip (dense codecs only).
-  std::vector<std::vector<std::vector<float>>> decoded_;
-  // Sparse codecs (codec->SparseCount() > 0) skip the dense densify: rank
-  // r's blob for matrix m decodes into these (index, value) runs and the
-  // owner scatter-adds k * SparseCount pairs instead of summing k * n
-  // floats.
+  // Per-slot scratch of the per-tile steps, sized in the serial setup to
+  // the call's longest tile.
+  struct TileScratch {
+    std::vector<float> sum;      // the owner's aggregate tile
+    std::vector<float> decoded;  // one rank's decoded range
+    std::vector<double> fp_sum;  // full-precision pipeline accumulator
+  };
+  std::vector<TileScratch> tile_scratch_;
+  // rank_blobs_[m][r]: rank r's sealed, verified wire blob for matrix m.
+  std::vector<std::vector<std::vector<uint8_t>>> rank_blobs_;
+  // aggregate_blobs_[m]: the owner's re-encoded aggregate, written range by
+  // range in stage 2 and sealed per matrix in stage 3.
+  std::vector<std::vector<uint8_t>> aggregate_blobs_;
+  // Sparse codecs (codec->SparseCount() > 0) decode rank r's blob for
+  // matrix m into these (index, value) runs in stage 1; the owner
+  // scatter-adds k * SparseCount pairs instead of decoding k dense blobs.
   std::vector<std::vector<std::vector<uint32_t>>> sparse_indices_;
   std::vector<std::vector<std::vector<float>>> sparse_values_;
-  // Owner-side sum of the decoded rank gradients, per matrix.
-  std::vector<std::vector<float>> aggregates_;
-  // Decoded broadcast blob, per matrix.
-  std::vector<std::vector<float>> bcasts_;
-  // Full-precision pipeline accumulator, per matrix (double precision, the
-  // historical summation).
-  std::vector<std::vector<double>> fp_sums_;
-  // Per-matrix accounting scratch, merged in matrix order per call.
-  std::vector<CommStats> per_matrix_;
-  std::vector<int64_t> rank_blob_bytes_;
+  // The call's work list for stages 2 and 4: every tile of every matrix,
+  // in matrix order.
+  struct Tile {
+    int64_t matrix;
+    int64_t begin;
+    int64_t end;
+  };
+  std::vector<Tile> tiles_;
 };
 
 }  // namespace lpsgd

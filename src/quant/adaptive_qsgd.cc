@@ -11,7 +11,6 @@
 #include "base/thread_annotations.h"
 #include "base/rng.h"
 #include "base/strings.h"
-#include "obs/profile.h"
 #include "quant/registry.h"
 #include "quant/workspace.h"
 
@@ -158,22 +157,25 @@ std::vector<float> AdaptiveQsgdCodec::ComputeLevels(
   return std::move(workspace.levels);
 }
 
+int64_t AdaptiveQsgdCodec::RangeAlignment(const Shape& /*shape*/) const {
+  // The level table is fitted to the whole matrix's magnitudes.
+  return 0;
+}
+
 LPSGD_HOT_PATH
-void AdaptiveQsgdCodec::Encode(const float* grad, const Shape& shape,
-                               uint64_t stochastic_tag,
-                               std::vector<float>* /*error*/,
-                               CodecWorkspace* workspace,
-                               std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("adaptive_qsgd", /*encode=*/true,
-                                          out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+void AdaptiveQsgdCodec::EncodeRange(const float* grad, const Shape& shape,
+                                    uint64_t stochastic_tag,
+                                    std::vector<float>* /*error*/,
+                                    int64_t begin, int64_t end,
+                                    CodecWorkspace* workspace,
+                                    uint8_t* blob) const {
   const int64_t n = shape.element_count();
+  CHECK_EQ(begin, 0);
+  CHECK_EQ(end, n);
   const int64_t buckets = NumChunks(shape);
   const CounterRng stream(seed_, stochastic_tag);
   const uint32_t s = level_count_;
 
-  uint8_t* blob = quant_internal::EnsureSize(
-      out, static_cast<size_t>(EncodedSizeBytes(shape)));
   float* scales = MutableFloatsAt(blob, 0);
   for (int64_t b = 0; b < buckets; ++b) {
     const int64_t begin = b * bucket_size_;
@@ -222,28 +224,21 @@ void AdaptiveQsgdCodec::Encode(const float* grad, const Shape& shape,
     writer.Put((sign << (bits_ - 1)) | level);
   }
   writer.Finish();
-  codec_internal::SealWireBlob(
-      blob, EncodedSizeBytes(shape) - codec_internal::kWireChecksumBytes);
 }
 
 LPSGD_HOT_PATH
-Status AdaptiveQsgdCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
-                                 const Shape& shape,
-                                 CodecWorkspace* workspace,
-                                 float* out) const {
-  codec_internal::CodecObsScope obs_scope("adaptive_qsgd",
-                                          /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+Status AdaptiveQsgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
+                                      int64_t /*begin*/, int64_t /*end*/,
+                                      CodecWorkspace* /*workspace*/,
+                                      float* out) const {
   const int64_t n = shape.element_count();
-  LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
-      "adaptive_qsgd", bytes, num_bytes, EncodedSizeBytes(shape)));
   const int64_t buckets = NumChunks(shape);
-  const float* scales = FloatsAt(bytes, 0);
+  const float* scales = FloatsAt(blob, 0);
   const float* levels =
-      FloatsAt(bytes, buckets * static_cast<int64_t>(sizeof(float)));
+      FloatsAt(blob, buckets * static_cast<int64_t>(sizeof(float)));
   BitReader reader(
-      WordsAt(bytes, (buckets + level_count_ + 1) *
-                         static_cast<int64_t>(sizeof(float))),
+      WordsAt(blob, (buckets + level_count_ + 1) *
+                        static_cast<int64_t>(sizeof(float))),
       bits_);
 
   const uint32_t magnitude_mask = (1u << (bits_ - 1)) - 1u;

@@ -30,13 +30,15 @@ class AdaptiveQsgdCodec : public GradientCodec {
   std::string Name() const override;
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
-  using GradientCodec::Decode;
-  using GradientCodec::Encode;
-  void Encode(const float* grad, const Shape& shape, uint64_t stochastic_tag,
-              std::vector<float>* error, CodecWorkspace* workspace,
-              std::vector<uint8_t>* out) const override;
-  Status Decode(const uint8_t* bytes, int64_t num_bytes, const Shape& shape,
-                CodecWorkspace* workspace, float* out) const override;
+  std::string_view MetricName() const override { return "adaptive_qsgd"; }
+  int64_t RangeAlignment(const Shape& shape) const override;
+  void EncodeRange(const float* grad, const Shape& shape,
+                   uint64_t stochastic_tag, std::vector<float>* error,
+                   int64_t begin, int64_t end, CodecWorkspace* workspace,
+                   uint8_t* blob) const override;
+  Status DecodeRange(const uint8_t* blob, const Shape& shape, int64_t begin,
+                     int64_t end, CodecWorkspace* workspace,
+                     float* out) const override;
 
   int bits() const { return bits_; }
 

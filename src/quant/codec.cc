@@ -3,14 +3,44 @@
 
 #include <cctype>
 #include <cstring>
+#include <numeric>
 
 #include "base/bit_packing.h"
 #include "base/logging.h"
 #include "base/strings.h"
+#include "base/thread_annotations.h"
+#include "obs/profile.h"
 #include "quant/registry.h"
 #include "quant/workspace.h"
 
 namespace lpsgd {
+
+LPSGD_HOT_PATH
+void GradientCodec::Encode(const float* grad, const Shape& shape,
+                           uint64_t stochastic_tag, std::vector<float>* error,
+                           CodecWorkspace* workspace,
+                           std::vector<uint8_t>* out) const {
+  codec_internal::CodecObsScope obs_scope(MetricName(), /*encode=*/true, out);
+  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+  const int64_t num_bytes = EncodedSizeBytes(shape);
+  uint8_t* blob =
+      quant_internal::EnsureSize(out, static_cast<size_t>(num_bytes));
+  EncodeRange(grad, shape, stochastic_tag, error, 0, shape.element_count(),
+              workspace, blob);
+  codec_internal::SealWireBlob(blob,
+                               num_bytes - codec_internal::kWireChecksumBytes);
+}
+
+LPSGD_HOT_PATH
+Status GradientCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
+                             const Shape& shape, CodecWorkspace* workspace,
+                             float* out) const {
+  codec_internal::CodecObsScope obs_scope(MetricName(), /*encode=*/false);
+  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
+      MetricName(), bytes, num_bytes, EncodedSizeBytes(shape)));
+  return DecodeRange(bytes, shape, 0, shape.element_count(), workspace, out);
+}
 
 void GradientCodec::Encode(const float* grad, const Shape& shape,
                            uint64_t stochastic_tag,
@@ -114,6 +144,10 @@ void SealWireBlob(uint8_t* blob, int64_t payload_bytes) {
   blob[payload_bytes + 1] = static_cast<uint8_t>((hash >> 8) & 0xffu);
   blob[payload_bytes + 2] = static_cast<uint8_t>((hash >> 16) & 0xffu);
   blob[payload_bytes + 3] = static_cast<uint8_t>((hash >> 24) & 0xffu);
+}
+
+int64_t BucketRangeAlignment(int64_t bucket_size, int bits) {
+  return std::lcm(bucket_size, static_cast<int64_t>(32 / bits));
 }
 
 Status VerifyWireBlob(std::string_view codec, const uint8_t* bytes,

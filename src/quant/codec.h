@@ -25,12 +25,24 @@ struct CodecWorkspace;  // quant/workspace.h
 // (rank, matrix), and passed in; stochastic codecs (QSGD) derive their
 // randomness from the caller-provided `stochastic_tag` so runs are exactly
 // reproducible.
+//
+// Every codec implements one range pair, EncodeRange/DecodeRange, over a
+// contiguous run of flat elements; Encode and Decode are compositions of
+// it written once here. Bucketed codecs accept any RangeAlignment-aligned
+// range, which lets the MPI exchange split a matrix into independent tiles
+// (DESIGN.md §7 "Range-split exchange"); codecs whose blob depends on the
+// whole matrix accept only the full range.
 class GradientCodec {
  public:
   virtual ~GradientCodec() = default;
 
   // Short display label, e.g. "QSGD 4bit" or "1bitSGD*".
   virtual std::string Name() const = 0;
+
+  // Stable snake_case identifier, e.g. "qsgd": names the codec's
+  // quant/<id>/{encode,decode}_calls counters and prefixes its wire-error
+  // messages.
+  virtual std::string_view MetricName() const = 0;
 
   // Exact wire size in bytes of an encoded gradient with shape `shape`.
   virtual int64_t EncodedSizeBytes(const Shape& shape) const = 0;
@@ -53,10 +65,11 @@ class GradientCodec {
   // prior contents. The last codec_internal::kWireChecksumBytes of the
   // blob are the FNV-1a-32 hash of everything before them (the trailing
   // integrity word Decode verifies).
-  virtual void Encode(const float* grad, const Shape& shape,
-                      uint64_t stochastic_tag, std::vector<float>* error,
-                      CodecWorkspace* workspace,
-                      std::vector<uint8_t>* out) const = 0;
+  //
+  // Sizes `out`, runs EncodeRange over [0, n), and seals the blob.
+  void Encode(const float* grad, const Shape& shape, uint64_t stochastic_tag,
+              std::vector<float>* error, CodecWorkspace* workspace,
+              std::vector<uint8_t>* out) const;
 
   // Decodes `bytes` into `out` (shape.element_count() floats, overwritten).
   // Same workspace contract as Encode. Returns a DataLoss Status — and
@@ -64,9 +77,42 @@ class GradientCodec {
   // zero-length, padded) or its trailing integrity word does not match the
   // payload: a corrupted exchange surfaces as an error instead of decoding
   // into garbage gradients.
-  virtual Status Decode(const uint8_t* bytes, int64_t num_bytes,
-                        const Shape& shape, CodecWorkspace* workspace,
-                        float* out) const = 0;
+  //
+  // Verifies the blob, then runs DecodeRange over [0, n).
+  Status Decode(const uint8_t* bytes, int64_t num_bytes, const Shape& shape,
+                CodecWorkspace* workspace, float* out) const;
+
+  // Range contract. Split granularity for `shape`: a range [begin, end)
+  // is valid when begin is a multiple of the alignment and end is a
+  // multiple of it or shape.element_count(). Each valid range covers
+  // whole buckets and starts on a packed-word boundary, so its wire bytes
+  // (bucket scales and packed fields) are disjoint from every other
+  // range's. 0 when the blob cannot be split — per-matrix statistics or a
+  // per-column layout — and the only valid range is [0, n).
+  virtual int64_t RangeAlignment(const Shape& shape) const = 0;
+
+  // Writes exactly the wire bytes of elements [begin, end) into `blob`,
+  // which must already be EncodedSizeBytes(shape) long; bytes of other
+  // ranges and the integrity word are left untouched. Reads grad[i] and
+  // reads/updates (*error)[i] for i in [begin, end) only — both buffers
+  // are indexed by absolute element, as is the stochastic stream, so
+  // encoding the ranges of any partition in any order (then sealing)
+  // reproduces Encode's bytes and residuals exactly. Same workspace
+  // contract as Encode.
+  virtual void EncodeRange(const float* grad, const Shape& shape,
+                           uint64_t stochastic_tag, std::vector<float>* error,
+                           int64_t begin, int64_t end,
+                           CodecWorkspace* workspace, uint8_t* blob) const = 0;
+
+  // Decodes elements [begin, end) of a blob into out[begin, end) (`out`
+  // indexed by absolute element; nothing outside the range is written).
+  // Does not check the blob's size or integrity word: the caller must have
+  // verified it (Decode does, via codec_internal::VerifyWireBlob). Codecs
+  // whose payload carries framing fields (TopK's count and index run)
+  // still validate them and return DataLoss, leaving `out` untouched.
+  virtual Status DecodeRange(const uint8_t* blob, const Shape& shape,
+                             int64_t begin, int64_t end,
+                             CodecWorkspace* workspace, float* out) const = 0;
 
   // Sparse wire support. A sparse codec (TopK) transmits (index, value)
   // pairs; SparseCount returns how many pairs a blob for `shape` carries —
@@ -183,7 +229,7 @@ CodecSpec EcqSgdSpec(int bits);           // QSGD + error feedback
 
 namespace codec_internal {
 
-// Instrumentation guard placed at the top of every codec Encode/Decode:
+// Instrumentation guard placed at the top of GradientCodec::Encode/Decode:
 // times the call into the quant/encode_seconds or quant/decode_seconds
 // histogram, bumps quant/<codec>/{encode,decode}_calls, and (for encodes)
 // accumulates quant/encode_bytes from the produced blob. All of it no-ops
@@ -219,6 +265,11 @@ inline constexpr int64_t kWireChecksumBytes =
 // Writes the trailing integrity word over blob[payload_bytes, +4). Called
 // by every Encode after the payload is complete.
 void SealWireBlob(uint8_t* blob, int64_t payload_bytes);
+
+// RangeAlignment of a bucketed codec whose fields are `bits` wide and
+// packed BitPacker-style: lcm(bucket_size, 32 / bits), so a range covers
+// whole buckets and starts on a packed-word boundary.
+int64_t BucketRangeAlignment(int64_t bucket_size, int bits);
 
 // Validates an encoded blob's framing and integrity before decoding:
 // `num_bytes` must equal `expected_bytes` (the codec's EncodedSizeBytes for

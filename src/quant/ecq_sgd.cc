@@ -10,7 +10,6 @@
 #include "base/thread_annotations.h"
 #include "base/rng.h"
 #include "base/strings.h"
-#include "obs/profile.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -36,6 +35,10 @@ EcqSgdCodec::EcqSgdCodec(int bits, int64_t bucket_size, bool error_feedback,
   CHECK_GT(bucket_size, 0);
   level_count_ = (1u << (bits_ - 1)) - 1u;
   CHECK_GE(level_count_, 1u);
+  magnitudes_.resize(static_cast<size_t>(level_count_) + 1);
+  for (uint32_t m = 0; m <= level_count_; ++m) {
+    magnitudes_[m] = m / static_cast<double>(level_count_);
+  }
 }
 
 std::string EcqSgdCodec::Name() const {
@@ -55,113 +58,101 @@ int64_t EcqSgdCodec::EncodedSizeBytes(const Shape& shape) const {
          codec_internal::kWireChecksumBytes;
 }
 
+int64_t EcqSgdCodec::RangeAlignment(const Shape& /*shape*/) const {
+  return codec_internal::BucketRangeAlignment(bucket_size_, bits_);
+}
+
 LPSGD_HOT_PATH
-void EcqSgdCodec::Encode(const float* grad, const Shape& shape,
-                         uint64_t stochastic_tag, std::vector<float>* error,
-                         CodecWorkspace* workspace,
-                         std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("ecq_sgd", /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
-  const int64_t n = shape.element_count();
+void EcqSgdCodec::EncodeRange(const float* grad, const Shape& shape,
+                              uint64_t stochastic_tag,
+                              std::vector<float>* error, int64_t begin,
+                              int64_t end, CodecWorkspace* workspace,
+                              uint8_t* blob) const {
   CHECK(!error_feedback_ || error != nullptr);
   if (error_feedback_) {
-    CHECK_EQ(static_cast<int64_t>(error->size()), n);
+    CHECK_EQ(static_cast<int64_t>(error->size()), shape.element_count());
   }
   const int64_t buckets = NumChunks(shape);
   const CounterRng stream(seed_, stochastic_tag);
-  const uint32_t s = level_count_;
 
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
   const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
 
-  // v = grad + carried error, staged once in workspace scratch; the
-  // quantizer below runs over v, and the fresh residual v - Q(v) replaces
-  // the error buffer in the same loop.
-  float* corrected =
-      quant_internal::EnsureSize(&workspace->corrected, static_cast<size_t>(n));
-  kernels.stage_corrected(grad, error_feedback_ ? error->data() : nullptr,
-                          corrected, n);
-
-  // magnitudes[m] = m / s, the same table Decode builds, so the residual
-  // uses bit-identical dequantized values.
-  double* magnitudes = quant_internal::EnsureSize(
-      &workspace->magnitudes, static_cast<size_t>(s) + 1);
-  for (uint32_t m = 0; m <= s; ++m) {
-    magnitudes[m] = m / static_cast<double>(s);
-  }
-
-  uint8_t* blob = quant_internal::EnsureSize(
-      out, static_cast<size_t>(EncodedSizeBytes(shape)));
   float* scales = MutableFloatsAt(blob, 0);
   BitWriter writer(
-      MutableWordsAt(blob, buckets * static_cast<int64_t>(sizeof(float))),
+      MutableWordsAt(blob, buckets * static_cast<int64_t>(sizeof(float))) +
+          begin / BitPacker(bits_).values_per_word(),
       bits_);
 
   // QSGD stochastic rounding of a * s (unbiased, Equation 1) fused with
   // the residual refresh, via the runtime-dispatched kernel table.
   quant_simd::QuantizeArgs args;
-  args.values = corrected;
   args.stream_seed = stream.stream_seed();
   args.bits = bits_;
-  args.level_count = s;
+  args.level_count = level_count_;
   args.writer = &writer;
-  args.magnitudes = magnitudes;
-  for (int64_t b = 0; b < buckets; ++b) {
-    const int64_t begin = b * bucket_size_;
-    const int64_t end = std::min(begin + bucket_size_, n);
+  args.magnitudes = magnitudes_.data();
+  for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
+    const int64_t bucket_begin = b * bucket_size_;
+    const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
+    const int64_t len = bucket_end - bucket_begin;
 
-    const double scale = elementwise.max_abs_f32(corrected + begin,
-                                                 end - begin);
+    // v = grad + carried error, staged per bucket in workspace scratch;
+    // the quantizer runs over v, and the fresh residual v - Q(v) replaces
+    // the error buffer in the same loop. The kernel addresses v by
+    // absolute element, so `corrected` points bucket_begin floats before
+    // the staged bucket.
+    float* staged = quant_internal::EnsureSize(&workspace->corrected,
+                                               static_cast<size_t>(len));
+    kernels.stage_corrected(
+        grad + bucket_begin,
+        error_feedback_ ? error->data() + bucket_begin : nullptr, staged,
+        len);
+    const float* corrected = staged - bucket_begin;
+    args.values = corrected;
+
+    const double scale = elementwise.max_abs_f32(staged, len);
     scales[b] = static_cast<float>(scale);
     if (scale == 0.0) {
       // All-zero bucket: zero fields, zero residual.
-      for (int64_t i = begin; i < end; ++i) {
+      for (int64_t i = bucket_begin; i < bucket_end; ++i) {
         writer.Put(0u);
         if (error_feedback_) (*error)[static_cast<size_t>(i)] = 0.0f;
       }
       continue;
     }
 
-    args.begin = begin;
-    args.end = end;
+    args.begin = bucket_begin;
+    args.end = bucket_end;
     args.scale = scale;
     args.error = error_feedback_ ? error->data() : nullptr;
     kernels.ecq_quantize(args);
   }
   writer.Finish();
-  codec_internal::SealWireBlob(
-      blob, EncodedSizeBytes(shape) - codec_internal::kWireChecksumBytes);
 }
 
 LPSGD_HOT_PATH
-Status EcqSgdCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
-                           const Shape& shape, CodecWorkspace* workspace,
-                           float* out) const {
-  codec_internal::CodecObsScope obs_scope("ecq_sgd", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
-  const int64_t n = shape.element_count();
-  LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
-      "ecq_sgd", bytes, num_bytes, EncodedSizeBytes(shape)));
+Status EcqSgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
+                                int64_t begin, int64_t end,
+                                CodecWorkspace* /*workspace*/,
+                                float* out) const {
   const int64_t buckets = NumChunks(shape);
-  const float* scales = FloatsAt(bytes, 0);
+  const float* scales = FloatsAt(blob, 0);
   BitReader reader(
-      WordsAt(bytes, buckets * static_cast<int64_t>(sizeof(float))), bits_);
+      WordsAt(blob, buckets * static_cast<int64_t>(sizeof(float))) +
+          begin / BitPacker(bits_).values_per_word(),
+      bits_);
 
-  double* magnitudes = quant_internal::EnsureSize(
-      &workspace->magnitudes, static_cast<size_t>(level_count_) + 1);
-  for (uint32_t m = 0; m <= level_count_; ++m) {
-    magnitudes[m] = m / static_cast<double>(level_count_);
-  }
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
   quant_simd::DequantizeArgs args;
   args.reader = &reader;
   args.bits = bits_;
   args.magnitude_mask = (1u << (bits_ - 1)) - 1u;
-  args.magnitudes = magnitudes;
+  args.magnitudes = magnitudes_.data();
   args.out = out;
-  for (int64_t b = 0; b < buckets; ++b) {
+  for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
     args.begin = b * bucket_size_;
-    args.end = std::min(args.begin + bucket_size_, n);
+    args.end = std::min(args.begin + bucket_size_, end);
     args.scale = scales[b];
     kernels.dequantize_sm(args);
   }

@@ -5,7 +5,6 @@
 
 #include "base/logging.h"
 #include "base/thread_annotations.h"
-#include "obs/profile.h"
 #include "quant/registry.h"
 #include "quant/workspace.h"
 
@@ -20,35 +19,29 @@ int64_t FullPrecisionCodec::NumChunks(const Shape& /*shape*/) const {
   return 0;
 }
 
-LPSGD_HOT_PATH
-void FullPrecisionCodec::Encode(const float* grad, const Shape& shape,
-                                uint64_t /*stochastic_tag*/,
-                                std::vector<float>* /*error*/,
-                                CodecWorkspace* workspace,
-                                std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("full_precision", /*encode=*/true,
-                                          out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
-  const int64_t payload =
-      shape.element_count() * static_cast<int64_t>(sizeof(float));
-  uint8_t* blob = quant_internal::EnsureSize(
-      out, static_cast<size_t>(EncodedSizeBytes(shape)));
-  std::memcpy(blob, grad, static_cast<size_t>(payload));
-  codec_internal::SealWireBlob(blob, payload);
+int64_t FullPrecisionCodec::RangeAlignment(const Shape& /*shape*/) const {
+  return 1;
 }
 
 LPSGD_HOT_PATH
-Status FullPrecisionCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
-                                  const Shape& shape,
-                                  CodecWorkspace* workspace,
-                                  float* out) const {
-  codec_internal::CodecObsScope obs_scope("full_precision",
-                                          /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
-  const int64_t n = shape.element_count();
-  LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
-      "full_precision", bytes, num_bytes, EncodedSizeBytes(shape)));
-  std::memcpy(out, bytes, static_cast<size_t>(n) * sizeof(float));
+void FullPrecisionCodec::EncodeRange(const float* grad, const Shape& /*shape*/,
+                                     uint64_t /*stochastic_tag*/,
+                                     std::vector<float>* /*error*/,
+                                     int64_t begin, int64_t end,
+                                     CodecWorkspace* /*workspace*/,
+                                     uint8_t* blob) const {
+  std::memcpy(blob + begin * static_cast<int64_t>(sizeof(float)), grad + begin,
+              static_cast<size_t>(end - begin) * sizeof(float));
+}
+
+LPSGD_HOT_PATH
+Status FullPrecisionCodec::DecodeRange(const uint8_t* blob,
+                                       const Shape& /*shape*/, int64_t begin,
+                                       int64_t end,
+                                       CodecWorkspace* /*workspace*/,
+                                       float* out) const {
+  std::memcpy(out + begin, blob + begin * static_cast<int64_t>(sizeof(float)),
+              static_cast<size_t>(end - begin) * sizeof(float));
   return OkStatus();
 }
 

@@ -9,7 +9,6 @@
 #include "base/thread_annotations.h"
 #include "base/rng.h"
 #include "base/strings.h"
-#include "obs/profile.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -22,19 +21,6 @@ using codec_internal::MutableFloatsAt;
 using codec_internal::MutableWordsAt;
 using codec_internal::WordsAt;
 
-// Fills levels[0..s] with the exponential grid l_0 = 0, l_j = 2^(j - s).
-// Hoisted into workspace scratch so Encode and Decode share one table
-// build per call instead of a pow() per element.
-double* BuildLevelTable(uint32_t s, CodecWorkspace* workspace) {
-  double* levels = quant_internal::EnsureSize(&workspace->magnitudes,
-                                              static_cast<size_t>(s) + 1);
-  levels[0] = 0.0;
-  for (uint32_t j = 1; j <= s; ++j) {
-    levels[j] = std::ldexp(1.0, static_cast<int>(j) - static_cast<int>(s));
-  }
-  return levels;
-}
-
 }  // namespace
 
 NuqsgdCodec::NuqsgdCodec(int bits, int64_t bucket_size, uint64_t seed)
@@ -44,6 +30,12 @@ NuqsgdCodec::NuqsgdCodec(int bits, int64_t bucket_size, uint64_t seed)
   CHECK_GT(bucket_size, 0);
   level_count_ = (1u << (bits_ - 1)) - 1u;
   CHECK_GE(level_count_, 1u);
+  levels_.resize(static_cast<size_t>(level_count_) + 1);
+  levels_[0] = 0.0;
+  for (uint32_t j = 1; j <= level_count_; ++j) {
+    levels_[j] = std::ldexp(1.0, static_cast<int>(j) -
+                                     static_cast<int>(level_count_));
+  }
 }
 
 std::string NuqsgdCodec::Name() const {
@@ -63,26 +55,23 @@ int64_t NuqsgdCodec::EncodedSizeBytes(const Shape& shape) const {
          codec_internal::kWireChecksumBytes;
 }
 
+int64_t NuqsgdCodec::RangeAlignment(const Shape& /*shape*/) const {
+  return codec_internal::BucketRangeAlignment(bucket_size_, bits_);
+}
+
 LPSGD_HOT_PATH
-void NuqsgdCodec::Encode(const float* grad, const Shape& shape,
-                         uint64_t stochastic_tag,
-                         std::vector<float>* /*error*/,
-                         CodecWorkspace* workspace,
-                         std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("nuqsgd", /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
-  const int64_t n = shape.element_count();
+void NuqsgdCodec::EncodeRange(const float* grad, const Shape& shape,
+                              uint64_t stochastic_tag,
+                              std::vector<float>* /*error*/, int64_t begin,
+                              int64_t end, CodecWorkspace* /*workspace*/,
+                              uint8_t* blob) const {
   const int64_t buckets = NumChunks(shape);
   const CounterRng stream(seed_, stochastic_tag);
-  const uint32_t s = level_count_;
-  const int s_int = static_cast<int>(s);
-  const double* levels = BuildLevelTable(s, workspace);
 
-  uint8_t* blob = quant_internal::EnsureSize(
-      out, static_cast<size_t>(EncodedSizeBytes(shape)));
   float* scales = MutableFloatsAt(blob, 0);
   BitWriter writer(
-      MutableWordsAt(blob, buckets * static_cast<int64_t>(sizeof(float))),
+      MutableWordsAt(blob, buckets * static_cast<int64_t>(sizeof(float))) +
+          begin / BitPacker(bits_).values_per_word(),
       bits_);
 
   // The exponential-grid bracket search and stochastic rounding (unbiased:
@@ -92,62 +81,57 @@ void NuqsgdCodec::Encode(const float* grad, const Shape& shape,
   args.values = grad;
   args.stream_seed = stream.stream_seed();
   args.bits = bits_;
-  args.level_count = static_cast<uint32_t>(s_int);
+  args.level_count = level_count_;
   args.writer = &writer;
-  args.magnitudes = levels;
-  for (int64_t b = 0; b < buckets; ++b) {
-    const int64_t begin = b * bucket_size_;
-    const int64_t end = std::min(begin + bucket_size_, n);
+  args.magnitudes = levels_.data();
+  for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
+    const int64_t bucket_begin = b * bucket_size_;
+    const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
 
     // Sequential widened L2 sum: order-sensitive, stays scalar in every
     // dispatch mode so the wire scale is ISA-independent.
     double scale = 0.0;
-    for (int64_t i = begin; i < end; ++i) {
+    for (int64_t i = bucket_begin; i < bucket_end; ++i) {
       scale += static_cast<double>(grad[i]) * grad[i];
     }
     scale = std::sqrt(scale);
     scales[b] = static_cast<float>(scale);
     if (scale == 0.0) {
       // Zero fields decode to exact zeros; keep the stream position.
-      for (int64_t i = begin; i < end; ++i) writer.Put(0u);
+      for (int64_t i = bucket_begin; i < bucket_end; ++i) writer.Put(0u);
       continue;
     }
 
-    args.begin = begin;
-    args.end = end;
+    args.begin = bucket_begin;
+    args.end = bucket_end;
     args.scale = scale;
     kernels.nuq_quantize(args);
   }
   writer.Finish();
-  codec_internal::SealWireBlob(
-      blob, EncodedSizeBytes(shape) - codec_internal::kWireChecksumBytes);
 }
 
 LPSGD_HOT_PATH
-Status NuqsgdCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
-                           const Shape& shape, CodecWorkspace* workspace,
-                           float* out) const {
-  codec_internal::CodecObsScope obs_scope("nuqsgd", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
-  const int64_t n = shape.element_count();
-  LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
-      "nuqsgd", bytes, num_bytes, EncodedSizeBytes(shape)));
+Status NuqsgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
+                                int64_t begin, int64_t end,
+                                CodecWorkspace* /*workspace*/,
+                                float* out) const {
   const int64_t buckets = NumChunks(shape);
-  const float* scales = FloatsAt(bytes, 0);
+  const float* scales = FloatsAt(blob, 0);
   BitReader reader(
-      WordsAt(bytes, buckets * static_cast<int64_t>(sizeof(float))), bits_);
-  const double* levels = BuildLevelTable(level_count_, workspace);
+      WordsAt(blob, buckets * static_cast<int64_t>(sizeof(float))) +
+          begin / BitPacker(bits_).values_per_word(),
+      bits_);
 
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
   quant_simd::DequantizeArgs args;
   args.reader = &reader;
   args.bits = bits_;
   args.magnitude_mask = (1u << (bits_ - 1)) - 1u;
-  args.magnitudes = levels;
+  args.magnitudes = levels_.data();
   args.out = out;
-  for (int64_t b = 0; b < buckets; ++b) {
+  for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
     args.begin = b * bucket_size_;
-    args.end = std::min(args.begin + bucket_size_, n);
+    args.end = std::min(args.begin + bucket_size_, end);
     args.scale = scales[b];
     kernels.dequantize_sm(args);
   }

@@ -69,9 +69,9 @@ void NuqQuantize(const QuantizeArgs& args) {
         __m128i j = _mm_add_epi32(biased, exp_bias);
         j = _mm_max_epi32(j, zero32);
         j = _mm_min_epi32(j, j_max);
-        const __m256d lo = _mm256_i32gather_pd(args.magnitudes, j, 8);
-        const __m256d hi = _mm256_i32gather_pd(args.magnitudes,
-                                               _mm_add_epi32(j, one32), 8);
+        const __m256d lo = Gather4(args.magnitudes, j);
+        const __m256d hi =
+            Gather4(args.magnitudes, _mm_add_epi32(j, one32));
         const __m256d p =
             _mm256_div_pd(_mm256_sub_pd(a, lo), _mm256_sub_pd(hi, lo));
         const __m128i bump = Low32Of64(

@@ -8,7 +8,6 @@
 #include "base/logging.h"
 #include "base/thread_annotations.h"
 #include "base/strings.h"
-#include "obs/profile.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -62,25 +61,27 @@ int64_t OneBitSgdCodec::NumChunks(const Shape& shape) const {
   return shape.cols();
 }
 
+int64_t OneBitSgdCodec::RangeAlignment(const Shape& /*shape*/) const {
+  // Column-major chunks interleave with the row-major flat order.
+  return 0;
+}
+
 LPSGD_HOT_PATH
-void OneBitSgdCodec::Encode(const float* grad, const Shape& shape,
-                            uint64_t /*stochastic_tag*/,
-                            std::vector<float>* error,
-                            CodecWorkspace* workspace,
-                            std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("one_bit_sgd", /*encode=*/true,
-                                          out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+void OneBitSgdCodec::EncodeRange(const float* grad, const Shape& shape,
+                                 uint64_t /*stochastic_tag*/,
+                                 std::vector<float>* error, int64_t begin,
+                                 int64_t end, CodecWorkspace* /*workspace*/,
+                                 uint8_t* blob) const {
   const int64_t rows = shape.rows();
   const int64_t cols = shape.cols();
   const int64_t n = rows * cols;
+  CHECK_EQ(begin, 0);
+  CHECK_EQ(end, n);
   CHECK(!error_feedback_ || error != nullptr);
   if (error_feedback_) {
     CHECK_EQ(static_cast<int64_t>(error->size()), n);
   }
 
-  uint8_t* blob = quant_internal::EnsureSize(
-      out, static_cast<size_t>(EncodedSizeBytes(shape)));
   float* scales = MutableFloatsAt(blob, 0);  // 2 per column
   const int64_t words_per_col = (rows + 31) / 32;
   uint32_t* bits =
@@ -116,25 +117,19 @@ void OneBitSgdCodec::Encode(const float* grad, const Shape& shape,
       }
     }
   }
-  codec_internal::SealWireBlob(
-      blob, EncodedSizeBytes(shape) - codec_internal::kWireChecksumBytes);
 }
 
 LPSGD_HOT_PATH
-Status OneBitSgdCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
-                              const Shape& shape,
-                              CodecWorkspace* workspace,
-                              float* out) const {
-  codec_internal::CodecObsScope obs_scope("one_bit_sgd", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+Status OneBitSgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
+                                   int64_t /*begin*/, int64_t /*end*/,
+                                   CodecWorkspace* /*workspace*/,
+                                   float* out) const {
   const int64_t rows = shape.rows();
   const int64_t cols = shape.cols();
-  LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
-      "one_bit_sgd", bytes, num_bytes, EncodedSizeBytes(shape)));
-  const float* scales = FloatsAt(bytes, 0);
+  const float* scales = FloatsAt(blob, 0);
   const int64_t words_per_col = (rows + 31) / 32;
   const uint32_t* bits =
-      WordsAt(bytes, 2 * cols * static_cast<int64_t>(sizeof(float)));
+      WordsAt(blob, 2 * cols * static_cast<int64_t>(sizeof(float)));
 
   for (int64_t c = 0; c < cols; ++c) {
     const float avg_pos = scales[2 * c];
@@ -171,30 +166,32 @@ int64_t OneBitSgdReshapedCodec::NumChunks(const Shape& shape) const {
   return (n + bucket_size_ - 1) / bucket_size_;
 }
 
+int64_t OneBitSgdReshapedCodec::RangeAlignment(const Shape& /*shape*/) const {
+  return codec_internal::BucketRangeAlignment(bucket_size_, /*bits=*/1);
+}
+
 LPSGD_HOT_PATH
-void OneBitSgdReshapedCodec::Encode(const float* grad, const Shape& shape,
-                                    uint64_t /*stochastic_tag*/,
-                                    std::vector<float>* error,
-                                    CodecWorkspace* workspace,
-                                    std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("one_bit_sgd_reshaped",
-                                          /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
-  const int64_t n = shape.element_count();
+void OneBitSgdReshapedCodec::EncodeRange(const float* grad, const Shape& shape,
+                                         uint64_t /*stochastic_tag*/,
+                                         std::vector<float>* error,
+                                         int64_t begin, int64_t end,
+                                         CodecWorkspace* /*workspace*/,
+                                         uint8_t* blob) const {
   CHECK(!error_feedback_ || error != nullptr);
   if (error_feedback_) {
-    CHECK_EQ(static_cast<int64_t>(error->size()), n);
+    CHECK_EQ(static_cast<int64_t>(error->size()), shape.element_count());
   }
 
   const int64_t buckets = NumChunks(shape);
-  uint8_t* blob = quant_internal::EnsureSize(
-      out, static_cast<size_t>(EncodedSizeBytes(shape)));
   float* scales = MutableFloatsAt(blob, 0);  // 2 per bucket
   uint32_t* bits = MutableWordsAt(
       blob, 2 * buckets * static_cast<int64_t>(sizeof(float)));
-  // Buckets don't align with word boundaries, so zero the whole sign
-  // bitmap up front and OR bits in below.
-  std::memset(bits, 0, static_cast<size_t>((n + 31) / 32) * sizeof(uint32_t));
+  // Buckets don't align with word boundaries, so zero the range's sign
+  // words up front and OR bits in below; an aligned range owns whole
+  // words.
+  std::memset(bits + begin / 32, 0,
+              static_cast<size_t>((end + 31) / 32 - begin / 32) *
+                  sizeof(uint32_t));
 
   const auto corrected = [&](int64_t i) {
     return grad[i] +
@@ -206,43 +203,37 @@ void OneBitSgdReshapedCodec::Encode(const float* grad, const Shape& shape,
   // because the kernel overwrites the carried error in place.
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
   float* error_data = error_feedback_ ? error->data() : nullptr;
-  for (int64_t b = 0; b < buckets; ++b) {
-    const int64_t begin = b * bucket_size_;
-    const int64_t end = std::min(begin + bucket_size_, n);
+  for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
+    const int64_t bucket_begin = b * bucket_size_;
+    const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
     float avg_pos = 0.0f, avg_neg = 0.0f;
     ChunkAverages(
-        end - begin, [&](int64_t i) { return corrected(begin + i); },
-        &avg_pos, &avg_neg);
+        bucket_end - bucket_begin,
+        [&](int64_t i) { return corrected(bucket_begin + i); }, &avg_pos,
+        &avg_neg);
     scales[2 * b] = avg_pos;
     scales[2 * b + 1] = avg_neg;
-    kernels.one_bit_quantize(grad, error_data, begin, end, avg_pos, avg_neg,
-                             bits);
+    kernels.one_bit_quantize(grad, error_data, bucket_begin, bucket_end,
+                             avg_pos, avg_neg, bits);
   }
-  codec_internal::SealWireBlob(
-      blob, EncodedSizeBytes(shape) - codec_internal::kWireChecksumBytes);
 }
 
 LPSGD_HOT_PATH
-Status OneBitSgdReshapedCodec::Decode(const uint8_t* bytes,
-                                      int64_t num_bytes, const Shape& shape,
-                                      CodecWorkspace* workspace,
-                                      float* out) const {
-  codec_internal::CodecObsScope obs_scope("one_bit_sgd_reshaped",
-                                          /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
-  const int64_t n = shape.element_count();
-  LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
-      "one_bit_sgd_reshaped", bytes, num_bytes, EncodedSizeBytes(shape)));
+Status OneBitSgdReshapedCodec::DecodeRange(const uint8_t* blob,
+                                           const Shape& shape, int64_t begin,
+                                           int64_t end,
+                                           CodecWorkspace* /*workspace*/,
+                                           float* out) const {
   const int64_t buckets = NumChunks(shape);
-  const float* scales = FloatsAt(bytes, 0);
+  const float* scales = FloatsAt(blob, 0);
   const uint32_t* bits =
-      WordsAt(bytes, 2 * buckets * static_cast<int64_t>(sizeof(float)));
+      WordsAt(blob, 2 * buckets * static_cast<int64_t>(sizeof(float)));
 
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
-  for (int64_t b = 0; b < buckets; ++b) {
-    const int64_t begin = b * bucket_size_;
-    const int64_t end = std::min(begin + bucket_size_, n);
-    kernels.one_bit_dequantize(bits, begin, end, scales[2 * b],
+  for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
+    const int64_t bucket_begin = b * bucket_size_;
+    const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
+    kernels.one_bit_dequantize(bits, bucket_begin, bucket_end, scales[2 * b],
                                scales[2 * b + 1], out);
   }
   return OkStatus();

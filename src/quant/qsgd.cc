@@ -10,7 +10,6 @@
 #include "base/thread_annotations.h"
 #include "base/rng.h"
 #include "base/strings.h"
-#include "obs/profile.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -39,6 +38,9 @@ QsgdCodec::QsgdCodec(int bits, int64_t bucket_size, QsgdNorm norm,
                      ? (1u << (bits_ - 1)) - 1u  // s magnitude levels
                      : (1u << bits_) - 2u;       // 2^bits - 1 endpoints
   CHECK_GE(level_count_, 1u);
+  magnitudes_.resize(static_cast<size_t>(level_count_) + 1);
+  const double s = static_cast<double>(level_count_);
+  for (uint32_t m = 0; m <= level_count_; ++m) magnitudes_[m] = m / s;
 }
 
 std::string QsgdCodec::Name() const {
@@ -59,25 +61,26 @@ int64_t QsgdCodec::NumChunks(const Shape& shape) const {
   return (n + bucket_size_ - 1) / bucket_size_;
 }
 
+int64_t QsgdCodec::RangeAlignment(const Shape& /*shape*/) const {
+  return codec_internal::BucketRangeAlignment(bucket_size_, bits_);
+}
+
 LPSGD_HOT_PATH
-void QsgdCodec::Encode(const float* grad, const Shape& shape,
-                       uint64_t stochastic_tag, std::vector<float>* /*error*/,
-                       CodecWorkspace* workspace,
-                       std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("qsgd", /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
-  const int64_t n = shape.element_count();
+void QsgdCodec::EncodeRange(const float* grad, const Shape& shape,
+                            uint64_t stochastic_tag,
+                            std::vector<float>* /*error*/, int64_t begin,
+                            int64_t end, CodecWorkspace* /*workspace*/,
+                            uint8_t* blob) const {
   const int64_t buckets = NumChunks(shape);
   const CounterRng stream(seed_, stochastic_tag);
 
   // Quantize straight into the wire blob: scales up front, then each field
   // streamed into the packed words — no intermediate field array and no
-  // separate packing pass.
-  uint8_t* blob =
-      quant_internal::EnsureSize(out, static_cast<size_t>(EncodedSizeBytes(shape)));
+  // separate packing pass. An aligned range starts on a word boundary.
   float* scales = MutableFloatsAt(blob, 0);
   BitWriter writer(
-      MutableWordsAt(blob, buckets * static_cast<int64_t>(sizeof(float))),
+      MutableWordsAt(blob, buckets * static_cast<int64_t>(sizeof(float))) +
+          begin / BitPacker(bits_).values_per_word(),
       bits_);
 
   // Stochastic rounding of a*s between floor and ceil keeps the estimator
@@ -91,30 +94,31 @@ void QsgdCodec::Encode(const float* grad, const Shape& shape,
   args.bits = bits_;
   args.level_count = level_count_;
   args.writer = &writer;
-  for (int64_t b = 0; b < buckets; ++b) {
-    const int64_t begin = b * bucket_size_;
-    const int64_t end = std::min(begin + bucket_size_, n);
+  for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
+    const int64_t bucket_begin = b * bucket_size_;
+    const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
 
     double scale = 0.0;
     if (norm_ == QsgdNorm::kL2) {
       // Sequential widened sum: order-sensitive, stays scalar in every
       // dispatch mode so the wire scale is ISA-independent.
-      for (int64_t i = begin; i < end; ++i) {
+      for (int64_t i = bucket_begin; i < bucket_end; ++i) {
         scale += static_cast<double>(grad[i]) * grad[i];
       }
       scale = std::sqrt(scale);
     } else {
-      scale = elementwise.max_abs_f32(grad + begin, end - begin);
+      scale = elementwise.max_abs_f32(grad + bucket_begin,
+                                      bucket_end - bucket_begin);
     }
     scales[b] = static_cast<float>(scale);
     if (scale == 0.0) {
       // Zero fields decode to exact zeros; keep the stream position.
-      for (int64_t i = begin; i < end; ++i) writer.Put(0u);
+      for (int64_t i = bucket_begin; i < bucket_end; ++i) writer.Put(0u);
       continue;
     }
 
-    args.begin = begin;
-    args.end = end;
+    args.begin = bucket_begin;
+    args.end = bucket_end;
     args.scale = scale;
     if (levels_ == QsgdLevelScheme::kSignMagnitude) {
       kernels.qsgd_quantize_sm(args);
@@ -124,23 +128,19 @@ void QsgdCodec::Encode(const float* grad, const Shape& shape,
     }
   }
   writer.Finish();
-  codec_internal::SealWireBlob(
-      blob, EncodedSizeBytes(shape) - codec_internal::kWireChecksumBytes);
 }
 
 LPSGD_HOT_PATH
-Status QsgdCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
-                         const Shape& shape, CodecWorkspace* workspace,
-                         float* out) const {
-  codec_internal::CodecObsScope obs_scope("qsgd", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
-  const int64_t n = shape.element_count();
-  LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
-      "qsgd", bytes, num_bytes, EncodedSizeBytes(shape)));
+Status QsgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
+                              int64_t begin, int64_t end,
+                              CodecWorkspace* /*workspace*/,
+                              float* out) const {
   const int64_t buckets = NumChunks(shape);
-  const float* scales = FloatsAt(bytes, 0);
+  const float* scales = FloatsAt(blob, 0);
   BitReader reader(
-      WordsAt(bytes, buckets * static_cast<int64_t>(sizeof(float))), bits_);
+      WordsAt(blob, buckets * static_cast<int64_t>(sizeof(float))) +
+          begin / BitPacker(bits_).values_per_word(),
+      bits_);
 
   const double s = static_cast<double>(level_count_);
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
@@ -149,27 +149,22 @@ Status QsgdCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
   args.bits = bits_;
   args.s = s;
   args.out = out;
+  const int64_t first_bucket = begin / bucket_size_;
   if (levels_ == QsgdLevelScheme::kSignMagnitude) {
     args.magnitude_mask = (1u << (bits_ - 1)) - 1u;
-    // magnitudes[m] performs the identical m / s double division the flat
-    // loop used to do per element, so magnitudes[m] * scale in the kernel
-    // is bit-identical to the unfused (m / s) * scale.
-    double* magnitudes = quant_internal::EnsureSize(
-        &workspace->magnitudes, static_cast<size_t>(level_count_) + 1);
-    for (uint32_t m = 0; m <= level_count_; ++m) {
-      magnitudes[m] = m / s;
-    }
-    args.magnitudes = magnitudes;
-    for (int64_t b = 0; b < buckets; ++b) {
+    // magnitudes_[m] * scale in the kernel is bit-identical to the unfused
+    // (m / s) * scale.
+    args.magnitudes = magnitudes_.data();
+    for (int64_t b = first_bucket; b * bucket_size_ < end; ++b) {
       args.begin = b * bucket_size_;
-      args.end = std::min(args.begin + bucket_size_, n);
+      args.end = std::min(args.begin + bucket_size_, end);
       args.scale = scales[b];
       kernels.dequantize_sm(args);
     }
   } else {
-    for (int64_t b = 0; b < buckets; ++b) {
+    for (int64_t b = first_bucket; b * bucket_size_ < end; ++b) {
       args.begin = b * bucket_size_;
-      args.end = std::min(args.begin + bucket_size_, n);
+      args.end = std::min(args.begin + bucket_size_, end);
       args.scale = scales[b];
       kernels.dequantize_sym(args);
     }

@@ -11,7 +11,6 @@
 #include "base/thread_annotations.h"
 #include "base/rng.h"
 #include "base/strings.h"
-#include "obs/profile.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -61,24 +60,32 @@ int64_t TernGradCodec::EncodedSizeBytes(const Shape& shape) const {
          codec_internal::kWireChecksumBytes;
 }
 
+int64_t TernGradCodec::RangeAlignment(const Shape& /*shape*/) const {
+  // Layer-wise scaling needs the whole matrix's max before any field.
+  return bucket_size_ > 0
+             ? codec_internal::BucketRangeAlignment(bucket_size_, kFieldBits)
+             : 0;
+}
+
 LPSGD_HOT_PATH
-void TernGradCodec::Encode(const float* grad, const Shape& shape,
-                           uint64_t stochastic_tag,
-                           std::vector<float>* /*error*/,
-                           CodecWorkspace* workspace,
-                           std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("terngrad", /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+void TernGradCodec::EncodeRange(const float* grad, const Shape& shape,
+                                uint64_t stochastic_tag,
+                                std::vector<float>* /*error*/, int64_t begin,
+                                int64_t end, CodecWorkspace* /*workspace*/,
+                                uint8_t* blob) const {
   const int64_t n = shape.element_count();
   const int64_t chunks = NumChunks(shape);
   const int64_t len = ChunkLength(n);
+  if (bucket_size_ == 0) {
+    CHECK_EQ(begin, 0);
+    CHECK_EQ(end, n);
+  }
   const CounterRng stream(seed_, stochastic_tag);
 
-  uint8_t* blob = quant_internal::EnsureSize(
-      out, static_cast<size_t>(EncodedSizeBytes(shape)));
   float* scales = MutableFloatsAt(blob, 0);
   BitWriter writer(
-      MutableWordsAt(blob, chunks * static_cast<int64_t>(sizeof(float))),
+      MutableWordsAt(blob, chunks * static_cast<int64_t>(sizeof(float))) +
+          begin / BitPacker(kFieldBits).values_per_word(),
       kFieldBits);
 
   // The ternarize draw — P(|q| = scale) = min(|g|, threshold) / scale,
@@ -91,9 +98,9 @@ void TernGradCodec::Encode(const float* grad, const Shape& shape,
   args.stream_seed = stream.stream_seed();
   args.bits = kFieldBits;
   args.writer = &writer;
-  for (int64_t b = 0; b < chunks; ++b) {
-    const int64_t begin = b * len;
-    const int64_t end = std::min(begin + len, n);
+  for (int64_t b = begin / len; b * len < end; ++b) {
+    const int64_t chunk_begin = b * len;
+    const int64_t chunk_end = std::min(chunk_begin + len, end);
 
     double max_abs = 0.0;
     double threshold = std::numeric_limits<double>::infinity();
@@ -103,49 +110,46 @@ void TernGradCodec::Encode(const float* grad, const Shape& shape,
       // is order-sensitive, so this path stays scalar in every dispatch
       // mode.
       double sum_sq = 0.0;
-      for (int64_t i = begin; i < end; ++i) {
+      for (int64_t i = chunk_begin; i < chunk_end; ++i) {
         const double g = grad[i];
         max_abs = std::max(max_abs, std::abs(g));
         sum_sq += g * g;
       }
-      threshold =
-          clip_ * std::sqrt(sum_sq / static_cast<double>(end - begin));
+      const double count = static_cast<double>(chunk_end - chunk_begin);
+      threshold = clip_ * std::sqrt(sum_sq / count);
     } else {
-      max_abs = elementwise.max_abs_f32(grad + begin, end - begin);
+      max_abs = elementwise.max_abs_f32(grad + chunk_begin,
+                                        chunk_end - chunk_begin);
     }
     const double scale = std::min(max_abs, threshold);
     scales[b] = static_cast<float>(scale);
     if (scale == 0.0) {
       // Zero fields decode to exact zeros; keep the stream position.
-      for (int64_t i = begin; i < end; ++i) writer.Put(0u);
+      for (int64_t i = chunk_begin; i < chunk_end; ++i) writer.Put(0u);
       continue;
     }
 
-    args.begin = begin;
-    args.end = end;
+    args.begin = chunk_begin;
+    args.end = chunk_end;
     args.scale = scale;
     args.threshold = threshold;
     kernels.terngrad_quantize(args);
   }
   writer.Finish();
-  codec_internal::SealWireBlob(
-      blob, EncodedSizeBytes(shape) - codec_internal::kWireChecksumBytes);
 }
 
 LPSGD_HOT_PATH
-Status TernGradCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
-                             const Shape& shape, CodecWorkspace* workspace,
-                             float* out) const {
-  codec_internal::CodecObsScope obs_scope("terngrad", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+Status TernGradCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
+                                  int64_t begin, int64_t end,
+                                  CodecWorkspace* /*workspace*/,
+                                  float* out) const {
   const int64_t n = shape.element_count();
-  LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
-      "terngrad", bytes, num_bytes, EncodedSizeBytes(shape)));
   const int64_t chunks = NumChunks(shape);
   const int64_t len = ChunkLength(n);
-  const float* scales = FloatsAt(bytes, 0);
+  const float* scales = FloatsAt(blob, 0);
   BitReader reader(
-      WordsAt(bytes, chunks * static_cast<int64_t>(sizeof(float))),
+      WordsAt(blob, chunks * static_cast<int64_t>(sizeof(float))) +
+          begin / BitPacker(kFieldBits).values_per_word(),
       kFieldBits);
 
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
@@ -153,9 +157,9 @@ Status TernGradCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
   args.reader = &reader;
   args.bits = kFieldBits;
   args.out = out;
-  for (int64_t b = 0; b < chunks; ++b) {
+  for (int64_t b = begin / len; b * len < end; ++b) {
     args.begin = b * len;
-    args.end = std::min(args.begin + len, n);
+    args.end = std::min(args.begin + len, end);
     args.scale = scales[b];
     kernels.terngrad_dequantize(args);
   }

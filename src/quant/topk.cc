@@ -56,14 +56,20 @@ int64_t TopKCodec::NumChunks(const Shape& /*shape*/) const {
   return 1;
 }
 
+int64_t TopKCodec::RangeAlignment(const Shape& /*shape*/) const {
+  // The kept set is a whole-matrix magnitude selection.
+  return 0;
+}
+
 LPSGD_HOT_PATH
-void TopKCodec::Encode(const float* grad, const Shape& shape,
-                       uint64_t /*stochastic_tag*/,
-                       std::vector<float>* error, CodecWorkspace* workspace,
-                       std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope("topk", /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+void TopKCodec::EncodeRange(const float* grad, const Shape& shape,
+                            uint64_t /*stochastic_tag*/,
+                            std::vector<float>* error, int64_t begin,
+                            int64_t end, CodecWorkspace* workspace,
+                            uint8_t* blob) const {
   const int64_t n = shape.element_count();
+  CHECK_EQ(begin, 0);
+  CHECK_EQ(end, n);
   CHECK(!error_feedback_ || error != nullptr);
   if (error_feedback_) {
     CHECK_EQ(static_cast<int64_t>(error->size()), n);
@@ -98,8 +104,6 @@ void TopKCodec::Encode(const float* grad, const Shape& shape,
   // Sort the kept indices so the wire format is deterministic.
   std::sort(order.begin(), order.begin() + k);
 
-  uint8_t* blob = quant_internal::EnsureSize(
-      out, static_cast<size_t>(EncodedSizeBytes(shape)));
   uint32_t* words = MutableWordsAt(blob, 0);
   words[0] = static_cast<uint32_t>(k);
   PackIndexRun(order.data(), k, n, words + 1);
@@ -120,26 +124,21 @@ void TopKCodec::Encode(const float* grad, const Shape& shape,
       (*error)[static_cast<size_t>(order[static_cast<size_t>(i)])] = 0.0f;
     }
   }
-  codec_internal::SealWireBlob(
-      blob, EncodedSizeBytes(shape) - codec_internal::kWireChecksumBytes);
 }
 
 LPSGD_HOT_PATH
-Status TopKCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
-                         const Shape& shape, CodecWorkspace* workspace,
-                         float* out) const {
+Status TopKCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
+                              int64_t /*begin*/, int64_t /*end*/,
+                              CodecWorkspace* workspace, float* out) const {
   const int64_t n = shape.element_count();
   const int64_t k = KeptCount(n);
-  // Stage the sparse form in workspace scratch: the validation inside
-  // DecodeSparse must finish before `out` is touched (which must stay
-  // intact on error).
+  // Stage the sparse form in workspace scratch: the framing validation
+  // must finish before `out` is touched (which must stay intact on error).
   uint32_t* indices = quant_internal::EnsureSize(&workspace->sparse_indices,
                                                  static_cast<size_t>(k));
   float* values = quant_internal::EnsureSize(&workspace->corrected,
                                              static_cast<size_t>(k));
-  LPSGD_RETURN_IF_ERROR(
-      DecodeSparse(bytes, num_bytes, shape, workspace, indices, values));
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  LPSGD_RETURN_IF_ERROR(ParseSparse(blob, n, indices, values));
   std::fill(out, out + n, 0.0f);
   for (int64_t i = 0; i < k; ++i) {
     out[indices[i]] = values[i];
@@ -153,25 +152,30 @@ Status TopKCodec::DecodeSparse(const uint8_t* bytes, int64_t num_bytes,
                                uint32_t* indices, float* values) const {
   codec_internal::CodecObsScope obs_scope("topk", /*encode=*/false);
   obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
-  const int64_t n = shape.element_count();
   LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
       "topk", bytes, num_bytes, EncodedSizeBytes(shape)));
+  return ParseSparse(bytes, shape.element_count(), indices, values);
+}
+
+LPSGD_HOT_PATH
+Status TopKCodec::ParseSparse(const uint8_t* blob, int64_t n,
+                              uint32_t* indices, float* values) const {
   // The checksum is 32 bits, so collisions are possible: re-validate the
   // framing fields before trusting the payload.
-  const uint32_t count = *WordsAt(bytes, 0);
+  const uint32_t count = *WordsAt(blob, 0);
   const int64_t k = KeptCount(n);
   if (static_cast<int64_t>(count) != k) {
     return DataLossError(StrCat("topk: blob claims ", count,
                                 " components, expected ", k));
   }
-  if (!UnpackIndexRun(WordsAt(bytes, sizeof(uint32_t)), k, n, indices)) {
+  if (!UnpackIndexRun(WordsAt(blob, sizeof(uint32_t)), k, n, indices)) {
     return DataLossError(StrCat(
         "topk: component indices not strictly increasing in [0, ", n, ")"));
   }
   const float* wire_values =
-      FloatsAt(bytes, static_cast<int64_t>(sizeof(uint32_t)) +
-                          IndexRunWordCount(n, k) *
-                              static_cast<int64_t>(sizeof(uint32_t)));
+      FloatsAt(blob, static_cast<int64_t>(sizeof(uint32_t)) +
+                         IndexRunWordCount(n, k) *
+                             static_cast<int64_t>(sizeof(uint32_t)));
   std::memcpy(values, wire_values, static_cast<size_t>(k) * sizeof(float));
   return OkStatus();
 }

@@ -36,13 +36,15 @@ class TopKCodec : public GradientCodec {
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
   bool UsesErrorFeedback() const override { return error_feedback_; }
-  using GradientCodec::Decode;
-  using GradientCodec::Encode;
-  void Encode(const float* grad, const Shape& shape, uint64_t stochastic_tag,
-              std::vector<float>* error, CodecWorkspace* workspace,
-              std::vector<uint8_t>* out) const override;
-  Status Decode(const uint8_t* bytes, int64_t num_bytes, const Shape& shape,
-                CodecWorkspace* workspace, float* out) const override;
+  std::string_view MetricName() const override { return "topk"; }
+  int64_t RangeAlignment(const Shape& shape) const override;
+  void EncodeRange(const float* grad, const Shape& shape,
+                   uint64_t stochastic_tag, std::vector<float>* error,
+                   int64_t begin, int64_t end, CodecWorkspace* workspace,
+                   uint8_t* blob) const override;
+  Status DecodeRange(const uint8_t* blob, const Shape& shape, int64_t begin,
+                     int64_t end, CodecWorkspace* workspace,
+                     float* out) const override;
   int64_t SparseCount(const Shape& shape) const override;
   Status DecodeSparse(const uint8_t* bytes, int64_t num_bytes,
                       const Shape& shape, CodecWorkspace* workspace,
@@ -54,6 +56,12 @@ class TopKCodec : public GradientCodec {
   int64_t KeptCount(int64_t n) const;
 
  private:
+  // Validates a blob's framing fields (count, index run) and copies out
+  // its sparse form; DataLoss, with the outputs unspecified, on a
+  // malformed payload. Shared by DecodeSparse and DecodeRange.
+  Status ParseSparse(const uint8_t* blob, int64_t n, uint32_t* indices,
+                     float* values) const;
+
   double density_;
   bool error_feedback_;
 };

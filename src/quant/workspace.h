@@ -22,7 +22,8 @@ namespace lpsgd {
 // codecs, matrices, and iterations freely (but not across threads — a
 // workspace is single-threaded scratch).
 struct CodecWorkspace {
-  // TopK: error-corrected gradient (grad + carried error).
+  // TopK: error-corrected gradient (grad + carried error). ECQ-SGD: one
+  // bucket of it. TopK decode: staged values.
   std::vector<float> corrected;
   // TopK: element order for the magnitude selection.
   std::vector<int64_t> order;
@@ -33,14 +34,11 @@ struct CodecWorkspace {
   std::vector<float> levels;
   // AdaptiveQSGD: coordinate-descent trial placement.
   std::vector<float> trial;
-  // QSGD decode: per-level magnitude table (level / s), reused across
-  // buckets.
-  std::vector<double> magnitudes;
   // TopK dense decode: unpacked component indices staged for validation
   // before `out` is touched.
   std::vector<uint32_t> sparse_indices;
-  // Caller-side scratch blob for encode-then-decode round trips (the
-  // aggregators' stage-2 re-encode).
+  // Caller-side scratch blob for encode-then-decode round trips (the NCCL
+  // ring's sparse allgather).
   std::vector<uint8_t> blob;
   // Per-slot profiler scratch: codec Encode/Decode calls and the
   // aggregators' hot loops accumulate phase spans here (fixed POD arrays,

@@ -107,6 +107,15 @@ std::vector<float> TestVector(int64_t n, uint64_t seed) {
   return v;
 }
 
+// Bitwise equality of two buffers. memcmp alone would be handed the null
+// data() of an empty vector, which is undefined even for zero bytes.
+template <typename T>
+bool BitsEqual(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
 const int64_t kLengths[] = {0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17,
                             31, 32, 33, 63, 64, 65, 100, 1000, 1025};
 
@@ -126,31 +135,26 @@ TEST(ElementwiseKernelsTest, AllIsasMatchScalarBitForBit) {
           out_vec(static_cast<size_t>(n));
       ref.abs_f32(a.data(), out_ref.data(), n);
       vec.abs_f32(a.data(), out_vec.data(), n);
-      EXPECT_EQ(0, std::memcmp(out_ref.data(), out_vec.data(),
-                               static_cast<size_t>(n) * sizeof(float)));
+      EXPECT_TRUE(BitsEqual(out_ref, out_vec));
 
       ref.add_f32(a.data(), b.data(), out_ref.data(), n);
       vec.add_f32(a.data(), b.data(), out_vec.data(), n);
-      EXPECT_EQ(0, std::memcmp(out_ref.data(), out_vec.data(),
-                               static_cast<size_t>(n) * sizeof(float)));
+      EXPECT_TRUE(BitsEqual(out_ref, out_vec));
 
       std::vector<float> acc_ref = a, acc_vec = a;
       ref.add_assign_f32(acc_ref.data(), b.data(), n);
       vec.add_assign_f32(acc_vec.data(), b.data(), n);
-      EXPECT_EQ(0, std::memcmp(acc_ref.data(), acc_vec.data(),
-                               static_cast<size_t>(n) * sizeof(float)));
+      EXPECT_TRUE(BitsEqual(acc_ref, acc_vec));
 
       std::vector<double> sum_ref(static_cast<size_t>(n), 0.25),
           sum_vec(static_cast<size_t>(n), 0.25);
       ref.accumulate_f64(sum_ref.data(), a.data(), n);
       vec.accumulate_f64(sum_vec.data(), a.data(), n);
-      EXPECT_EQ(0, std::memcmp(sum_ref.data(), sum_vec.data(),
-                               static_cast<size_t>(n) * sizeof(double)));
+      EXPECT_TRUE(BitsEqual(sum_ref, sum_vec));
 
       ref.store_f64_as_f32(sum_ref.data(), out_ref.data(), n);
       vec.store_f64_as_f32(sum_vec.data(), out_vec.data(), n);
-      EXPECT_EQ(0, std::memcmp(out_ref.data(), out_vec.data(),
-                               static_cast<size_t>(n) * sizeof(float)));
+      EXPECT_TRUE(BitsEqual(out_ref, out_vec));
     }
   }
 }

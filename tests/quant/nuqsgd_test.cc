@@ -74,7 +74,9 @@ TEST(NuqsgdCodecTest, SingleNonzeroComponentIsExact) {
     const std::vector<float> decoded = EncodeDecode(codec, grad, tag);
     EXPECT_FLOAT_EQ(decoded[13], -3.25f) << tag;
     for (int64_t i = 0; i < 32; ++i) {
-      if (i != 13) EXPECT_EQ(decoded[static_cast<size_t>(i)], 0.0f) << i;
+      if (i != 13) {
+        EXPECT_EQ(decoded[static_cast<size_t>(i)], 0.0f) << i;
+      }
     }
   }
 }

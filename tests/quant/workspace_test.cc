@@ -346,6 +346,64 @@ TEST(WorkspaceAllocationTest, AggregatorWorkspaceGrowthStopsAfterWarmup) {
   registry.set_enabled(was_enabled);
 }
 
+// The whole steady-state exchange is allocation-free, not just the codec
+// calls: with the fc_exchange benchmark's matrices (BuildMlp({256, 1024,
+// 1024, 10}): weights quantized, biases on the full-precision pipeline) on
+// a 2-thread pool, AllReduce calls after two warm-up calls perform zero
+// heap allocations — rank and aggregate blobs, tile scratch, residual
+// checkpoints, ParallelFor bodies, and thread-pool batches all reuse
+// storage.
+TEST(WorkspaceAllocationTest, SteadyStateAllReduceAllocatesNothing) {
+  auto& registry = obs::MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(false);  // metric mutation is not part of the path
+
+  const int k = 4;
+  const std::vector<Shape> shapes = {Shape({1024, 256}), Shape({1024}),
+                                     Shape({1024, 1024}), Shape({1024}),
+                                     Shape({10, 1024}),   Shape({10})};
+  for (const CodecCase& c :
+       {CodecCase{"qsgd4", QsgdSpec(4)}, CodecCase{"ecq4", EcqSgdSpec(4)}}) {
+    SCOPED_TRACE(c.name);
+    auto aggregator = MpiReduceBcastAggregator::Create(
+        k, c.spec, Ec2P2_8xlarge(), ExecutionContext::WithThreads(2));
+    ASSERT_TRUE(aggregator.ok());
+
+    std::vector<std::vector<std::vector<float>>> grads(shapes.size());
+    std::vector<std::vector<std::vector<float>>> errors(shapes.size());
+    std::vector<MatrixSlot> slots(shapes.size());
+    for (size_t m = 0; m < shapes.size(); ++m) {
+      const int64_t n = shapes[m].element_count();
+      for (int r = 0; r < k; ++r) {
+        grads[m].push_back(
+            TestGradient(n, 0x5a11ULL + m * 31 + static_cast<uint64_t>(r)));
+        errors[m].emplace_back(static_cast<size_t>(n), 0.0f);
+      }
+      slots[m].quant_shape = shapes[m];
+      slots[m].quantized = shapes[m].ndim() == 2;  // biases bypass
+      for (int r = 0; r < k; ++r) {
+        slots[m].rank_grads.push_back(grads[m][static_cast<size_t>(r)].data());
+        slots[m].rank_errors.push_back(&errors[m][static_cast<size_t>(r)]);
+      }
+    }
+
+    for (int64_t iteration = 0; iteration < 2; ++iteration) {
+      ASSERT_TRUE((*aggregator)->AllReduce(&slots, iteration).ok());
+    }
+    for (int64_t iteration = 2; iteration < 4; ++iteration) {
+      g_allocation_count.store(0, std::memory_order_relaxed);
+      g_count_allocations.store(true, std::memory_order_relaxed);
+      const bool ok = (*aggregator)->AllReduce(&slots, iteration).ok();
+      g_count_allocations.store(false, std::memory_order_relaxed);
+      ASSERT_TRUE(ok);
+      EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0)
+          << "iteration " << iteration;
+    }
+  }
+
+  registry.set_enabled(was_enabled);
+}
+
 // The NCCL ring's sparse allgather path reaches the same steady state:
 // per-slot workspaces, per-(matrix, rank) index/value runs, and the
 // per-matrix scatter-add aggregate all stop growing after warmup.

@@ -407,7 +407,10 @@ std::string CanonicalLockId(std::string_view expr,
   // Fold -> to . so `batch->mu` and `batch.mu` share an identity.
   size_t arrow;
   while ((arrow = id.find("->")) != std::string::npos) {
-    id.replace(arrow, 2, ".");
+    // In place, not replace(arrow, 2, "."): GCC 12 misreads that as an
+    // overlapping memcpy (-Wrestrict).
+    id[arrow] = '.';
+    id.erase(arrow + 1, 1);
   }
   if (id.empty()) return id;
   const bool bare_ident =

@@ -87,9 +87,11 @@ std::string StripCommentsAndStrings(std::string_view contents) {
                    (i == 0 || !IsIdentChar(contents[i - 1]))) {
           size_t open = contents.find('(', i + 2);
           if (open != std::string_view::npos) {
-            raw_close = ")" +
-                        std::string(contents.substr(i + 2, open - i - 2)) +
-                        "\"";
+            // Built in place: GCC 12 misreads the operator+ chain as an
+            // overlapping memcpy (-Wrestrict).
+            raw_close.assign(1, ')');
+            raw_close.append(contents.substr(i + 2, open - i - 2));
+            raw_close.push_back('"');
             for (size_t j = i; j <= open; ++j) out[j] = ' ';
             i = open;
             state = State::kRaw;

@@ -3,11 +3,14 @@
 // CI performance-regression gate over codec micro-benchmarks and profiler
 // breakdowns (DESIGN.md "Profiling and attribution").
 //
-//   bench_gate --baseline bench/baselines/BENCH_codecs.json \
-//              --candidate /tmp/candidate.json \
-//              [--reference BM_EncodeFullPrecision/786432] \
-//              [--tolerance 0.25] [--share_tolerance 0.10] \
+//   bench_gate --baseline bench/baselines/BENCH_codecs.json
+//              --candidate /tmp/candidate.json
+//              [--reference BM_EncodeFullPrecision/786432]
+//              [--tolerance 0.25] [--share_tolerance 0.10]
 //              [--report_out gate.json]
+//
+// (one command line, wrapped here without shell continuations, which a
+// line comment may not end with).
 //
 // Exit status: 0 when every compared entry is within tolerance, 1 when
 // anything regressed or vanished, 2 on usage/parse errors. With
