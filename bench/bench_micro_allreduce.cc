@@ -111,7 +111,7 @@ BENCHMARK(BM_NcclSimulatedQsgd4)->Args({4, kElems})->Args({8, kElems});
 }  // namespace lpsgd
 
 // Expanded BENCHMARK_MAIN() with the BenchRun harness in front: it
-// strips --metrics_out/--trace_out before benchmark::Initialize
+// strips --metrics_out/--obs/--obs_out before benchmark::Initialize
 // sees (and would reject) them.
 int main(int argc, char** argv) {
   lpsgd::bench::BenchRun bench_run(&argc, argv, "bench_micro_allreduce");

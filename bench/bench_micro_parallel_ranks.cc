@@ -115,7 +115,7 @@ BENCHMARK(BM_AllReduceParallelRanks)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 }  // namespace lpsgd
 
 // Expanded BENCHMARK_MAIN() with the BenchRun harness in front: it
-// strips --metrics_out/--trace_out before benchmark::Initialize
+// strips --metrics_out/--obs/--obs_out before benchmark::Initialize
 // sees (and would reject) them.
 int main(int argc, char** argv) {
   lpsgd::bench::BenchRun bench_run(&argc, argv,

@@ -11,24 +11,29 @@
 #include "base/table_printer.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 namespace bench {
 
-BenchRun::BenchRun(int* argc, char** argv, const std::string& binary_name) {
+BenchRun::BenchRun(int* argc, char** argv, const std::string& binary_name)
+    : obs_out_(binary_name) {
   CHECK(argc != nullptr);
   // Strip our flags in place so downstream parsers (Google Benchmark)
   // never see them.
+  std::string obs_list;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const std::string_view arg = argv[i];
     constexpr std::string_view kMetricsFlag = "--metrics_out=";
-    constexpr std::string_view kTraceFlag = "--trace_out=";
+    constexpr std::string_view kObsFlag = "--obs=";
+    constexpr std::string_view kObsOutFlag = "--obs_out=";
     if (arg.rfind(kMetricsFlag, 0) == 0) {
       metrics_path_ = std::string(arg.substr(kMetricsFlag.size()));
-    } else if (arg.rfind(kTraceFlag, 0) == 0) {
-      trace_path_ = std::string(arg.substr(kTraceFlag.size()));
+    } else if (arg.rfind(kObsFlag, 0) == 0) {
+      obs_list = std::string(arg.substr(kObsFlag.size()));
+    } else if (arg.rfind(kObsOutFlag, 0) == 0) {
+      obs_out_ = std::string(arg.substr(kObsOutFlag.size()));
     } else {
       argv[out++] = argv[i];
     }
@@ -41,12 +46,11 @@ BenchRun::BenchRun(int* argc, char** argv, const std::string& binary_name) {
   // scalar and SIMD numbers need it to tell the legs apart.
   obs::RunReport::Global().SetMeta("simd_isa",
                                    SimdIsaName(ActiveSimdIsa()));
+  obs::EnableFromFlags(obs_list, obs_out_);
+  switched_ = obs::Exporters();
   if (!metrics_path_.empty()) {
     obs::MetricsRegistry::Global().set_enabled(true);
     obs::RunReport::Global().set_enabled(true);
-  }
-  if (!trace_path_.empty()) {
-    obs::Tracer::Global().set_enabled(true);
   }
 }
 
@@ -61,16 +65,11 @@ BenchRun::~BenchRun() {
       std::cout << "\nwrote run report to " << metrics_path_ << "\n";
     }
   }
-  if (!trace_path_.empty()) {
-    const Status status =
-        obs::Tracer::Global().WriteChromeTraceFile(trace_path_);
-    if (!status.ok()) {
-      LOG(Error) << "failed to write --trace_out=" << trace_path_ << ": "
-                 << status;
-    } else {
-      std::cout << "wrote Chrome trace to " << trace_path_
-                << " (load in chrome://tracing)\n";
-    }
+  std::vector<std::string> written;
+  const Status status = obs::WriteOutputs(obs_out_, switched_, &written);
+  if (!status.ok()) LOG(Error) << "failed to write --obs_out: " << status;
+  for (const std::string& path : written) {
+    std::cout << "wrote " << path << "\n";
   }
 }
 

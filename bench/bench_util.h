@@ -6,6 +6,7 @@
 #ifndef LPSGD_BENCH_BENCH_UTIL_H_
 #define LPSGD_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -19,11 +20,13 @@ namespace bench {
 
 // Per-binary observability harness. Construction strips the flags
 //   --metrics_out=<path>   write the structured run report (JSON) at exit
-//   --trace_out=<path>     write a Chrome trace_event JSON at exit
+//   --obs=<list>           enable exporters on top of LPSGD_OBS (any subset
+//                          of metrics,trace,profile,flight)
+//   --obs_out=<prefix>     their output prefix (default: the binary name)
 // from argc/argv (so they never reach other flag parsers, e.g. Google
-// Benchmark's) and, when either is given, enables the global metrics
-// registry / tracer / run report. Destruction writes the requested files.
-// Every bench main constructs one as its first statement.
+// Benchmark's) and enables what they ask for. Destruction writes the run
+// report and each switched-on exporter's file (obs::WriteOutputs). Every
+// bench main constructs one as its first statement.
 class BenchRun {
  public:
   BenchRun(int* argc, char** argv, const std::string& binary_name);
@@ -32,11 +35,13 @@ class BenchRun {
   ~BenchRun();
 
   const std::string& metrics_path() const { return metrics_path_; }
-  const std::string& trace_path() const { return trace_path_; }
 
  private:
   std::string metrics_path_;
-  std::string trace_path_;
+  std::string obs_out_;
+  // Exporters switched on by LPSGD_OBS or --obs, whose files are written
+  // at exit (--metrics_out alone enables metrics for the report only).
+  uint32_t switched_ = 0;
 };
 
 // One row key of Figures 10/11: (network, precision short label).

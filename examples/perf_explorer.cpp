@@ -159,15 +159,18 @@ int main(int argc, char** argv) {
   if (!profile_out.empty()) {
     // Export the estimate through the profiler so it lands in the same
     // schema (and table) as a measured training run's breakdown.
+    obs::PhaseTimes estimate;
+    estimate.AddVirtual(obs::kPhaseForward, est->compute_seconds);
+    estimate.AddVirtual(obs::kPhaseEncode, est->encode_seconds);
+    estimate.AddVirtual(obs::kPhaseWire, est->comm_seconds);
     obs::Profiler profiler(/*enabled=*/true);
     profiler.BeginStep(0);
-    profiler.AddVirtual(obs::kPhaseForward, est->compute_seconds);
-    profiler.AddVirtual(obs::kPhaseEncode, est->encode_seconds);
-    profiler.AddVirtual(obs::kPhaseWire, est->comm_seconds);
+    profiler.AddPhases(estimate);
     profiler.EndStep(est->IterationSeconds());
     std::cout << "\nestimated iteration breakdown:\n";
     profiler.PrintTable(std::cout);
-    if (Status status = profiler.WriteFile(profile_out); !status.ok()) {
+    if (Status status = obs::WriteJsonFile(profile_out, profiler.ToJson());
+        !status.ok()) {
       std::cerr << status << "\n";
       return 1;
     }

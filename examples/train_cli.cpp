@@ -8,11 +8,12 @@
 //               [--codec <spec>] [--gpus N] [--batch N] [--epochs N]
 //               [--lr F] [--primitive mpi|nccl] [--seed N] [--threads N]
 //               [--fault_plan <spec>] [--checkpoint_every N]
-//               [--max_retries N] [--profile_out <path>]
-//               [--flight_recorder <prefix>]
+//               [--max_retries N] [--obs <list>] [--obs_out <prefix>]
 //               [--simd auto|scalar|avx2|neon]
 //               [--save_dir <dir>] [--save_every N]
 //               [--checkpoint_keep N] [--resume 0|1]
+//
+// Every flag also takes the --flag=value form.
 //
 //   ./train_cli --model resnet --codec 1bit*:16 --gpus 8 --epochs 15
 //   ./train_cli --task sequence --model lstm --codec q2 --threads 4
@@ -44,12 +45,14 @@
 // from --save_dir and trains the remaining epochs; pass the fault plan
 // WITHOUT the kill@ verb on the resumed run or it fires again.
 //
-// --profile_out enables the step-phase profiler, prints the per-phase
-// breakdown table after training, and writes the profile JSON to <path>
-// (plus a Chrome trace next to it at <path>.trace.json).
-// --flight_recorder enables the fault flight recorder; each non-OK
-// exchange dumps its recent history to <prefix>.<n>.json ("-" records in
-// memory only).
+// --obs enables observability exporters on top of the LPSGD_OBS
+// environment variable; both take any comma-separated subset of
+// "metrics,trace,profile,flight". After training every enabled exporter
+// writes under --obs_out (default "train_cli"): <prefix>.trace.json (Chrome
+// trace, one lane per worker thread), <prefix>.profile.json (the per-step
+// phase breakdown, also printed as a table) and <prefix>.metrics.json;
+// the flight recorder dumps each non-OK exchange's recent history to
+// <prefix>.flight.<n>.json as it happens.
 // --simd pins the codec kernel dispatch (default: LPSGD_SIMD env, else
 // CPU detection); "scalar" forces the golden reference kernels. Results
 // are bit-identical under every mode.
@@ -58,6 +61,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "base/simd/simd.h"
 #include "base/strings.h"
@@ -65,6 +69,7 @@
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
 #include "obs/profile.h"
+#include "obs/span.h"
 #include "quant/registry.h"
 
 namespace lpsgd {
@@ -84,8 +89,8 @@ struct Args {
   std::string fault_plan;  // empty = no injected faults
   int checkpoint_every = 0;  // 0 = no in-memory checkpoints
   int max_retries = 0;  // per-exchange retry budget
-  std::string profile_out;       // empty = profiler disabled
-  std::string flight_recorder;   // empty = flight recorder disabled
+  std::string obs;                   // exporters added to LPSGD_OBS
+  std::string obs_out = "train_cli";  // output file prefix
   std::string simd;  // empty = LPSGD_SIMD env, else CPU detection
   std::string save_dir;   // empty = durable checkpoints disabled
   int save_every = 0;     // durable save cadence in iterations (0 = end only)
@@ -94,13 +99,19 @@ struct Args {
 };
 
 bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; i += 2) {
-    const std::string flag = argv[i];
-    if (i + 1 >= argc) {
+  for (int i = 1; i < argc;) {
+    // "--flag value" or "--flag=value".
+    std::string flag = argv[i++];
+    std::string value;
+    if (const size_t eq = flag.find('='); eq != std::string::npos) {
+      value = flag.substr(eq + 1);
+      flag.resize(eq);
+    } else if (i < argc) {
+      value = argv[i++];
+    } else {
       std::cerr << "missing value for " << flag << "\n";
       return false;
     }
-    const std::string value = argv[i + 1];
     if (flag == "--task") {
       args->task = value;
     } else if (flag == "--model") {
@@ -127,10 +138,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->checkpoint_every = std::atoi(value.c_str());
     } else if (flag == "--max_retries") {
       args->max_retries = std::atoi(value.c_str());
-    } else if (flag == "--profile_out") {
-      args->profile_out = value;
-    } else if (flag == "--flight_recorder") {
-      args->flight_recorder = value;
+    } else if (flag == "--obs") {
+      args->obs = value;
+    } else if (flag == "--obs_out") {
+      args->obs_out = value;
     } else if (flag == "--simd") {
       args->simd = value;
     } else if (flag == "--save_dir") {
@@ -245,15 +256,7 @@ int Run(const Args& args) {
     options.durable_checkpoint.keep = args.checkpoint_keep;
   }
 
-  if (!args.profile_out.empty()) {
-    obs::Profiler::Global().set_enabled(true);
-  }
-  if (!args.flight_recorder.empty()) {
-    obs::FlightRecorder::Global().set_enabled(true);
-    if (args.flight_recorder != "-") {
-      obs::FlightRecorder::Global().set_output_prefix(args.flight_recorder);
-    }
-  }
+  obs::EnableFromFlags(args.obs, args.obs_out);
 
   int epochs_to_run = args.epochs;
   StatusOr<std::unique_ptr<SyncTrainer>> trainer =
@@ -345,31 +348,28 @@ int Run(const Args& args) {
               << " ranks (crashed ranks dropped)\n";
   }
 
-  if (!args.profile_out.empty()) {
+  if (obs::ProfileEnabled()) {
     obs::Profiler& profiler = obs::Profiler::Global();
     std::cout << "\nstep-phase breakdown ("
               << profiler.steps_recorded() << " steps):\n";
     profiler.PrintTable(std::cout);
-    if (Status status = profiler.WriteFile(args.profile_out);
-        !status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    const std::string trace_path = StrCat(args.profile_out, ".trace.json");
-    if (Status status = profiler.WriteChromeTraceFile(trace_path);
-        !status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::cout << "profile written to " << args.profile_out
-              << " (trace: " << trace_path << ")\n";
   }
-  if (!args.flight_recorder.empty()) {
+  if (obs::FlightRecorderEnabled()) {
     std::cout << "flight recorder: "
               << obs::FlightRecorder::Global().dump_count()
               << " dump(s), "
               << obs::FlightRecorder::Global().record_count()
               << " records\n";
+  }
+  std::vector<std::string> written;
+  if (Status status = obs::WriteOutputs(args.obs_out, obs::Exporters(),
+                                         &written);
+      !status.ok()) {
+    std::cerr << status << "\n";
+    return 1;
+  }
+  for (const std::string& path : written) {
+    std::cout << "wrote " << path << "\n";
   }
   return 0;
 }

@@ -9,11 +9,18 @@
 #include "base/logging.h"
 #include "base/simd/elementwise.h"
 #include "base/thread_annotations.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lpsgd {
+namespace {
+
+constexpr obs::SpanSite kAllReduceSpan{"mpi_reduce_bcast/allreduce", -1,
+                                       "comm/allreduce_wall_seconds"};
+constexpr obs::SpanSite kReduceSpan{"mpi_reduce_bcast/reduce"};
+constexpr obs::SpanSite kBroadcastSpan{"mpi_reduce_bcast/broadcast"};
+
+}  // namespace
 
 StatusOr<std::unique_ptr<MpiReduceBcastAggregator>>
 MpiReduceBcastAggregator::Create(int num_ranks, const CodecSpec& spec,
@@ -89,13 +96,11 @@ Status MpiReduceBcastAggregator::ImportExchangeState(
 StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     std::vector<MatrixSlot>* slots, int64_t iteration) {
   CHECK(slots != nullptr);
-  obs::ScopedTimer wall_timer("comm/allreduce_wall_seconds");
-  obs::TraceSpan allreduce_span("mpi_reduce_bcast/allreduce", "comm");
+  obs::Span allreduce_span(kAllReduceSpan);
   // Internal-state transaction (comm/allreduce.h): any error return below
   // rolls the aggregation residuals back to this checkpoint.
   {
-    obs::PhaseTimer checkpoint_timer(&workspaces_[0].phases,
-                                     obs::kPhaseRetry);
+    obs::Span checkpoint_span(obs::kPhaseRetry, &workspaces_[0].phases);
     CheckpointExchangeState();
   }
   const int k = num_ranks_;
@@ -120,7 +125,7 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
   // cold first step keeps its breakdown coverage.
   int64_t reduce_bytes = 0;
   {
-    obs::PhaseTimer setup_timer(&workspaces_[0].phases, obs::kPhaseSum);
+    obs::Span setup_span(obs::kPhaseSum, &workspaces_[0].phases);
     const auto grow = [&](auto* per_matrix) {
       if (per_matrix->size() < slots->size()) {
         per_matrix->resize(slots->size());
@@ -233,20 +238,19 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
                                   &ws, sparse_indices_[m][r].data(),
                                   sparse_values_[m][r].data());
     }
-    obs::PhaseTimer verify_timer(&ws.phases, obs::kPhaseDecode);
+    obs::Span verify_span(obs::kPhaseDecode, &ws.phases, static_cast<int>(m),
+                          static_cast<int>(r));
     return codec_internal::VerifyWireBlob(
         codec_->MetricName(), blob.data(), blob_bytes,
         codec_->EncodedSizeBytes(slot.quant_shape));
   };
-  const uint64_t reduce_span =
-      obs::Tracer::Global().Begin("mpi_reduce_bcast/reduce", "comm");
-  const Status reduce_status =
-      exec_.ParallelFor(0, num_matrices * k, std::ref(encode_rank));
-  if (!reduce_status.ok()) {
-    obs::Tracer::Global().End(reduce_span);
-    return fail(reduce_status);
+  {
+    obs::Span reduce_span(kReduceSpan);
+    reduce_span.set_bytes(reduce_bytes);
+    const Status reduce_status =
+        exec_.ParallelFor(0, num_matrices * k, std::ref(encode_rank));
+    if (!reduce_status.ok()) return fail(reduce_status);
   }
-  obs::Tracer::Global().EndWithBytes(reduce_span, reduce_bytes);
 
   // Stage 2 (parallel over tiles): the owner zeroes an aggregate tile,
   // decodes each rank's range of it into cache-resident scratch and adds
@@ -264,6 +268,7 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     TileScratch& scratch =
         tile_scratch_[static_cast<size_t>(ThreadPool::CurrentSlot())];
     const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
+    const int matrix = static_cast<int>(m);
 
     if (!quantized(slot)) {
       // Full-precision pipeline: plain reduce + broadcast of fp32 data.
@@ -273,14 +278,14 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
       // any rounding.
       double* sum = scratch.fp_sum.data();
       {
-        obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
+        obs::Span sum_span(obs::kPhaseSum, &ws.phases, matrix);
         std::fill(sum, sum + length, 0.0);
         for (int r = 0; r < k; ++r) {
           elementwise.accumulate_f64(
               sum, slot.rank_grads[static_cast<size_t>(r)] + begin, length);
         }
       }
-      obs::PhaseTimer wire_timer(&ws.phases, obs::kPhaseWire);
+      obs::Span copy_span(obs::kPhaseWire, &ws.phases, matrix);
       for (int r = 0; r < k; ++r) {
         elementwise.store_f64_as_f32(
             sum, slot.rank_grads[static_cast<size_t>(r)] + begin, length);
@@ -298,7 +303,7 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
       // element-equal to the dense sum at any thread count. A sparse blob
       // cannot be split, so the tile is the whole matrix.
       CHECK_EQ(length, slot.quant_shape.element_count());
-      obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
+      obs::Span sum_span(obs::kPhaseSum, &ws.phases, matrix);
       std::fill(sum, sum + length, 0.0f);
       for (int r = 0; r < k; ++r) {
         const uint32_t* indices =
@@ -312,17 +317,17 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     } else {
       float* decoded = scratch.decoded.data();
       {
-        obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
+        obs::Span sum_span(obs::kPhaseSum, &ws.phases, matrix);
         std::fill(sum, sum + length, 0.0f);
       }
       for (int r = 0; r < k; ++r) {
         {
-          obs::PhaseTimer decode_timer(&ws.phases, obs::kPhaseDecode);
+          obs::Span decode_span(obs::kPhaseDecode, &ws.phases, matrix, r);
           LPSGD_RETURN_IF_ERROR(codec_->DecodeRange(
               rank_blobs_[m][static_cast<size_t>(r)].data(), slot.quant_shape,
               begin, tile.end, &ws, decoded - begin));
         }
-        obs::PhaseTimer sum_timer(&ws.phases, obs::kPhaseSum);
+        obs::Span sum_span(obs::kPhaseSum, &ws.phases, matrix, r);
         elementwise.add_assign_f32(sum, decoded, length);
       }
     }
@@ -333,7 +338,7 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
         codec_->UsesErrorFeedback() ? &aggregate_errors_[m] : nullptr;
     const uint64_t agg_tag = comm_internal::ExchangeAggregateTag(
         iteration, static_cast<int64_t>(m), owner);
-    obs::PhaseTimer encode_timer(&ws.phases, obs::kPhaseEncode);
+    obs::Span encode_span(obs::kPhaseEncode, &ws.phases, matrix);
     codec_->EncodeRange(sum - begin, slot.quant_shape, agg_tag, agg_error,
                         begin, tile.end, &ws, aggregate_blobs_[m].data());
     return OkStatus();
@@ -344,20 +349,19 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
   const auto seal_aggregate = LPSGD_HOT_PATH [&](int64_t mi) -> Status {
     const size_t m = static_cast<size_t>(mi);
     if (!quantized((*slots)[m])) return OkStatus();
-    obs::TraceSpan matrix_span("mpi_reduce_bcast/matrix", "comm");
     CodecWorkspace& ws = SlotWorkspace();
     std::vector<uint8_t>& blob = aggregate_blobs_[m];
     const int64_t blob_bytes = static_cast<int64_t>(blob.size());
     {
-      obs::PhaseTimer encode_timer(&ws.phases, obs::kPhaseEncode);
+      obs::Span seal_span(obs::kPhaseEncode, &ws.phases, static_cast<int>(mi));
+      seal_span.set_bytes(blob_bytes);
       codec_internal::SealWireBlob(
           blob.data(), blob_bytes - codec_internal::kWireChecksumBytes);
     }
     if (wire_tamper_) {
       wire_tamper_(iteration, mi, /*rank=*/-1, blob.data(), blob_bytes);
     }
-    matrix_span.set_bytes(blob_bytes);
-    obs::PhaseTimer verify_timer(&ws.phases, obs::kPhaseDecode);
+    obs::Span verify_span(obs::kPhaseDecode, &ws.phases, static_cast<int>(mi));
     return codec_internal::VerifyWireBlob(
         codec_->MetricName(), blob.data(), blob_bytes,
         codec_->EncodedSizeBytes((*slots)[m].quant_shape));
@@ -373,12 +377,12 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     CodecWorkspace& ws = SlotWorkspace();
     float* rank0 = slot.rank_grads[0];
     {
-      obs::PhaseTimer decode_timer(&ws.phases, obs::kPhaseDecode);
+      obs::Span decode_span(obs::kPhaseDecode, &ws.phases, static_cast<int>(m));
       LPSGD_RETURN_IF_ERROR(
           codec_->DecodeRange(aggregate_blobs_[m].data(), slot.quant_shape,
                               tile.begin, tile.end, &ws, rank0));
     }
-    obs::PhaseTimer wire_timer(&ws.phases, obs::kPhaseWire);
+    obs::Span copy_span(obs::kPhaseWire, &ws.phases, static_cast<int>(m));
     const size_t bytes =
         static_cast<size_t>(tile.end - tile.begin) * sizeof(float);
     for (int r = 1; r < k; ++r) {
@@ -388,18 +392,20 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     return OkStatus();
   };
 
-  const uint64_t bcast_span =
-      obs::Tracer::Global().Begin("mpi_reduce_bcast/broadcast", "comm");
-  Status bcast_status = exec_.ParallelFor(0, num_tiles, std::ref(reduce_tile));
-  if (bcast_status.ok()) {
-    bcast_status =
-        exec_.ParallelFor(0, num_matrices, std::ref(seal_aggregate));
+  {
+    obs::Span broadcast_span(kBroadcastSpan);
+    Status bcast_status =
+        exec_.ParallelFor(0, num_tiles, std::ref(reduce_tile));
+    if (bcast_status.ok()) {
+      bcast_status =
+          exec_.ParallelFor(0, num_matrices, std::ref(seal_aggregate));
+    }
+    if (bcast_status.ok()) {
+      bcast_status =
+          exec_.ParallelFor(0, num_tiles, std::ref(broadcast_tile));
+    }
+    if (!bcast_status.ok()) return fail(bcast_status);
   }
-  if (bcast_status.ok()) {
-    bcast_status = exec_.ParallelFor(0, num_tiles, std::ref(broadcast_tile));
-  }
-  obs::Tracer::Global().End(bcast_span);
-  if (!bcast_status.ok()) return fail(bcast_status);
 
   // Accounting, in matrix order so the float sums are identical at any
   // thread count.

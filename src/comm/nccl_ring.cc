@@ -8,10 +8,17 @@
 #include "base/logging.h"
 #include "base/simd/elementwise.h"
 #include "base/thread_annotations.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
+#include "obs/span.h"
 
 namespace lpsgd {
+namespace {
+
+constexpr obs::SpanSite kAllReduceSpan{"nccl_ring/allreduce", -1,
+                                       "comm/allreduce_wall_seconds"};
+constexpr obs::SpanSite kMatrixSpan{"nccl_ring/matrix"};
+
+}  // namespace
 
 StatusOr<std::unique_ptr<NcclRingAggregator>> NcclRingAggregator::Create(
     int num_ranks, const CodecSpec& spec, const MachineSpec& machine,
@@ -45,8 +52,7 @@ NcclRingAggregator::NcclRingAggregator(int num_ranks, CodecSpec spec,
 StatusOr<CommStats> NcclRingAggregator::AllReduce(
     std::vector<MatrixSlot>* slots, int64_t iteration) {
   CHECK(slots != nullptr);
-  obs::ScopedTimer wall_timer("comm/allreduce_wall_seconds");
-  obs::TraceSpan allreduce_span("nccl_ring/allreduce", "comm");
+  obs::Span allreduce_span(kAllReduceSpan);
   const int k = num_ranks_;
   const int64_t num_matrices = static_cast<int64_t>(slots->size());
   const bool identity_codec = spec_.kind == CodecKind::kFullPrecision;
@@ -63,7 +69,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
   // parallel stages below stay allocation-free.
   bool any_sparse = false;
   {
-    obs::PhaseTimer setup_timer(&workspaces_[0].phases, obs::kPhaseSum);
+    obs::Span setup_span(obs::kPhaseSum, &workspaces_[0].phases);
     if (sparse_indices_.size() < slots->size()) {
       sparse_indices_.resize(slots->size());
     }
@@ -116,7 +122,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
           float* values;
           {
             // First-call growth of the decode scratch is staging work.
-            obs::PhaseTimer scratch_timer(&ws.phases, obs::kPhaseSum);
+            obs::Span scratch_span(obs::kPhaseSum, &ws.phases);
             indices = quant_internal::EnsureSize(
                 &sparse_indices_[m][r], static_cast<size_t>(sparse_count));
             values = quant_internal::EnsureSize(
@@ -142,7 +148,8 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
   // bit-identical at any thread count.
   LPSGD_RETURN_IF_ERROR(exec_.ParallelFor(
       0, num_matrices * k, LPSGD_HOT_PATH [&](int64_t task) -> Status {
-        MatrixSlot& slot = (*slots)[static_cast<size_t>(task / k)];
+        const int m = static_cast<int>(task / k);
+        MatrixSlot& slot = (*slots)[static_cast<size_t>(m)];
         if (takes_sparse_path(slot)) return OkStatus();
         const int seg = static_cast<int>(task % k);
         const int64_t n = slot.quant_shape.element_count();
@@ -159,7 +166,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
         const int owner = seg;
         float* acc = slot.rank_grads[static_cast<size_t>(owner)];
         {
-          obs::PhaseTimer sum_timer(&phases, obs::kPhaseSum);
+          obs::Span sum_span(obs::kPhaseSum, &phases, m);
           // Hop order is the sequential chain; within a hop the elements
           // are independent, so the add dispatches to the elementwise SIMD
           // kernel without changing any rounding.
@@ -173,7 +180,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
         }
         // Allgather: the reduced segment is copied to every rank.
         {
-          obs::PhaseTimer wire_timer(&phases, obs::kPhaseWire);
+          obs::Span wire_span(obs::kPhaseWire, &phases, m);
           for (int r = 0; r < k; ++r) {
             if (r == owner) continue;
             float* dst = slot.rank_grads[static_cast<size_t>(r)];
@@ -202,7 +209,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
               codec_->SparseCount(slot.quant_shape);
           float* aggregate;
           {
-            obs::PhaseTimer sum_timer(&phases, obs::kPhaseSum);
+            obs::Span sum_span(obs::kPhaseSum, &phases, static_cast<int>(m));
             aggregate = quant_internal::EnsureSize(&aggregates_[m],
                                                    static_cast<size_t>(n));
             std::fill(aggregate, aggregate + n, 0.0f);
@@ -217,7 +224,7 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
             }
           }
           {
-            obs::PhaseTimer wire_timer(&phases, obs::kPhaseWire);
+            obs::Span wire_span(obs::kPhaseWire, &phases);
             for (int r = 0; r < k; ++r) {
               std::memcpy(slot.rank_grads[static_cast<size_t>(r)],
                           aggregate, static_cast<size_t>(n) * sizeof(float));
@@ -230,8 +237,9 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
   // Accounting pass (serial, matrix order): wire sizing and kernel-time
   // charges are pure arithmetic on shapes, independent of the exchange.
   CommStats stats;
-  for (MatrixSlot& slot : *slots) {
-    obs::TraceSpan matrix_span("nccl_ring/matrix", "comm");
+  for (size_t m = 0; m < slots->size(); ++m) {
+    const MatrixSlot& slot = (*slots)[m];
+    obs::Span matrix_span(kMatrixSpan, nullptr, static_cast<int>(m));
     const int64_t n = slot.quant_shape.element_count();
     const int64_t raw_bytes = n * static_cast<int64_t>(sizeof(float));
     stats.raw_bytes += raw_bytes;

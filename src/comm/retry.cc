@@ -8,6 +8,7 @@
 #include "base/strings.h"
 #include "base/thread_annotations.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 namespace {
@@ -90,7 +91,7 @@ StatusOr<CommStats> RetryingAggregator::AllReduce(
   // the inner engine's parallel hot loops; they reuse their capacity, so
   // steady-state exchanges stay allocation-free.
   {
-    obs::PhaseTimer retry_timer(&phases_, obs::kPhaseRetry);
+    obs::Span snapshot_span(obs::kPhaseRetry, &phases_);
     SnapshotSlots(*slots);
     inner_->CheckpointExchangeState();
   }
@@ -99,7 +100,7 @@ StatusOr<CommStats> RetryingAggregator::AllReduce(
   Status last_error = OkStatus();
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
-      obs::PhaseTimer retry_timer(&phases_, obs::kPhaseRetry);
+      obs::Span restore_span(obs::kPhaseRetry, &phases_);
       RestoreSlots(slots);
       inner_->RollbackExchangeState();
       if (obs::MetricsEnabled()) obs::Count("comm/retries");
@@ -136,7 +137,7 @@ StatusOr<CommStats> RetryingAggregator::AllReduce(
   // Budget exhausted or non-retryable: leave every caller-visible buffer
   // and the inner engine exactly as they were before the call.
   {
-    obs::PhaseTimer retry_timer(&phases_, obs::kPhaseRetry);
+    obs::Span restore_span(obs::kPhaseRetry, &phases_);
     RestoreSlots(slots);
     inner_->RollbackExchangeState();
   }

@@ -1,8 +1,6 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "core/trainer.h"
 
-#include <chrono>
-
 #include "base/logging.h"
 #include "base/strings.h"
 #include "ckpt/fault_storage.h"
@@ -10,17 +8,17 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/run_report.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "tensor/ops.h"
 
 namespace lpsgd {
 namespace {
 
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr obs::SpanSite kEpochSpan{"trainer/epoch", -1,
+                                   "trainer/epoch_seconds"};
+constexpr obs::SpanSite kIterationSpan{"trainer/iteration", -1,
+                                       "trainer/iteration_seconds"};
+constexpr obs::SpanSite kEvalSpan{"trainer/eval", -1, "trainer/eval_seconds"};
 
 }  // namespace
 
@@ -468,8 +466,7 @@ Network& SyncTrainer::replica(int rank) {
 
 Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
                                    int64_t* correct) {
-  obs::ScopedTimer iteration_timer("trainer/iteration_seconds");
-  obs::TraceSpan iteration_span("trainer/iteration", "trainer");
+  obs::Span iteration_span(kIterationSpan);
   const double virtual_start = virtual_seconds_;
   // Open the step for phase attribution. A failed iteration is never
   // EndStep'ed: the next BeginStep discards its partial phases, and the
@@ -497,15 +494,12 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
   // Each rank touches only its own replica and shard; the per-rank loss
   // sums land in disjoint slots and are reduced in rank order below, so
   // the totals are bit-identical at any thread count.
-  const uint64_t compute_span =
-      obs::Tracer::Global().Begin("trainer/forward_backward", "trainer");
   rank_loss_.assign(static_cast<size_t>(k), 0.0);
   rank_correct_.assign(static_cast<size_t>(k), 0);
   std::vector<double>& rank_loss = rank_loss_;
   std::vector<int64_t>& rank_correct = rank_correct_;
   LPSGD_RETURN_IF_ERROR(options_.execution.ParallelFor(
       0, k, [&](int64_t rank) -> Status {
-        obs::TraceSpan rank_span("trainer/rank_forward_backward", "trainer");
         const int r = static_cast<int>(rank);
         const int slot_id = ThreadPool::CurrentSlot();
         CHECK_LT(static_cast<size_t>(slot_id), slot_phases_.size());
@@ -513,7 +507,7 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
         Network& replica = replicas_[static_cast<size_t>(r)];
 
         LossResult loss = [&] {
-          obs::PhaseTimer forward_timer(&phases, obs::kPhaseForward);
+          obs::Span forward_span(obs::kPhaseForward, &phases, -1, r);
           replica.ZeroGrads();
 
           std::vector<int64_t> dims;
@@ -536,12 +530,11 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
         rank_loss[static_cast<size_t>(r)] = loss.loss_sum;
         rank_correct[static_cast<size_t>(r)] = loss.correct;
         {
-          obs::PhaseTimer backward_timer(&phases, obs::kPhaseBackward);
+          obs::Span backward_span(obs::kPhaseBackward, &phases, -1, r);
           replica.Backward(loss.logits_grad);
         }
         return OkStatus();
       }));
-  obs::Tracer::Global().End(compute_span);
 
   // Phase 2: synchronous gradient exchange (Algorithm 1, lines 3-8). The
   // slot list is refilled into persistent scratch; the nested rank vectors
@@ -550,7 +543,7 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
   slots_.resize(num_matrices);
   {
     // Slot refill is serial staging work for the exchange.
-    obs::PhaseTimer staging_timer(&slot_phases_[0], obs::kPhaseSum);
+    obs::Span staging_span(obs::kPhaseSum, &slot_phases_[0]);
     for (size_t m = 0; m < num_matrices; ++m) {
       MatrixSlot& slot = slots_[m];
       slot.quant_shape = replica_params_[0][m].quant_shape;
@@ -572,16 +565,14 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
 
   // Phase 3 (parallel across ranks): identical averaged update. Each rank
   // scales and steps only its own parameters and momentum state.
-  const uint64_t update_span =
-      obs::Tracer::Global().Begin("trainer/optimizer_step", "trainer");
   const float inv_k = 1.0f / static_cast<float>(k);
   LPSGD_RETURN_IF_ERROR(options_.execution.ParallelFor(
       0, k, [&](int64_t r) -> Status {
         const int slot_id = ThreadPool::CurrentSlot();
         CHECK_LT(static_cast<size_t>(slot_id), slot_phases_.size());
-        obs::PhaseTimer optimizer_timer(
-            &slot_phases_[static_cast<size_t>(slot_id)],
-            obs::kPhaseOptimizer);
+        obs::Span optimizer_span(obs::kPhaseOptimizer,
+                                 &slot_phases_[static_cast<size_t>(slot_id)],
+                                 -1, static_cast<int>(r));
         for (ParamRef& param : replica_params_[static_cast<size_t>(r)]) {
           Scale(inv_k, param.grad);
         }
@@ -589,7 +580,6 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
             replica_params_[static_cast<size_t>(r)]);
         return OkStatus();
       }));
-  obs::Tracer::Global().End(update_span);
 
   // Commit only now that every phase succeeded: a failed iteration must
   // leave the epoch accumulators and the iteration counter untouched so a
@@ -605,16 +595,17 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
     obs::SetGauge("trainer/virtual_seconds", virtual_seconds_);
   }
   if (obs::ProfileEnabled()) {
-    // Fold the trainer's slot scratch (the aggregators folded theirs during
-    // AllReduce), attribute the step's virtual charges, and close the step.
+    // Attribute the step's virtual charges, fold the trainer's slot scratch
+    // (the aggregators folded theirs during AllReduce), and close the step.
+    obs::PhaseTimes& charges = slot_phases_[0];
+    charges.AddVirtual(obs::kPhaseWire, stats.comm_seconds);
+    charges.AddVirtual(obs::kPhaseEncode, stats.encode_seconds);
+    charges.AddVirtual(obs::kPhaseForward,
+                       options_.virtual_compute_seconds_per_iter);
     for (obs::PhaseTimes& phases : slot_phases_) {
       profiler.AddPhases(phases);
       phases.Clear();
     }
-    profiler.AddVirtual(obs::kPhaseWire, stats.comm_seconds);
-    profiler.AddVirtual(obs::kPhaseEncode, stats.encode_seconds);
-    profiler.AddVirtual(obs::kPhaseForward,
-                        options_.virtual_compute_seconds_per_iter);
     profiler.EndStep(stats.TotalSeconds() +
                      options_.virtual_compute_seconds_per_iter);
   }
@@ -637,9 +628,9 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
       }
     }
 
-    obs::TraceSpan epoch_span("trainer/epoch", "trainer");
+    obs::Span epoch_span(kEpochSpan);
     const double virtual_epoch_start = virtual_seconds_;
-    const double wall_start = NowSeconds();
+    const double wall_start = obs::MonotonicSeconds();
     const CommStats comm_start = total_comm_;
     iterator.StartEpoch(epoch);
 
@@ -704,7 +695,7 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
                       static_cast<double>(test.NumSamples());
     m.test_top5_accuracy = static_cast<double>(eval.correct_top5) /
                            static_cast<double>(test.NumSamples());
-    wall_seconds_ += NowSeconds() - wall_start;
+    wall_seconds_ += obs::MonotonicSeconds() - wall_start;
     m.wall_seconds = wall_seconds_;
     m.virtual_seconds = virtual_seconds_;
     m.comm = total_comm_;
@@ -715,10 +706,7 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
     m.comm.raw_bytes -= comm_start.raw_bytes;
     m.comm.messages -= comm_start.messages;
 
-    if (obs::MetricsEnabled()) {
-      obs::Count("trainer/epochs");
-      obs::Observe("trainer/epoch_seconds", NowSeconds() - wall_start);
-    }
+    if (obs::MetricsEnabled()) obs::Count("trainer/epochs");
     epoch_span.set_virtual_range(virtual_epoch_start, virtual_seconds_);
     obs::RecordEntry("epoch", EpochMetricsToJson(m));
 
@@ -882,8 +870,7 @@ Status SyncTrainer::Recover(const Status& failure, const Batch& batch,
 }
 
 EvalResult SyncTrainer::Evaluate(const Dataset& dataset) {
-  obs::ScopedTimer eval_timer("trainer/eval_seconds");
-  obs::TraceSpan eval_span("trainer/eval", "trainer");
+  obs::Span eval_span(kEvalSpan);
   EvalResult total;
   Network& net = replicas_[0];
   const int64_t batch_size = options_.eval_batch_size;

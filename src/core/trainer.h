@@ -258,7 +258,7 @@ class SyncTrainer {
   std::vector<int64_t> rank_correct_;
   // Per-thread-pool-slot profiler scratch for the forward/backward,
   // staging, and optimizer spans; folded serially at the iteration's
-  // commit point (obs/profile.h). Sized to execution.threads().
+  // commit point (obs/span.h). Sized to execution.threads().
   std::vector<obs::PhaseTimes> slot_phases_;
 
   int64_t iteration_ = 0;

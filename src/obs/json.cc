@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "base/logging.h"
 #include "base/strings.h"
@@ -419,6 +420,16 @@ class Parser {
 
 StatusOr<JsonValue> JsonValue::Parse(std::string_view text) {
   return Parser(text).Run();
+}
+
+Status WriteJsonFile(const std::string& path, const JsonValue& doc) {
+  std::ofstream file(path);
+  if (!file) {
+    return InvalidArgumentError(StrCat("cannot open ", path, " for writing"));
+  }
+  file << doc.Dump(1) << "\n";
+  if (!file.good()) return InternalError(StrCat("failed writing ", path));
+  return OkStatus();
 }
 
 }  // namespace obs

@@ -81,6 +81,10 @@ class JsonValue {
 // Escapes `text` as the inside of a JSON string literal (no quotes).
 std::string JsonEscape(std::string_view text);
 
+// Writes `doc` (Dump(1) plus a newline) to `path`, replacing the file.
+[[nodiscard]] Status WriteJsonFile(const std::string& path,
+                                   const JsonValue& doc);
+
 }  // namespace obs
 }  // namespace lpsgd
 

@@ -2,9 +2,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include "base/logging.h"
 #include "base/strings.h"
@@ -33,12 +31,6 @@ struct PoolMetricHookRegistrar {
 const PoolMetricHookRegistrar pool_metric_hook_registrar;
 
 }  // namespace
-
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 double HistogramSnapshot::Quantile(double q) const {
   if (count <= 0) return 0.0;
@@ -70,13 +62,11 @@ double HistogramSnapshot::Quantile(double q) const {
 
 MetricsRegistry::MetricsRegistry(bool enabled) : enabled_(enabled) {}
 
+MetricsRegistry::MetricsRegistry(Exporter shared) : enabled_(shared) {}
+
 MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* const kRegistry = [] {
-    const char* env = std::getenv("LPSGD_OBS");
-    const bool enabled =
-        env != nullptr && env[0] != '\0' && std::strtol(env, nullptr, 10) != 0;
-    return new MetricsRegistry(enabled);
-  }();
+  static MetricsRegistry* const kRegistry =
+      new MetricsRegistry(kExportMetrics);
   return *kRegistry;
 }
 
@@ -93,19 +83,22 @@ const std::vector<double>& MetricsRegistry::DefaultBounds() {
   return kBounds;
 }
 
-void MetricsRegistry::Histogram::Record(double value) {
-  if (counts.empty()) counts.assign(bounds.size() + 1, 0);
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
-  ++counts[static_cast<size_t>(it - bounds.begin())];
-  if (count == 0) {
-    min = max = value;
+namespace {
+
+void AddObservation(HistogramSnapshot* h, double value) {
+  const auto it = std::lower_bound(h->bounds.begin(), h->bounds.end(), value);
+  ++h->counts[static_cast<size_t>(it - h->bounds.begin())];
+  if (h->count == 0) {
+    h->min = h->max = value;
   } else {
-    min = std::min(min, value);
-    max = std::max(max, value);
+    h->min = std::min(h->min, value);
+    h->max = std::max(h->max, value);
   }
-  ++count;
-  sum += value;
+  ++h->count;
+  h->sum += value;
 }
+
+}  // namespace
 
 void MetricsRegistry::Count(std::string_view name, int64_t delta) {
   if (!enabled()) return;
@@ -139,11 +132,12 @@ void MetricsRegistry::ObserveWithBounds(std::string_view name, double value,
   MutexLock lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    Histogram h;
+    HistogramSnapshot h;
     h.bounds = bounds;
+    h.counts.assign(bounds.size() + 1, 0);
     it = histograms_.emplace(std::string(name), std::move(h)).first;
   }
-  it->second.Record(value);
+  AddObservation(&it->second, value);
 }
 
 void MetricsRegistry::Reset() {
@@ -167,18 +161,8 @@ double MetricsRegistry::GaugeValue(std::string_view name) const {
 
 HistogramSnapshot MetricsRegistry::HistogramFor(std::string_view name) const {
   MutexLock lock(mu_);
-  HistogramSnapshot snap;
   auto it = histograms_.find(name);
-  if (it == histograms_.end()) return snap;
-  const Histogram& h = it->second;
-  snap.bounds = h.bounds;
-  snap.counts = h.counts.empty() ? std::vector<int64_t>(h.bounds.size() + 1, 0)
-                                 : h.counts;
-  snap.count = h.count;
-  snap.sum = h.sum;
-  snap.min = h.min;
-  snap.max = h.max;
-  return snap;
+  return it == histograms_.end() ? HistogramSnapshot{} : it->second;
 }
 
 std::vector<std::string> MetricsRegistry::Names() const {
@@ -206,33 +190,20 @@ JsonValue MetricsRegistry::ToJson() const {
 
   JsonValue histograms = JsonValue::Object();
   for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot snap;
-    snap.bounds = h.bounds;
-    snap.counts = h.counts.empty()
-                      ? std::vector<int64_t>(h.bounds.size() + 1, 0)
-                      : h.counts;
-    snap.count = h.count;
-    snap.sum = h.sum;
-    snap.min = h.min;
-    snap.max = h.max;
     JsonValue entry = JsonValue::Object();
     entry.Set("count", h.count);
     entry.Set("sum", h.sum);
     entry.Set("min", h.min);
     entry.Set("max", h.max);
-    entry.Set("mean", h.count > 0 ? h.sum / h.count : 0.0);
-    entry.Set("p50", snap.Quantile(0.50));
-    entry.Set("p95", snap.Quantile(0.95));
-    entry.Set("p99", snap.Quantile(0.99));
+    entry.Set("mean", h.Mean());
+    entry.Set("p50", h.Quantile(0.50));
+    entry.Set("p95", h.Quantile(0.95));
+    entry.Set("p99", h.Quantile(0.99));
     JsonValue bounds = JsonValue::Array();
     for (double b : h.bounds) bounds.Append(b);
     entry.Set("bounds", std::move(bounds));
     JsonValue counts = JsonValue::Array();
-    if (h.counts.empty()) {
-      for (size_t i = 0; i < h.bounds.size() + 1; ++i) counts.Append(int64_t{0});
-    } else {
-      for (int64_t c : h.counts) counts.Append(c);
-    }
+    for (int64_t c : h.counts) counts.Append(c);
     entry.Set("counts", std::move(counts));
     histograms.Set(name, std::move(entry));
   }
@@ -255,20 +226,10 @@ void MetricsRegistry::PrintTable(std::ostream& os) const {
     table.AddRow({name, "gauge", FormatDouble(value, 6), "", "", "", "", ""});
   }
   for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot snap;
-    snap.bounds = h.bounds;
-    snap.counts = h.counts.empty()
-                      ? std::vector<int64_t>(h.bounds.size() + 1, 0)
-                      : h.counts;
-    snap.count = h.count;
-    snap.sum = h.sum;
-    snap.min = h.min;
-    snap.max = h.max;
     table.AddRow({name, "histogram", FormatDouble(h.sum, 6), StrCat(h.count),
-                  FormatDouble(h.count > 0 ? h.sum / h.count : 0.0, 9),
-                  FormatDouble(snap.Quantile(0.50), 9),
-                  FormatDouble(snap.Quantile(0.95), 9),
-                  FormatDouble(snap.Quantile(0.99), 9)});
+                  FormatDouble(h.Mean(), 9), FormatDouble(h.Quantile(0.50), 9),
+                  FormatDouble(h.Quantile(0.95), 9),
+                  FormatDouble(h.Quantile(0.99), 9)});
   }
   table.Print(os);
 }

@@ -8,12 +8,12 @@
 // The registry is DISABLED by default and every mutation early-exits on a
 // single relaxed atomic load, so instrumentation left in hot paths (codec
 // encode loops, per-iteration trainer hooks) costs one predictable branch
-// when observability is off. Enable programmatically, or by setting the
-// LPSGD_OBS environment variable to a nonzero value.
+// when observability is off. The global registry is the "metrics" exporter
+// of obs/span.h: enable it programmatically, with LPSGD_OBS=metrics, or
+// with a binary's --obs=metrics.
 #ifndef LPSGD_OBS_METRICS_H_
 #define LPSGD_OBS_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -24,6 +24,7 @@
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "obs/json.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 namespace obs {
@@ -38,9 +39,9 @@ LPSGD_HOT_CALLEE_OK(Global);
 LPSGD_HOT_CALLEE_OK(Count);
 LPSGD_HOT_CALLEE_OK(Observe);
 
-// Point-in-time copy of one histogram's state. Buckets are cumulative-free:
-// counts[i] holds observations with value <= bounds[i]; counts.back() is
-// the overflow bucket (value > bounds.back()).
+// One histogram's state (HistogramFor returns a point-in-time copy).
+// Buckets are cumulative-free: counts[i] holds observations with value <=
+// bounds[i]; counts.back() is the overflow bucket (value > bounds.back()).
 struct HistogramSnapshot {
   std::vector<double> bounds;
   std::vector<int64_t> counts;  // bounds.size() + 1 entries
@@ -63,8 +64,8 @@ struct HistogramSnapshot {
 
 class MetricsRegistry {
  public:
-  // Process-wide registry used by all built-in instrumentation. Starts
-  // disabled unless LPSGD_OBS is set to a nonzero value.
+  // Process-wide registry used by all built-in instrumentation; its flag is
+  // the kExportMetrics bit of the exporter mask.
   static MetricsRegistry& Global();
 
   // Locally-constructed registries start enabled (tests, embedders).
@@ -72,10 +73,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.enabled(); }
+  void set_enabled(bool enabled) { enabled_.set(enabled); }
 
   // --- Mutation (no-ops while disabled) ---------------------------------
 
@@ -121,22 +120,13 @@ class MetricsRegistry {
   static const std::vector<double>& DefaultBounds();
 
  private:
-  struct Histogram {
-    std::vector<double> bounds;
-    std::vector<int64_t> counts;
-    int64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
+  explicit MetricsRegistry(Exporter shared);
 
-    void Record(double value);
-  };
-
-  std::atomic<bool> enabled_;
+  ExporterSwitch enabled_;
   mutable Mutex mu_;
   std::map<std::string, int64_t, std::less<>> counters_ LPSGD_GUARDED_BY(mu_);
   std::map<std::string, double, std::less<>> gauges_ LPSGD_GUARDED_BY(mu_);
-  std::map<std::string, Histogram, std::less<>> histograms_
+  std::map<std::string, HistogramSnapshot, std::less<>> histograms_
       LPSGD_GUARDED_BY(mu_);
 };
 
@@ -151,30 +141,6 @@ inline void Observe(std::string_view name, double value) {
   MetricsRegistry::Global().Observe(name, value);
 }
 inline bool MetricsEnabled() { return MetricsRegistry::Global().enabled(); }
-
-// Monotonic wall clock in seconds (shared by timers and the tracer).
-double MonotonicSeconds();
-
-// RAII timer: on destruction records the elapsed wall seconds into
-// histogram `name` of the global registry. When the registry is disabled
-// at construction the clock is never read.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string_view name)
-      : name_(name),
-        active_(MetricsEnabled()),
-        start_(active_ ? MonotonicSeconds() : 0.0) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    if (active_) Observe(name_, MonotonicSeconds() - start_);
-  }
-
- private:
-  std::string_view name_;
-  bool active_;
-  double start_;
-};
 
 }  // namespace obs
 }  // namespace lpsgd

@@ -3,9 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "base/logging.h"
@@ -16,11 +14,6 @@
 namespace lpsgd {
 namespace obs {
 namespace {
-
-constexpr const char* kPhaseNames[kNumProfilePhases] = {
-    "forward", "backward", "optimizer", "encode",
-    "wire",    "decode",   "sum",       "retry",
-};
 
 // Counters snapshotted at every dump so the flight record carries the
 // deltas that accumulated since the previous one.
@@ -57,12 +50,6 @@ JsonValue FlightRecordToJson(const FlightRecord& record) {
 
 }  // namespace
 
-const char* ProfilePhaseName(int phase) {
-  CHECK_GE(phase, 0);
-  CHECK_LT(phase, kNumProfilePhases);
-  return kPhaseNames[phase];
-}
-
 JsonValue TimeBreakdown::ToJson() const {
   JsonValue root = JsonValue::Object();
   root.Set("step", step);
@@ -80,7 +67,7 @@ JsonValue TimeBreakdown::ToJson() const {
     entry.Set("calls", phases.calls[p]);
     entry.Set("wall_share",
               attributed > 0.0 ? phases.wall[p] / attributed : 0.0);
-    by_phase.Set(kPhaseNames[p], std::move(entry));
+    by_phase.Set(ProfilePhaseName(p), std::move(entry));
   }
   root.Set("phases", std::move(by_phase));
   return root;
@@ -88,13 +75,10 @@ JsonValue TimeBreakdown::ToJson() const {
 
 Profiler::Profiler(bool enabled) : enabled_(enabled) {}
 
+Profiler::Profiler(Exporter shared) : enabled_(shared) {}
+
 Profiler& Profiler::Global() {
-  static Profiler* const kProfiler = [] {
-    const char* env = std::getenv("LPSGD_PROFILE");
-    const bool enabled =
-        env != nullptr && env[0] != '\0' && std::strtol(env, nullptr, 10) != 0;
-    return new Profiler(enabled);
-  }();
+  static Profiler* const kProfiler = new Profiler(kExportProfile);
   return *kProfiler;
 }
 
@@ -113,18 +97,6 @@ void Profiler::AddPhases(const PhaseTimes& delta) {
   current_.Merge(delta);
 }
 
-void Profiler::AddPhase(int phase, double wall_seconds) {
-  if (!enabled()) return;
-  MutexLock lock(mu_);
-  current_.Add(phase, wall_seconds);
-}
-
-void Profiler::AddVirtual(int phase, double virtual_seconds) {
-  if (!enabled()) return;
-  MutexLock lock(mu_);
-  current_.AddVirtual(phase, virtual_seconds);
-}
-
 void Profiler::EndStep(double virtual_seconds) {
   if (!enabled()) return;
   TimeBreakdown done;
@@ -134,7 +106,6 @@ void Profiler::EndStep(double virtual_seconds) {
     step_open_ = false;
     done.step = current_step_;
     done.steps = 1;
-    done.wall_start = step_wall_start_;
     done.wall_total = MonotonicSeconds() - step_wall_start_;
     done.virtual_total = virtual_seconds;
     done.phases = current_;
@@ -151,7 +122,6 @@ void Profiler::EndStep(double virtual_seconds) {
       history_[history_next_ % kMaxStepHistory] = done;
     }
     ++history_next_;
-    ++steps_recorded_;
   }
 
   // Feed the flight recorder one record per active phase plus the step
@@ -161,7 +131,7 @@ void Profiler::EndStep(double virtual_seconds) {
     for (int p = 0; p < kNumProfilePhases; ++p) {
       if (done.phases.calls[p] == 0 && done.phases.virt[p] == 0.0) continue;
       recorder.Record(done.step, p, -1, -1, done.phases.wall[p],
-                      done.phases.virt[p], kPhaseNames[p]);
+                      done.phases.virt[p], ProfilePhaseName(p));
     }
     recorder.Record(done.step, -1, -1, -1, done.wall_total,
                     done.virtual_total, "step");
@@ -173,7 +143,7 @@ void Profiler::EndStep(double virtual_seconds) {
 
 int64_t Profiler::steps_recorded() const {
   MutexLock lock(mu_);
-  return steps_recorded_;
+  return totals_.steps;
 }
 
 TimeBreakdown Profiler::LastStep() const {
@@ -204,78 +174,13 @@ JsonValue Profiler::ToJson() const {
   JsonValue root = JsonValue::Object();
   root.Set("schema_version", int64_t{1});
   root.Set("kind", "profile");
-  {
-    MutexLock lock(mu_);
-    root.Set("steps_recorded", steps_recorded_);
-    root.Set("totals", totals_.ToJson());
-  }
+  const TimeBreakdown totals = Totals();
+  root.Set("steps_recorded", totals.steps);
+  root.Set("totals", totals.ToJson());
   JsonValue steps = JsonValue::Array();
   for (const TimeBreakdown& step : Steps()) steps.Append(step.ToJson());
   root.Set("steps", std::move(steps));
   return root;
-}
-
-Status Profiler::WriteFile(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) {
-    return InvalidArgumentError(StrCat("cannot open ", path, " for writing"));
-  }
-  file << ToJson().Dump(2) << "\n";
-  if (!file.good()) return InternalError(StrCat("failed writing ", path));
-  return OkStatus();
-}
-
-JsonValue Profiler::ToChromeTraceJson() const {
-  JsonValue events = JsonValue::Array();
-  for (const TimeBreakdown& step : Steps()) {
-    double cursor = step.wall_start;
-    for (int p = 0; p < kNumProfilePhases; ++p) {
-      if (step.phases.calls[p] == 0) continue;
-      JsonValue event = JsonValue::Object();
-      event.Set("name", kPhaseNames[p]);
-      event.Set("cat", "profile");
-      event.Set("ph", "X");
-      event.Set("ts", cursor * 1e6);
-      event.Set("dur", step.phases.wall[p] * 1e6);
-      event.Set("pid", int64_t{0});
-      event.Set("tid", int64_t{p + 1});
-      JsonValue args = JsonValue::Object();
-      args.Set("step", step.step);
-      args.Set("calls", step.phases.calls[p]);
-      args.Set("virtual_seconds", step.phases.virt[p]);
-      event.Set("args", std::move(args));
-      events.Append(std::move(event));
-      cursor += step.phases.wall[p];
-    }
-    JsonValue span = JsonValue::Object();
-    span.Set("name", "step");
-    span.Set("cat", "profile");
-    span.Set("ph", "X");
-    span.Set("ts", step.wall_start * 1e6);
-    span.Set("dur", step.wall_total * 1e6);
-    span.Set("pid", int64_t{0});
-    span.Set("tid", int64_t{0});
-    JsonValue args = JsonValue::Object();
-    args.Set("step", step.step);
-    args.Set("coverage", step.Coverage());
-    args.Set("virtual_seconds", step.virtual_total);
-    span.Set("args", std::move(args));
-    events.Append(std::move(span));
-  }
-  JsonValue root = JsonValue::Object();
-  root.Set("traceEvents", std::move(events));
-  root.Set("displayTimeUnit", "ms");
-  return root;
-}
-
-Status Profiler::WriteChromeTraceFile(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) {
-    return InvalidArgumentError(StrCat("cannot open ", path, " for writing"));
-  }
-  file << ToChromeTraceJson().Dump(2) << "\n";
-  if (!file.good()) return InternalError(StrCat("failed writing ", path));
-  return OkStatus();
 }
 
 void Profiler::PrintTable(std::ostream& os) const {
@@ -285,7 +190,7 @@ void Profiler::PrintTable(std::ostream& os) const {
   for (int p = 0; p < kNumProfilePhases; ++p) {
     const double share =
         attributed > 0.0 ? totals.phases.wall[p] / attributed : 0.0;
-    table.AddRow({kPhaseNames[p], FormatDouble(totals.phases.wall[p], 6),
+    table.AddRow({ProfilePhaseName(p), FormatDouble(totals.phases.wall[p], 6),
                   StrCat(FormatDouble(share * 100.0, 1), "%"),
                   FormatDouble(totals.phases.virt[p], 6),
                   StrCat(totals.phases.calls[p])});
@@ -310,27 +215,14 @@ void Profiler::Reset() {
   last_ = TimeBreakdown{};
   history_.clear();
   history_next_ = 0;
-  steps_recorded_ = 0;
 }
 
-FlightRecorder::FlightRecorder(bool enabled) : enabled_(enabled) {
-  MutexLock lock(mu_);
-  ring_.resize(kCapacity);
-  metric_baseline_.assign(kNumTrackedCounters, 0);
-}
+FlightRecorder::FlightRecorder(bool enabled) : enabled_(enabled) {}
+
+FlightRecorder::FlightRecorder(Exporter shared) : enabled_(shared) {}
 
 FlightRecorder& FlightRecorder::Global() {
-  static FlightRecorder* const kRecorder = [] {
-    const char* env = std::getenv("LPSGD_FLIGHT_RECORDER");
-    const bool set = env != nullptr && env[0] != '\0';
-    auto* recorder = new FlightRecorder(set);
-    // "1" (or any integer) enables the in-memory recorder; any other value
-    // doubles as the dump-file prefix.
-    if (set && std::strtol(env, nullptr, 10) == 0) {
-      recorder->set_output_prefix(env);
-    }
-    return recorder;
-  }();
+  static FlightRecorder* const kRecorder = new FlightRecorder(kExportFlight);
   return *kRecorder;
 }
 
@@ -372,6 +264,7 @@ JsonValue FlightRecorder::DumpLocked(const Status& status,
   root.Set("trigger", std::move(trigger));
 
   JsonValue deltas = JsonValue::Object();
+  metric_baseline_.resize(kNumTrackedCounters);  // zeros before any dump
   for (size_t i = 0; i < kNumTrackedCounters; ++i) {
     const int64_t value =
         MetricsRegistry::Global().CounterValue(kTrackedCounters[i]);
@@ -398,13 +291,9 @@ void FlightRecorder::OnExchangeFailure(const Status& status,
   MutexLock lock(mu_);
   JsonValue dump = DumpLocked(status, iteration);
   if (!prefix_.empty()) {
-    const std::string path = StrCat(prefix_, ".", dumps_, ".json");
-    std::ofstream file(path);
-    if (file) {
-      file << dump.Dump(2) << "\n";
-    } else {
-      LOG(Warning) << "flight recorder cannot write " << path;
-    }
+    const Status written =
+        WriteJsonFile(StrCat(prefix_, ".", dumps_, ".json"), dump);
+    if (!written.ok()) LOG(Warning) << "flight recorder: " << written;
   }
   last_dump_ = std::move(dump);
   ++dumps_;
@@ -436,11 +325,11 @@ JsonValue FlightRecorder::LastDump() const {
 
 void FlightRecorder::Reset() {
   MutexLock lock(mu_);
-  for (FlightRecord& record : ring_) record = FlightRecord{};
+  ring_.assign(kCapacity, FlightRecord{});
   next_sequence_ = 0;
   dumps_ = 0;
   last_dump_ = JsonValue();
-  metric_baseline_.assign(kNumTrackedCounters, 0);
+  metric_baseline_.clear();
 }
 
 }  // namespace obs

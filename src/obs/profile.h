@@ -1,31 +1,23 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// Step-phase attribution profiler and fault flight recorder (DESIGN.md
-// "Profiling and attribution").
+// Step-phase attribution profiler and fault flight recorder: the "profile"
+// and "flight" exporters of obs/span.h (DESIGN.md §5 "Observability").
 //
 // The profiler answers the paper's central empirical question — where does
 // a training step's time go as communication precision drops — by folding
-// scoped phase measurements (forward, backward, optimizer, encode, wire,
-// decode, sum, retry) into one TimeBreakdown per step, in both wall and
-// virtual time. Producers accumulate into per-thread-slot PhaseTimes
-// scratch (a POD struct of fixed arrays, so the enabled path stays
-// zero-allocation under the LPSGD_HOT_PATH lint) and merge serially into
-// the global Profiler at step boundaries. Like the metrics registry, the
-// global profiler starts disabled and every PhaseTimer costs exactly one
-// relaxed atomic load while it stays so (no clock reads). Enable
-// programmatically or with the LPSGD_PROFILE environment variable.
+// the phase spans (forward, backward, optimizer, encode, wire, decode, sum,
+// retry) into one TimeBreakdown per step, in both wall and virtual time.
+// Spans accumulate into per-thread-slot PhaseTimes scratch and the owners
+// merge it serially into the global Profiler at step boundaries.
 //
-// The flight recorder keeps a fixed-capacity ring of recent spans plus
-// tracked-counter deltas, and dumps the whole history as one JSON document
-// whenever a gradient exchange returns non-OK (DATA_LOSS,
+// The flight recorder keeps a fixed-capacity ring of recent step phases
+// plus tracked-counter deltas, and dumps the whole history as one JSON
+// document whenever a gradient exchange returns non-OK (DATA_LOSS,
 // DEADLINE_EXCEEDED, ABORTED, ...) — so every chaos failure ships with the
-// context that led up to it. Enable with LPSGD_FLIGHT_RECORDER (the value
-// "1" keeps dumps in memory; any other value is used as the dump-file
-// prefix).
+// context that led up to it.
 #ifndef LPSGD_OBS_PROFILE_H_
 #define LPSGD_OBS_PROFILE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -37,76 +29,10 @@
 #include "base/thread_annotations.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 namespace obs {
-
-// The phases one synchronous training step decomposes into (Algorithm 1:
-// local compute, encode, exchange, decode, aggregate, update — plus the
-// retry layer's bookkeeping). Plain enum: values index fixed arrays.
-enum ProfilePhase : int {
-  kPhaseForward = 0,   // input slicing + forward pass + loss
-  kPhaseBackward = 1,  // backward pass
-  kPhaseOptimizer = 2, // gradient scaling + momentum step
-  kPhaseEncode = 3,    // codec Encode kernels
-  kPhaseWire = 4,      // wall: host copies standing in for the wire;
-                       // virtual: the cost model's comm_seconds
-  kPhaseDecode = 5,    // codec Decode kernels
-  kPhaseSum = 6,       // aggregate summation + exchange staging
-  kPhaseRetry = 7,     // retry snapshots/restores; virtual: backoff penalty
-  kNumProfilePhases = 8,
-};
-
-// "forward", "backward", ... (stable names used in JSON and tables).
-const char* ProfilePhaseName(int phase);
-
-// Per-slot phase accumulator: fixed POD arrays only, so instances may live
-// in hot-path workspaces and be written from LPSGD_HOT_PATH regions
-// without allocating. One PhaseTimes is single-threaded scratch — keep one
-// per thread-pool slot (ThreadPool::CurrentSlot()) and merge serially.
-struct PhaseTimes {
-  double wall[kNumProfilePhases] = {};
-  double virt[kNumProfilePhases] = {};
-  int64_t calls[kNumProfilePhases] = {};
-
-  void Clear() {
-    for (int p = 0; p < kNumProfilePhases; ++p) {
-      wall[p] = 0.0;
-      virt[p] = 0.0;
-      calls[p] = 0;
-    }
-  }
-
-  LPSGD_HOT_PATH
-  void Add(int phase, double wall_seconds) {
-    wall[phase] += wall_seconds;
-    calls[phase] += 1;
-  }
-
-  void AddVirtual(int phase, double virtual_seconds) {
-    virt[phase] += virtual_seconds;
-  }
-
-  void Merge(const PhaseTimes& other) {
-    for (int p = 0; p < kNumProfilePhases; ++p) {
-      wall[p] += other.wall[p];
-      virt[p] += other.virt[p];
-      calls[p] += other.calls[p];
-    }
-  }
-
-  double WallTotal() const {
-    double total = 0.0;
-    for (int p = 0; p < kNumProfilePhases; ++p) total += wall[p];
-    return total;
-  }
-
-  double VirtualTotal() const {
-    double total = 0.0;
-    for (int p = 0; p < kNumProfilePhases; ++p) total += virt[p];
-    return total;
-  }
-};
 
 // One step's (or an aggregate's) attributed time. wall_total is the
 // measured BeginStep..EndStep wall span; AttributedWall() is the sum of
@@ -117,7 +43,6 @@ struct PhaseTimes {
 struct TimeBreakdown {
   int64_t step = -1;          // -1 for aggregated totals
   int64_t steps = 0;          // number of steps folded in (1 per step)
-  double wall_start = 0.0;    // MonotonicSeconds at BeginStep
   double wall_total = 0.0;    // measured step wall seconds
   double virtual_total = 0.0; // simulator seconds charged to the step
   PhaseTimes phases;
@@ -134,15 +59,15 @@ struct TimeBreakdown {
 };
 
 // Serial fold point for the per-slot accumulators. The trainer calls
-// BeginStep/EndStep around each iteration; producers in between either
-// merge whole PhaseTimes scratch blocks (AddPhases) or add single
-// measurements. EndStep folds everything into a TimeBreakdown, appends it
-// to a bounded history, merges the running totals, feeds the flight
-// recorder, and emits a run-report entry while reporting is enabled.
+// BeginStep/EndStep around each iteration; producers in between merge
+// whole PhaseTimes scratch blocks (AddPhases). EndStep folds everything
+// into a TimeBreakdown, appends it to a bounded history, merges the
+// running totals, feeds the flight recorder, and emits a run-report entry
+// while reporting is enabled.
 class Profiler {
  public:
-  // Process-wide profiler. Starts disabled unless LPSGD_PROFILE is set to
-  // a nonzero value.
+  // Process-wide profiler; its flag is the kExportProfile bit of the
+  // exporter mask.
   static Profiler& Global();
 
   // Locally-constructed profilers start enabled (tests, embedders).
@@ -150,10 +75,8 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.enabled(); }
+  void set_enabled(bool enabled) { enabled_.set(enabled); }
 
   // --- Step lifecycle (no-ops while disabled) ---------------------------
 
@@ -162,8 +85,6 @@ class Profiler {
   void BeginStep(int64_t step) LPSGD_EXCLUDES(mu_);
   // Merges one slot's accumulated phases into the open step.
   void AddPhases(const PhaseTimes& delta) LPSGD_EXCLUDES(mu_);
-  void AddPhase(int phase, double wall_seconds) LPSGD_EXCLUDES(mu_);
-  void AddVirtual(int phase, double virtual_seconds) LPSGD_EXCLUDES(mu_);
   // Closes the open step: wall_total is measured against BeginStep's
   // clock, `virtual_seconds` is the simulator time the step charged.
   void EndStep(double virtual_seconds) LPSGD_EXCLUDES(mu_);
@@ -179,12 +100,6 @@ class Profiler {
 
   // {schema_version, kind: "profile", steps_recorded, totals, steps: []}.
   JsonValue ToJson() const LPSGD_EXCLUDES(mu_);
-  [[nodiscard]] Status WriteFile(const std::string& path) const;
-  // Chrome trace_event JSON: one "X" event per (step, phase) laid out on
-  // the step's measured wall span (tid = phase lane), loadable in
-  // chrome://tracing or Perfetto next to the obs::Tracer export.
-  JsonValue ToChromeTraceJson() const LPSGD_EXCLUDES(mu_);
-  [[nodiscard]] Status WriteChromeTraceFile(const std::string& path) const;
   // Aligned per-phase table of the running totals (wall, share, virtual,
   // calls) — the breakdown train_cli prints.
   void PrintTable(std::ostream& os) const LPSGD_EXCLUDES(mu_);
@@ -193,11 +108,13 @@ class Profiler {
   void Reset() LPSGD_EXCLUDES(mu_);
 
  private:
-  // Steps kept for JSON/trace export; older steps fall out of the window
-  // but stay folded into Totals().
+  // Steps kept for JSON export; older steps fall out of the window but
+  // stay folded into Totals().
   static constexpr size_t kMaxStepHistory = 4096;
 
-  std::atomic<bool> enabled_;
+  explicit Profiler(Exporter shared);
+
+  ExporterSwitch enabled_;
   mutable Mutex mu_;
   bool step_open_ LPSGD_GUARDED_BY(mu_) = false;
   int64_t current_step_ LPSGD_GUARDED_BY(mu_) = -1;
@@ -208,35 +125,9 @@ class Profiler {
   // Ring of the most recent kMaxStepHistory breakdowns.
   std::vector<TimeBreakdown> history_ LPSGD_GUARDED_BY(mu_);
   size_t history_next_ LPSGD_GUARDED_BY(mu_) = 0;
-  int64_t steps_recorded_ LPSGD_GUARDED_BY(mu_) = 0;
 };
 
 inline bool ProfileEnabled() { return Profiler::Global().enabled(); }
-
-// RAII phase span writing into a per-slot PhaseTimes. While the global
-// profiler is disabled the sink is dropped at construction and the clock
-// is never read — the whole cost is one relaxed load per scope, which the
-// overhead test bounds at <= 1% on the codec micro-bench.
-class PhaseTimer {
- public:
-  LPSGD_HOT_PATH
-  PhaseTimer(PhaseTimes* sink, int phase)
-      : sink_(ProfileEnabled() ? sink : nullptr),
-        phase_(phase),
-        start_(sink_ != nullptr ? MonotonicSeconds() : 0.0) {}
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  LPSGD_HOT_PATH
-  ~PhaseTimer() {
-    if (sink_ != nullptr) sink_->Add(phase_, MonotonicSeconds() - start_);
-  }
-
- private:
-  PhaseTimes* sink_;
-  int phase_;
-  double start_;
-};
 
 // One flight-recorder ring entry. Fixed-size POD — recording never
 // allocates; labels longer than the field are truncated.
@@ -258,9 +149,8 @@ struct FlightRecord {
 // via LastDump() — exactly once per non-OK exchange.
 class FlightRecorder {
  public:
-  // Process-wide recorder. Starts disabled unless LPSGD_FLIGHT_RECORDER is
-  // set ("1" enables in-memory; any other non-empty value also becomes the
-  // dump-file prefix).
+  // Process-wide recorder; its flag is the kExportFlight bit of the
+  // exporter mask (dumps stay in memory until an output prefix is set).
   static FlightRecorder& Global();
 
   // Locally-constructed recorders start enabled (tests, embedders).
@@ -268,10 +158,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.enabled(); }
+  void set_enabled(bool enabled) { enabled_.set(enabled); }
 
   // Dump files are written to "<prefix>.<dump index>.json"; empty (the
   // default) keeps dumps in memory only.
@@ -314,10 +202,13 @@ class FlightRecorder {
   JsonValue DumpLocked(const Status& status, int64_t iteration)
       LPSGD_REQUIRES(mu_);
 
-  std::atomic<bool> enabled_;
+  explicit FlightRecorder(Exporter shared);
+
+  ExporterSwitch enabled_;
   mutable Mutex mu_;
   std::string prefix_ LPSGD_GUARDED_BY(mu_);
-  std::vector<FlightRecord> ring_ LPSGD_GUARDED_BY(mu_);  // kCapacity slots
+  std::vector<FlightRecord> ring_ LPSGD_GUARDED_BY(mu_) =
+      std::vector<FlightRecord>(kCapacity);
   int64_t next_sequence_ LPSGD_GUARDED_BY(mu_) = 0;
   int64_t dumps_ LPSGD_GUARDED_BY(mu_) = 0;
   JsonValue last_dump_ LPSGD_GUARDED_BY(mu_);

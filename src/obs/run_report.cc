@@ -1,10 +1,7 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "obs/run_report.h"
 
-#include <fstream>
-
 #include "base/logging.h"
-#include "base/strings.h"
 
 namespace lpsgd {
 namespace obs {
@@ -66,11 +63,7 @@ Status RunReport::Write(std::ostream& os,
 
 Status RunReport::WriteFile(const std::string& path,
                             const MetricsRegistry* metrics) const {
-  std::ofstream file(path);
-  if (!file.is_open()) {
-    return InvalidArgumentError(StrCat("cannot open report file: ", path));
-  }
-  return Write(file, metrics);
+  return WriteJsonFile(path, ToJson(metrics));
 }
 
 }  // namespace obs

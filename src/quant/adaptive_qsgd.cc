@@ -30,7 +30,10 @@ constexpr int64_t kQuantileSample = 4096;
 
 AdaptiveQsgdCodec::AdaptiveQsgdCodec(int bits, int64_t bucket_size,
                                      uint64_t seed)
-    : bits_(bits), bucket_size_(bucket_size), seed_(seed) {
+    : GradientCodec("adaptive_qsgd"),
+      bits_(bits),
+      bucket_size_(bucket_size),
+      seed_(seed) {
   CHECK_GE(bits, 2);
   CHECK_LE(bits, 16);
   CHECK_GT(bucket_size, 0);

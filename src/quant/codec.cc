@@ -9,19 +9,27 @@
 #include "base/logging.h"
 #include "base/strings.h"
 #include "base/thread_annotations.h"
-#include "obs/profile.h"
+#include "obs/metrics.h"
 #include "quant/registry.h"
 #include "quant/workspace.h"
 
 namespace lpsgd {
+
+GradientCodec::GradientCodec(std::string_view metric_name)
+    : metric_name_(metric_name),
+      encode_calls_metric_(StrCat("quant/", metric_name, "/encode_calls")),
+      decode_calls_metric_(StrCat("quant/", metric_name, "/decode_calls")) {}
+
+void GradientCodec::CountDecode() const {
+  if (obs::MetricsEnabled()) obs::Count(decode_calls_metric_);
+}
 
 LPSGD_HOT_PATH
 void GradientCodec::Encode(const float* grad, const Shape& shape,
                            uint64_t stochastic_tag, std::vector<float>* error,
                            CodecWorkspace* workspace,
                            std::vector<uint8_t>* out) const {
-  codec_internal::CodecObsScope obs_scope(MetricName(), /*encode=*/true, out);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseEncode);
+  obs::Span span(codec_internal::kEncodeSpan, &workspace->phases);
   const int64_t num_bytes = EncodedSizeBytes(shape);
   uint8_t* blob =
       quant_internal::EnsureSize(out, static_cast<size_t>(num_bytes));
@@ -29,14 +37,19 @@ void GradientCodec::Encode(const float* grad, const Shape& shape,
               workspace, blob);
   codec_internal::SealWireBlob(blob,
                                num_bytes - codec_internal::kWireChecksumBytes);
+  span.set_bytes(num_bytes);
+  if (obs::MetricsEnabled()) {
+    obs::Count(encode_calls_metric_);
+    obs::Count("quant/encode_bytes", num_bytes);
+  }
 }
 
 LPSGD_HOT_PATH
 Status GradientCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
                              const Shape& shape, CodecWorkspace* workspace,
                              float* out) const {
-  codec_internal::CodecObsScope obs_scope(MetricName(), /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  obs::Span span(codec_internal::kDecodeSpan, &workspace->phases);
+  CountDecode();
   LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
       MetricName(), bytes, num_bytes, EncodedSizeBytes(shape)));
   return DecodeRange(bytes, shape, 0, shape.element_count(), workspace, out);
@@ -126,17 +139,6 @@ StatusOr<CodecSpec> ParseCodecSpec(const std::string& text) {
 }
 
 namespace codec_internal {
-
-CodecObsScope::~CodecObsScope() {
-  if (!active_) return;
-  obs::Observe(encode_ ? "quant/encode_seconds" : "quant/decode_seconds",
-               obs::MonotonicSeconds() - start_);
-  obs::Count(StrCat("quant/", codec_,
-                    encode_ ? "/encode_calls" : "/decode_calls"));
-  if (encoded_ != nullptr) {
-    obs::Count("quant/encode_bytes", static_cast<int64_t>(encoded_->size()));
-  }
-}
 
 void SealWireBlob(uint8_t* blob, int64_t payload_bytes) {
   const uint32_t hash = Fnv1a32(blob, payload_bytes);

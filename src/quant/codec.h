@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "base/statusor.h"
-#include "obs/metrics.h"
+#include "obs/span.h"
 #include "tensor/shape.h"
 
 namespace lpsgd {
@@ -42,7 +42,7 @@ class GradientCodec {
   // Stable snake_case identifier, e.g. "qsgd": names the codec's
   // quant/<id>/{encode,decode}_calls counters and prefixes its wire-error
   // messages.
-  virtual std::string_view MetricName() const = 0;
+  std::string_view MetricName() const { return metric_name_; }
 
   // Exact wire size in bytes of an encoded gradient with shape `shape`.
   virtual int64_t EncodedSizeBytes(const Shape& shape) const = 0;
@@ -136,6 +136,20 @@ class GradientCodec {
               std::vector<float>* error, std::vector<uint8_t>* out) const;
   Status Decode(const uint8_t* bytes, int64_t num_bytes, const Shape& shape,
                 float* out) const;
+
+ protected:
+  // `metric_name` must be a string literal; the codec's counter names are
+  // formed from it here, once, not per call.
+  explicit GradientCodec(std::string_view metric_name);
+
+  // Bumps quant/<id>/decode_calls: once per decode entry point call
+  // (Decode, TopK's DecodeSparse), while metrics are enabled.
+  void CountDecode() const;
+
+ private:
+  std::string_view metric_name_;
+  std::string encode_calls_metric_;
+  std::string decode_calls_metric_;
 };
 
 enum class CodecKind {
@@ -229,32 +243,12 @@ CodecSpec EcqSgdSpec(int bits);           // QSGD + error feedback
 
 namespace codec_internal {
 
-// Instrumentation guard placed at the top of GradientCodec::Encode/Decode:
-// times the call into the quant/encode_seconds or quant/decode_seconds
-// histogram, bumps quant/<codec>/{encode,decode}_calls, and (for encodes)
-// accumulates quant/encode_bytes from the produced blob. All of it no-ops
-// behind one branch while the global metrics registry is disabled, keeping
-// the codec hot path unobserved-run clean.
-class CodecObsScope {
- public:
-  CodecObsScope(std::string_view codec, bool encode,
-                const std::vector<uint8_t>* encoded = nullptr)
-      : codec_(codec),
-        encode_(encode),
-        encoded_(encoded),
-        active_(obs::MetricsEnabled()),
-        start_(active_ ? obs::MonotonicSeconds() : 0.0) {}
-  CodecObsScope(const CodecObsScope&) = delete;
-  CodecObsScope& operator=(const CodecObsScope&) = delete;
-  ~CodecObsScope();
-
- private:
-  std::string_view codec_;
-  bool encode_;
-  const std::vector<uint8_t>* encoded_;
-  bool active_;
-  double start_;
-};
+// The spans of every codec Encode and decode entry point: the encode and
+// decode profile phases and the quant/{encode,decode}_seconds histograms.
+inline constexpr obs::SpanSite kEncodeSpan{"quant/encode", obs::kPhaseEncode,
+                                           "quant/encode_seconds"};
+inline constexpr obs::SpanSite kDecodeSpan{"quant/decode", obs::kPhaseDecode,
+                                           "quant/decode_seconds"};
 
 // Every encoded blob ends with a trailing integrity word: the little-endian
 // FNV-1a-32 hash (base/bit_packing.h) of all payload bytes before it.

@@ -26,7 +26,8 @@ using codec_internal::WordsAt;
 
 EcqSgdCodec::EcqSgdCodec(int bits, int64_t bucket_size, bool error_feedback,
                          uint64_t seed)
-    : bits_(bits),
+    : GradientCodec("ecq_sgd"),
+      bits_(bits),
       bucket_size_(bucket_size),
       error_feedback_(error_feedback),
       seed_(seed) {

@@ -31,7 +31,6 @@ class EcqSgdCodec : public GradientCodec {
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
   bool UsesErrorFeedback() const override { return error_feedback_; }
-  std::string_view MetricName() const override { return "ecq_sgd"; }
   int64_t RangeAlignment(const Shape& shape) const override;
   void EncodeRange(const float* grad, const Shape& shape,
                    uint64_t stochastic_tag, std::vector<float>* error,

@@ -13,10 +13,11 @@ namespace lpsgd {
 // of every experiment.
 class FullPrecisionCodec : public GradientCodec {
  public:
+  FullPrecisionCodec() : GradientCodec("full_precision") {}
+
   std::string Name() const override { return "32bit"; }
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
-  std::string_view MetricName() const override { return "full_precision"; }
   int64_t RangeAlignment(const Shape& shape) const override;
   void EncodeRange(const float* grad, const Shape& shape,
                    uint64_t stochastic_tag, std::vector<float>* error,

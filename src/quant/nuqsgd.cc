@@ -24,7 +24,10 @@ using codec_internal::WordsAt;
 }  // namespace
 
 NuqsgdCodec::NuqsgdCodec(int bits, int64_t bucket_size, uint64_t seed)
-    : bits_(bits), bucket_size_(bucket_size), seed_(seed) {
+    : GradientCodec("nuqsgd"),
+      bits_(bits),
+      bucket_size_(bucket_size),
+      seed_(seed) {
   CHECK_GE(bits, 2);
   CHECK_LE(bits, 16);
   CHECK_GT(bucket_size, 0);

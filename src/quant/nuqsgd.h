@@ -30,7 +30,6 @@ class NuqsgdCodec : public GradientCodec {
   std::string Name() const override;
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
-  std::string_view MetricName() const override { return "nuqsgd"; }
   int64_t RangeAlignment(const Shape& shape) const override;
   void EncodeRange(const float* grad, const Shape& shape,
                    uint64_t stochastic_tag, std::vector<float>* error,

@@ -145,7 +145,9 @@ Status OneBitSgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
 
 OneBitSgdReshapedCodec::OneBitSgdReshapedCodec(int64_t bucket_size,
                                                bool error_feedback)
-    : bucket_size_(bucket_size), error_feedback_(error_feedback) {
+    : GradientCodec("one_bit_sgd_reshaped"),
+      bucket_size_(bucket_size),
+      error_feedback_(error_feedback) {
   CHECK_GT(bucket_size, 0);
 }
 

@@ -24,13 +24,12 @@ namespace lpsgd {
 class OneBitSgdCodec : public GradientCodec {
  public:
   explicit OneBitSgdCodec(bool error_feedback = true)
-      : error_feedback_(error_feedback) {}
+      : GradientCodec("one_bit_sgd"), error_feedback_(error_feedback) {}
 
   std::string Name() const override { return "1bitSGD"; }
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
   bool UsesErrorFeedback() const override { return error_feedback_; }
-  std::string_view MetricName() const override { return "one_bit_sgd"; }
   int64_t RangeAlignment(const Shape& shape) const override;
   void EncodeRange(const float* grad, const Shape& shape,
                    uint64_t stochastic_tag, std::vector<float>* error,
@@ -57,9 +56,6 @@ class OneBitSgdReshapedCodec : public GradientCodec {
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
   bool UsesErrorFeedback() const override { return error_feedback_; }
-  std::string_view MetricName() const override {
-    return "one_bit_sgd_reshaped";
-  }
   int64_t RangeAlignment(const Shape& shape) const override;
   void EncodeRange(const float* grad, const Shape& shape,
                    uint64_t stochastic_tag, std::vector<float>* error,

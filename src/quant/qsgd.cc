@@ -26,7 +26,8 @@ using codec_internal::WordsAt;
 
 QsgdCodec::QsgdCodec(int bits, int64_t bucket_size, QsgdNorm norm,
                      QsgdLevelScheme levels, uint64_t seed)
-    : bits_(bits),
+    : GradientCodec("qsgd"),
+      bits_(bits),
       bucket_size_(bucket_size),
       norm_(norm),
       levels_(levels),

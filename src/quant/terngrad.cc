@@ -28,7 +28,8 @@ constexpr int kFieldBits = 2;  // 1 sign bit + 1 magnitude bit
 }  // namespace
 
 TernGradCodec::TernGradCodec(int64_t bucket_size, double clip, uint64_t seed)
-    : bucket_size_(bucket_size > 0 ? bucket_size : 0),
+    : GradientCodec("terngrad"),
+      bucket_size_(bucket_size > 0 ? bucket_size : 0),
       clip_(clip > 0.0 ? clip : 0.0),
       seed_(seed) {}
 

@@ -11,7 +11,7 @@
 #include "base/simd/elementwise.h"
 #include "base/thread_annotations.h"
 #include "base/strings.h"
-#include "obs/profile.h"
+#include "obs/span.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
 #include "quant/workspace.h"
@@ -24,7 +24,9 @@ using codec_internal::MutableWordsAt;
 using codec_internal::WordsAt;
 
 TopKCodec::TopKCodec(double density, bool error_feedback)
-    : density_(density), error_feedback_(error_feedback) {
+    : GradientCodec("topk"),
+      density_(density),
+      error_feedback_(error_feedback) {
   CHECK_GT(density, 0.0);
   CHECK_LE(density, 1.0);
 }
@@ -150,8 +152,8 @@ LPSGD_HOT_PATH
 Status TopKCodec::DecodeSparse(const uint8_t* bytes, int64_t num_bytes,
                                const Shape& shape, CodecWorkspace* workspace,
                                uint32_t* indices, float* values) const {
-  codec_internal::CodecObsScope obs_scope("topk", /*encode=*/false);
-  obs::PhaseTimer phase_timer(&workspace->phases, obs::kPhaseDecode);
+  obs::Span span(codec_internal::kDecodeSpan, &workspace->phases);
+  CountDecode();
   LPSGD_RETURN_IF_ERROR(codec_internal::VerifyWireBlob(
       "topk", bytes, num_bytes, EncodedSizeBytes(shape)));
   return ParseSparse(bytes, shape.element_count(), indices, values);

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/profile.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 
@@ -40,10 +40,10 @@ struct CodecWorkspace {
   // Caller-side scratch blob for encode-then-decode round trips (the NCCL
   // ring's sparse allgather).
   std::vector<uint8_t> blob;
-  // Per-slot profiler scratch: codec Encode/Decode calls and the
+  // Per-slot profile scratch: codec Encode/Decode calls and the
   // aggregators' hot loops accumulate phase spans here (fixed POD arrays,
   // so the hot path stays allocation-free); the owning aggregator merges
-  // and clears it serially after each exchange (obs/profile.h).
+  // and clears it serially after each exchange (obs/span.h).
   obs::PhaseTimes phases;
 };
 

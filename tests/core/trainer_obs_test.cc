@@ -3,7 +3,16 @@
 // Smoke test for the observability instrumentation threaded through the
 // trainer and aggregators: one epoch with the global registry enabled must
 // leave trainer/* and comm/* metrics that agree with the trainer's own
-// accounting.
+// accounting, and a traced parallel epoch must nest cleanly per lane.
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/trainer.h"
@@ -11,7 +20,7 @@
 #include "nn/model_zoo.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lpsgd {
 namespace {
@@ -98,8 +107,8 @@ TEST_F(TrainerObservabilityTest, OneEpochPopulatesConsistentMetrics) {
 
   // The tracer captured iteration spans with virtual-clock annotations.
   bool found_iteration_span = false;
-  for (const obs::TraceEvent& e : obs::Tracer::Global().Events()) {
-    if (e.name == "trainer/iteration") {
+  for (const obs::TraceRecord& e : obs::Tracer::Global().Records()) {
+    if (std::string(e.site->name) == "trainer/iteration") {
       found_iteration_span = true;
       EXPECT_GE(e.virtual_end, e.virtual_start);
     }
@@ -134,8 +143,88 @@ TEST_F(TrainerObservabilityTest, DisabledRegistryStaysEmpty) {
   ASSERT_TRUE((*trainer)->Train(train, test, 1).ok());
 
   EXPECT_TRUE(obs::MetricsRegistry::Global().Names().empty());
-  EXPECT_EQ(obs::Tracer::Global().event_count(), 0u);
+  EXPECT_EQ(obs::Tracer::Global().Records().size(), 0u);
   EXPECT_EQ(obs::RunReport::Global().entry_count(), 0u);
+}
+
+// Trace lanes are thread-pool slots, so the spans of one lane come from one
+// thread and nest: a 2-thread, 8-step q4 epoch written through the Chrome
+// writer must hold no partially overlapping pair of "X" events on any tid.
+// The ranks' forward/backward is sized (a few ms each) so both threads run
+// spans at once; with every span on one tid this run shows dozens of
+// partial overlaps. SpanTest.TraceLaneIsThePoolSlot pins the slot-to-tid
+// mapping itself.
+TEST_F(TrainerObservabilityTest, ParallelEpochTraceNestsPerLane) {
+  obs::MetricsRegistry::Global().set_enabled(false);
+  obs::RunReport::Global().set_enabled(false);
+  TrainerOptions options;
+  options.num_gpus = 4;
+  options.global_batch_size = 256;
+  options.codec = QsgdSpec(4);
+  options.seed = 5;
+  options.execution = ExecutionContext::WithThreads(2);
+  auto trainer = SyncTrainer::Create(
+      [](uint64_t seed) { return BuildMlp({16, 512, 512, 4}, seed); },
+      options);
+  ASSERT_TRUE(trainer.ok()) << trainer.status();
+  const SyntheticImageDataset train = SmallSet(2048);
+  const SyntheticImageDataset test = SmallSet(32, /*offset=*/1 << 20);
+  ASSERT_TRUE((*trainer)->Train(train, test, /*epochs=*/1).ok());
+
+  const std::string path = ::testing::TempDir() + "/lanes.trace.json";
+  ASSERT_TRUE(
+      obs::WriteJsonFile(path, obs::Tracer::Global().ToChromeTraceJson())
+          .ok());
+  std::ifstream in(path);
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  std::remove(path.c_str());
+  auto trace = obs::JsonValue::Parse(contents.str());
+  ASSERT_TRUE(trace.ok()) << trace.status();
+
+  struct Interval {
+    double begin;
+    double end;
+    std::string name;
+  };
+  std::map<int64_t, std::vector<Interval>> lanes;
+  std::set<std::string> categories;
+  for (const obs::JsonValue& e : trace->At("traceEvents").AsArray()) {
+    ASSERT_EQ(e.At("ph").AsString(), "X");
+    const double ts = e.At("ts").AsDouble();
+    lanes[e.At("tid").AsInt()].push_back(
+        {ts, ts + e.At("dur").AsDouble(), e.At("name").AsString()});
+    categories.insert(e.At("cat").AsString());
+  }
+  for (const char* phase : {"forward", "backward", "encode", "decode"}) {
+    EXPECT_TRUE(categories.count(phase)) << phase << " spans missing";
+  }
+
+  // Sweep each lane in start order (enclosing spans first) with a stack of
+  // open spans: an event that starts inside the innermost open span must
+  // also end inside it. The tolerance absorbs microsecond rounding.
+  constexpr double kEpsilonUs = 1e-3;
+  int partial_overlaps = 0;
+  for (auto& [tid, spans] : lanes) {
+    std::sort(spans.begin(), spans.end(),
+              [](const Interval& a, const Interval& b) {
+                return a.begin != b.begin ? a.begin < b.begin
+                                          : a.end > b.end;
+              });
+    std::vector<Interval> open;
+    for (const Interval& span : spans) {
+      while (!open.empty() && open.back().end <= span.begin + kEpsilonUs) {
+        open.pop_back();
+      }
+      if (!open.empty() && span.end > open.back().end + kEpsilonUs) {
+        ++partial_overlaps;
+        ADD_FAILURE() << "tid " << tid << ": " << span.name
+                      << " partially overlaps " << open.back().name;
+      }
+      open.push_back(span);
+    }
+  }
+  EXPECT_EQ(partial_overlaps, 0);
 }
 
 }  // namespace

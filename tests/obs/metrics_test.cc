@@ -178,14 +178,13 @@ TEST(MetricsRegistryTest, JsonAndTableExportQuantiles) {
   EXPECT_NE(table.find("p99"), std::string::npos);
 }
 
-TEST(ScopedTimerTest, RecordsElapsedIntoGlobalHistogram) {
+TEST(MetricsRegistryTest, SpanRecordsElapsedIntoItsSiteHistogram) {
+  static constexpr SpanSite kSite{"test/scoped", -1, "test/scoped_seconds"};
   MetricsRegistry& global = MetricsRegistry::Global();
   const bool was_enabled = global.enabled();
   global.set_enabled(true);
   global.Reset();
-  {
-    ScopedTimer timer("test/scoped_seconds");
-  }
+  { Span span(kSite); }
   EXPECT_EQ(global.HistogramFor("test/scoped_seconds").count, 1);
   EXPECT_GE(global.HistogramFor("test/scoped_seconds").sum, 0.0);
   global.Reset();

@@ -21,8 +21,8 @@ namespace lpsgd {
 namespace obs {
 namespace {
 
-// Enables the global profiler for one test and restores it after (the
-// PhaseTimer fast path consults the global flag, not a local instance).
+// Enables the global profiler for one test and restores it after (a
+// span's fast path consults the global mask, not a local instance).
 class ProfileGuard {
  public:
   ProfileGuard() : was_(Profiler::Global().enabled()) {
@@ -37,6 +37,19 @@ class ProfileGuard {
  private:
   bool was_;
 };
+
+// One-phase PhaseTimes blocks, as a span or a virtual charge leaves them.
+PhaseTimes Wall(int phase, double seconds) {
+  PhaseTimes times;
+  times.Add(phase, seconds);
+  return times;
+}
+
+PhaseTimes Virtual(int phase, double seconds) {
+  PhaseTimes times;
+  times.AddVirtual(phase, seconds);
+  return times;
+}
 
 class FlightGuard {
  public:
@@ -102,8 +115,8 @@ TEST(ProfilerTest, StepsFoldIntoHistoryAndTotals) {
   Profiler profiler(/*enabled=*/true);
   for (int64_t step = 0; step < 3; ++step) {
     profiler.BeginStep(step);
-    profiler.AddPhase(kPhaseForward, 0.5);
-    profiler.AddVirtual(kPhaseWire, 2.0);
+    profiler.AddPhases(Wall(kPhaseForward, 0.5));
+    profiler.AddPhases(Virtual(kPhaseWire, 2.0));
     profiler.EndStep(/*virtual_seconds=*/2.5);
   }
 
@@ -127,7 +140,7 @@ TEST(ProfilerTest, StepsFoldIntoHistoryAndTotals) {
 TEST(ProfilerTest, DisabledProfilerRecordsNothing) {
   Profiler profiler(/*enabled=*/false);
   profiler.BeginStep(0);
-  profiler.AddPhase(kPhaseForward, 1.0);
+  profiler.AddPhases(Wall(kPhaseForward, 1.0));
   profiler.EndStep(1.0);
   EXPECT_EQ(profiler.steps_recorded(), 0);
   EXPECT_DOUBLE_EQ(profiler.Totals().phases.WallTotal(), 0.0);
@@ -136,9 +149,9 @@ TEST(ProfilerTest, DisabledProfilerRecordsNothing) {
 TEST(ProfilerTest, AbandonedStepIsDiscardedByNextBegin) {
   Profiler profiler(/*enabled=*/true);
   profiler.BeginStep(0);
-  profiler.AddPhase(kPhaseForward, 1.0);  // step 0 never ends (failed)
+  profiler.AddPhases(Wall(kPhaseForward, 1.0));  // step 0 never ends (failed)
   profiler.BeginStep(1);
-  profiler.AddPhase(kPhaseBackward, 0.25);
+  profiler.AddPhases(Wall(kPhaseBackward, 0.25));
   profiler.EndStep(0.0);
 
   EXPECT_EQ(profiler.steps_recorded(), 1);
@@ -150,8 +163,8 @@ TEST(ProfilerTest, AbandonedStepIsDiscardedByNextBegin) {
 TEST(ProfilerTest, JsonExportMatchesSchema) {
   Profiler profiler(/*enabled=*/true);
   profiler.BeginStep(7);
-  profiler.AddPhase(kPhaseEncode, 0.125);
-  profiler.AddVirtual(kPhaseWire, 3.0);
+  profiler.AddPhases(Wall(kPhaseEncode, 0.125));
+  profiler.AddPhases(Virtual(kPhaseWire, 3.0));
   profiler.EndStep(3.0);
 
   // Round-trip through the serializer: the export must stay parseable.
@@ -182,32 +195,45 @@ TEST(ProfilerTest, JsonExportMatchesSchema) {
   EXPECT_EQ(steps.AsArray()[0].At("step").AsInt(), 7);
 }
 
-TEST(ProfilerTest, ChromeTraceLaysPhasesOnStepSpan) {
-  Profiler profiler(/*enabled=*/true);
-  profiler.BeginStep(3);
-  profiler.AddPhase(kPhaseForward, 0.25);
-  profiler.AddPhase(kPhaseSum, 0.5);
-  profiler.EndStep(1.0);
-
-  const JsonValue trace = profiler.ToChromeTraceJson();
-  ASSERT_TRUE(trace.Has("traceEvents"));
-  const auto& events = trace.At("traceEvents").AsArray();
-  // Two active phases plus the step lane.
-  ASSERT_EQ(events.size(), 3u);
-  for (const JsonValue& event : events) {
-    EXPECT_EQ(event.At("ph").AsString(), "X");
-    EXPECT_TRUE(event.Has("ts"));
-    EXPECT_TRUE(event.Has("dur"));
-    EXPECT_TRUE(event.Has("tid"));
+// The one trace writer places phase spans at their measured times: inside
+// the step's own wall span, on the opening thread's lane, categorized by
+// phase.
+TEST(ProfilerTest, PhaseSpansLandInTraceAtMeasuredTimes) {
+  static constexpr SpanSite kStepSite{"test/step"};
+  static constexpr SpanSite kForwardSite{"test/forward", kPhaseForward};
+  ProfileGuard guard;
+  const bool was_tracing = Tracer::Global().enabled();
+  Tracer::Global().set_enabled(true);
+  Tracer::Global().Reset();
+  PhaseTimes times;
+  {
+    Span step(kStepSite);
+    Profiler::Global().BeginStep(3);
+    { Span forward(kForwardSite, &times); }
+    Profiler::Global().AddPhases(times);
+    Profiler::Global().EndStep(1.0);
   }
-  EXPECT_EQ(events.back().At("name").AsString(), "step");
-  EXPECT_TRUE(events.back().At("args").Has("coverage"));
+  EXPECT_EQ(Profiler::Global().LastStep().phases.calls[kPhaseForward], 1);
+
+  const JsonValue trace = Tracer::Global().ToChromeTraceJson();
+  Tracer::Global().Reset();
+  Tracer::Global().set_enabled(was_tracing);
+  const auto& events = trace.At("traceEvents").AsArray();
+  ASSERT_EQ(events.size(), 2u);
+  // Close order: the phase span first, then the enclosing step.
+  const JsonValue& forward = events[0];
+  const JsonValue& step = events[1];
+  EXPECT_EQ(forward.At("cat").AsString(), "forward");
+  EXPECT_EQ(forward.At("tid").AsInt(), step.At("tid").AsInt());
+  EXPECT_GE(forward.At("ts").AsDouble(), step.At("ts").AsDouble());
+  EXPECT_LE(forward.At("ts").AsDouble() + forward.At("dur").AsDouble(),
+            step.At("ts").AsDouble() + step.At("dur").AsDouble());
 }
 
 TEST(ProfilerTest, TableListsEveryPhaseAndCoverage) {
   Profiler profiler(/*enabled=*/true);
   profiler.BeginStep(0);
-  profiler.AddPhase(kPhaseDecode, 0.5);
+  profiler.AddPhases(Wall(kPhaseDecode, 0.5));
   profiler.EndStep(0.5);
 
   std::ostringstream os;
@@ -220,97 +246,89 @@ TEST(ProfilerTest, TableListsEveryPhaseAndCoverage) {
   EXPECT_NE(table.find("% covered"), std::string::npos);
 }
 
-TEST(ProfilerTest, WriteFilesProduceParseableJson) {
+TEST(ProfilerTest, WriteFileProducesParseableJson) {
   Profiler profiler(/*enabled=*/true);
   profiler.BeginStep(0);
-  profiler.AddPhase(kPhaseForward, 0.1);
+  profiler.AddPhases(Wall(kPhaseForward, 0.1));
   profiler.EndStep(0.1);
 
-  const std::string base = ::testing::TempDir() + "/profile_test_out";
-  const std::string profile_path = base + ".json";
-  const std::string trace_path = base + ".trace.json";
-  ASSERT_TRUE(profiler.WriteFile(profile_path).ok());
-  ASSERT_TRUE(profiler.WriteChromeTraceFile(trace_path).ok());
-  for (const std::string& path : {profile_path, trace_path}) {
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << path;
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    EXPECT_TRUE(JsonValue::Parse(contents.str()).ok()) << path;
-    std::remove(path.c_str());
-  }
+  const std::string path = ::testing::TempDir() + "/profile_test_out.json";
+  ASSERT_TRUE(WriteJsonFile(path, profiler.ToJson()).ok());
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  EXPECT_TRUE(JsonValue::Parse(contents.str()).ok()) << path;
+  std::remove(path.c_str());
 }
 
-TEST(PhaseTimerTest, RecordsIntoSinkWhileGloballyEnabled) {
+TEST(PhaseSpanTest, RecordsIntoSinkWhileProfiling) {
+  static constexpr SpanSite kSite{"test/encode", kPhaseEncode};
   ProfileGuard guard;
   PhaseTimes times;
-  {
-    PhaseTimer timer(&times, kPhaseEncode);
-  }
+  { Span span(kSite, &times); }
   EXPECT_EQ(times.calls[kPhaseEncode], 1);
   EXPECT_GE(times.wall[kPhaseEncode], 0.0);
 }
 
-TEST(PhaseTimerTest, DisabledTimerNeverTouchesSink) {
-  ASSERT_FALSE(ProfileEnabled());
-  PhaseTimes times;
-  {
-    PhaseTimer timer(&times, kPhaseEncode);
-  }
-  EXPECT_EQ(times.calls[kPhaseEncode], 0);
-  EXPECT_DOUBLE_EQ(times.wall[kPhaseEncode], 0.0);
-}
-
-// The acceptance bound from the ISSUE: with the profiler disabled, the
-// PhaseTimer instrumentation on the codec hot path costs <= 1% of encode
-// throughput. Both loops are measured min-of-trials (the minimum is the
-// noise-free estimate); the instrumented loop adds a timer per encode
-// exactly like the codec hot paths do.
-TEST(PhaseTimerTest, DisabledOverheadOnEncodeHotPathIsUnderOnePercent) {
-  ASSERT_FALSE(ProfileEnabled());
+// The disabled-cost contract: with every exporter off a span is one
+// relaxed load and a branch, and no clock read. Measured directly — the
+// minimum-of-trials cost of 10^6 disabled spans in a tight loop — times
+// the number of spans one encode opens (counted from one traced encode),
+// it must stay within 1% of the encode's own minimum time. Timing the
+// disabled span in isolation keeps the encode's run-to-run noise, which is
+// larger than 1%, out of the comparison.
+TEST(PhaseSpanTest, DisabledSpansCostUnderOnePercentOfAnEncode) {
+  static constexpr SpanSite kSite{"test/encode", kPhaseEncode,
+                                  "test/encode_seconds"};
+  const uint32_t saved = Exporters();
   const int64_t n = 3 << 17;  // ~393k elements, ~1 ms per encode
   Tensor grad(Shape({n}));
   Rng rng(42);
   grad.FillGaussian(&rng, 1.0f);
-  auto codec = CreateCodec(QsgdSpec(4));
+  auto codec = QsgdSpec(4).Create();
   ASSERT_TRUE(codec.ok());
   CodecWorkspace workspace;
   std::vector<uint8_t> blob;
-  PhaseTimes times;
-
-  constexpr int kTrials = 9;
-  constexpr int kEncodesPerTrial = 4;
   uint64_t tag = 0;
-  // Warm up the workspace/blob capacities out of the measurement.
+
+  // Spans per encode, from one encode with the trace exporter on.
+  SetExporters(kExportTrace);
+  Tracer::Global().Reset();
   (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr, &workspace,
                    &blob);
+  const size_t spans_per_encode = Tracer::Global().Records().size();
+  Tracer::Global().Reset();
+  SetExporters(0);
+  ASSERT_GE(spans_per_encode, 1u);
 
-  // Interleave the two variants so machine noise (e.g. the rest of the
-  // test suite running in parallel) hits both minimum pools symmetrically.
-  double plain = 1e300;
-  double instrumented = 1e300;
+  constexpr int kTrials = 9;
+  double encode_seconds = 1e300;
   for (int trial = 0; trial < kTrials; ++trial) {
-    double start = MonotonicSeconds();
-    for (int i = 0; i < kEncodesPerTrial; ++i) {
-      (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr,
-                       &workspace, &blob);
-    }
-    plain = std::min(plain, MonotonicSeconds() - start);
-
-    start = MonotonicSeconds();
-    for (int i = 0; i < kEncodesPerTrial; ++i) {
-      PhaseTimer timer(&times, kPhaseEncode);
-      (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr,
-                       &workspace, &blob);
-    }
-    instrumented = std::min(instrumented, MonotonicSeconds() - start);
+    const double start = MonotonicSeconds();
+    (*codec)->Encode(grad.data(), grad.shape(), tag++, nullptr, &workspace,
+                     &blob);
+    encode_seconds = std::min(encode_seconds, MonotonicSeconds() - start);
   }
 
-  EXPECT_EQ(times.calls[kPhaseEncode], 0) << "timers ran while disabled";
-  // <= 1% relative plus a tiny absolute guard for clock granularity.
-  EXPECT_LE(instrumented, plain * 1.01 + 20e-6)
-      << "disabled-profiler overhead above 1%: plain " << plain
-      << "s vs instrumented " << instrumented << "s";
+  constexpr int kSpans = 1000000;
+  PhaseTimes times;
+  double loop_seconds = 1e300;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const double start = MonotonicSeconds();
+    for (int i = 0; i < kSpans; ++i) {
+      Span span(kSite, &times);
+    }
+    loop_seconds = std::min(loop_seconds, MonotonicSeconds() - start);
+  }
+  SetExporters(saved);
+
+  EXPECT_EQ(times.calls[kPhaseEncode], 0) << "spans recorded while disabled";
+  const double span_seconds = loop_seconds / kSpans;
+  EXPECT_LE(static_cast<double>(spans_per_encode) * span_seconds,
+            0.01 * encode_seconds)
+      << spans_per_encode << " disabled spans of " << span_seconds * 1e9
+      << " ns each vs a " << encode_seconds * 1e3 << " ms encode";
 }
 
 TEST(FlightRecorderTest, DisabledRecorderDropsRecords) {
@@ -408,8 +426,8 @@ TEST(FlightRecorderTest, ProfilerEndStepFeedsRecorder) {
   FlightGuard flight_guard;
   Profiler& profiler = Profiler::Global();
   profiler.BeginStep(11);
-  profiler.AddPhase(kPhaseForward, 0.5);
-  profiler.AddVirtual(kPhaseWire, 2.0);
+  profiler.AddPhases(Wall(kPhaseForward, 0.5));
+  profiler.AddPhases(Virtual(kPhaseWire, 2.0));
   profiler.EndStep(2.0);
 
   // One record per active phase (forward, wire) plus the step span.

@@ -72,7 +72,7 @@ const std::pair<const char*, int> kRequiredHotPathMarkers[] = {
     {"src/quant/nuqsgd.cc", 2},         {"src/quant/ecq_sgd.cc", 2},
     {"src/base/bit_packing.h", 4},      {"src/comm/mpi_reduce_bcast.cc", 2},
     {"src/comm/nccl_ring.cc", 3},       {"src/comm/retry.cc", 1},
-    {"src/obs/profile.h", 3},
+    {"src/obs/span.h", 3},
     // The SIMD kernel TUs and their dispatch tables: one marker per kernel
     // body (scalar golden reference, AVX2, NEON) — the alloc rule must
     // cover every vectorized encode/decode loop.

@@ -1,6 +1,6 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// Performance-regression gate (DESIGN.md "Profiling and attribution"): the
+// Performance-regression gate (DESIGN.md "Observability"): the
 // comparison engine behind tools/obs/bench_gate. It diffs a committed
 // baseline against a fresh candidate and fails when performance regressed
 // beyond tolerance. Two document kinds are understood:

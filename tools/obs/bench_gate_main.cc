@@ -1,7 +1,7 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
 // CI performance-regression gate over codec micro-benchmarks and profiler
-// breakdowns (DESIGN.md "Profiling and attribution").
+// breakdowns (DESIGN.md "Observability").
 //
 //   bench_gate --baseline bench/baselines/BENCH_codecs.json
 //              --candidate /tmp/candidate.json
