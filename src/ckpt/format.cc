@@ -81,7 +81,9 @@ struct Reader {
 
   bool ReadBytes(void* out, size_t count) {
     if (count > remaining()) return false;
-    std::memcpy(out, data + offset, count);
+    // An empty vector's data() may be null, and memcpy requires non-null
+    // pointers even for a zero count.
+    if (count > 0) std::memcpy(out, data + offset, count);
     offset += count;
     return true;
   }

@@ -26,10 +26,6 @@ class FlightRecordingAggregator : public GradientAggregator {
 
   std::string Name() const override { return inner_->Name(); }
   int num_ranks() const override { return inner_->num_ranks(); }
-  void CheckpointExchangeState() override {
-    inner_->CheckpointExchangeState();
-  }
-  void RollbackExchangeState() override { inner_->RollbackExchangeState(); }
   void ExportExchangeState(
       std::vector<std::vector<float>>* state) const override {
     inner_->ExportExchangeState(state);

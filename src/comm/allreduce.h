@@ -98,21 +98,14 @@ class GradientAggregator {
 
   virtual int num_ranks() const = 0;
 
-  // Transaction hooks for the retry layer. CheckpointExchangeState saves
-  // the aggregator's persistent cross-call state; RollbackExchangeState
-  // restores the last checkpoint. The retry wrapper invokes rollback when
-  // it discards a *successful* exchange (timeout overrun) before
-  // re-attempting it — the failure paths roll back internally per the
-  // AllReduce contract above. Stateless aggregators keep these no-ops.
-  virtual void CheckpointExchangeState() {}
-  virtual void RollbackExchangeState() {}
-
-  // Durable-checkpoint hooks for src/ckpt: an aggregator with persistent
-  // cross-call state (the MPI owner-side aggregation residuals) exports a
-  // copy as one flat float vector per matrix for serialization, and
-  // re-imports it on restore-from-disk so a restored run replays
-  // bit-identically to one that never stopped. Stateless engines keep the
-  // defaults: export nothing, accept only an empty import.
+  // Exchange-state hooks, the one way to copy an aggregator's persistent
+  // cross-call state (the MPI owner-side aggregation residuals) in and
+  // out: one flat float vector per matrix. The retry layer exports before
+  // the first attempt and re-imports when it discards an attempt; durable
+  // checkpoints (src/ckpt) serialize the export and re-import it on
+  // restore, so a restored run replays bit-identically to one that never
+  // stopped. Stateless engines keep the defaults: export nothing, accept
+  // only an empty import.
   virtual void ExportExchangeState(
       std::vector<std::vector<float>>* state) const {
     state->clear();

@@ -49,13 +49,6 @@ MpiReduceBcastAggregator::MpiReduceBcastAggregator(
       // scratch is race-free (see ThreadPool::CurrentSlot()).
       workspaces_(static_cast<size_t>(exec_.threads())) {}
 
-// Purity exemptions (tools/analyze/lpsgd_analyze): the checkpoint buffers
-// grow once to the model size and are capacity-reused on later calls, and
-// rollback only runs after a failed exchange — neither allocates on the
-// fault-free steady-state path.
-LPSGD_HOT_CALLEE_OK(CheckpointExchangeState);
-LPSGD_HOT_CALLEE_OK(RollbackExchangeState);
-
 void MpiReduceBcastAggregator::CheckpointExchangeState() {
   if (aggregate_errors_snapshot_.size() < aggregate_errors_.size()) {
     aggregate_errors_snapshot_.resize(aggregate_errors_.size());

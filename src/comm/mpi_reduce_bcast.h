@@ -59,18 +59,10 @@ class MpiReduceBcastAggregator : public GradientAggregator {
                                 int64_t iteration) override;
   int num_ranks() const override { return num_ranks_; }
 
-  // Transaction hooks (comm/allreduce.h): the persistent cross-call state
-  // is the owner-side aggregation residuals. AllReduce checkpoints them on
-  // entry and rolls back before returning any error, so a failed exchange
-  // leaves them untouched; the retry layer rolls back when discarding a
-  // successful-but-over-deadline exchange.
-  void CheckpointExchangeState() override;
-  void RollbackExchangeState() override;
-
-  // Durable-checkpoint hooks: the owner-side aggregation residuals are the
-  // only cross-call state, and they are per-matrix (rank-count
-  // independent), so a restore at a different rank count imports them
-  // unchanged.
+  // Exchange-state hooks (comm/allreduce.h): the owner-side aggregation
+  // residuals are the only cross-call state, and they are per-matrix
+  // (rank-count independent), so a restore at a different rank count
+  // imports them unchanged.
   void ExportExchangeState(
       std::vector<std::vector<float>>* state) const override;
   [[nodiscard]] Status ImportExchangeState(
@@ -96,6 +88,12 @@ class MpiReduceBcastAggregator : public GradientAggregator {
 
   // This thread's codec scratch (see workspaces_).
   CodecWorkspace& SlotWorkspace();
+
+  // The AllReduce transaction (comm/allreduce.h contract): the owner
+  // residuals are snapshotted on entry and restored before any error
+  // return, so a failed exchange leaves them untouched.
+  void CheckpointExchangeState();
+  void RollbackExchangeState();
 
   int num_ranks_;
   CodecSpec spec_;

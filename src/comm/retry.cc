@@ -44,7 +44,7 @@ std::string RetryingAggregator::Name() const {
   return StrCat(inner_->Name(), " + retry(", options_.max_retries, ")");
 }
 
-void RetryingAggregator::SnapshotSlots(const std::vector<MatrixSlot>& slots) {
+void RetryingAggregator::Snapshot(const std::vector<MatrixSlot>& slots) {
   const size_t k = static_cast<size_t>(inner_->num_ranks());
   const size_t total = slots.size() * k;
   if (grad_snapshot_.size() < total) grad_snapshot_.resize(total);
@@ -64,9 +64,10 @@ void RetryingAggregator::SnapshotSlots(const std::vector<MatrixSlot>& slots) {
       }
     }
   }
+  inner_->ExportExchangeState(&exchange_state_);
 }
 
-void RetryingAggregator::RestoreSlots(std::vector<MatrixSlot>* slots) const {
+void RetryingAggregator::Restore(std::vector<MatrixSlot>* slots) {
   const size_t k = static_cast<size_t>(inner_->num_ranks());
   for (size_t m = 0; m < slots->size(); ++m) {
     MatrixSlot& slot = (*slots)[m];
@@ -81,19 +82,21 @@ void RetryingAggregator::RestoreSlots(std::vector<MatrixSlot>* slots) const {
       }
     }
   }
+  // The state is the engine's own export, so the import cannot fail.
+  const Status imported = inner_->ImportExchangeState(exchange_state_);
+  CHECK_OK(imported);
 }
 
 LPSGD_HOT_PATH
 StatusOr<CommStats> RetryingAggregator::AllReduce(
     std::vector<MatrixSlot>* slots, int64_t iteration) {
   CHECK(slots != nullptr);
-  // The snapshot/checkpoint copies are serial, attempt-0-only work outside
-  // the inner engine's parallel hot loops; they reuse their capacity, so
+  // The snapshot copies are serial, attempt-0-only work outside the inner
+  // engine's parallel hot loops; they reuse their capacity, so
   // steady-state exchanges stay allocation-free.
   {
     obs::Span snapshot_span(obs::kPhaseRetry, &phases_);
-    SnapshotSlots(*slots);
-    inner_->CheckpointExchangeState();
+    Snapshot(*slots);
   }
 
   double penalty_seconds = 0.0;
@@ -101,8 +104,7 @@ StatusOr<CommStats> RetryingAggregator::AllReduce(
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
       obs::Span restore_span(obs::kPhaseRetry, &phases_);
-      RestoreSlots(slots);
-      inner_->RollbackExchangeState();
+      Restore(slots);
       if (obs::MetricsEnabled()) obs::Count("comm/retries");
       penalty_seconds += RetryBackoffSeconds(options_, attempt);
     }
@@ -138,8 +140,7 @@ StatusOr<CommStats> RetryingAggregator::AllReduce(
   // and the inner engine exactly as they were before the call.
   {
     obs::Span restore_span(obs::kPhaseRetry, &phases_);
-    RestoreSlots(slots);
-    inner_->RollbackExchangeState();
+    Restore(slots);
   }
   FoldPhases(penalty_seconds);
   return last_error;

@@ -16,11 +16,11 @@ namespace lpsgd {
 // atomic transaction:
 //
 //   - Before the first attempt the caller-visible slot state (rank_grads
-//     and rank_errors) is snapshotted into persistent member buffers, and
-//     the inner aggregator checkpoints its own cross-call state.
+//     and rank_errors) and the inner aggregator's exported cross-call
+//     state are snapshotted into persistent member buffers.
 //   - A failed attempt with a transient code (UNAVAILABLE,
-//     DEADLINE_EXCEEDED, DATA_LOSS, INTERNAL) restores the snapshot, rolls
-//     the inner aggregator back, charges the backoff penalty
+//     DEADLINE_EXCEEDED, DATA_LOSS, INTERNAL) restores the snapshot,
+//     re-imports the inner aggregator's state, charges the backoff penalty
 //     (backoff_base_seconds * 2^(attempt-1)) to virtual comm time, bumps
 //     comm/retries, and re-runs with the same `iteration` — so stochastic
 //     codec tags replay and the retried exchange is bit-identical.
@@ -39,10 +39,6 @@ class RetryingAggregator : public GradientAggregator {
   StatusOr<CommStats> AllReduce(std::vector<MatrixSlot>* slots,
                                 int64_t iteration) override;
   int num_ranks() const override { return inner_->num_ranks(); }
-  void CheckpointExchangeState() override {
-    inner_->CheckpointExchangeState();
-  }
-  void RollbackExchangeState() override { inner_->RollbackExchangeState(); }
   void ExportExchangeState(
       std::vector<std::vector<float>>* state) const override {
     inner_->ExportExchangeState(state);
@@ -63,17 +59,19 @@ class RetryingAggregator : public GradientAggregator {
   // Folds the accumulated retry-phase spans (plus `penalty_seconds` of
   // virtual backoff time) into the global profiler and clears the scratch.
   void FoldPhases(double penalty_seconds);
-  // Copies every slot's rank_grads / rank_errors contents into the
-  // persistent snapshot buffers (capacity-reusing; steady-state calls
-  // allocate nothing once the buffers have grown to the model size).
-  void SnapshotSlots(const std::vector<MatrixSlot>& slots);
-  // Restores the slot contents from the last SnapshotSlots call.
-  void RestoreSlots(std::vector<MatrixSlot>* slots) const;
+  // Copies every slot's rank_grads / rank_errors contents and the inner
+  // aggregator's exported exchange state into the persistent snapshot
+  // buffers (capacity-reusing; steady-state calls allocate nothing once
+  // the buffers have grown to the model size).
+  void Snapshot(const std::vector<MatrixSlot>& slots);
+  // Restores the slot contents and re-imports the inner aggregator's
+  // exchange state from the last Snapshot call.
+  void Restore(std::vector<MatrixSlot>* slots);
   // Purity exemptions: the snapshot buffers grow once to the model size
-  // and are capacity-reused afterwards (the comment on SnapshotSlots is
-  // the contract); Restore only runs on the retry path after a failure.
-  LPSGD_HOT_CALLEE_OK(SnapshotSlots);
-  LPSGD_HOT_CALLEE_OK(RestoreSlots);
+  // and are capacity-reused afterwards (the comment on Snapshot is the
+  // contract); Restore only runs on the retry path after a failure.
+  LPSGD_HOT_CALLEE_OK(Snapshot);
+  LPSGD_HOT_CALLEE_OK(Restore);
 
   std::unique_ptr<GradientAggregator> inner_;
   ExchangeRetryOptions options_;
@@ -81,6 +79,8 @@ class RetryingAggregator : public GradientAggregator {
   // copies of the caller-owned buffers, reused across calls.
   std::vector<std::vector<float>> grad_snapshot_;
   std::vector<std::vector<float>> error_snapshot_;
+  // The inner aggregator's exported exchange state, reused across calls.
+  std::vector<std::vector<float>> exchange_state_;
   // Profiler scratch for the snapshot/restore copies (wall) and the
   // backoff penalty (virtual), folded into the open step per call.
   // AllReduce calls are serial, so one block suffices.

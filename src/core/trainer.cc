@@ -201,141 +201,52 @@ SyncTrainer::SyncTrainer(TrainerOptions options,
   slot_phases_.resize(static_cast<size_t>(options_.execution.threads()));
 }
 
-Status SyncTrainer::SaveCheckpoint(std::ostream& os) {
-  LPSGD_RETURN_IF_ERROR(replicas_[0].SaveParams(os));
-  // SaveParams checks its own writes, but a buffered sink can defer the
-  // actual I/O failure (full disk, closed pipe) until the flush.
-  os.flush();
-  if (os.fail() || os.bad()) {
-    return InternalError("checkpoint stream write failed at flush");
-  }
-  return OkStatus();
-}
-
-Status SyncTrainer::LoadCheckpoint(std::istream& is) {
-  LPSGD_RETURN_IF_ERROR(replicas_[0].LoadParams(is));
-  if (is.bad()) {
-    return DataLossError("checkpoint stream read failed");
-  }
-  for (size_t r = 1; r < replicas_.size(); ++r) {
-    replicas_[r].CopyParamsFrom(replicas_[0]);
-  }
-  // Restart the stateful parts: fresh momentum and residuals. The
-  // recovery snapshot describes pre-load state, so drop it too.
-  optimizers_.clear();
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    optimizers_.emplace_back(options_.learning_rate, options_.momentum);
-  }
-  for (auto& rank_errors : errors_) {
-    for (auto& residual : rank_errors) {
-      std::fill(residual.begin(), residual.end(), 0.0f);
-    }
-  }
-  recovery_.valid = false;
-  replay_.clear();
-  return OkStatus();
-}
-
 ckpt::TrainerState SyncTrainer::CaptureState() const {
-  return CaptureStateAt(/*loss_sum=*/0.0, /*correct=*/0, /*samples=*/0,
-                        /*cursor=*/0);
-}
-
-ckpt::TrainerState SyncTrainer::CaptureStateAt(double loss_sum,
-                                               int64_t correct,
-                                               int64_t samples,
-                                               int64_t cursor) const {
   ckpt::TrainerState state;
-  state.seed = options_.seed;
-  state.codec = options_.codec.Label();
-  state.rank_count = live_gpus_;
-  state.iteration = iteration_;
-  state.epochs_completed = epochs_completed_;
-  state.epoch_batch_cursor = cursor;
-  state.epoch_loss_sum = loss_sum;
-  state.epoch_correct = correct;
-  state.epoch_samples = samples;
-  state.virtual_seconds = virtual_seconds_;
-  for (const ParamRef& param : replica_params_[0]) {
-    ckpt::TensorEntry entry;
-    entry.name = param.name;
-    entry.dims = param.value->shape().dims();
-    entry.data.assign(param.value->data(),
-                      param.value->data() + param.value->size());
-    state.params.push_back(std::move(entry));
-  }
-  for (const Tensor& velocity : optimizers_[0].velocity()) {
-    ckpt::TensorEntry entry;
-    entry.dims = velocity.shape().dims();
-    entry.data.assign(velocity.data(), velocity.data() + velocity.size());
-    state.optimizer.push_back(std::move(entry));
-  }
-  state.residuals = errors_;
-  aggregator_->ExportExchangeState(&state.aggregator_state);
-  // The deterministic streams, recorded for provenance: everything the run
-  // draws is recomputable from these plus (iteration, matrix, rank)
-  // counters, which is why no generator cursor needs persisting.
-  state.rng_streams.push_back({"init", options_.seed});
-  state.rng_streams.push_back({"shuffle", options_.seed ^ 0xdadaULL});
+  CaptureStateAt(/*loss_sum=*/0.0, /*correct=*/0, /*samples=*/0,
+                 /*cursor=*/0, &state);
   return state;
 }
 
-Status SyncTrainer::ImportResiduals(
-    const std::vector<std::vector<std::vector<float>>>& residuals) {
-  if (residuals.empty()) {
-    // Checkpoint from a residual-free configuration: keep the fresh zeros.
-    return OkStatus();
+void SyncTrainer::CaptureStateAt(double loss_sum, int64_t correct,
+                                 int64_t samples, int64_t cursor,
+                                 ckpt::TrainerState* state) const {
+  state->seed = options_.seed;
+  state->codec = options_.codec.Label();
+  state->rank_count = live_gpus_;
+  state->iteration = iteration_;
+  state->epochs_completed = epochs_completed_;
+  state->epoch_batch_cursor = cursor;
+  state->epoch_loss_sum = loss_sum;
+  state->epoch_correct = correct;
+  state->epoch_samples = samples;
+  state->virtual_seconds = virtual_seconds_;
+  state->params.resize(replica_params_[0].size());
+  for (size_t m = 0; m < replica_params_[0].size(); ++m) {
+    const Tensor& value = *replica_params_[0][m].value;
+    ckpt::TensorEntry& entry = state->params[m];
+    entry.name = replica_params_[0][m].name;
+    entry.dims = value.shape().dims();
+    entry.data.assign(value.data(), value.data() + value.size());
   }
-  const int old_ranks = static_cast<int>(residuals.size());
-  const int new_ranks = live_gpus_;
-  const size_t num_matrices = errors_[0].size();
-  for (const auto& rank_residuals : residuals) {
-    if (rank_residuals.size() != num_matrices) {
-      return FailedPreconditionError(
-          StrCat("checkpoint has ", rank_residuals.size(),
-                 " residual matrices per rank, model has ", num_matrices));
-    }
+  const std::vector<Tensor>& velocity = optimizers_[0].velocity();
+  state->optimizer.resize(velocity.size());
+  for (size_t m = 0; m < velocity.size(); ++m) {
+    ckpt::TensorEntry& entry = state->optimizer[m];
+    entry.dims = velocity[m].shape().dims();
+    entry.data.assign(velocity[m].data(),
+                      velocity[m].data() + velocity[m].size());
   }
-  for (int r = 0; r < new_ranks; ++r) {
-    for (size_t m = 0; m < num_matrices; ++m) {
-      std::vector<float>& dst = errors_[static_cast<size_t>(r)][m];
-      const std::vector<float>& reference =
-          residuals[static_cast<size_t>(r % old_ranks)][m];
-      if (reference.size() != dst.size()) {
-        return FailedPreconditionError(StrCat(
-            "checkpoint residual for matrix ", m, " has ",
-            reference.size(), " elements, trainer expects ", dst.size(),
-            " (codec/primitive mismatch?)"));
-      }
-      if (dst.empty()) continue;
-      if (new_ranks == old_ranks) {
-        dst = residuals[static_cast<size_t>(r)][m];
-      } else if (new_ranks < old_ranks) {
-        // Shrink: fold the departing ranks' residuals onto the survivors
-        // (o % new_ranks == r), preserving the total residual mass.
-        std::fill(dst.begin(), dst.end(), 0.0f);
-        for (int o = r; o < old_ranks; o += new_ranks) {
-          const std::vector<float>& src = residuals[static_cast<size_t>(o)][m];
-          if (src.size() != dst.size()) {
-            return FailedPreconditionError(
-                StrCat("ragged checkpoint residuals for matrix ", m));
-          }
-          for (size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
-        }
-      } else {
-        // Grow: replicate old rank (r % old) onto the new rank, scaled by
-        // old/new so the summed residual mass is unchanged.
-        const float scale = static_cast<float>(old_ranks) /
-                            static_cast<float>(new_ranks);
-        dst = reference;
-        for (float& value : dst) value *= scale;
-      }
-    }
-  }
-  return OkStatus();
+  state->residuals = errors_;
+  aggregator_->ExportExchangeState(&state->aggregator_state);
+  // The deterministic streams, recorded for provenance: everything the run
+  // draws is recomputable from these plus (iteration, matrix, rank)
+  // counters, which is why no generator cursor needs persisting.
+  state->rng_streams = {{"init", options_.seed},
+                        {"shuffle", options_.seed ^ 0xdadaULL}};
 }
 
-Status SyncTrainer::ApplyState(const ckpt::TrainerState& state) {
+Status SyncTrainer::ValidateState(const ckpt::TrainerState& state) const {
   if (state.seed != options_.seed) {
     return FailedPreconditionError(
         StrCat("checkpoint seed ", state.seed, " does not match run seed ",
@@ -351,50 +262,66 @@ Status SyncTrainer::ApplyState(const ckpt::TrainerState& state) {
     return FailedPreconditionError("checkpoint has no ranks");
   }
   // Parameters: names and shapes must line up exactly.
-  if (state.params.size() != replica_params_[0].size()) {
+  const std::vector<ParamRef>& params = replica_params_[0];
+  if (state.params.size() != params.size()) {
     return FailedPreconditionError(
         StrCat("checkpoint has ", state.params.size(),
-               " parameter matrices, model has ",
-               replica_params_[0].size()));
+               " parameter matrices, model has ", params.size()));
   }
-  for (size_t m = 0; m < state.params.size(); ++m) {
+  for (size_t m = 0; m < params.size(); ++m) {
     const ckpt::TensorEntry& entry = state.params[m];
-    const ParamRef& param = replica_params_[0][m];
-    if (entry.name != param.name) {
+    if (entry.name != params[m].name) {
       return FailedPreconditionError(
           StrCat("checkpoint param \"", entry.name,
-                 "\" does not match model param \"", param.name, "\""));
+                 "\" does not match model param \"", params[m].name, "\""));
     }
-    if (entry.dims != param.value->shape().dims() ||
-        static_cast<int64_t>(entry.data.size()) != param.value->size()) {
+    if (entry.dims != params[m].value->shape().dims() ||
+        static_cast<int64_t>(entry.data.size()) != params[m].value->size()) {
       return FailedPreconditionError(
           StrCat("checkpoint param \"", entry.name, "\" shape mismatch"));
     }
   }
   // Optimizer momentum: either absent (pre-first-step checkpoint) or one
   // tensor per parameter.
-  std::vector<Tensor> velocity;
-  if (!state.optimizer.empty()) {
-    if (state.optimizer.size() != state.params.size()) {
+  if (!state.optimizer.empty() &&
+      state.optimizer.size() != state.params.size()) {
+    return FailedPreconditionError(
+        StrCat("checkpoint has ", state.optimizer.size(),
+               " momentum tensors for ", state.params.size(), " parameters"));
+  }
+  for (size_t m = 0; m < state.optimizer.size(); ++m) {
+    const ckpt::TensorEntry& entry = state.optimizer[m];
+    if (static_cast<int64_t>(entry.data.size()) !=
+            Shape(entry.dims).element_count() ||
+        entry.data.size() != state.params[m].data.size()) {
       return FailedPreconditionError(
-          StrCat("checkpoint has ", state.optimizer.size(),
-                 " momentum tensors for ", state.params.size(),
-                 " parameters"));
-    }
-    velocity.reserve(state.optimizer.size());
-    for (size_t m = 0; m < state.optimizer.size(); ++m) {
-      const ckpt::TensorEntry& entry = state.optimizer[m];
-      Tensor tensor{Shape(entry.dims)};
-      if (static_cast<int64_t>(entry.data.size()) != tensor.size() ||
-          tensor.size() != replica_params_[0][m].value->size()) {
-        return FailedPreconditionError(
-            StrCat("checkpoint momentum tensor ", m, " shape mismatch"));
-      }
-      std::copy(entry.data.begin(), entry.data.end(), tensor.data());
-      velocity.push_back(std::move(tensor));
+          StrCat("checkpoint momentum tensor ", m, " shape mismatch"));
     }
   }
-  // All validation passed: start mutating.
+  // Residuals: absent (residual-free configuration) or, for every old
+  // rank, one residual per matrix sized like this trainer's (every rank's
+  // residuals have the same sizes, so each old rank is checked against
+  // rank 0's).
+  for (const auto& rank_residuals : state.residuals) {
+    if (rank_residuals.size() != errors_[0].size()) {
+      return FailedPreconditionError(
+          StrCat("checkpoint has ", rank_residuals.size(),
+                 " residual matrices per rank, model has ",
+                 errors_[0].size()));
+    }
+    for (size_t m = 0; m < rank_residuals.size(); ++m) {
+      if (rank_residuals[m].size() != errors_[0][m].size()) {
+        return FailedPreconditionError(StrCat(
+            "checkpoint residual for matrix ", m, " has ",
+            rank_residuals[m].size(), " elements, trainer expects ",
+            errors_[0][m].size(), " (codec/primitive mismatch?)"));
+      }
+    }
+  }
+  return OkStatus();
+}
+
+void SyncTrainer::InstallState(const ckpt::TrainerState& state) {
   for (size_t m = 0; m < state.params.size(); ++m) {
     std::copy(state.params[m].data.begin(), state.params[m].data.end(),
               replica_params_[0][m].value->data());
@@ -402,7 +329,56 @@ Status SyncTrainer::ApplyState(const ckpt::TrainerState& state) {
   for (size_t r = 1; r < replicas_.size(); ++r) {
     replicas_[r].CopyParamsFrom(replicas_[0]);
   }
+  std::vector<Tensor> velocity;
+  velocity.reserve(state.optimizer.size());
+  for (const ckpt::TensorEntry& entry : state.optimizer) {
+    Tensor tensor{Shape(entry.dims)};
+    std::copy(entry.data.begin(), entry.data.end(), tensor.data());
+    velocity.push_back(std::move(tensor));
+  }
   for (auto& optimizer : optimizers_) optimizer.set_velocity(velocity);
+  // Residuals, remapped elastically (see Restore()); an empty section
+  // keeps the current ones.
+  const int old_ranks = static_cast<int>(state.residuals.size());
+  const int new_ranks = live_gpus_;
+  for (int r = 0; r < new_ranks && old_ranks > 0; ++r) {
+    for (size_t m = 0; m < errors_[0].size(); ++m) {
+      std::vector<float>& dst = errors_[static_cast<size_t>(r)][m];
+      if (dst.empty()) continue;
+      if (new_ranks == old_ranks) {
+        dst = state.residuals[static_cast<size_t>(r)][m];
+      } else if (new_ranks < old_ranks) {
+        // Shrink: fold the departing ranks' residuals onto the survivors
+        // (o % new_ranks == r), preserving the total residual mass.
+        std::fill(dst.begin(), dst.end(), 0.0f);
+        for (int o = r; o < old_ranks; o += new_ranks) {
+          const std::vector<float>& src =
+              state.residuals[static_cast<size_t>(o)][m];
+          for (size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
+        }
+      } else {
+        // Grow: replicate old rank (r % old) onto the new rank, scaled by
+        // old/new so the summed residual mass is unchanged.
+        const float scale = static_cast<float>(old_ranks) /
+                            static_cast<float>(new_ranks);
+        dst = state.residuals[static_cast<size_t>(r % old_ranks)][m];
+        for (float& value : dst) value *= scale;
+      }
+    }
+  }
+  iteration_ = state.iteration;
+}
+
+Status SyncTrainer::ApplyState(const ckpt::TrainerState& state) {
+  LPSGD_RETURN_IF_ERROR(ValidateState(state));
+  // The aggregator import is the one install step that can still fail (a
+  // stateless engine refuses owner residuals); it runs first and changes
+  // nothing when it does.
+  LPSGD_RETURN_IF_ERROR(
+      aggregator_->ImportExchangeState(state.aggregator_state));
+  InstallState(state);
+  virtual_seconds_ = state.virtual_seconds;
+  epochs_completed_ = state.epochs_completed;
   // Re-derive the effective learning rate for the resume position: the
   // optimizers are fresh, so schedule entries from earlier epochs must be
   // re-applied (Train() only applies the entry for the epoch it starts).
@@ -411,19 +387,13 @@ Status SyncTrainer::ApplyState(const ckpt::TrainerState& state) {
     if (at_epoch <= state.epochs_completed) lr = scheduled;
   }
   for (auto& optimizer : optimizers_) optimizer.set_learning_rate(lr);
-  LPSGD_RETURN_IF_ERROR(ImportResiduals(state.residuals));
-  LPSGD_RETURN_IF_ERROR(
-      aggregator_->ImportExchangeState(state.aggregator_state));
-  iteration_ = state.iteration;
-  epochs_completed_ = state.epochs_completed;
-  virtual_seconds_ = state.virtual_seconds;
   pending_resume_ =
       state.epoch_batch_cursor > 0 || state.epoch_samples > 0;
   resume_cursor_ = state.epoch_batch_cursor;
   resume_loss_sum_ = state.epoch_loss_sum;
   resume_correct_ = state.epoch_correct;
   resume_samples_ = state.epoch_samples;
-  recovery_.valid = false;
+  recovery_valid_ = false;
   replay_.clear();
   steps_since_snapshot_ = 0;
   recoveries_used_ = 0;
@@ -443,8 +413,9 @@ Status SyncTrainer::AfterCommit(double loss_sum, int64_t correct,
   if (ckpt_manager_ != nullptr) {
     const int every = options_.durable_checkpoint.save_every;
     if (every > 0 && iteration_ % every == 0) {
-      LPSGD_RETURN_IF_ERROR(ckpt_manager_->Save(
-          CaptureStateAt(loss_sum, correct, samples, cursor)));
+      ckpt::TrainerState state;
+      CaptureStateAt(loss_sum, correct, samples, cursor, &state);
+      LPSGD_RETURN_IF_ERROR(ckpt_manager_->Save(state));
     }
   }
   // kill@ fires after the durable save above, so the chaos harness can
@@ -655,7 +626,7 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
     }
     // The snapshot holds epoch-local accumulators, so it cannot outlive
     // the epoch that took it.
-    recovery_.valid = false;
+    recovery_valid_ = false;
     replay_.clear();
     steps_since_snapshot_ = 0;
     const int checkpoint_every = options_.fault_tolerance.checkpoint_every;
@@ -665,8 +636,10 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
       if (batch.size() < live_gpus_) continue;  // skip tiny remainder
       TrimBatch(&batch);  // shards stay equal across live ranks
       if (checkpoint_every > 0 &&
-          (!recovery_.valid || steps_since_snapshot_ >= checkpoint_every)) {
-        TakeRecoverySnapshot(loss_sum, correct, samples);
+          (!recovery_valid_ || steps_since_snapshot_ >= checkpoint_every)) {
+        // Taken before the current batch trains, so its cursor excludes it.
+        CaptureStateAt(loss_sum, correct, samples, cursor - 1, &recovery_);
+        recovery_valid_ = true;
         replay_.clear();
         steps_since_snapshot_ = 0;
       }
@@ -730,40 +703,6 @@ void SyncTrainer::TrimBatch(Batch* batch) const {
   batch->inputs = std::move(trimmed);
 }
 
-void SyncTrainer::TakeRecoverySnapshot(double loss_sum, int64_t correct,
-                                       int64_t samples) {
-  recovery_.valid = true;
-  recovery_.iteration = iteration_;
-  recovery_.loss_sum = loss_sum;
-  recovery_.correct = correct;
-  recovery_.samples = samples;
-  recovery_.params.clear();
-  for (const ParamRef& param : replica_params_[0]) {
-    recovery_.params.push_back(*param.value);
-  }
-  recovery_.velocity = optimizers_[0].velocity();
-  recovery_.errors = errors_;
-}
-
-void SyncTrainer::RestoreRecoverySnapshot(double* loss_sum, int64_t* correct,
-                                          int64_t* samples) {
-  CHECK(recovery_.valid);
-  iteration_ = recovery_.iteration;
-  *loss_sum = recovery_.loss_sum;
-  *correct = recovery_.correct;
-  *samples = recovery_.samples;
-  CHECK_EQ(recovery_.params.size(), replica_params_[0].size());
-  for (size_t r = 0; r < replica_params_.size(); ++r) {
-    for (size_t m = 0; m < recovery_.params.size(); ++m) {
-      *replica_params_[r][m].value = recovery_.params[m];
-    }
-  }
-  for (auto& optimizer : optimizers_) {
-    optimizer.set_velocity(recovery_.velocity);
-  }
-  errors_ = recovery_.errors;
-}
-
 Status SyncTrainer::DropRank(int rank) {
   if (rank < 0 || rank >= live_gpus_) {
     return InternalError(
@@ -774,9 +713,10 @@ Status SyncTrainer::DropRank(int rank) {
   replicas_.erase(replicas_.begin() + static_cast<std::ptrdiff_t>(r));
   optimizers_.erase(optimizers_.begin() + static_cast<std::ptrdiff_t>(r));
   errors_.erase(errors_.begin() + static_cast<std::ptrdiff_t>(r));
-  if (recovery_.valid && r < recovery_.errors.size()) {
-    recovery_.errors.erase(recovery_.errors.begin() +
-                           static_cast<std::ptrdiff_t>(r));
+  if (recovery_valid_) {
+    recovery_.residuals.erase(recovery_.residuals.begin() +
+                              static_cast<std::ptrdiff_t>(r));
+    --recovery_.rank_count;
   }
   --live_gpus_;
   replica_params_.clear();
@@ -822,14 +762,22 @@ Status SyncTrainer::Recover(const Status& failure, const Batch& batch,
         return status;
       }
       LPSGD_RETURN_IF_ERROR(DropRank(crashed_rank));
-    } else if (!recovery_.valid) {
+    } else if (!recovery_valid_) {
       // A non-crash failure that survived the retry layer, and nothing to
       // roll back to: surface it.
       return status;
     }
 
-    if (recovery_.valid) {
-      RestoreRecoverySnapshot(loss_sum, correct, samples);
+    if (recovery_valid_) {
+      // Rollback rewinds what InstallState covers plus the epoch
+      // accumulators. It deliberately leaves the virtual clock, the comm
+      // totals and the aggregator's owner residuals as they are (DESIGN.md
+      // "Fault model and recovery").
+      LPSGD_RETURN_IF_ERROR(ValidateState(recovery_));
+      InstallState(recovery_);
+      *loss_sum = recovery_.epoch_loss_sum;
+      *correct = recovery_.epoch_correct;
+      *samples = recovery_.epoch_samples;
       if (obs::MetricsEnabled()) obs::Count("trainer/rollbacks");
       if (obs::ReportEnabled()) {
         obs::JsonValue fields = obs::JsonValue::Object();

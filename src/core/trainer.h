@@ -3,7 +3,6 @@
 #define LPSGD_CORE_TRAINER_H_
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -140,15 +139,6 @@ class SyncTrainer {
   // Replica `rank`'s network (e.g. for invariant checks).
   Network& replica(int rank);
 
-  // Stream checkpointing: saves replica 0's parameters (all replicas are
-  // identical) / restores them into every replica. Optimizer momentum and
-  // error-feedback residuals restart from zero, like CNTK's 1-bit
-  // checkpoint-restart. Both calls verify the stream itself: a full disk,
-  // a truncated file, or any failbit/badbit condition yields a non-OK
-  // Status instead of a silent partial checkpoint.
-  [[nodiscard]] Status SaveCheckpoint(std::ostream& os);
-  [[nodiscard]] Status LoadCheckpoint(std::istream& is);
-
   // Full durable-trainer state at the current commit point (epoch-boundary
   // view: the epoch-local accumulators are zero). What the durable
   // checkpoint cadence writes mid-epoch additionally carries the batch
@@ -188,29 +178,11 @@ class SyncTrainer {
   Status TrainIteration(const Batch& batch, double* loss_sum,
                         int64_t* correct);
 
-  // In-memory state needed to roll the epoch back to a committed step:
-  // model parameters (one copy; replicas are identical), optimizer
-  // momentum (identical across ranks), per-rank error-feedback residuals,
-  // and the epoch-local progress counters.
-  struct RecoverySnapshot {
-    bool valid = false;
-    int64_t iteration = 0;
-    std::vector<Tensor> params;    // replica 0's parameter values [matrix]
-    std::vector<Tensor> velocity;  // optimizer 0's momentum state
-    std::vector<std::vector<std::vector<float>>> errors;  // [rank][matrix]
-    double loss_sum = 0.0;
-    int64_t correct = 0;
-    int64_t samples = 0;
-  };
-
   // Cuts `batch` down to a multiple of live_gpus_ so shards stay equal.
   void TrimBatch(Batch* batch) const;
-  void TakeRecoverySnapshot(double loss_sum, int64_t correct,
-                            int64_t samples);
-  void RestoreRecoverySnapshot(double* loss_sum, int64_t* correct,
-                               int64_t* samples);
-  // Removes a crashed rank and rebuilds the aggregator over the survivors
-  // (with the crash stripped from the active fault plan).
+  // Removes a crashed rank (and its residuals in the rollback snapshot)
+  // and rebuilds the aggregator over the survivors (with the crash
+  // stripped from the active fault plan).
   Status DropRank(int rank);
   // Drives recovery after TrainIteration failed with `failure` on `batch`:
   // degrade-to-survivors for rank crashes, rollback-and-replay from the
@@ -223,17 +195,26 @@ class SyncTrainer {
   // auto-wrapping the storage in a FaultInjectingStorage when the fault
   // plan carries storage verbs.
   Status SetUpDurableCheckpoint();
-  // Snapshot of the full trainer state including the in-flight epoch
-  // accumulators (`cursor` = NextBatch calls consumed this epoch).
-  ckpt::TrainerState CaptureStateAt(double loss_sum, int64_t correct,
-                                    int64_t samples, int64_t cursor) const;
-  // Installs a decoded checkpoint into this trainer (params, momentum,
-  // residuals with elastic remap, aggregator state, counters, resume
-  // cursor). Fails without side effects on any shape/seed/codec mismatch.
+  // Fills `state` in place (reusing its capacity) with the full trainer
+  // state including the in-flight epoch accumulators (`cursor` =
+  // NextBatch calls consumed this epoch).
+  void CaptureStateAt(double loss_sum, int64_t correct, int64_t samples,
+                      int64_t cursor, ckpt::TrainerState* state) const;
+  // Checks `state` against this trainer without writing anything: seed,
+  // codec, rank count, parameter names and shapes, momentum and per-rank
+  // residual sizes.
+  Status ValidateState(const ckpt::TrainerState& state) const;
+  // Installs a validated state's parameters (into every replica),
+  // momentum (into every optimizer), per-rank residuals (with the elastic
+  // remap described on Restore()) and iteration counter. Shared by
+  // rollback and ApplyState.
+  void InstallState(const ckpt::TrainerState& state);
+  // Restores a decoded checkpoint: InstallState plus the aggregator
+  // section, the virtual clock, the epoch count, the learning rate for
+  // that epoch and the mid-epoch resume markers. Fails without side
+  // effects on any shape/seed/codec mismatch or an aggregator section the
+  // engine refuses.
   Status ApplyState(const ckpt::TrainerState& state);
-  // Elastic residual remap described on Restore().
-  Status ImportResiduals(
-      const std::vector<std::vector<std::vector<float>>>& residuals);
   // Post-commit hooks inside the epoch loop: durable save when the
   // cadence hits, then the fault plan's kill@ verb (so the checkpoint at
   // the kill iteration, if any, is already on disk when the process
@@ -284,7 +265,11 @@ class SyncTrainer {
   double resume_loss_sum_ = 0.0;
   int64_t resume_correct_ = 0;
   int64_t resume_samples_ = 0;
-  RecoverySnapshot recovery_;
+  // Rollback snapshot, refilled every checkpoint_every committed steps;
+  // valid only within the epoch that took it (it holds the epoch's
+  // accumulators).
+  ckpt::TrainerState recovery_;
+  bool recovery_valid_ = false;
   // Batches committed since the last snapshot, replayed after a rollback.
   std::vector<Batch> replay_;
   int steps_since_snapshot_ = 0;

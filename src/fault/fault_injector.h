@@ -61,10 +61,6 @@ class FaultInjectingAggregator : public GradientAggregator {
   StatusOr<CommStats> AllReduce(std::vector<MatrixSlot>* slots,
                                 int64_t iteration) override;
   int num_ranks() const override { return inner_->num_ranks(); }
-  void CheckpointExchangeState() override {
-    inner_->CheckpointExchangeState();
-  }
-  void RollbackExchangeState() override { inner_->RollbackExchangeState(); }
   void ExportExchangeState(
       std::vector<std::vector<float>>* state) const override {
     inner_->ExportExchangeState(state);

@@ -1,12 +1,7 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "nn/network.h"
 
-#include <algorithm>
-#include <istream>
-#include <ostream>
-
 #include "base/logging.h"
-#include "base/strings.h"
 
 namespace lpsgd {
 
@@ -62,101 +57,6 @@ void Network::CopyParamsFrom(Network& other) {
         << mine[i].name;
     *mine[i].value = *theirs[i].value;
   }
-}
-
-namespace {
-
-// Checkpoint format: magic, version, parameter count, then per parameter:
-// name (u32 length + bytes), rank (u32) + dims (i64 each), fp32 data.
-constexpr uint32_t kCheckpointMagic = 0x4c505347;  // "LPSG"
-constexpr uint32_t kCheckpointVersion = 1;
-
-template <typename T>
-void WritePod(std::ostream& os, const T& value) {
-  os.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& is, T* value) {
-  is.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(is);
-}
-
-}  // namespace
-
-Status Network::SaveParams(std::ostream& os) {
-  const std::vector<ParamRef> params = Params();
-  WritePod(os, kCheckpointMagic);
-  WritePod(os, kCheckpointVersion);
-  WritePod(os, static_cast<uint32_t>(params.size()));
-  for (const ParamRef& param : params) {
-    WritePod(os, static_cast<uint32_t>(param.name.size()));
-    os.write(param.name.data(),
-             static_cast<std::streamsize>(param.name.size()));
-    const Shape& shape = param.value->shape();
-    WritePod(os, static_cast<uint32_t>(shape.ndim()));
-    for (int64_t d : shape.dims()) WritePod(os, d);
-    os.write(reinterpret_cast<const char*>(param.value->data()),
-             static_cast<std::streamsize>(param.value->size() *
-                                          sizeof(float)));
-  }
-  if (!os) return InternalError("checkpoint write failed");
-  return OkStatus();
-}
-
-Status Network::LoadParams(std::istream& is) {
-  uint32_t magic = 0, version = 0, count = 0;
-  if (!ReadPod(is, &magic) || magic != kCheckpointMagic) {
-    return InvalidArgumentError("not an LPSGD checkpoint");
-  }
-  if (!ReadPod(is, &version) || version != kCheckpointVersion) {
-    return InvalidArgumentError(StrCat("unsupported checkpoint version"));
-  }
-  const std::vector<ParamRef> params = Params();
-  if (!ReadPod(is, &count) || count != params.size()) {
-    return InvalidArgumentError(
-        StrCat("checkpoint has ", count, " parameters, network has ",
-               params.size()));
-  }
-
-  // Parse everything into staging buffers first so a mismatch midway
-  // leaves the network untouched.
-  std::vector<std::vector<float>> staged(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    uint32_t name_len = 0;
-    if (!ReadPod(is, &name_len) || name_len > 4096) {
-      return InvalidArgumentError("corrupt checkpoint (name length)");
-    }
-    std::string name(name_len, '\0');
-    is.read(name.data(), name_len);
-    if (!is || name != params[i].name) {
-      return InvalidArgumentError(
-          StrCat("checkpoint parameter '", name, "' does not match '",
-                 params[i].name, "'"));
-    }
-    uint32_t rank = 0;
-    if (!ReadPod(is, &rank) || rank > 16) {
-      return InvalidArgumentError("corrupt checkpoint (rank)");
-    }
-    std::vector<int64_t> dims(rank);
-    for (auto& d : dims) {
-      if (!ReadPod(is, &d)) {
-        return InvalidArgumentError("corrupt checkpoint (dims)");
-      }
-    }
-    if (Shape(dims) != params[i].value->shape()) {
-      return InvalidArgumentError(
-          StrCat("shape mismatch for '", name, "'"));
-    }
-    staged[i].resize(static_cast<size_t>(params[i].value->size()));
-    is.read(reinterpret_cast<char*>(staged[i].data()),
-            static_cast<std::streamsize>(staged[i].size() * sizeof(float)));
-    if (!is) return InvalidArgumentError("corrupt checkpoint (data)");
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    std::copy(staged[i].begin(), staged[i].end(), params[i].value->data());
-  }
-  return OkStatus();
 }
 
 ResidualBlock::ResidualBlock(std::string name,

@@ -2,12 +2,10 @@
 #ifndef LPSGD_NN_NETWORK_H_
 #define LPSGD_NN_NETWORK_H_
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "base/status.h"
 #include "nn/layer.h"
 
 namespace lpsgd {
@@ -49,13 +47,6 @@ class Network {
   // Copies all parameter values from `other` (architectures must match;
   // used to give every data-parallel replica identical initial weights).
   void CopyParamsFrom(Network& other);
-
-  // Checkpointing: writes all parameter values (names, shapes, data) in a
-  // self-describing binary format, and reads them back into a network of
-  // the same architecture. LoadParams verifies names and shapes and fails
-  // without modifying any parameter on mismatch.
-  Status SaveParams(std::ostream& os);
-  Status LoadParams(std::istream& is);
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

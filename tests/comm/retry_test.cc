@@ -25,9 +25,9 @@ namespace {
 // A scripted engine: call i fails (scribbling over the caller's buffers
 // first, like a half-finished exchange) while i < fail_attempts; later
 // calls "aggregate" by doubling every gradient element and report a
-// scripted duration. Internal cross-call state (state_) advances on every
-// attempt and honors the checkpoint/rollback hooks, so the wrapper's
-// rollback discipline is observable.
+// scripted duration. Internal cross-call state (state) advances on every
+// attempt and round-trips through the exchange-state hooks, so the
+// wrapper's restore discipline is observable.
 class FlakyAggregator : public GradientAggregator {
  public:
   explicit FlakyAggregator(int num_ranks) : num_ranks_(num_ranks) {}
@@ -40,23 +40,25 @@ class FlakyAggregator : public GradientAggregator {
   std::vector<double> durations;  // comm_seconds per successful call
 
   int calls = 0;
-  int checkpoints = 0;
-  int rollbacks = 0;
+  int imports = 0;
   int state = 0;
 
-  void CheckpointExchangeState() override {
-    ++checkpoints;
-    state_checkpoint_ = state;
+  void ExportExchangeState(
+      std::vector<std::vector<float>>* exported) const override {
+    *exported = {{static_cast<float>(state)}};
   }
-  void RollbackExchangeState() override {
-    ++rollbacks;
-    state = state_checkpoint_;
+  [[nodiscard]] Status ImportExchangeState(
+      const std::vector<std::vector<float>>& imported) override {
+    ++imports;
+    state = static_cast<int>(imported.at(0).at(0));
+    return OkStatus();
   }
 
   StatusOr<CommStats> AllReduce(std::vector<MatrixSlot>* slots,
                                 int64_t iteration) override {
     (void)iteration;
     const int call = calls++;
+    const int state_at_entry = state;
     ++state;
     if (call < fail_attempts) {
       // Half-finished exchange: scribble over the caller's buffers, then
@@ -70,7 +72,7 @@ class FlakyAggregator : public GradientAggregator {
           if (error != nullptr) error->assign(error->size(), -888.0f);
         }
       }
-      state = state_checkpoint_;
+      state = state_at_entry;
       switch (fail_code) {
         case StatusCode::kAborted:
           return AbortedError("rank 1 crashed");
@@ -98,7 +100,6 @@ class FlakyAggregator : public GradientAggregator {
 
  private:
   int num_ranks_;
-  int state_checkpoint_ = 0;
 };
 
 struct SlotFixture {
@@ -258,8 +259,10 @@ TEST(RetryingAggregatorTest, OverDeadlineSuccessIsDiscardedAndRetried) {
   auto stats = (*retrying)->AllReduce(&fixture.slots, 0);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(flaky->calls, 2);
-  EXPECT_GE(flaky->rollbacks, 1)
-      << "discarding a slow success must roll the inner engine back";
+  EXPECT_GE(flaky->imports, 1)
+      << "discarding a slow success must restore the inner engine's state";
+  EXPECT_EQ(flaky->state, 1)
+      << "inner state not restored after the deadline discard";
   EXPECT_EQ(fixture.grads, expected.grads)
       << "slow first exchange leaked into the accepted result";
   // The discarded attempt's 10s and the backoff are charged as penalty on

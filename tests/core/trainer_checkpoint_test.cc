@@ -1,8 +1,10 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
-#include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/format.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
@@ -37,6 +39,14 @@ TrainerOptions Options(CodecSpec codec) {
   return options;
 }
 
+// Captures `trainer`'s state and round-trips it through the LPCK bytes,
+// the path a durable checkpoint takes to disk and back.
+ckpt::TrainerState SaveAndLoad(const SyncTrainer& trainer) {
+  auto state = ckpt::Deserialize(ckpt::Serialize(trainer.CaptureState()));
+  EXPECT_TRUE(state.ok()) << state.status();
+  return state.ok() ? *std::move(state) : ckpt::TrainerState{};
+}
+
 TEST(TrainerCheckpointTest, RestoreReproducesEvaluation) {
   const auto train = Data(128);
   const auto test = Data(64, 1 << 20);
@@ -46,12 +56,9 @@ TEST(TrainerCheckpointTest, RestoreReproducesEvaluation) {
   ASSERT_TRUE((*source)->Train(train, test, 3).ok());
   const EvalResult source_eval = (*source)->Evaluate(test);
 
-  std::stringstream checkpoint;
-  ASSERT_TRUE((*source)->SaveCheckpoint(checkpoint).ok());
-
-  auto restored = SyncTrainer::Create(Factory(), Options(QsgdSpec(4)));
-  ASSERT_TRUE(restored.ok());
-  ASSERT_TRUE((*restored)->LoadCheckpoint(checkpoint).ok());
+  auto restored = SyncTrainer::Restore(Factory(), Options(QsgdSpec(4)),
+                                       SaveAndLoad(**source));
+  ASSERT_TRUE(restored.ok()) << restored.status();
   const EvalResult restored_eval = (*restored)->Evaluate(test);
   EXPECT_EQ(restored_eval.correct, source_eval.correct);
   EXPECT_DOUBLE_EQ(restored_eval.loss_sum, source_eval.loss_sum);
@@ -60,22 +67,22 @@ TEST(TrainerCheckpointTest, RestoreReproducesEvaluation) {
 TEST(TrainerCheckpointTest, AllReplicasRestored) {
   const auto train = Data(128);
   const auto test = Data(64, 1 << 20);
-  auto source = SyncTrainer::Create(Factory(), Options(FullPrecisionSpec()));
+  const CodecSpec codec = OneBitSgdReshapedSpec(16);
+  auto source = SyncTrainer::Create(Factory(), Options(codec));
   ASSERT_TRUE(source.ok());
   ASSERT_TRUE((*source)->Train(train, test, 2).ok());
-  std::stringstream checkpoint;
-  ASSERT_TRUE((*source)->SaveCheckpoint(checkpoint).ok());
 
   auto restored =
-      SyncTrainer::Create(Factory(), Options(OneBitSgdReshapedSpec(16)));
-  ASSERT_TRUE(restored.ok());
-  ASSERT_TRUE((*restored)->LoadCheckpoint(checkpoint).ok());
-  auto params0 = (*restored)->replica(0).Params();
-  for (int r = 1; r < 4; ++r) {
+      SyncTrainer::Restore(Factory(), Options(codec), SaveAndLoad(**source));
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  auto expected = (*source)->replica(0).Params();
+  for (int r = 0; r < 4; ++r) {
     auto params = (*restored)->replica(r).Params();
+    ASSERT_EQ(params.size(), expected.size());
     for (size_t m = 0; m < params.size(); ++m) {
       for (int64_t i = 0; i < params[m].value->size(); ++i) {
-        ASSERT_EQ(params[m].value->at(i), params0[m].value->at(i));
+        ASSERT_EQ(params[m].value->at(i), expected[m].value->at(i))
+            << "replica " << r << " " << params[m].name << "[" << i << "]";
       }
     }
   }
@@ -88,12 +95,10 @@ TEST(TrainerCheckpointTest, TrainingContinuesAfterRestore) {
   ASSERT_TRUE(trainer.ok());
   auto first = (*trainer)->Train(train, test, 4);
   ASSERT_TRUE(first.ok());
-  std::stringstream checkpoint;
-  ASSERT_TRUE((*trainer)->SaveCheckpoint(checkpoint).ok());
 
-  auto resumed = SyncTrainer::Create(Factory(), Options(QsgdSpec(8)));
-  ASSERT_TRUE(resumed.ok());
-  ASSERT_TRUE((*resumed)->LoadCheckpoint(checkpoint).ok());
+  auto resumed = SyncTrainer::Restore(Factory(), Options(QsgdSpec(8)),
+                                      SaveAndLoad(**trainer));
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
   auto more = (*resumed)->Train(train, test, 3);
   ASSERT_TRUE(more.ok());
   // Restored training should keep (or improve on) the checkpointed loss,
@@ -104,27 +109,21 @@ TEST(TrainerCheckpointTest, TrainingContinuesAfterRestore) {
 TEST(TrainerCheckpointTest, RejectsMismatchedArchitecture) {
   auto source = SyncTrainer::Create(Factory(), Options(FullPrecisionSpec()));
   ASSERT_TRUE(source.ok());
-  std::stringstream checkpoint;
-  ASSERT_TRUE((*source)->SaveCheckpoint(checkpoint).ok());
 
-  auto other = SyncTrainer::Create(
+  auto other = SyncTrainer::Restore(
       [](uint64_t seed) { return BuildMlp({16, 8, 4}, seed); },
-      Options(FullPrecisionSpec()));
-  ASSERT_TRUE(other.ok());
-  EXPECT_FALSE((*other)->LoadCheckpoint(checkpoint).ok());
+      Options(FullPrecisionSpec()), SaveAndLoad(**source));
+  ASSERT_FALSE(other.ok());
+  EXPECT_EQ(other.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// Regression (ISSUE: durable checkpointing, hardened stream I/O): a
-// checkpoint truncated anywhere — header, tensor payload, or the final
-// bytes — must fail LoadCheckpoint with a non-OK status, never load a
-// half-restored model. Exercises the short-read detection on the stream
-// path.
+// A checkpoint truncated anywhere — header, tensor payload, or the final
+// bytes — is DATA_LOSS, never a half-restored model. (A sink that fails
+// mid-save is covered by CheckpointManagerTest.EnospcBeyondBudgetFailsTheSave.)
 TEST(TrainerCheckpointTest, TruncatedCheckpointIsRejected) {
   auto source = SyncTrainer::Create(Factory(), Options(FullPrecisionSpec()));
   ASSERT_TRUE(source.ok());
-  std::stringstream checkpoint;
-  ASSERT_TRUE((*source)->SaveCheckpoint(checkpoint).ok());
-  const std::string bytes = checkpoint.str();
+  const std::string bytes = ckpt::Serialize((*source)->CaptureState());
   ASSERT_FALSE(bytes.empty());
 
   // A spread of strict prefixes, including the pathological 0- and 1-byte
@@ -132,23 +131,11 @@ TEST(TrainerCheckpointTest, TruncatedCheckpointIsRejected) {
   const size_t cuts[] = {0, 1, 4, bytes.size() / 2, bytes.size() - 1};
   for (const size_t cut : cuts) {
     SCOPED_TRACE(cut);
-    auto fresh = SyncTrainer::Create(Factory(), Options(FullPrecisionSpec()));
-    ASSERT_TRUE(fresh.ok());
-    std::stringstream truncated(bytes.substr(0, cut));
-    const Status loaded = (*fresh)->LoadCheckpoint(truncated);
-    EXPECT_FALSE(loaded.ok())
+    const auto loaded = ckpt::Deserialize(bytes.substr(0, cut));
+    ASSERT_FALSE(loaded.ok())
         << "a truncated checkpoint (cut at " << cut << ") must not load";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   }
-}
-
-// A stream that enters the failed state mid-write surfaces as a non-OK
-// SaveCheckpoint, not a silently short checkpoint.
-TEST(TrainerCheckpointTest, FailedStreamFailsSave) {
-  auto source = SyncTrainer::Create(Factory(), Options(FullPrecisionSpec()));
-  ASSERT_TRUE(source.ok());
-  std::stringstream sink;
-  sink.setstate(std::ios::badbit);
-  EXPECT_FALSE((*source)->SaveCheckpoint(sink).ok());
 }
 
 // Trainer epochs are resumable even without checkpoints: Train() twice is

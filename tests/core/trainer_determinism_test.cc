@@ -6,7 +6,6 @@
 // every floating-point reduction order is fixed by the call sites, and all
 // randomness flows from counter-based tags.
 #include <cctype>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "base/thread_pool.h"
+#include "ckpt/format.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
@@ -46,9 +46,10 @@ RunResult RunTraining(const SyncTrainer::NetworkFactory& factory,
   EXPECT_TRUE(trainer.ok()) << trainer.status();
   auto metrics = (*trainer)->Train(train, test, epochs);
   EXPECT_TRUE(metrics.ok()) << metrics.status();
-  std::ostringstream checkpoint;
-  EXPECT_TRUE((*trainer)->SaveCheckpoint(checkpoint).ok());
-  return RunResult{*std::move(metrics), checkpoint.str()};
+  // The full trainer state: params, momentum, per-rank and owner
+  // residuals, counters and the virtual clock.
+  return RunResult{*std::move(metrics),
+                   ckpt::Serialize((*trainer)->CaptureState())};
 }
 
 // Every field except wall_seconds (host time can never match) must be

@@ -3,15 +3,17 @@
 // Seeded chaos runs (ISSUE: deterministic fault injection and recovery):
 // a training run that survives stragglers, transient exchange failures,
 // and corrupted wire bytes via retry + rollback-and-replay must end in a
-// final checkpoint bit-equal to the fault-free run, with every recovery
-// metric matching the fault plan exactly. A rank crash instead degrades
-// to the survivors and completes.
-#include <sstream>
+// committed trainer state (params, momentum, per-rank residuals,
+// iteration) bit-equal to the fault-free run, with every recovery metric
+// matching the fault plan exactly. A rank crash instead degrades to the
+// survivors and completes.
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/format.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
@@ -53,12 +55,26 @@ TrainerOptions BaseOptions(const CodecSpec& codec, CommPrimitive primitive) {
 
 struct RunResult {
   std::vector<EpochMetrics> metrics;
-  std::string checkpoint;
+  ckpt::TrainerState state;
   int live_gpus = 0;
 };
 
-// Runs `epochs` epochs and returns the metrics plus the final checkpoint
-// bytes. Fails the test (and returns empty) if anything errors.
+// The sections rollback and replay must reproduce bit for bit, serialized
+// so they compare bytewise: params, optimizer momentum, per-rank residuals
+// and the iteration. The virtual clock and the comm totals legitimately
+// differ (retries, replay and stragglers cost time), and rollback leaves
+// the MPI owner residuals at their latest value.
+std::string CommittedBytes(const ckpt::TrainerState& state) {
+  ckpt::TrainerState committed;
+  committed.iteration = state.iteration;
+  committed.params = state.params;
+  committed.optimizer = state.optimizer;
+  committed.residuals = state.residuals;
+  return ckpt::Serialize(committed);
+}
+
+// Runs `epochs` epochs and returns the metrics plus the final trainer
+// state. Fails the test (and returns empty) if anything errors.
 RunResult RunTraining(TrainerOptions options, const Dataset& train,
                       const Dataset& test, int epochs) {
   auto trainer = SyncTrainer::Create(MlpFactory(), options);
@@ -67,9 +83,7 @@ RunResult RunTraining(TrainerOptions options, const Dataset& train,
   auto metrics = (*trainer)->Train(train, test, epochs);
   EXPECT_TRUE(metrics.ok()) << metrics.status();
   if (!metrics.ok()) return {};
-  std::ostringstream checkpoint;
-  EXPECT_TRUE((*trainer)->SaveCheckpoint(checkpoint).ok());
-  return RunResult{*std::move(metrics), checkpoint.str(),
+  return RunResult{*std::move(metrics), (*trainer)->CaptureState(),
                    (*trainer)->live_gpus()};
 }
 
@@ -146,6 +160,9 @@ struct ChaosConfig {
   const char* name;
   CodecSpec codec;
   CommPrimitive primitive;
+  // The run keeps per-rank error-feedback residuals, so rollback must
+  // rewind them.
+  bool has_residuals = false;
 };
 
 class ChaosRecoveryTest : public ::testing::TestWithParam<ChaosConfig> {};
@@ -168,7 +185,13 @@ TEST_P(ChaosRecoveryTest, RecoveredRunIsBitEqualToFaultFreeRun) {
 
   const RunResult fault_free = RunTraining(
       BaseOptions(config.codec, config.primitive), train, test, 2);
-  ASSERT_FALSE(fault_free.checkpoint.empty());
+  ASSERT_EQ(fault_free.state.iteration, 8);
+  ASSERT_FALSE(fault_free.state.optimizer.empty());
+  if (config.has_residuals) {
+    const auto& rank0 = fault_free.state.residuals.at(0);
+    ASSERT_TRUE(std::any_of(rank0.begin(), rank0.end(),
+                            [](const auto& r) { return !r.empty(); }));
+  }
 
   TrainerOptions faulted = BaseOptions(config.codec, config.primitive);
   auto plan = fault::FaultPlan::Parse("straggle@2:0.5;fail@3x2;corrupt@5");
@@ -181,8 +204,9 @@ TEST_P(ChaosRecoveryTest, RecoveredRunIsBitEqualToFaultFreeRun) {
   const RunResult recovered = RunTraining(faulted, train, test, 2);
   const FaultCounters delta = FaultCounters::Snapshot().Since(before);
 
-  EXPECT_EQ(recovered.checkpoint, fault_free.checkpoint)
-      << "recovery did not reproduce the fault-free parameters bit-for-bit";
+  EXPECT_EQ(CommittedBytes(recovered.state), CommittedBytes(fault_free.state))
+      << "recovery did not reproduce the fault-free params, momentum, "
+         "residuals and iteration bit-for-bit";
   ExpectSameLearningCurve(fault_free.metrics, recovered.metrics);
   EXPECT_EQ(recovered.live_gpus, 4);
 
@@ -198,13 +222,17 @@ INSTANTIATE_TEST_SUITE_P(
         ChaosConfig{"Fp32Mpi", FullPrecisionSpec(), CommPrimitive::kMpi},
         ChaosConfig{"Fp32Nccl", FullPrecisionSpec(), CommPrimitive::kNccl},
         ChaosConfig{"Qsgd4Mpi", QsgdSpec(4), CommPrimitive::kMpi},
-        ChaosConfig{"Qsgd4Nccl", QsgdSpec(4), CommPrimitive::kNccl}),
+        ChaosConfig{"Qsgd4Nccl", QsgdSpec(4), CommPrimitive::kNccl},
+        ChaosConfig{"TopK025Nccl", TopKSpec(0.25), CommPrimitive::kNccl,
+                    /*has_residuals=*/true},
+        ChaosConfig{"Ecq4Nccl", EcqSgdSpec(4), CommPrimitive::kNccl}),
     [](const ::testing::TestParamInfo<ChaosConfig>& info) {
       return info.param.name;
     });
 
 // Replaying the identical seed and plan must reproduce the identical run:
-// checkpoints and learning curves are bit-equal between two chaos runs.
+// full trainer states and learning curves are bit-equal between two chaos
+// runs.
 TEST(ChaosRecoveryTest, SameSeedReplaysIdentically) {
   MetricsGuard metrics;
   const auto train = MakeImages(128);
@@ -219,8 +247,8 @@ TEST(ChaosRecoveryTest, SameSeedReplaysIdentically) {
 
   const RunResult first = RunTraining(options, train, test, 2);
   const RunResult second = RunTraining(options, train, test, 2);
-  ASSERT_FALSE(first.checkpoint.empty());
-  EXPECT_EQ(first.checkpoint, second.checkpoint);
+  ASSERT_EQ(first.state.iteration, 8);
+  EXPECT_EQ(ckpt::Serialize(first.state), ckpt::Serialize(second.state));
   ExpectSameLearningCurve(first.metrics, second.metrics);
 }
 
@@ -247,7 +275,7 @@ TEST(ChaosRecoveryTest, RankCrashDegradesToSurvivors) {
 
   ASSERT_EQ(result.metrics.size(), 2u);
   EXPECT_EQ(result.live_gpus, 3);
-  ASSERT_FALSE(result.checkpoint.empty());
+  EXPECT_EQ(result.state.rank_count, 3);
   // Both epochs trained on real data (batches re-trimmed to multiples of
   // the 3 survivors after the drop).
   EXPECT_GT(result.metrics[1].train_accuracy, 0.0);
