@@ -15,6 +15,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 #include "base/logging.h"
 
@@ -27,12 +28,13 @@ struct NormStats {
 };
 
 NormStats MeasureNorm(QsgdNorm norm, int bits) {
+  CodecWorkspace workspace;
   CodecSpec spec;
   spec.kind = CodecKind::kQsgd;
   spec.bits = bits;
   spec.bucket_size = 512;
   spec.norm = norm;
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
 
   const Shape shape({4096});
@@ -46,9 +48,9 @@ NormStats MeasureNorm(QsgdNorm norm, int bits) {
   const int trials = 100;
   for (int t = 0; t < trials; ++t) {
     (*codec)->Encode(grad.data(), shape, static_cast<uint64_t>(t), nullptr,
-                     &blob);
+                     &workspace, &blob);
     CHECK_OK((*codec)->Decode(blob.data(), static_cast<int64_t>(blob.size()), shape,
-                     decoded.data()));
+                     &workspace, decoded.data()));
     for (int64_t i = 0; i < 4096; ++i) {
       const double d = decoded[static_cast<size_t>(i)] - grad.at(i);
       stats.mse += d * d;

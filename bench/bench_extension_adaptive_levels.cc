@@ -15,6 +15,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 #include "base/logging.h"
 
@@ -22,7 +23,8 @@ namespace lpsgd {
 namespace {
 
 double MeasureMse(const CodecSpec& spec) {
-  auto codec = CreateCodec(spec);
+  CodecWorkspace workspace;
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
   const Shape shape({4096});
   Tensor grad(shape);
@@ -35,9 +37,9 @@ double MeasureMse(const CodecSpec& spec) {
   const int trials = 100;
   for (int t = 0; t < trials; ++t) {
     (*codec)->Encode(grad.data(), shape, static_cast<uint64_t>(t), nullptr,
-                     &blob);
+                     &workspace, &blob);
     CHECK_OK((*codec)->Decode(blob.data(), static_cast<int64_t>(blob.size()), shape,
-                     decoded.data()));
+                     &workspace, decoded.data()));
     for (int64_t i = 0; i < 4096; ++i) {
       const double d = decoded[static_cast<size_t>(i)] - grad.at(i);
       total += d * d;
@@ -93,7 +95,7 @@ int main(int argc, char** argv) {
     for (bool adaptive : {false, true}) {
       const CodecSpec spec =
           adaptive ? AdaptiveQsgdSpec(bits) : QsgdSpec(bits);
-      auto codec = CreateCodec(spec);
+      auto codec = spec.Create();
       CHECK_OK(codec.status());
       table.AddRow({spec.Label(), FormatDouble(MeasureMse(spec), 5),
                     StrCat((*codec)->EncodedSizeBytes(Shape({2048}))),

@@ -30,7 +30,7 @@ Tensor MakeGradient(int64_t n) {
 void RunEncode(benchmark::State& state, const CodecSpec& spec,
                bool column_matrix = false) {
   const int64_t n = state.range(0);
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
   // Column-matrix mode mimics a conv tensor: 3 rows, n/3 columns.
   Tensor grad = MakeGradient(n);
@@ -57,8 +57,9 @@ void RunEncode(benchmark::State& state, const CodecSpec& spec,
 }
 
 void RunDecode(benchmark::State& state, const CodecSpec& spec) {
+  CodecWorkspace workspace;
   const int64_t n = state.range(0);
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
   Tensor grad = MakeGradient(n);
   const Shape shape({n});
@@ -66,8 +67,8 @@ void RunDecode(benchmark::State& state, const CodecSpec& spec) {
       (*codec)->UsesErrorFeedback() ? static_cast<size_t>(n) : 0, 0.0f);
   std::vector<uint8_t> blob;
   (*codec)->Encode(grad.data(), shape, 0,
-                   (*codec)->UsesErrorFeedback() ? &error : nullptr, &blob);
-  CodecWorkspace workspace;
+                   (*codec)->UsesErrorFeedback() ? &error : nullptr,
+                   &workspace, &blob);
   std::vector<float> decoded(static_cast<size_t>(n));
   for (auto _ : state) {
     CHECK_OK((*codec)->Decode(blob.data(), static_cast<int64_t>(blob.size()), shape,

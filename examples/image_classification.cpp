@@ -64,7 +64,7 @@ int main() {
                       "Verdict"});
   Network probe = factory(0);
   for (size_t i = 0; i < configs.size(); ++i) {
-    auto codec = CreateCodec(configs[i].codec);
+    auto codec = configs[i].codec.Create();
     if (!codec.ok()) continue;
     int64_t bytes = 0, params = 0;
     for (const ParamRef& p : probe.Params()) {

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     std::cerr << machine.status() << "\n";
     return 1;
   }
-  auto spec = ParseCodecSpec(codec_text);
+  auto spec = CodecSpec::Parse(codec_text);
   if (!spec.ok()) {
     std::cerr << spec.status() << "\nregistered codecs:\n";
     for (const std::string& line : CodecRegistry::Global().HelpLines()) {

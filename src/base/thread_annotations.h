@@ -87,15 +87,16 @@
 // immediately before lambda expressions, where C++20 allows no attributes.
 #define LPSGD_HOT_PATH
 
-// Transitive-purity escape hatch read by tools/analyze/lpsgd_analyze. The
-// analyzer requires every function reachable from an LPSGD_HOT_PATH region
-// to be allocation-free; placing `LPSGD_HOT_CALLEE_OK(Fn);` (unqualified
-// name, or Class::Fn) near the call site exempts calls to `Fn` from the
-// transitive walk. Use only for callees that are provably cold at steady
-// state (error paths, one-time setup) and say why in a comment on the same
-// line. Expands to nothing on every compiler; the grammar is checked by
-// the analyzer, which rejects an annotation naming a function that no
-// hot region reaches (a stale exemption is an error, not a no-op).
+// Transitive-purity escape hatch read by tools/lint/lpsgd_lint. Its
+// hot-path-alloc rule requires every function reachable from an
+// LPSGD_HOT_PATH region to be allocation-free; placing
+// `LPSGD_HOT_CALLEE_OK(Fn);` (unqualified name, or Class::Fn) near the call
+// site exempts calls to `Fn` from the transitive walk. Use only for callees
+// that are provably cold at steady state (error paths, one-time setup) and
+// say why in a comment on the same line. Expands to nothing on every
+// compiler; the grammar is checked by the lint, which rejects an
+// annotation naming a function that no hot region reaches (a stale
+// exemption is an error, not a no-op).
 #define LPSGD_HOT_CALLEE_OK(fn)
 
 #endif  // LPSGD_BASE_THREAD_ANNOTATIONS_H_

@@ -29,7 +29,7 @@
 namespace lpsgd {
 namespace obs {
 
-// Transitive-purity exemptions (tools/analyze/lpsgd_analyze): hot paths
+// Transitive-purity exemptions (tools/lint/lpsgd_lint): hot paths
 // may touch the observability surface because it no-ops behind one branch
 // while the registry is disabled — the unobserved-run contract
 // quant/workspace_test.cc enforces by counting heap allocations — and the

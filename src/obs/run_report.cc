@@ -44,13 +44,17 @@ void RunReport::Reset() {
 }
 
 JsonValue RunReport::ToJson(const MetricsRegistry* metrics) const {
+  // The registry is serialized before mu_ is taken, so no other lock is
+  // ever acquired while mu_ is held.
+  JsonValue metrics_json;
+  if (metrics != nullptr) metrics_json = metrics->ToJson();
   MutexLock lock(mu_);
   JsonValue root = JsonValue::Object();
   root.Set("schema_version", int64_t{1});
   root.Set("binary", binary_);
   root.Set("meta", meta_);
   root.Set("entries", entries_);
-  if (metrics != nullptr) root.Set("metrics", metrics->ToJson());
+  if (metrics != nullptr) root.Set("metrics", std::move(metrics_json));
   return root;
 }
 

@@ -301,7 +301,7 @@ class Tracer {
   int64_t dropped_ LPSGD_GUARDED_BY(mu_) = 0;
 };
 
-// Transitive-purity exemptions (tools/analyze/lpsgd_analyze): a span's
+// Transitive-purity exemptions (tools/lint/lpsgd_lint): a span's
 // out-of-line half runs only while an exporter it feeds is on, so the
 // unobserved-run contract (quant/workspace_test.cc counts heap
 // allocations) never reaches these; the environment is read once, and the

@@ -99,16 +99,19 @@ void AdaptiveQsgdCodec::ComputeLevelsInto(const float* grad,
   if (s < 2 || s > 31) return;
 
   // Deterministic subsample of normalized magnitudes.
+  // Sized for every strided index, then trimmed to the ones kept.
   std::vector<float>& sample = workspace->sample;
-  sample.clear();
-  sample.reserve(static_cast<size_t>(std::min(n, kQuantileSample)));
   const int64_t stride = std::max<int64_t>(1, n / kQuantileSample);
+  float* kept = quant_internal::EnsureSize(
+      &sample, static_cast<size_t>((n + stride - 1) / stride));
+  size_t kept_count = 0;
   for (int64_t i = 0; i < n; i += stride) {
     const float scale = scales[i / bucket_size_];
     if (scale > 0.0f) {
-      sample.push_back(std::abs(grad[i]) / scale);
+      kept[kept_count++] = std::abs(grad[i]) / scale;
     }
   }
+  quant_internal::EnsureSize(&sample, kept_count);
   if (sample.empty()) return;
   std::sort(sample.begin(), sample.end());
 
@@ -123,7 +126,8 @@ void AdaptiveQsgdCodec::ComputeLevelsInto(const float* grad,
       double hi = levels[j + 1];
       // `trial` tracks `levels` except at position j, matching the fresh
       // copies the unfused code made per probe.
-      trial.assign(levels.begin(), levels.end());
+      std::copy(levels.begin(), levels.end(),
+                quant_internal::EnsureSize(&trial, levels.size()));
       for (int iter = 0; iter < 25; ++iter) {
         const double m1 = lo + (hi - lo) / 3.0;
         const double m2 = hi - (hi - lo) / 3.0;

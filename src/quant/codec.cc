@@ -55,20 +55,6 @@ Status GradientCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
   return DecodeRange(bytes, shape, 0, shape.element_count(), workspace, out);
 }
 
-void GradientCodec::Encode(const float* grad, const Shape& shape,
-                           uint64_t stochastic_tag,
-                           std::vector<float>* error,
-                           std::vector<uint8_t>* out) const {
-  CodecWorkspace workspace;
-  Encode(grad, shape, stochastic_tag, error, &workspace, out);
-}
-
-Status GradientCodec::Decode(const uint8_t* bytes, int64_t num_bytes,
-                             const Shape& shape, float* out) const {
-  CodecWorkspace workspace;
-  return Decode(bytes, num_bytes, shape, &workspace, out);
-}
-
 Status GradientCodec::DecodeSparse(const uint8_t* /*bytes*/,
                                    int64_t /*num_bytes*/,
                                    const Shape& /*shape*/,
@@ -128,14 +114,6 @@ StatusOr<CodecSpec> CodecSpec::Parse(const std::string& text) {
   LPSGD_ASSIGN_OR_RETURN(CodecSpec spec, family->parse(head, &params));
   LPSGD_RETURN_IF_ERROR(params.Finish(family->name, family->keys));
   return spec;
-}
-
-StatusOr<std::unique_ptr<GradientCodec>> CreateCodec(const CodecSpec& spec) {
-  return spec.Create();
-}
-
-StatusOr<CodecSpec> ParseCodecSpec(const std::string& text) {
-  return CodecSpec::Parse(text);
 }
 
 namespace codec_internal {

@@ -129,14 +129,6 @@ class GradientCodec {
                               const Shape& shape, CodecWorkspace* workspace,
                               uint32_t* indices, float* values) const;
 
-  // Convenience overloads for call sites without a persistent workspace
-  // (tests, one-shot tools): allocate a fresh local workspace per call.
-  // Byte-identical to the workspace overloads.
-  void Encode(const float* grad, const Shape& shape, uint64_t stochastic_tag,
-              std::vector<float>* error, std::vector<uint8_t>* out) const;
-  Status Decode(const uint8_t* bytes, int64_t num_bytes, const Shape& shape,
-                float* out) const;
-
  protected:
   // `metric_name` must be a string literal; the codec's counter names are
   // formed from it here, once, not per call.
@@ -234,12 +226,6 @@ CodecSpec AdaptiveQsgdSpec(int bits);     // quantile-placed levels
 CodecSpec TernGradSpec(int64_t bucket_size = 0, double clip = 0.0);
 CodecSpec NuqsgdSpec(int bits);           // exponential levels, L2 norm
 CodecSpec EcqSgdSpec(int bits);           // QSGD + error feedback
-
-// Free-function forwarders kept for older call sites; prefer the
-// CodecSpec::Create / CodecSpec::Parse members.
-[[nodiscard]] StatusOr<std::unique_ptr<GradientCodec>> CreateCodec(
-    const CodecSpec& spec);
-[[nodiscard]] StatusOr<CodecSpec> ParseCodecSpec(const std::string& text);
 
 namespace codec_internal {
 

@@ -26,6 +26,7 @@
 #include "comm/mpi_reduce_bcast.h"
 #include "machine/specs.h"
 #include "quant/codec.h"
+#include "quant/workspace.h"
 
 namespace lpsgd {
 namespace {
@@ -52,6 +53,7 @@ class ReferenceExchange {
         cost_model_(Ec2P2_8xlarge()) {}
 
   CommStats AllReduce(std::vector<MatrixSlot>* slots, int64_t iteration) {
+    CodecWorkspace workspace;
     const int k = num_ranks_;
     const bool identity = spec_.kind == CodecKind::kFullPrecision;
     if (residuals_.size() < slots->size()) residuals_.resize(slots->size());
@@ -87,12 +89,11 @@ class ReferenceExchange {
                            iteration, static_cast<int64_t>(m), r),
                        codec_->UsesErrorFeedback() ? slot.rank_errors[r]
                                                    : nullptr,
-                       &blob);
+                       &workspace, &blob);
         const int64_t blob_bytes = static_cast<int64_t>(blob.size());
         if (sparse_count > 0) {
           std::vector<uint32_t> indices(static_cast<size_t>(sparse_count));
           std::vector<float> values(static_cast<size_t>(sparse_count));
-          CodecWorkspace workspace;
           CHECK_OK(codec_->DecodeSparse(blob.data(), blob_bytes, shape,
                                         &workspace, indices.data(),
                                         values.data()));
@@ -102,7 +103,7 @@ class ReferenceExchange {
         } else {
           std::vector<float> decoded(count);
           CHECK_OK(codec_->Decode(blob.data(), blob_bytes, shape,
-                                  decoded.data()));
+                                  &workspace, decoded.data()));
           for (size_t i = 0; i < count; ++i) aggregate[i] += decoded[i];
         }
       }
@@ -116,10 +117,10 @@ class ReferenceExchange {
       codec_->Encode(aggregate.data(), shape,
                      comm_internal::ExchangeAggregateTag(
                          iteration, static_cast<int64_t>(m), owner),
-                     residual, &blob);
+                     residual, &workspace, &blob);
       std::vector<float> broadcast(count);
       CHECK_OK(codec_->Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                              shape, broadcast.data()));
+                              shape, &workspace, broadcast.data()));
       for (int r = 0; r < k; ++r) {
         std::copy(broadcast.begin(), broadcast.end(), slot.rank_grads[r]);
       }

@@ -16,6 +16,7 @@
 #include "comm/allreduce.h"
 #include "machine/specs.h"
 #include "quant/codec.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 
 namespace lpsgd {
@@ -63,6 +64,7 @@ std::vector<float> DenseSumReference(const GradientCodec& codec,
                                      const TestMatrix& m, int64_t matrix,
                                      int64_t iteration,
                                      std::vector<std::vector<float>>* errors) {
+  CodecWorkspace workspace;
   const int64_t n = m.shape.element_count();
   const int k = static_cast<int>(m.rank_grads.size());
   std::vector<float> sum(static_cast<size_t>(n), 0.0f);
@@ -75,9 +77,9 @@ std::vector<float> DenseSumReference(const GradientCodec& codec,
                  codec.UsesErrorFeedback()
                      ? &(*errors)[static_cast<size_t>(r)]
                      : nullptr,
-                 &blob);
+                 &workspace, &blob);
     CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                          m.shape, decoded.data()));
+                          m.shape, &workspace, decoded.data()));
     for (int64_t i = 0; i < n; ++i) {
       sum[static_cast<size_t>(i)] += decoded[static_cast<size_t>(i)];
     }
@@ -93,9 +95,9 @@ TEST_P(SparseAggregationThreadTest, NcclScatterAddEqualsDenseSum) {
   // of the per-rank decodes exactly.
   const int threads = GetParam();
   const int k = 4;
-  auto spec = ParseCodecSpec("topk:0.25");
+  auto spec = CodecSpec::Parse("topk:0.25");
   ASSERT_TRUE(spec.ok());
-  auto codec = CreateCodec(*spec);
+  auto codec = (*spec).Create();
   ASSERT_TRUE(codec.ok());
 
   std::vector<TestMatrix> matrices;
@@ -137,6 +139,7 @@ TEST_P(SparseAggregationThreadTest, NcclScatterAddEqualsDenseSum) {
 }
 
 TEST_P(SparseAggregationThreadTest, MpiScatterAddFeedsRequantizeExactly) {
+  CodecWorkspace workspace;
   // MPI re-quantizes the aggregate before broadcast, so the end-to-end
   // check emulates the full owner pipeline: scatter-added sum -> owner
   // re-encode (aggregate tag, fresh residual) -> dense decode. Any
@@ -144,9 +147,9 @@ TEST_P(SparseAggregationThreadTest, MpiScatterAddFeedsRequantizeExactly) {
   // blob and fails the exact compare.
   const int threads = GetParam();
   const int k = 3;
-  auto spec = ParseCodecSpec("topk:0.1");
+  auto spec = CodecSpec::Parse("topk:0.1");
   ASSERT_TRUE(spec.ok());
-  auto codec = CreateCodec(*spec);
+  auto codec = (*spec).Create();
   ASSERT_TRUE(codec.ok());
 
   std::vector<TestMatrix> matrices;
@@ -169,10 +172,10 @@ TEST_P(SparseAggregationThreadTest, MpiScatterAddFeedsRequantizeExactly) {
     std::vector<uint8_t> blob;
     (**codec).Encode(sum.data(), matrices[m].shape, agg_tag,
                      (**codec).UsesErrorFeedback() ? &agg_error : nullptr,
-                     &blob);
+                     &workspace, &blob);
     std::vector<float> bcast(static_cast<size_t>(n));
     CHECK_OK((**codec).Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                              matrices[m].shape, bcast.data()));
+                              matrices[m].shape, &workspace, bcast.data()));
     expected.push_back(std::move(bcast));
   }
 
@@ -203,7 +206,7 @@ TEST(SparseAggregationTest, SerialAndParallelBitIdentical) {
   // The whole sparse pipeline must be schedule-invariant: a 4-thread run
   // produces bit-identical buffers and error state to the serial run.
   const int k = 4;
-  auto spec = ParseCodecSpec("topk:0.25");
+  auto spec = CodecSpec::Parse("topk:0.25");
   ASSERT_TRUE(spec.ok());
 
   auto run = [&](const ExecutionContext& exec, CommPrimitive primitive) {
@@ -245,7 +248,7 @@ TEST(SparseAggregationTest, BypassedMatricesStayFullPrecision) {
   // slot.quantized = false routes a matrix through the dense fp32 pipeline
   // even under a sparse codec: the exchange then computes the exact sum.
   const int k = 4;
-  auto spec = ParseCodecSpec("topk:0.1");
+  auto spec = CodecSpec::Parse("topk:0.1");
   ASSERT_TRUE(spec.ok());
 
   for (CommPrimitive primitive :
@@ -277,9 +280,9 @@ TEST(SparseAggregationTest, NcclAccountsAllgatherBytes) {
   // Sparse exchange is an allgather: every rank receives every other
   // rank's blob, so the per-matrix payload is k * EncodedSizeBytes.
   const int k = 4;
-  auto spec = ParseCodecSpec("topk:0.25");
+  auto spec = CodecSpec::Parse("topk:0.25");
   ASSERT_TRUE(spec.ok());
-  auto codec = CreateCodec(*spec);
+  auto codec = (*spec).Create();
   ASSERT_TRUE(codec.ok());
   const Shape shape({1000});
 

@@ -160,6 +160,7 @@ namespace {
 // + Encode output) so mutations start from deep inside the accept path
 // (checksum-valid, size-valid) instead of dying at the size check.
 std::vector<std::vector<uint8_t>> BuildSeedInputs() {
+  lpsgd::CodecWorkspace workspace;
   std::vector<std::vector<uint8_t>> seeds;
   std::mt19937 gradient_rng(0x5eed);
   std::normal_distribution<float> normal(0.0F, 1.0F);
@@ -172,7 +173,7 @@ std::vector<std::vector<uint8_t>> BuildSeedInputs() {
     std::vector<float> error(grad.size(), 0.0F);
     std::vector<uint8_t> blob;
     codecs[ci]->Encode(grad.data(), shape, /*stochastic_tag=*/ci, &error,
-                       &blob);
+                       &workspace, &blob);
     input.insert(input.end(), blob.begin(), blob.end());
     seeds.push_back(std::move(input));
   }

@@ -7,6 +7,7 @@
 
 #include "base/rng.h"
 #include "quant/qsgd.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 #include "base/logging.h"
 
@@ -15,13 +16,14 @@ namespace {
 
 std::vector<float> EncodeDecode(const GradientCodec& codec,
                                 const Tensor& grad, uint64_t tag) {
+  CodecWorkspace workspace;
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), grad.shape(), tag, nullptr, &blob);
+  codec.Encode(grad.data(), grad.shape(), tag, nullptr, &workspace, &blob);
   EXPECT_EQ(static_cast<int64_t>(blob.size()),
             codec.EncodedSizeBytes(grad.shape()));
   std::vector<float> decoded(static_cast<size_t>(grad.size()));
   CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()), grad.shape(),
-               decoded.data()));
+               &workspace, decoded.data()));
   return decoded;
 }
 
@@ -152,15 +154,15 @@ TEST(AdaptiveQsgdTest, FactoryParserAndLabels) {
   const CodecSpec spec = AdaptiveQsgdSpec(4);
   EXPECT_EQ(spec.Label(), "AdaptiveQSGD 4bit (b=512)");
   EXPECT_EQ(spec.ShortLabel(), "AQ4");
-  EXPECT_TRUE(CreateCodec(spec).ok());
+  EXPECT_TRUE(spec.Create().ok());
 
-  auto parsed = ParseCodecSpec("aq8:1024");
+  auto parsed = CodecSpec::Parse("aq8:1024");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->kind, CodecKind::kQsgdAdaptive);
   EXPECT_EQ(parsed->bits, 8);
   EXPECT_EQ(parsed->bucket_size, 1024);
-  EXPECT_FALSE(ParseCodecSpec("aq1").ok());
-  EXPECT_FALSE(ParseCodecSpec("aq").ok());
+  EXPECT_FALSE(CodecSpec::Parse("aq1").ok());
+  EXPECT_FALSE(CodecSpec::Parse("aq").ok());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "base/rng.h"
 #include "quant/codec.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 
 namespace lpsgd {
@@ -73,12 +74,13 @@ void FillAdversarial(Rng* rng, Tensor* grad) {
 }
 
 TEST(CodecFuzzTest, WireContractHoldsForRandomInputs) {
+  CodecWorkspace workspace;
   Rng rng(0xf02211);
   const auto specs = AllSpecs();
   for (int trial = 0; trial < 200; ++trial) {
     const CodecSpec& spec =
         specs[static_cast<size_t>(rng.NextUint64(specs.size()))];
-    auto codec = CreateCodec(spec);
+    auto codec = spec.Create();
     ASSERT_TRUE(codec.ok());
 
     const Shape shape = RandomShape(&rng);
@@ -93,7 +95,7 @@ TEST(CodecFuzzTest, WireContractHoldsForRandomInputs) {
 
     std::vector<uint8_t> blob;
     (*codec)->Encode(grad.data(), shape, rng.NextUint64(), error_ptr,
-                     &blob);
+                     &workspace, &blob);
     ASSERT_EQ(static_cast<int64_t>(blob.size()),
               (*codec)->EncodedSizeBytes(shape))
         << spec.Label() << " shape " << shape.ToString();
@@ -101,7 +103,7 @@ TEST(CodecFuzzTest, WireContractHoldsForRandomInputs) {
     std::vector<float> decoded(static_cast<size_t>(n));
     ASSERT_TRUE((*codec)
                     ->Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                             shape, decoded.data())
+                             shape, &workspace, decoded.data())
                     .ok())
         << spec.Label() << " trial " << trial;
 
@@ -123,9 +125,10 @@ TEST(CodecFuzzTest, WireContractHoldsForRandomInputs) {
 }
 
 TEST(CodecFuzzTest, DeterministicGivenSameInputsAndTag) {
+  CodecWorkspace workspace;
   Rng rng(0xdede);
   for (const CodecSpec& spec : AllSpecs()) {
-    auto codec = CreateCodec(spec);
+    auto codec = spec.Create();
     ASSERT_TRUE(codec.ok());
     const Shape shape({13, 31});
     Tensor grad(shape);
@@ -140,7 +143,7 @@ TEST(CodecFuzzTest, DeterministicGivenSameInputsAndTag) {
       std::vector<uint8_t> blob;
       (*codec)->Encode(grad.data(), shape, 77,
                        (*codec)->UsesErrorFeedback() ? &error : nullptr,
-                       &blob);
+                       &workspace, &blob);
       return blob;
     };
     EXPECT_EQ(encode_once(), encode_once()) << spec.Label();
@@ -148,12 +151,13 @@ TEST(CodecFuzzTest, DeterministicGivenSameInputsAndTag) {
 }
 
 TEST(CodecFuzzTest, QuantizedDecodeIsIdempotentForDeterministicCodecs) {
+  CodecWorkspace workspace;
   // 1bitSGD without error feedback: quantizing an already-quantized vector
   // reproduces it exactly (the averages of a two-valued vector are those
   // values).
   CodecSpec spec = OneBitSgdReshapedSpec(32);
   spec.error_feedback = false;
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   ASSERT_TRUE(codec.ok());
 
   Rng rng(4);
@@ -162,18 +166,18 @@ TEST(CodecFuzzTest, QuantizedDecodeIsIdempotentForDeterministicCodecs) {
   grad.FillGaussian(&rng, 1.0f);
 
   std::vector<uint8_t> blob;
-  (*codec)->Encode(grad.data(), shape, 0, nullptr, &blob);
+  (*codec)->Encode(grad.data(), shape, 0, nullptr, &workspace, &blob);
   std::vector<float> once(96);
   ASSERT_TRUE((*codec)
                   ->Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                           shape, once.data())
+                           shape, &workspace, once.data())
                   .ok());
 
-  (*codec)->Encode(once.data(), shape, 1, nullptr, &blob);
+  (*codec)->Encode(once.data(), shape, 1, nullptr, &workspace, &blob);
   std::vector<float> twice(96);
   ASSERT_TRUE((*codec)
                   ->Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                           shape, twice.data())
+                           shape, &workspace, twice.data())
                   .ok());
   for (int i = 0; i < 96; ++i) {
     EXPECT_FLOAT_EQ(once[static_cast<size_t>(i)],

@@ -95,6 +95,7 @@ TEST_P(SplittableCodecTest, ShuffledRangeEncodeMatchesEncode) {
 }
 
 TEST_P(SplittableCodecTest, RangeDecodeMatchesDecodeSlice) {
+  CodecWorkspace workspace;
   const std::unique_ptr<GradientCodec> codec = MakeCodec(GetParam());
   const Shape shape({25, 401});
   const int64_t n = shape.element_count();
@@ -104,13 +105,13 @@ TEST_P(SplittableCodecTest, RangeDecodeMatchesDecodeSlice) {
   const std::vector<float> grad = TestGradient(n, 0xdec0);
   std::vector<uint8_t> blob;
   codec->Encode(grad.data(), shape, /*stochastic_tag=*/3,
-                codec->UsesErrorFeedback() ? &error : nullptr, &blob);
+                codec->UsesErrorFeedback() ? &error : nullptr, &workspace,
+                &blob);
   std::vector<float> whole(static_cast<size_t>(n));
   ASSERT_TRUE(codec->Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                            shape, whole.data())
+                            shape, &workspace, whole.data())
                   .ok());
 
-  CodecWorkspace workspace;
   // Whole alignments of at least 256 elements keep fp32 (alignment 1)
   // from decoding ten thousand single-element ranges.
   const int64_t unit = alignment * std::max<int64_t>(1, 256 / alignment);
@@ -164,6 +165,7 @@ TEST(RangeAlignmentTest, CoversWholeBucketsAndWords) {
 // Blobs built from whole-matrix statistics or a per-column layout cannot
 // be split; their full range still composes to Encode/Decode.
 TEST(RangeAlignmentTest, UnsplittableCodecsTakeTheFullRange) {
+  CodecWorkspace workspace;
   const Shape shape({25, 40});
   const int64_t n = shape.element_count();
   for (const char* text : {"1bit", "aq4", "topk:0.25", "terngrad"}) {
@@ -176,8 +178,7 @@ TEST(RangeAlignmentTest, UnsplittableCodecsTakeTheFullRange) {
     const bool feedback = codec->UsesErrorFeedback();
     std::vector<uint8_t> whole;
     codec->Encode(grad.data(), shape, 5, feedback ? &error_whole : nullptr,
-                  &whole);
-    CodecWorkspace workspace;
+                  &workspace, &whole);
     std::vector<uint8_t> blob(
         static_cast<size_t>(codec->EncodedSizeBytes(shape)));
     codec->EncodeRange(grad.data(), shape, 5,
@@ -192,7 +193,7 @@ TEST(RangeAlignmentTest, UnsplittableCodecsTakeTheFullRange) {
     std::vector<float> decoded(static_cast<size_t>(n));
     std::vector<float> ranged(static_cast<size_t>(n));
     ASSERT_TRUE(codec->Decode(whole.data(), static_cast<int64_t>(whole.size()),
-                              shape, decoded.data())
+                              shape, &workspace, decoded.data())
                     .ok());
     ASSERT_TRUE(
         codec->DecodeRange(whole.data(), shape, 0, n, &workspace, ranged.data())

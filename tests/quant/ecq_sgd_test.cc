@@ -7,6 +7,7 @@
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 
 namespace lpsgd {
@@ -14,17 +15,19 @@ namespace {
 
 std::vector<float> EncodeDecode(const EcqSgdCodec& codec, const Tensor& grad,
                                 uint64_t tag, std::vector<float>* error) {
+  CodecWorkspace workspace;
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), grad.shape(), tag, error, &blob);
+  codec.Encode(grad.data(), grad.shape(), tag, error, &workspace, &blob);
   EXPECT_EQ(static_cast<int64_t>(blob.size()),
             codec.EncodedSizeBytes(grad.shape()));
   std::vector<float> decoded(static_cast<size_t>(grad.size()));
   CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                        grad.shape(), decoded.data()));
+                        grad.shape(), &workspace, decoded.data()));
   return decoded;
 }
 
 TEST(EcqSgdCodecTest, FreshErrorStateMatchesQsgdExactly) {
+  CodecWorkspace workspace;
   // With a zero residual, the corrected gradient is the gradient: the blob
   // must be byte-identical to plain QSGD at the same settings. ECQ-SGD is
   // QSGD plus compensation, nothing else.
@@ -35,18 +38,18 @@ TEST(EcqSgdCodecTest, FreshErrorStateMatchesQsgdExactly) {
 
   CodecSpec e = EcqSgdSpec(4);
   e.bucket_size = 64;  // same default seed as the QSGD spec below
-  auto ecq = CreateCodec(e);
+  auto ecq = e.Create();
   ASSERT_TRUE(ecq.ok());
   std::vector<float> error(200, 0.0f);
   std::vector<uint8_t> ecq_blob;
-  (*ecq)->Encode(grad.data(), shape, 42, &error, &ecq_blob);
+  (*ecq)->Encode(grad.data(), shape, 42, &error, &workspace, &ecq_blob);
 
   CodecSpec q = QsgdSpec(4);
   q.bucket_size = 64;
-  auto qsgd = CreateCodec(q);
+  auto qsgd = q.Create();
   ASSERT_TRUE(qsgd.ok());
   std::vector<uint8_t> qsgd_blob;
-  (*qsgd)->Encode(grad.data(), shape, 42, nullptr, &qsgd_blob);
+  (*qsgd)->Encode(grad.data(), shape, 42, nullptr, &workspace, &qsgd_blob);
 
   EXPECT_EQ(ecq_blob, qsgd_blob);
 }
@@ -140,23 +143,23 @@ TEST(EcqSgdCodecTest, FactoryAndSpec) {
   const CodecSpec spec = EcqSgdSpec(4);
   EXPECT_EQ(spec.bucket_size, 512);
   EXPECT_TRUE(spec.error_feedback);
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   ASSERT_TRUE(codec.ok());
   EXPECT_EQ((*codec)->Name(), "ECQ-SGD 4bit (b=512)");
   EXPECT_TRUE((*codec)->UsesErrorFeedback());
 
   CodecSpec no_ef = EcqSgdSpec(4);
   no_ef.error_feedback = false;
-  auto plain = CreateCodec(no_ef);
+  auto plain = no_ef.Create();
   ASSERT_TRUE(plain.ok());
   EXPECT_FALSE((*plain)->UsesErrorFeedback());
 
   CodecSpec bad = EcqSgdSpec(4);
   bad.bits = 17;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
   bad = EcqSgdSpec(4);
   bad.bucket_size = -3;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 
 namespace lpsgd {
@@ -15,17 +16,19 @@ namespace {
 
 std::vector<float> EncodeDecode(const NuqsgdCodec& codec, const Tensor& grad,
                                 uint64_t tag) {
+  CodecWorkspace workspace;
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), grad.shape(), tag, nullptr, &blob);
+  codec.Encode(grad.data(), grad.shape(), tag, nullptr, &workspace, &blob);
   EXPECT_EQ(static_cast<int64_t>(blob.size()),
             codec.EncodedSizeBytes(grad.shape()));
   std::vector<float> decoded(static_cast<size_t>(grad.size()));
   CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                        grad.shape(), decoded.data()));
+                        grad.shape(), &workspace, decoded.data()));
   return decoded;
 }
 
 TEST(NuqsgdCodecTest, DecodedValuesLieOnTheExponentialGrid) {
+  CodecWorkspace workspace;
   // 4 bits -> s = 7 nonzero levels 2^-6 .. 2^0, scaled by the bucket's L2
   // norm. Every decoded magnitude must be exactly scale * 2^(j - s).
   NuqsgdCodec codec(/*bits=*/4, /*bucket_size=*/512, /*seed=*/1);
@@ -35,7 +38,7 @@ TEST(NuqsgdCodecTest, DecodedValuesLieOnTheExponentialGrid) {
   grad.FillGaussian(&rng, 1.0f);
 
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 5, nullptr, &blob);
+  codec.Encode(grad.data(), shape, 5, nullptr, &workspace, &blob);
   float scale;  // single bucket: first word is the L2 norm
   std::memcpy(&scale, blob.data(), sizeof(float));
   double sum_sq = 0.0;
@@ -46,7 +49,7 @@ TEST(NuqsgdCodecTest, DecodedValuesLieOnTheExponentialGrid) {
 
   std::vector<float> decoded(100);
   CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                        shape, decoded.data()));
+                        shape, &workspace, decoded.data()));
   const int s = 7;
   for (int64_t i = 0; i < 100; ++i) {
     const float d = std::abs(decoded[static_cast<size_t>(i)]);
@@ -110,7 +113,7 @@ TEST(NuqsgdCodecTest, WireLayoutMatchesQsgd) {
     NuqsgdCodec nuq(bits, 64, 1);
     CodecSpec q = QsgdSpec(bits);
     q.bucket_size = 64;
-    auto qsgd = CreateCodec(q);
+    auto qsgd = q.Create();
     ASSERT_TRUE(qsgd.ok());
     const Shape shape({1000});
     EXPECT_EQ(nuq.EncodedSizeBytes(shape), (*qsgd)->EncodedSizeBytes(shape))
@@ -132,17 +135,17 @@ TEST(NuqsgdCodecTest, FactoryAndSpec) {
   const CodecSpec spec = NuqsgdSpec(4);
   EXPECT_EQ(spec.bucket_size, 512);  // inherits the paper bucket defaults
   EXPECT_EQ(spec.norm, QsgdNorm::kL2);
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   ASSERT_TRUE(codec.ok());
   EXPECT_EQ((*codec)->Name(), "NUQSGD 4bit (b=512)");
   EXPECT_FALSE((*codec)->UsesErrorFeedback());
 
   CodecSpec bad = NuqsgdSpec(4);
   bad.bits = 1;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
   bad = NuqsgdSpec(4);
   bad.bucket_size = 0;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
 }
 
 }  // namespace

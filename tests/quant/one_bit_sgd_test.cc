@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 #include "base/logging.h"
 
@@ -16,20 +17,22 @@ namespace {
 std::vector<float> Decode(const GradientCodec& codec,
                           const std::vector<uint8_t>& blob,
                           const Shape& shape) {
+  CodecWorkspace workspace;
   std::vector<float> decoded(static_cast<size_t>(shape.element_count()));
   CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()), shape,
-               decoded.data()));
+               &workspace, decoded.data()));
   return decoded;
 }
 
 TEST(OneBitSgdTest, DecodedValuesAreColumnAverages) {
+  CodecWorkspace workspace;
   OneBitSgdCodec codec(/*error_feedback=*/false);
   const Shape shape({4, 2});  // 2 columns of 4 elements
   // Column 0 (stride 2): {1, 3, -2, -4}; column 1: {2, -1, 5, 0}.
   std::vector<float> grad = {1, 2, 3, -1, -2, 5, -4, 0};
 
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 0, nullptr, &blob);
+  codec.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob);
   const std::vector<float> decoded = Decode(codec, blob, shape);
 
   // Column 0: avg+ = 2, avg- = -3. Column 1: avg+ = (2+5+0)/3, avg- = -1.
@@ -44,6 +47,7 @@ TEST(OneBitSgdTest, DecodedValuesAreColumnAverages) {
 }
 
 TEST(OneBitSgdTest, ChunkSumIsPreserved) {
+  CodecWorkspace workspace;
   // avg+/avg- quantization preserves the per-chunk sum exactly (without
   // error feedback): sum(q) = n+ * avg+ + n- * avg- = sum(v).
   OneBitSgdCodec codec(/*error_feedback=*/false);
@@ -53,7 +57,7 @@ TEST(OneBitSgdTest, ChunkSumIsPreserved) {
   grad.FillGaussian(&rng, 1.0f);
 
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 0, nullptr, &blob);
+  codec.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob);
   const std::vector<float> decoded = Decode(codec, blob, shape);
   for (int64_t c = 0; c < 3; ++c) {
     double original = 0.0, quantized = 0.0;
@@ -66,6 +70,7 @@ TEST(OneBitSgdTest, ChunkSumIsPreserved) {
 }
 
 TEST(OneBitSgdTest, ErrorFeedbackStoresResidual) {
+  CodecWorkspace workspace;
   OneBitSgdCodec codec(/*error_feedback=*/true);
   const Shape shape({8, 1});
   Tensor grad(shape);
@@ -74,7 +79,7 @@ TEST(OneBitSgdTest, ErrorFeedbackStoresResidual) {
   std::vector<float> error(8, 0.0f);
 
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 0, &error, &blob);
+  codec.Encode(grad.data(), shape, 0, &error, &workspace, &blob);
   const std::vector<float> decoded = Decode(codec, blob, shape);
   for (int64_t i = 0; i < 8; ++i) {
     EXPECT_NEAR(error[static_cast<size_t>(i)],
@@ -83,6 +88,7 @@ TEST(OneBitSgdTest, ErrorFeedbackStoresResidual) {
 }
 
 TEST(OneBitSgdTest, ErrorFeedbackCompensatesOverIterations) {
+  CodecWorkspace workspace;
   // Feeding the residual forward makes the *running sum* of decoded
   // gradients track the running sum of true gradients (the property that
   // rescues 1-bit accuracy, Section 5.1).
@@ -100,7 +106,7 @@ TEST(OneBitSgdTest, ErrorFeedbackCompensatesOverIterations) {
       true_sum[static_cast<size_t>(i)] += grad.at(i);
     }
     codec.Encode(grad.data(), shape, static_cast<uint64_t>(iter), &error,
-                 &blob);
+                 &workspace, &blob);
     const std::vector<float> decoded = Decode(codec, blob, shape);
     for (int64_t i = 0; i < 16; ++i) {
       decoded_sum[static_cast<size_t>(i)] += decoded[static_cast<size_t>(i)];
@@ -121,41 +127,46 @@ TEST(OneBitSgdTest, ErrorFeedbackCompensatesOverIterations) {
 }
 
 TEST(OneBitSgdTest, WithoutErrorFeedbackResidualUntouched) {
+  CodecWorkspace workspace;
   OneBitSgdCodec codec(/*error_feedback=*/false);
   EXPECT_FALSE(codec.UsesErrorFeedback());
   const Shape shape({4, 1});
   Tensor grad(shape);
   grad.Fill(1.0f);
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 0, nullptr, &blob);  // must not crash
+  // Must not crash.
+  codec.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob);
 }
 
 TEST(OneBitSgdTest, AllPositiveColumn) {
+  CodecWorkspace workspace;
   OneBitSgdCodec codec(false);
   const Shape shape({4, 1});
   std::vector<float> grad = {1, 2, 3, 4};
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 0, nullptr, &blob);
+  codec.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob);
   const std::vector<float> decoded = Decode(codec, blob, shape);
   for (float v : decoded) EXPECT_FLOAT_EQ(v, 2.5f);
 }
 
 TEST(OneBitSgdTest, AllNegativeColumn) {
+  CodecWorkspace workspace;
   OneBitSgdCodec codec(false);
   const Shape shape({4, 1});
   std::vector<float> grad = {-1, -2, -3, -4};
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 0, nullptr, &blob);
+  codec.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob);
   const std::vector<float> decoded = Decode(codec, blob, shape);
   for (float v : decoded) EXPECT_FLOAT_EQ(v, -2.5f);
 }
 
 TEST(OneBitSgdTest, ZeroColumnDecodesToZero) {
+  CodecWorkspace workspace;
   OneBitSgdCodec codec(false);
   const Shape shape({8, 1});
   std::vector<float> grad(8, 0.0f);
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 0, nullptr, &blob);
+  codec.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob);
   const std::vector<float> decoded = Decode(codec, blob, shape);
   for (float v : decoded) EXPECT_FLOAT_EQ(v, 0.0f);
 }
@@ -163,6 +174,7 @@ TEST(OneBitSgdTest, ZeroColumnDecodesToZero) {
 class ReshapedBucketSizeTest : public ::testing::TestWithParam<int64_t> {};
 
 TEST_P(ReshapedBucketSizeTest, RoundtripStructure) {
+  CodecWorkspace workspace;
   const int64_t bucket = GetParam();
   OneBitSgdReshapedCodec codec(bucket, /*error_feedback=*/false);
   const Shape shape({3, 101});  // deliberately not bucket-aligned
@@ -171,7 +183,7 @@ TEST_P(ReshapedBucketSizeTest, RoundtripStructure) {
   grad.FillGaussian(&rng, 1.0f);
 
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 0, nullptr, &blob);
+  codec.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob);
   EXPECT_EQ(static_cast<int64_t>(blob.size()),
             codec.EncodedSizeBytes(shape));
   const std::vector<float> decoded = Decode(codec, blob, shape);
@@ -201,6 +213,7 @@ INSTANTIATE_TEST_SUITE_P(BucketSizes, ReshapedBucketSizeTest,
                          ::testing::Values(1, 7, 32, 64, 512, 100000));
 
 TEST(OneBitSgdTest, ColumnAndReshapedAgreeOnSingleColumnMatrix) {
+  CodecWorkspace workspace;
   // A matrix with one column and bucket == rows makes both variants chunk
   // identically.
   const Shape shape({32, 1});
@@ -211,8 +224,8 @@ TEST(OneBitSgdTest, ColumnAndReshapedAgreeOnSingleColumnMatrix) {
   OneBitSgdCodec column(false);
   OneBitSgdReshapedCodec reshaped(32, false);
   std::vector<uint8_t> blob_col, blob_re;
-  column.Encode(grad.data(), shape, 0, nullptr, &blob_col);
-  reshaped.Encode(grad.data(), shape, 0, nullptr, &blob_re);
+  column.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob_col);
+  reshaped.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob_re);
   EXPECT_EQ(Decode(column, blob_col, shape), Decode(reshaped, blob_re, shape));
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 #include "base/logging.h"
 
@@ -21,18 +22,19 @@ std::unique_ptr<GradientCodec> MakeQsgd(
   spec.bucket_size = bucket;
   spec.norm = norm;
   spec.levels = levels;
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   CHECK_OK(codec.status());
   return std::move(codec).value();
 }
 
 std::vector<float> EncodeDecode(const GradientCodec& codec,
                                 const Tensor& grad, uint64_t tag) {
+  CodecWorkspace workspace;
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), grad.shape(), tag, nullptr, &blob);
+  codec.Encode(grad.data(), grad.shape(), tag, nullptr, &workspace, &blob);
   std::vector<float> decoded(static_cast<size_t>(grad.size()));
   CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()), grad.shape(),
-               decoded.data()));
+               &workspace, decoded.data()));
   return decoded;
 }
 

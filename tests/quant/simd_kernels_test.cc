@@ -120,6 +120,7 @@ struct CodecRun {
 };
 
 CodecRun RunCodec(const CodecSpec& spec, const std::vector<float>& grad) {
+  CodecWorkspace workspace;
   CodecRun run;
   auto codec = spec.Create();
   EXPECT_TRUE(codec.ok());
@@ -130,14 +131,14 @@ CodecRun RunCodec(const CodecSpec& spec, const std::vector<float>& grad) {
   std::vector<float>* error_ptr =
       (*codec)->UsesErrorFeedback() ? &run.error : nullptr;
   (*codec)->Encode(grad.data(), shape, /*stochastic_tag=*/777, error_ptr,
-                   &run.blob1);
+                   &workspace, &run.blob1);
   (*codec)->Encode(grad.data(), shape, /*stochastic_tag=*/778, error_ptr,
-                   &run.blob2);
+                   &workspace, &run.blob2);
   run.decoded.assign(grad.size(), 0.0f);
   EXPECT_TRUE((*codec)
                   ->Decode(run.blob2.data(),
                            static_cast<int64_t>(run.blob2.size()), shape,
-                           run.decoded.data())
+                           &workspace, run.decoded.data())
                   .ok());
   return run;
 }

@@ -8,129 +8,129 @@ namespace {
 
 TEST(ParseCodecSpecTest, FullPrecision) {
   for (const char* text : {"32bit", "fp32", "FP32", "32BIT"}) {
-    auto spec = ParseCodecSpec(text);
+    auto spec = CodecSpec::Parse(text);
     ASSERT_TRUE(spec.ok()) << text;
     EXPECT_EQ(spec->kind, CodecKind::kFullPrecision);
   }
 }
 
 TEST(ParseCodecSpecTest, OneBitVariants) {
-  auto stock = ParseCodecSpec("1bit");
+  auto stock = CodecSpec::Parse("1bit");
   ASSERT_TRUE(stock.ok());
   EXPECT_EQ(stock->kind, CodecKind::kOneBitSgd);
 
-  auto stock_long = ParseCodecSpec("1bitsgd");
+  auto stock_long = CodecSpec::Parse("1bitsgd");
   ASSERT_TRUE(stock_long.ok());
   EXPECT_EQ(stock_long->kind, CodecKind::kOneBitSgd);
 
-  auto reshaped = ParseCodecSpec("1bit*");
+  auto reshaped = CodecSpec::Parse("1bit*");
   ASSERT_TRUE(reshaped.ok());
   EXPECT_EQ(reshaped->kind, CodecKind::kOneBitSgdReshaped);
   EXPECT_EQ(reshaped->bucket_size, 64);
 
-  auto bucketed = ParseCodecSpec("1bit*:512");
+  auto bucketed = CodecSpec::Parse("1bit*:512");
   ASSERT_TRUE(bucketed.ok());
   EXPECT_EQ(bucketed->bucket_size, 512);
 }
 
 TEST(ParseCodecSpecTest, Qsgd) {
-  auto q4 = ParseCodecSpec("q4");
+  auto q4 = CodecSpec::Parse("q4");
   ASSERT_TRUE(q4.ok());
   EXPECT_EQ(q4->kind, CodecKind::kQsgd);
   EXPECT_EQ(q4->bits, 4);
   EXPECT_EQ(q4->bucket_size, 512);  // paper default for 4 bits
 
-  auto q2 = ParseCodecSpec("Q2");
+  auto q2 = CodecSpec::Parse("Q2");
   ASSERT_TRUE(q2.ok());
   EXPECT_EQ(q2->bucket_size, 128);
 
-  auto custom = ParseCodecSpec("q8:2048");
+  auto custom = CodecSpec::Parse("q8:2048");
   ASSERT_TRUE(custom.ok());
   EXPECT_EQ(custom->bits, 8);
   EXPECT_EQ(custom->bucket_size, 2048);
 
-  auto q16 = ParseCodecSpec("q16");
+  auto q16 = CodecSpec::Parse("q16");
   ASSERT_TRUE(q16.ok());
   EXPECT_EQ(q16->bucket_size, 8192);
 }
 
 TEST(ParseCodecSpecTest, TopK) {
-  auto topk = ParseCodecSpec("topk:0.01");
+  auto topk = CodecSpec::Parse("topk:0.01");
   ASSERT_TRUE(topk.ok());
   EXPECT_EQ(topk->kind, CodecKind::kTopK);
   EXPECT_DOUBLE_EQ(topk->density, 0.01);
 
-  auto full = ParseCodecSpec("topk:1.0");
+  auto full = CodecSpec::Parse("topk:1.0");
   ASSERT_TRUE(full.ok());
   EXPECT_DOUBLE_EQ(full->density, 1.0);
 }
 
 TEST(ParseCodecSpecTest, TernGrad) {
-  auto tern = ParseCodecSpec("terngrad");
+  auto tern = CodecSpec::Parse("terngrad");
   ASSERT_TRUE(tern.ok());
   EXPECT_EQ(tern->kind, CodecKind::kTernGrad);
   EXPECT_EQ(tern->bits, 2);
   EXPECT_EQ(tern->bucket_size, 0);  // one scalar per matrix
   EXPECT_DOUBLE_EQ(tern->clip, 0.0);
 
-  auto alias = ParseCodecSpec("tern");
+  auto alias = CodecSpec::Parse("tern");
   ASSERT_TRUE(alias.ok());
   EXPECT_EQ(alias->kind, CodecKind::kTernGrad);
 
-  auto params = ParseCodecSpec("terngrad:bucket=1024,clip=2.5");
+  auto params = CodecSpec::Parse("terngrad:bucket=1024,clip=2.5");
   ASSERT_TRUE(params.ok());
   EXPECT_EQ(params->bucket_size, 1024);
   EXPECT_DOUBLE_EQ(params->clip, 2.5);
 
-  auto positional = ParseCodecSpec("tern:256");
+  auto positional = CodecSpec::Parse("tern:256");
   ASSERT_TRUE(positional.ok());
   EXPECT_EQ(positional->bucket_size, 256);
 }
 
 TEST(ParseCodecSpecTest, Nuqsgd) {
-  auto nuq4 = ParseCodecSpec("nuq4");
+  auto nuq4 = CodecSpec::Parse("nuq4");
   ASSERT_TRUE(nuq4.ok());
   EXPECT_EQ(nuq4->kind, CodecKind::kNuqsgd);
   EXPECT_EQ(nuq4->bits, 4);
   EXPECT_EQ(nuq4->bucket_size, 512);  // paper default for 4 bits
   EXPECT_EQ(nuq4->norm, QsgdNorm::kL2);  // NUQSGD normalizes by L2
 
-  auto bucketed = ParseCodecSpec("nuq4:256");
+  auto bucketed = CodecSpec::Parse("nuq4:256");
   ASSERT_TRUE(bucketed.ok());
   EXPECT_EQ(bucketed->bucket_size, 256);
 
-  auto keyed = ParseCodecSpec("nuq8:bucket=1024");
+  auto keyed = CodecSpec::Parse("nuq8:bucket=1024");
   ASSERT_TRUE(keyed.ok());
   EXPECT_EQ(keyed->bits, 8);
   EXPECT_EQ(keyed->bucket_size, 1024);
 }
 
 TEST(ParseCodecSpecTest, EcqSgd) {
-  auto ecq4 = ParseCodecSpec("ecq4");
+  auto ecq4 = CodecSpec::Parse("ecq4");
   ASSERT_TRUE(ecq4.ok());
   EXPECT_EQ(ecq4->kind, CodecKind::kEcqSgd);
   EXPECT_EQ(ecq4->bits, 4);
   EXPECT_EQ(ecq4->bucket_size, 512);
   EXPECT_TRUE(ecq4->error_feedback);
 
-  auto bucketed = ParseCodecSpec("ecq8:1024");
+  auto bucketed = CodecSpec::Parse("ecq8:1024");
   ASSERT_TRUE(bucketed.ok());
   EXPECT_EQ(bucketed->bits, 8);
   EXPECT_EQ(bucketed->bucket_size, 1024);
 }
 
 TEST(ParseCodecSpecTest, KeyValueGrammar) {
-  auto q = ParseCodecSpec("q4:bucket=512,norm=l2,levels=sym");
+  auto q = CodecSpec::Parse("q4:bucket=512,norm=l2,levels=sym");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->bucket_size, 512);
   EXPECT_EQ(q->norm, QsgdNorm::kL2);
   EXPECT_EQ(q->levels, QsgdLevelScheme::kSymmetric);
 
   // Positional and keyed forms of the same parameter agree.
-  EXPECT_EQ(ParseCodecSpec("q8:64")->bucket_size,
-            ParseCodecSpec("q8:bucket=64")->bucket_size);
-  EXPECT_DOUBLE_EQ(ParseCodecSpec("topk:0.05")->density,
-                   ParseCodecSpec("topk:density=0.05")->density);
+  EXPECT_EQ(CodecSpec::Parse("q8:64")->bucket_size,
+            CodecSpec::Parse("q8:bucket=64")->bucket_size);
+  EXPECT_DOUBLE_EQ(CodecSpec::Parse("topk:0.05")->density,
+                   CodecSpec::Parse("topk:density=0.05")->density);
 }
 
 TEST(ParseCodecSpecTest, RejectsGarbage) {
@@ -147,7 +147,7 @@ TEST(ParseCodecSpecTest, RejectsGarbage) {
         "q4:64,bucket=128", "q4:bucket=64,512", "q4:64,,128",
         "q4:norm=foo", "q4:levels=foo", "q4:density=0.5",
         "topk:density=0.5,0.6", "terngrad:bits=2"}) {
-    EXPECT_FALSE(ParseCodecSpec(text).ok()) << "'" << text << "'";
+    EXPECT_FALSE(CodecSpec::Parse(text).ok()) << "'" << text << "'";
   }
 }
 
@@ -155,7 +155,7 @@ TEST(ParseCodecSpecTest, RejectsGarbage) {
 // it helps, list what would have been accepted.
 TEST(ParseCodecSpecTest, ErrorsNameOffendingToken) {
   const auto message = [](const char* text) {
-    auto spec = ParseCodecSpec(text);
+    auto spec = CodecSpec::Parse(text);
     EXPECT_FALSE(spec.ok()) << text;
     return spec.ok() ? std::string() : std::string(spec.status().message());
   };
@@ -207,9 +207,9 @@ TEST(ParseCodecSpecTest, RoundTripsThroughCreateCodec) {
   for (const char* text :
        {"32bit", "1bit", "1bit*", "1bit*:128", "q2", "q4", "q8:64", "q16",
         "topk:0.05"}) {
-    auto spec = ParseCodecSpec(text);
+    auto spec = CodecSpec::Parse(text);
     ASSERT_TRUE(spec.ok()) << text;
-    auto codec = CreateCodec(*spec);
+    auto codec = (*spec).Create();
     EXPECT_TRUE(codec.ok()) << text;
   }
 }
@@ -219,7 +219,7 @@ TEST(ParseCodecSpecTest, RoundTripsThroughCreateCodec) {
 TEST(CodecSpecMemberTest, ParseMatchesFreeFunction) {
   for (const char* text : {"32bit", "1bit*", "q4:256", "topk:0.1", "aq4"}) {
     auto member = CodecSpec::Parse(text);
-    auto free_fn = ParseCodecSpec(text);
+    auto free_fn = CodecSpec::Parse(text);
     ASSERT_TRUE(member.ok()) << text;
     ASSERT_TRUE(free_fn.ok()) << text;
     EXPECT_EQ(member->kind, free_fn->kind) << text;
@@ -235,7 +235,7 @@ TEST(CodecSpecMemberTest, CreateInstantiatesAndValidates) {
   ASSERT_TRUE(spec.ok());
   auto codec = spec->Create();
   ASSERT_TRUE(codec.ok());
-  EXPECT_EQ((*codec)->Name(), CreateCodec(*spec).value()->Name());
+  EXPECT_EQ((*codec)->Name(), (*spec).Create().value()->Name());
 
   CodecSpec bad = QsgdSpec(4);
   bad.bits = 99;

@@ -8,6 +8,7 @@
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 
 namespace lpsgd {
@@ -15,13 +16,14 @@ namespace {
 
 std::vector<float> EncodeDecode(const TernGradCodec& codec, const Tensor& grad,
                                 uint64_t tag) {
+  CodecWorkspace workspace;
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), grad.shape(), tag, nullptr, &blob);
+  codec.Encode(grad.data(), grad.shape(), tag, nullptr, &workspace, &blob);
   EXPECT_EQ(static_cast<int64_t>(blob.size()),
             codec.EncodedSizeBytes(grad.shape()));
   std::vector<float> decoded(static_cast<size_t>(grad.size()));
   CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                        grad.shape(), decoded.data()));
+                        grad.shape(), &workspace, decoded.data()));
   return decoded;
 }
 
@@ -101,6 +103,7 @@ TEST(TernGradCodecTest, StochasticRoundingIsUnbiased) {
 }
 
 TEST(TernGradCodecTest, ClippingCapsTheScale) {
+  CodecWorkspace workspace;
   // One huge outlier among small components: unclipped, the scale is the
   // outlier and every small component is almost always rounded to zero.
   // Clipped at 2.5 sigma, the scale drops to clip * RMS.
@@ -118,7 +121,7 @@ TEST(TernGradCodecTest, ClippingCapsTheScale) {
 
   TernGradCodec clipped(0, 2.5, 1);
   std::vector<uint8_t> blob;
-  clipped.Encode(grad.data(), shape, 11, nullptr, &blob);
+  clipped.Encode(grad.data(), shape, 11, nullptr, &workspace, &blob);
   float scale;
   std::memcpy(&scale, blob.data(), sizeof(float));
   EXPECT_FLOAT_EQ(scale, 2.5f * rms);
@@ -126,12 +129,13 @@ TEST(TernGradCodecTest, ClippingCapsTheScale) {
 
   TernGradCodec unclipped(0, 0.0, 1);
   blob.clear();
-  unclipped.Encode(grad.data(), shape, 11, nullptr, &blob);
+  unclipped.Encode(grad.data(), shape, 11, nullptr, &workspace, &blob);
   std::memcpy(&scale, blob.data(), sizeof(float));
   EXPECT_FLOAT_EQ(scale, 50.0f);
 }
 
 TEST(TernGradCodecTest, ClippedComponentsSaturate) {
+  CodecWorkspace workspace;
   // A component above the clip threshold has P(±s) = 1: it deterministically
   // decodes to the (clipped) scale.
   const Shape shape({8});
@@ -143,31 +147,31 @@ TEST(TernGradCodecTest, ClippedComponentsSaturate) {
   TernGradCodec codec(0, 1.0, 1);
   for (uint64_t tag = 0; tag < 16; ++tag) {
     std::vector<uint8_t> blob;
-    codec.Encode(grad.data(), shape, tag, nullptr, &blob);
+    codec.Encode(grad.data(), shape, tag, nullptr, &workspace, &blob);
     float scale;
     std::memcpy(&scale, blob.data(), sizeof(float));
     std::vector<float> decoded(8);
     CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                          shape, decoded.data()));
+                          shape, &workspace, decoded.data()));
     EXPECT_FLOAT_EQ(decoded[0], scale) << tag;
   }
 }
 
 TEST(TernGradCodecTest, FactoryAndSpec) {
-  auto codec = CreateCodec(TernGradSpec());
+  auto codec = TernGradSpec().Create();
   ASSERT_TRUE(codec.ok());
   EXPECT_EQ((*codec)->Name(), "TernGrad");
   EXPECT_FALSE((*codec)->UsesErrorFeedback());
 
-  auto bucketed = CreateCodec(TernGradSpec(128, 3.0));
+  auto bucketed = TernGradSpec(128, 3.0).Create();
   ASSERT_TRUE(bucketed.ok());
 
   CodecSpec bad = TernGradSpec();
   bad.bucket_size = -1;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
   bad = TernGradSpec();
   bad.clip = -0.5;
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "quant/workspace.h"
 #include "tensor/tensor.h"
 #include "base/logging.h"
 
@@ -14,13 +15,14 @@ namespace {
 
 std::vector<float> EncodeDecode(const TopKCodec& codec, const Tensor& grad,
                                 std::vector<float>* error) {
+  CodecWorkspace workspace;
   std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), grad.shape(), 0, error, &blob);
+  codec.Encode(grad.data(), grad.shape(), 0, error, &workspace, &blob);
   EXPECT_EQ(static_cast<int64_t>(blob.size()),
             codec.EncodedSizeBytes(grad.shape()));
   std::vector<float> decoded(static_cast<size_t>(grad.size()));
   CHECK_OK(codec.Decode(blob.data(), static_cast<int64_t>(blob.size()), grad.shape(),
-               decoded.data()));
+               &workspace, decoded.data()));
   return decoded;
 }
 
@@ -132,14 +134,14 @@ TEST(TopKCodecTest, FactoryAndSpec) {
   const CodecSpec spec = TopKSpec(0.05);
   EXPECT_EQ(spec.Label(), "TopK 5.0%");
   EXPECT_EQ(spec.ShortLabel(), "K5");
-  auto codec = CreateCodec(spec);
+  auto codec = spec.Create();
   ASSERT_TRUE(codec.ok());
   EXPECT_TRUE((*codec)->UsesErrorFeedback());
 
   CodecSpec bad = TopKSpec(0.0);
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
   bad = TopKSpec(1.5);
-  EXPECT_FALSE(CreateCodec(bad).ok());
+  EXPECT_FALSE(bad.Create().ok());
 }
 
 class TopKDensityTest : public ::testing::TestWithParam<double> {};

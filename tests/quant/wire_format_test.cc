@@ -16,6 +16,7 @@
 #include "base/rng.h"
 #include "base/simd/simd.h"
 #include "quant/codec.h"
+#include "quant/workspace.h"
 #include "tensor/shape.h"
 
 namespace lpsgd {
@@ -40,10 +41,11 @@ struct GoldenCase {
 class WireFormatTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(WireFormatTest, BytesMatchGolden) {
+  CodecWorkspace workspace;
   const GoldenCase& c = GetParam();
-  auto spec = ParseCodecSpec(c.spec);
+  auto spec = CodecSpec::Parse(c.spec);
   ASSERT_TRUE(spec.ok());
-  auto codec = CreateCodec(*spec);
+  auto codec = (*spec).Create();
   ASSERT_TRUE(codec.ok());
 
   const float grad[8] = {0.5f, -1.0f, 0.25f, 0.0f,
@@ -52,14 +54,15 @@ TEST_P(WireFormatTest, BytesMatchGolden) {
   std::vector<float> error(8, 0.0f);
   std::vector<uint8_t> blob;
   (*codec)->Encode(grad, shape, /*stochastic_tag=*/7,
-                   (*codec)->UsesErrorFeedback() ? &error : nullptr, &blob);
+                   (*codec)->UsesErrorFeedback() ? &error : nullptr,
+                   &workspace, &blob);
   EXPECT_EQ(HexEncode(blob), c.hex) << c.spec;
 
   // And the blob must decode cleanly, checksum included.
   std::vector<float> decoded(8);
   EXPECT_TRUE((*codec)
                   ->Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                           shape, decoded.data())
+                           shape, &workspace, decoded.data())
                   .ok());
 }
 
@@ -105,14 +108,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Structural spot-checks that make the formats human-auditable.
 TEST(WireFormatTest, OneBitHeaderIsAvgPairs) {
+  CodecWorkspace workspace;
   // Columns of {0.5, 0.25, 2.0, 1.5} / {-1, 0, -0.125, -2.5}:
   // col0: avg+ = 1.0625 (0x3f880000 LE), col1 mixes signs.
-  auto codec = CreateCodec(OneBitSgdSpec());
+  auto codec = OneBitSgdSpec().Create();
   const float grad[8] = {0.5f, -1.0f, 0.25f, 0.0f,
                          2.0f, -0.125f, 1.5f, -2.5f};
   std::vector<float> error(8, 0.0f);
   std::vector<uint8_t> blob;
-  (*codec)->Encode(grad, Shape({4, 2}), 0, &error, &blob);
+  (*codec)->Encode(grad, Shape({4, 2}), 0, &error, &workspace, &blob);
   float avg_pos_col0;
   std::memcpy(&avg_pos_col0, blob.data(), sizeof(float));
   EXPECT_FLOAT_EQ(avg_pos_col0, (0.5f + 0.25f + 2.0f + 1.5f) / 4.0f);
@@ -290,6 +294,7 @@ std::vector<HashCase> GoldenHashCases() {
 }
 
 void VerifyGoldenBlobHashes() {
+  CodecWorkspace workspace;
   const int64_t n = 1000;
   const Shape shape({25, 40});
   const std::vector<float> grad = GoldenGradient(n);
@@ -304,17 +309,17 @@ void VerifyGoldenBlobHashes() {
     std::vector<uint8_t> blob;
     // Round 1 seeds the error-feedback state; round 2's blob depends on it.
     (*codec)->Encode(grad.data(), shape, /*stochastic_tag=*/12345, error_ptr,
-                     &blob);
+                     &workspace, &blob);
     const uint64_t h1 = Fnv1a64(blob.data(), blob.size(), kFnvBasis);
     EXPECT_EQ(h1, c.first_encode);
     (*codec)->Encode(grad.data(), shape, /*stochastic_tag=*/12346, error_ptr,
-                     &blob);
+                     &workspace, &blob);
     const uint64_t h2 = Fnv1a64(blob.data(), blob.size(), kFnvBasis);
     EXPECT_EQ(h2, c.second_encode);
     std::vector<float> decoded(static_cast<size_t>(n));
     ASSERT_TRUE((*codec)
                     ->Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                             shape, decoded.data())
+                             shape, &workspace, decoded.data())
                     .ok());
     const uint64_t h3 =
         Fnv1a64(reinterpret_cast<const uint8_t*>(decoded.data()),
@@ -345,6 +350,7 @@ TEST(WireFormatTest, GoldenBlobHashesUnderEveryDispatchMode) {
 // byte step of FNV-1a is injective in the running hash), so Decode must
 // fail on all of these, not just most.
 TEST(WireFormatTest, CorruptedBlobsAreRejected) {
+  CodecWorkspace workspace;
   const int64_t n = 1000;
   const Shape shape({25, 40});
   const std::vector<float> grad = GoldenGradient(n);
@@ -354,24 +360,25 @@ TEST(WireFormatTest, CorruptedBlobsAreRejected) {
 
   for (const char* spec_str : kSpecs) {
     SCOPED_TRACE(spec_str);
-    auto spec = ParseCodecSpec(spec_str);
+    auto spec = CodecSpec::Parse(spec_str);
     ASSERT_TRUE(spec.ok());
-    auto codec = CreateCodec(*spec);
+    auto codec = (*spec).Create();
     ASSERT_TRUE(codec.ok());
     std::vector<float> error(static_cast<size_t>(n), 0.0f);
     std::vector<uint8_t> blob;
     (*codec)->Encode(grad.data(), shape, /*stochastic_tag=*/99,
                      (*codec)->UsesErrorFeedback() ? &error : nullptr,
-                     &blob);
+                     &workspace, &blob);
 
     const float kSentinel = -12345.0f;
     std::vector<float> out(static_cast<size_t>(n), kSentinel);
     const auto expect_rejected = [&](const std::vector<uint8_t>& bytes,
                                      int64_t size, const char* what) {
+      CodecWorkspace workspace;
       SCOPED_TRACE(what);
       const Status status = (*codec)->Decode(
           bytes.empty() ? blob.data() : bytes.data(), size, shape,
-          out.data());
+          &workspace, out.data());
       EXPECT_FALSE(status.ok());
       for (float v : out) {
         ASSERT_EQ(v, kSentinel) << "Decode wrote output despite failing";
@@ -410,18 +417,19 @@ TEST(WireFormatTest, CorruptedBlobsAreRejected) {
     // The pristine blob still decodes after all that.
     EXPECT_TRUE((*codec)
                     ->Decode(blob.data(), static_cast<int64_t>(blob.size()),
-                             shape, out.data())
+                             shape, &workspace, out.data())
                     .ok());
   }
 }
 
 TEST(WireFormatTest, TopKHeaderIsCount) {
-  auto codec = CreateCodec(TopKSpec(0.25));
+  CodecWorkspace workspace;
+  auto codec = TopKSpec(0.25).Create();
   const float grad[8] = {0.5f, -1.0f, 0.25f, 0.0f,
                          2.0f, -0.125f, 1.5f, -2.5f};
   std::vector<float> error(8, 0.0f);
   std::vector<uint8_t> blob;
-  (*codec)->Encode(grad, Shape({4, 2}), 0, &error, &blob);
+  (*codec)->Encode(grad, Shape({4, 2}), 0, &error, &workspace, &blob);
   uint32_t count;
   std::memcpy(&count, blob.data(), sizeof(uint32_t));
   EXPECT_EQ(count, 2u);  // 25% of 8

@@ -211,45 +211,6 @@ TEST(WorkspaceTest, DirtyWorkspaceProducesIdenticalBytes) {
   }
 }
 
-// The legacy (workspace-less) overloads must agree with the workspace path
-// byte for byte — they are the same kernels through a local workspace.
-TEST(WorkspaceTest, LegacyOverloadsMatchWorkspaceOverloads) {
-  const int64_t n = 1000;
-  const Shape shape({25, 40});
-  const std::vector<float> grad = TestGradient(n, 0x1e9acULL);
-
-  for (const CodecCase& c : AllCodecCases()) {
-    SCOPED_TRACE(c.name);
-    auto codec = c.spec.Create();
-    ASSERT_TRUE(codec.ok());
-    const bool uses_error = (*codec)->UsesErrorFeedback();
-
-    std::vector<float> error_legacy(static_cast<size_t>(n), 0.0f);
-    std::vector<uint8_t> blob_legacy;
-    (*codec)->Encode(grad.data(), shape, /*stochastic_tag=*/13,
-                     uses_error ? &error_legacy : nullptr, &blob_legacy);
-
-    std::vector<float> error_ws(static_cast<size_t>(n), 0.0f);
-    CodecWorkspace ws;
-    std::vector<uint8_t> blob_ws;
-    (*codec)->Encode(grad.data(), shape, /*stochastic_tag=*/13,
-                     uses_error ? &error_ws : nullptr, &ws, &blob_ws);
-
-    EXPECT_EQ(blob_legacy, blob_ws);
-    EXPECT_EQ(error_legacy, error_ws);
-
-    std::vector<float> out_legacy(static_cast<size_t>(n));
-    std::vector<float> out_ws(static_cast<size_t>(n));
-    CHECK_OK((*codec)->Decode(blob_legacy.data(),
-                     static_cast<int64_t>(blob_legacy.size()), shape,
-                     out_legacy.data()));
-    CHECK_OK((*codec)->Decode(blob_ws.data(), static_cast<int64_t>(blob_ws.size()),
-                     shape, &ws, out_ws.data()));
-    EXPECT_EQ(0, std::memcmp(out_legacy.data(), out_ws.data(),
-                             static_cast<size_t>(n) * sizeof(float)));
-  }
-}
-
 TEST(WorkspaceTest, EnsureSizeRecordsGrowthOnlyWhenCapacityGrows) {
   auto& registry = obs::MetricsRegistry::Global();
   const bool was_enabled = registry.enabled();

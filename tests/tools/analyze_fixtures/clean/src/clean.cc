@@ -1,4 +1,4 @@
-// Fixture for tools/analyze (never compiled): hot path calling a pure
+// Fixture for lpsgd_lint (never compiled): hot path calling a pure
 // helper, consistently ordered locks, and an inspected Status. Every pass
 // must come back empty.
 struct Mutex {

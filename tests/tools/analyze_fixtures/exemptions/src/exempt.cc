@@ -1,4 +1,4 @@
-// Fixture for tools/analyze (never compiled): LPSGD_HOT_CALLEE_OK both in
+// Fixture for lpsgd_lint (never compiled): LPSGD_HOT_CALLEE_OK both in
 // its valid form (ColdLog allocates but is exempted, so no finding) and in
 // its stale form (NeverCalled is not reachable from any hot region, so the
 // annotation itself must be flagged).

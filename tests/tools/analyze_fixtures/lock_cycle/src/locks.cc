@@ -1,4 +1,4 @@
-// Fixture for tools/analyze (never compiled): a three-lock acquisition
+// Fixture for lpsgd_lint (never compiled): a three-lock acquisition
 // cycle (a -> b in TakeAB, b -> c in TakeBC, c -> a in TakeCA) plus a
 // self-deadlock where Reenter holds `a` across a call to a helper that
 // acquires `a` again.

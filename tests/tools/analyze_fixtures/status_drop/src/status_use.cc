@@ -1,4 +1,4 @@
-// Fixture for tools/analyze (never compiled): Status values that are
+// Fixture for lpsgd_lint (never compiled): Status values that are
 // overwritten or scope-exited without inspection (two findings), plus a
 // retry loop whose per-iteration assignment IS inspected (no finding).
 struct Status {

@@ -1,4 +1,4 @@
-// Fixture for tools/analyze (never compiled): an allocation two call hops
+// Fixture for lpsgd_lint (never compiled): an allocation two call hops
 // away from an LPSGD_HOT_PATH region. The purity pass must walk
 // HotLoop -> Stage1 -> Stage2 and flag the push_back in Stage2.
 #include <vector>

@@ -9,24 +9,15 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
-
-#include "common/source_text.h"
 
 namespace lpsgd {
 namespace lint {
 namespace {
 
 namespace fs = std::filesystem;
-
-using srctext::FindHotRegions;
-using srctext::HotRegion;
-using srctext::IsIdentChar;
-using srctext::IsWholeWord;
-using srctext::LineIndex;
-using srctext::ScanAllocations;
-using srctext::SkipSpace;
-using srctext::SuppressionMap;
 
 // Exact spellings defined by base/thread_annotations.h. Anything that
 // merely *looks* like one of these (see kAnnotationFamilies) is a typo.
@@ -57,8 +48,17 @@ const char* const kAnnotationFamilies[] = {
     "LPSGD_NO_THREAD", "LPSGD_RETURN_CAP", "LPSGD_THREAD_ANNOTATION",
 };
 
-// Free functions banned outright in src/ and tools/.
-const char* const kBannedFunctions[] = {"rand", "strcpy", "sprintf"};
+// Free functions banned outright in src/, tools/ and bench/, with why.
+constexpr std::string_view kNonDeterministic =
+    "non-deterministic; use a seeded std::mt19937";
+constexpr std::string_view kUnbounded =
+    "unbounded write; use the bounded counterpart";
+const std::pair<const char*, std::string_view> kBannedFunctions[] = {
+    {"rand", kNonDeterministic},  {"srand", kNonDeterministic},
+    {"strcpy", kUnbounded},       {"strcat", kUnbounded},
+    {"sprintf", kUnbounded},      {"vsprintf", kUnbounded},
+    {"gets", "unbounded read; use std::getline"},
+};
 
 // Files whose hot-path markers are load-bearing: deleting a marker would
 // silently disable the hot-path-alloc rule, so coverage is checked at tree
@@ -104,52 +104,27 @@ const char* const kIntrinsicsHeaders[] = {"<immintrin.h>", "<x86intrin.h>",
                                           "<arm_neon.h>"};
 
 bool IsSimdTu(const std::string& path) {
-  return srctext::EndsWith(srctext::Basename(path), "_simd.cc");
+  return EndsWith(Basename(path), "_simd.cc");
 }
 
 bool MayHoldIntrinsics(const std::string& path) {
-  const std::string base = srctext::Basename(path);
-  return srctext::EndsWith(base, "_simd.cc") ||
-         srctext::EndsWith(base, ".inc");
+  const std::string base = Basename(path);
+  return EndsWith(base, "_simd.cc") || EndsWith(base, ".inc");
 }
 
-// Emits an issue unless a suppression covers it.
+// Appends the findings of one file's per-file rules.
 struct Emitter {
-  const std::string& path;
-  const LineIndex& lines;
-  const SuppressionMap& allow;
-  std::vector<LintIssue>* out;
+  const TranslationUnit& tu;
+  std::vector<Finding>* out;
 
   void Emit(size_t offset, const std::string& rule,
             const std::string& message) const {
-    int line = lines.LineAt(offset);
-    if (allow.Allows(line, rule)) return;
-    out->push_back({path, line, rule, message});
+    out->push_back({tu.relative, tu.lines.LineAt(offset), rule, message});
   }
 };
 
-void CheckHotRegions(std::string_view stripped, const Emitter& emit) {
-  for (const HotRegion& region : FindHotRegions(stripped)) {
-    std::string_view body = stripped.substr(region.begin,
-                                            region.end - region.begin);
-    for (const srctext::AllocationSite& site : ScanAllocations(body)) {
-      emit.Emit(region.begin + site.offset, "hot-path-alloc",
-                site.message + " inside an LPSGD_HOT_PATH region");
-    }
-  }
-}
-
-void CheckColdPathMarkers(const std::string& path,
-                          std::string_view stripped, const Emitter& emit) {
-  bool cold = false;
-  for (const char* dir : kHotPathFreeDirs) {
-    if (path.find(dir) != std::string::npos) {
-      cold = true;
-      break;
-    }
-  }
-  if (!cold) return;
-  const std::string& marker = srctext::HotPathMarker();
+void CheckColdPathMarkers(std::string_view stripped, const Emitter& emit) {
+  const std::string& marker = HotPathMarker();
   size_t pos = 0;
   while ((pos = stripped.find(marker, pos)) != std::string_view::npos) {
     if (IsWholeWord(stripped, pos, marker.size())) {
@@ -178,7 +153,7 @@ void CheckBannedIncludes(std::string_view stripped, const Emitter& emit) {
 }
 
 void CheckBannedFunctions(std::string_view stripped, const Emitter& emit) {
-  for (const char* fn : kBannedFunctions) {
+  for (const auto& [fn, why] : kBannedFunctions) {
     const size_t len = std::string_view(fn).size();
     for (size_t pos = 0; (pos = stripped.find(fn, pos)) !=
                          std::string_view::npos; pos += len) {
@@ -186,12 +161,7 @@ void CheckBannedFunctions(std::string_view stripped, const Emitter& emit) {
       size_t after = SkipSpace(stripped, pos + len);
       if (after < stripped.size() && stripped[after] == '(') {
         emit.Emit(pos, "banned-function",
-                  std::string(fn) + "() is banned (" +
-                      (std::string_view(fn) == "rand"
-                           ? "non-deterministic; use a seeded "
-                             "std::mt19937"
-                           : "unbounded write; use the bounded "
-                             "counterpart") +
+                  std::string(fn) + "() is banned (" + std::string(why) +
                       ")");
       }
     }
@@ -237,8 +207,10 @@ void CheckAnnotationTypos(std::string_view stripped, const Emitter& emit) {
 // intrinsic call site must sit inside an LPSGD_HOT_PATH body of a file
 // allowed to hold intrinsics. (NEON intrinsics have no stable lexical
 // prefix; <arm_neon.h> include confinement covers them.)
-void CheckSimdConfinement(const std::string& path, std::string_view contents,
-                          std::string_view stripped, const Emitter& emit) {
+void CheckSimdConfinement(const TranslationUnit& tu, const Emitter& emit) {
+  const std::string& path = tu.relative;
+  const std::string_view contents = tu.contents;
+  const std::string_view stripped = tu.stripped;
   // Include placement — scanned on the original text: quoted include paths
   // are string literals, which the stripped copy blanks out. Offsets match
   // (stripping preserves length), so the emitter maps lines correctly.
@@ -268,9 +240,8 @@ void CheckSimdConfinement(const std::string& path, std::string_view contents,
   // Intrinsic identifiers: every whole-word `_mm*` token must be inside an
   // LPSGD_HOT_PATH region (the kernels are the hot path by definition, and
   // the marker keeps the zero-allocation rule watching them).
-  const std::vector<HotRegion> regions = FindHotRegions(stripped);
-  const auto in_hot_region = [&regions](size_t offset) {
-    for (const HotRegion& region : regions) {
+  const auto in_hot_region = [&tu](size_t offset) {
+    for (const HotRegion& region : tu.hot_regions) {
       if (offset >= region.begin && offset < region.end) return true;
     }
     return false;
@@ -291,124 +262,188 @@ void CheckSimdConfinement(const std::string& path, std::string_view contents,
   }
 }
 
-}  // namespace
-
-std::string LintIssue::ToString() const {
-  std::ostringstream os;
-  os << file << ":" << line << ": [" << rule << "] " << message;
-  return os.str();
-}
-
-std::string StripCommentsAndStrings(std::string_view contents) {
-  return srctext::StripCommentsAndStrings(contents);
-}
-
-std::vector<LintIssue> LintFileContents(const std::string& path,
-                                        std::string_view contents,
-                                        const LintOptions& options) {
-  std::vector<LintIssue> issues;
-  const std::string stripped = srctext::StripCommentsAndStrings(contents);
-  const SuppressionMap allow(contents, "lpsgd-lint: allow(");
-  const LineIndex lines(contents);
-  const Emitter emit{path, lines, allow, &issues};
-
+void CheckFile(const TranslationUnit& tu, std::vector<Finding>* out) {
+  const Emitter emit{tu, out};
+  const std::string& path = tu.relative;
   const bool in_src = path.find("src/") != std::string::npos;
   const bool in_tools = path.find("tools/") != std::string::npos;
+  const bool in_bench = path.find("bench/") != std::string::npos;
 
-  if (options.hot_path_allocations) CheckHotRegions(stripped, emit);
-  if (options.hot_path_allocations && in_src) {
-    CheckColdPathMarkers(path, stripped, emit);
-  }
-  if (options.banned_includes && in_src) CheckBannedIncludes(stripped, emit);
-  if (options.banned_functions && (in_src || in_tools)) {
-    CheckBannedFunctions(stripped, emit);
-  }
-  if (options.annotation_typos) CheckAnnotationTypos(stripped, emit);
-  if (options.simd_confinement && in_src) {
-    CheckSimdConfinement(path, contents, stripped, emit);
-  }
-
-  std::sort(issues.begin(), issues.end(),
-            [](const LintIssue& a, const LintIssue& b) {
-              return std::tie(a.line, a.rule) < std::tie(b.line, b.rule);
-            });
-  return issues;
-}
-
-StatusOr<std::vector<LintIssue>> LintFile(const std::string& path,
-                                          const LintOptions& options) {
-  auto contents = srctext::ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-  return LintFileContents(path, *contents, options);
-}
-
-StatusOr<std::vector<LintIssue>> LintTree(const std::string& repo_root,
-                                          const LintOptions& options) {
-  std::vector<LintIssue> issues;
-  auto files = srctext::ListSourceFiles(repo_root, {"src", "tools"});
-  if (!files.ok()) return files.status();
-
-  std::map<std::string, int> marker_counts;
-  const std::string& marker_token = srctext::HotPathMarker();
-  for (const srctext::SourceFile& file : *files) {
-    auto contents = srctext::ReadFileToString(file.path);
-    if (!contents.ok()) return contents.status();
-    std::vector<LintIssue> file_issues =
-        LintFileContents(file.relative, *contents, options);
-    issues.insert(issues.end(), file_issues.begin(), file_issues.end());
-    if (options.required_hot_path_markers) {
-      const std::string stripped =
-          srctext::StripCommentsAndStrings(*contents);
-      int count = 0;
-      size_t pos = 0;
-      while ((pos = stripped.find(marker_token, pos)) != std::string::npos) {
-        if (IsWholeWord(stripped, pos, marker_token.size())) {
-          size_t bol = stripped.rfind('\n', pos);
-          bol = (bol == std::string::npos) ? 0 : bol + 1;
-          size_t first = stripped.find_first_not_of(" \t", bol);
-          if (first == std::string::npos || stripped[first] != '#') ++count;
-        }
-        pos += marker_token.size();
+  if (in_src) {
+    for (const char* dir : kHotPathFreeDirs) {
+      if (path.find(dir) != std::string::npos) {
+        CheckColdPathMarkers(tu.stripped, emit);
       }
-      marker_counts[file.relative] = count;
     }
+    CheckBannedIncludes(tu.stripped, emit);
+    CheckSimdConfinement(tu, emit);
   }
+  if (in_src || in_tools || in_bench) {
+    CheckBannedFunctions(tu.stripped, emit);
+  }
+  CheckAnnotationTypos(tu.stripped, emit);
+}
 
-  if (options.required_hot_path_markers) {
-    for (const auto& [rel, required] : kRequiredHotPathMarkers) {
-      auto it = marker_counts.find(rel);
-      const int have = (it == marker_counts.end()) ? -1 : it->second;
-      if (have < 0) {
-        issues.push_back({rel, 1, "missing-hot-path",
+// Tree-level coverage: every file in kRequiredHotPathMarkers exists and
+// holds at least its required number of markers.
+std::vector<Finding> CheckMarkerCoverage(const Model& model) {
+  std::vector<Finding> findings;
+  const std::string& marker = HotPathMarker();
+  for (const auto& [rel, required] : kRequiredHotPathMarkers) {
+    const auto tu = std::find_if(
+        model.tus.begin(), model.tus.end(),
+        [rel = rel](const TranslationUnit& t) { return t.relative == rel; });
+    if (tu == model.tus.end()) {
+      findings.push_back({rel, 1, "missing-hot-path",
                           "file on the steady-state exchange path is "
                           "missing (required by the hot-path coverage "
                           "table in tools/lint)"});
-      } else if (have < required) {
-        std::ostringstream os;
-        os << "expected at least " << required << " LPSGD_HOT_PATH "
-           << "markers on the steady-state exchange path, found " << have;
-        issues.push_back({rel, 1, "missing-hot-path", os.str()});
+      continue;
+    }
+    const std::string_view s = tu->stripped;
+    int have = 0;
+    for (size_t pos = 0; (pos = s.find(marker, pos)) != std::string::npos;
+         pos += marker.size()) {
+      if (!IsWholeWord(s, pos, marker.size())) continue;
+      size_t bol = s.rfind('\n', pos);
+      bol = (bol == std::string::npos) ? 0 : bol + 1;
+      const size_t first = s.find_first_not_of(" \t", bol);
+      if (first == std::string::npos || s[first] != '#') ++have;
+    }
+    if (have < required) {
+      findings.push_back(
+          {rel, 1, "missing-hot-path",
+           "expected at least " + std::to_string(required) + " " + marker +
+               " markers on the steady-state exchange path, found " +
+               std::to_string(have)});
+    }
+  }
+  return findings;
+}
+
+Model BuildModel(std::vector<SourceText> sources) {
+  Model model;
+  for (SourceText& source : sources) {
+    AddTranslationUnit(std::move(source.path), std::move(source.contents),
+                       &model);
+  }
+  FinalizeModel(&model);
+  return model;
+}
+
+// Runs the per-file rules and the passes, adds them to `findings`, drops
+// what an allow covers, and reports every allow that covered nothing.
+std::vector<Finding> Check(const Model& model,
+                           std::vector<Finding> findings) {
+  for (const TranslationUnit& tu : model.tus) CheckFile(tu, &findings);
+  for (auto* pass : {RunPurityPass, RunLockOrderPass, RunStatusDropPass}) {
+    for (Finding& f : pass(model)) findings.push_back(std::move(f));
+  }
+
+  // An allow covers findings of its rules on its own line and the next.
+  const auto covers = [](const Allow& allow, const Finding& f) {
+    return allow.rule == f.rule &&
+           (f.line == allow.line || f.line == allow.line + 1);
+  };
+  std::map<std::string, const TranslationUnit*> tu_of;
+  std::vector<Finding> kept;
+  for (const TranslationUnit& tu : model.tus) {
+    tu_of[tu.relative] = &tu;
+    for (const Allow& allow : tu.allows) {
+      const bool used =
+          std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
+            return f.file == tu.relative && covers(allow, f);
+          });
+      if (!used) {
+        kept.push_back({tu.relative, allow.line, "stale-allow",
+                        "allow(" + allow.rule +
+                            ") suppresses nothing; delete it"});
       }
     }
   }
-  return issues;
+  for (Finding& f : findings) {
+    const auto tu = tu_of.find(f.file);
+    const bool allowed =
+        tu != tu_of.end() &&
+        std::any_of(tu->second->allows.begin(), tu->second->allows.end(),
+                    [&](const Allow& allow) { return covers(allow, f); });
+    if (!allowed) kept.push_back(std::move(f));
+  }
+
+  std::sort(kept.begin(), kept.end(), [](const Finding& a, const Finding& b) {
+    return std::tie(a.file, a.line, a.rule, a.message) <
+           std::tie(b.file, b.line, b.rule, b.message);
+  });
+  return kept;
 }
 
-StatusOr<std::vector<LintIssue>> CheckHeaderSelfContained(
+// Reads a file fully; NotFound on open failure.
+StatusOr<std::string> ReadFileToString(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return NotFoundError("cannot open " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+}  // namespace
+
+StatusOr<std::vector<SourceText>> ReadTree(const std::string& repo_root) {
+  const fs::path root(repo_root);
+  std::vector<fs::path> files;
+  for (const char* subdir : {"src", "tools", "bench"}) {
+    const fs::path base = root / subdir;
+    if (!fs::exists(base)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(base)) {
+      if (!entry.is_regular_file()) continue;
+      const auto ext = entry.path().extension();
+      // .inc: textually-included kernel fragments (SIMD lane helpers) —
+      // they hold intrinsics and hot-path bodies, so they count as source.
+      if (ext == ".h" || ext == ".cc" || ext == ".inc") {
+        files.push_back(entry.path());
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<SourceText> sources;
+  sources.reserve(files.size());
+  for (const fs::path& file : files) {
+    std::error_code ec;
+    const fs::path rel = fs::relative(file, root, ec);
+    LPSGD_ASSIGN_OR_RETURN(std::string contents,
+                           ReadFileToString(file.string()));
+    sources.push_back({ec ? file.generic_string() : rel.generic_string(),
+                       std::move(contents)});
+  }
+  return sources;
+}
+
+std::vector<Finding> LintSources(std::vector<SourceText> sources) {
+  return Check(BuildModel(std::move(sources)), {});
+}
+
+StatusOr<std::vector<Finding>> LintTree(const std::string& repo_root) {
+  LPSGD_ASSIGN_OR_RETURN(std::vector<SourceText> sources,
+                         ReadTree(repo_root));
+  const Model model = BuildModel(std::move(sources));
+  return Check(model, CheckMarkerCoverage(model));
+}
+
+StatusOr<std::vector<Finding>> CheckHeaderSelfContained(
     const std::string& header_path, const std::string& include_path,
     const std::string& include_root, const std::string& compiler_command,
     const std::string& work_dir) {
-  std::vector<LintIssue> issues;
-  auto contents = srctext::ReadFileToString(header_path);
+  std::vector<Finding> findings;
+  auto contents = ReadFileToString(header_path);
   if (!contents.ok()) return contents.status();
 
-  const std::string stripped = srctext::StripCommentsAndStrings(*contents);
+  const std::string stripped = StripCommentsAndStrings(*contents);
   const bool has_guard =
       stripped.find("#pragma once") != std::string::npos ||
       (stripped.find("#ifndef") != std::string::npos &&
        stripped.find("#define") != std::string::npos);
   if (!has_guard) {
-    issues.push_back({header_path, 1, "missing-include-guard",
+    findings.push_back({header_path, 1, "missing-include-guard",
                       "header has neither an #ifndef guard nor "
                       "#pragma once"});
   }
@@ -446,16 +481,16 @@ StatusOr<std::vector<LintIssue>> CheckHeaderSelfContained(
   const int rc = pclose(pipe);
   if (rc != 0) {
     std::string first_line = output.substr(0, output.find('\n'));
-    issues.push_back({header_path, 1, "header-not-self-contained",
+    findings.push_back({header_path, 1, "header-not-self-contained",
                       "generated TU fails to compile alone: " + first_line});
   }
-  return issues;
+  return findings;
 }
 
-StatusOr<std::vector<LintIssue>> CheckTreeHeaders(
+StatusOr<std::vector<Finding>> CheckTreeHeaders(
     const std::string& repo_root, const std::string& compiler_command,
     const std::string& work_dir) {
-  std::vector<LintIssue> issues;
+  std::vector<Finding> findings;
   const fs::path root(repo_root);
   const fs::path src = root / "src";
   if (!fs::exists(src)) {
@@ -477,15 +512,15 @@ StatusOr<std::vector<LintIssue>> CheckTreeHeaders(
         header.string(), include_path, src.string(), compiler_command,
         work_dir);
     if (!header_issues.ok()) return header_issues.status();
-    for (LintIssue issue : *header_issues) {
+    for (Finding issue : *header_issues) {
       std::error_code root_ec;
       fs::path root_rel = fs::relative(header, root, root_ec);
       issue.file =
           root_ec ? header.generic_string() : root_rel.generic_string();
-      issues.push_back(std::move(issue));
+      findings.push_back(std::move(issue));
     }
   }
-  return issues;
+  return findings;
 }
 
 }  // namespace lint

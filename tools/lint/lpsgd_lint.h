@@ -1,138 +1,90 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// lpsgd_lint: the repo's compiled lint tool. It mechanically enforces the
+// lpsgd_lint: the repo's one static checker. It mechanically enforces the
 // invariants that the compiler alone cannot see (DESIGN.md "Static analysis
-// & enforced invariants"):
+// & enforced invariants"). One walk reads and strips every .h/.cc/.inc
+// under src/, tools/ and bench/ once; per-file text rules and whole-program
+// passes then share that parse.
 //
-//  * hot-path-alloc      — no allocation inside an LPSGD_HOT_PATH region:
-//                          `new`, malloc/calloc/realloc, container growth
-//                          (.resize/.push_back/.emplace_back/.reserve/
-//                          .assign/.insert), and by-value std::vector
-//                          declarations (pointers/references are fine).
-//                          LPSGD_HOT_PATH marks the function definitions on
-//                          the zero-allocation steady-state exchange path:
-//                          codec Encode/Decode workspace overloads,
-//                          BitWriter/BitReader, and the aggregators'
-//                          per-iteration exchange lambdas.
+// Per-file rules (path-scoped):
 //  * banned-include      — <iostream> in src/ library code (it drags in
 //                          static iostream initializers; use base/logging.h).
-//  * banned-function     — rand(), strcpy(), sprintf() anywhere in src/ or
-//                          tools/ (non-deterministic seeding / unbounded
-//                          writes).
+//  * banned-function     — rand, srand, strcpy, strcat, sprintf, vsprintf,
+//                          gets anywhere in src/, tools/ or bench/
+//                          (non-deterministic seeding / unbounded I/O).
 //  * annotation-typo     — an identifier that looks like one of the
 //                          base/thread_annotations.h macros but is not an
 //                          exact match (a typo'd annotation silently
-//                          disables the Clang analysis, so it must be a
-//                          lint error, not a no-op).
-//  * missing-hot-path    — tree-level coverage: the files known to carry
-//                          the steady-state exchange path must contain at
-//                          least their required number of LPSGD_HOT_PATH
-//                          markers, so the alloc rule cannot be silently
-//                          disabled by deleting a marker.
-//  * cold-path-marker    — the inverse: directories that are cold-path by
-//                          design (src/ckpt/ — durable checkpoint I/O runs
-//                          between iterations, never inside an exchange)
-//                          must stay LPSGD_HOT_PATH-free. A marker there
-//                          would falsely advertise steady-state perf
-//                          guarantees and drag fsync-adjacent code under
-//                          the zero-allocation rule it cannot meet.
+//                          disables the Clang analysis).
+//  * cold-path-marker    — LPSGD_HOT_PATH under src/ckpt/: durable
+//                          checkpoint I/O runs between iterations, and a
+//                          marker there would falsely advertise
+//                          steady-state guarantees.
 //  * simd-include-confined / simd-hot-path — raw vector intrinsics are
 //                          confined to the per-ISA kernel TUs (basename
 //                          *_simd.cc) and the .inc lane-helper fragments
 //                          they textually include; every `_mm*` intrinsic
-//                          call site must sit inside an LPSGD_HOT_PATH
-//                          body, so the zero-allocation rule covers every
-//                          vectorized kernel.
-//  * missing-include-guard / header-not-self-contained — header hygiene:
-//                          every src/**/*.h has an include guard and
-//                          compiles on its own (verified by generating one
-//                          translation unit per header and syntax-checking
-//                          it).
+//                          call site must sit inside an LPSGD_HOT_PATH body.
 //
-// Suppressions: a comment containing `lpsgd-lint: allow(<rule>)` disables
-// `<rule>` on its own line and on the immediately following line. Every
-// suppression is expected to carry a justification in the same comment.
+// Whole-program passes (passes.h): hot-path-alloc (inside a hot region or
+// in anything reachable from one), stale-hot-callee-ok, lock-order-cycle
+// and status-drop.
 //
-// All text rules operate on a comment- and string-stripped copy of the
-// file, so tokens inside literals or documentation never trip a rule (the
-// suppression scan runs on the original text, since suppressions live in
-// comments).
+// Tree-level: missing-hot-path — the files known to carry the steady-state
+// exchange path must hold at least their required number of
+// LPSGD_HOT_PATH markers, so deleting a marker cannot silently disable
+// hot-path-alloc. --check_headers adds missing-include-guard and
+// header-not-self-contained (one generated TU per src/**/*.h).
+//
+// Suppression: an allow comment (source_text.h has the grammar) silences
+// its rules at its own line and the next, for any finding above. An allow
+// that silences nothing is itself a finding, stale-allow, so fixed debt
+// must be deleted with the fix.
 #ifndef LPSGD_TOOLS_LINT_LPSGD_LINT_H_
 #define LPSGD_TOOLS_LINT_LPSGD_LINT_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "base/status.h"
 #include "base/statusor.h"
+#include "lint/passes.h"
 
 namespace lpsgd {
 namespace lint {
 
-// One finding. `rule` is the stable machine name used both in output and in
-// `lpsgd-lint: allow(<rule>)` suppression comments.
-struct LintIssue {
-  std::string file;
-  int line = 0;
-  std::string rule;
-  std::string message;
-
-  // "file:line: [rule] message" — the format CI surfaces and tests match.
-  std::string ToString() const;
+// One file handed to the checker.
+struct SourceText {
+  std::string path;  // repo-root-relative; selects the per-file rules
+  std::string contents;
 };
 
-struct LintOptions {
-  bool hot_path_allocations = true;
-  bool banned_includes = true;
-  bool banned_functions = true;
-  bool annotation_typos = true;
-  // simd-include-confined / simd-hot-path: intrinsics headers
-  // (<immintrin.h>, <arm_neon.h>) and .inc fragments only in *_simd.cc
-  // TUs; `_mm*` intrinsics only inside LPSGD_HOT_PATH bodies there.
-  bool simd_confinement = true;
-  // Tree-level only: verify the required LPSGD_HOT_PATH marker coverage
-  // (see RequiredHotPathMarkers in lpsgd_lint.cc).
-  bool required_hot_path_markers = true;
-};
+// Reads every .h/.cc/.inc under `repo_root`/{src,tools,bench}, sorted by
+// path.
+StatusOr<std::vector<SourceText>> ReadTree(const std::string& repo_root);
 
-// Returns `contents` with comments and string/character literals blanked to
-// spaces. Newlines are preserved so byte offsets keep mapping to the same
-// line numbers. Exposed for tests.
-std::string StripCommentsAndStrings(std::string_view contents);
+// Runs every per-file rule and whole-program pass over `sources` as one
+// program, applies the allow comments and reports stale ones. Findings
+// are sorted by (file, line, rule).
+std::vector<Finding> LintSources(std::vector<SourceText> sources);
 
-// Runs the text rules over one file's contents. `path` determines which
-// rules apply (banned-include only fires under src/, banned-function under
-// src/ and tools/) and is echoed into the issues; the file is not opened.
-std::vector<LintIssue> LintFileContents(const std::string& path,
-                                        std::string_view contents,
-                                        const LintOptions& options);
-
-// Loads `path` and runs the text rules on it.
-StatusOr<std::vector<LintIssue>> LintFile(const std::string& path,
-                                          const LintOptions& options);
-
-// Lints every .h/.cc/.inc under `repo_root`/src and `repo_root`/tools,
-// plus the tree-level required-marker coverage check. Paths in the
-// returned issues are repo-root-relative.
-StatusOr<std::vector<LintIssue>> LintTree(const std::string& repo_root,
-                                          const LintOptions& options);
+// ReadTree + LintSources + the missing-hot-path coverage table.
+StatusOr<std::vector<Finding>> LintTree(const std::string& repo_root);
 
 // Header hygiene for one header: `header_path` is absolute or cwd-relative,
 // `include_path` is what a client would #include (e.g. "quant/codec.h").
 // Writes a single-include translation unit under `work_dir` and runs
 // `compiler_command` (e.g. "c++ -std=c++20") with -fsyntax-only and
-// -I<include_root>. Returns the issues found: missing-include-guard and/or
+// -I<include_root>. Returns the findings: missing-include-guard and/or
 // header-not-self-contained (with the compiler's first error line).
-StatusOr<std::vector<LintIssue>> CheckHeaderSelfContained(
+StatusOr<std::vector<Finding>> CheckHeaderSelfContained(
     const std::string& header_path, const std::string& include_path,
     const std::string& include_root, const std::string& compiler_command,
     const std::string& work_dir);
 
 // Runs CheckHeaderSelfContained over every src/**/*.h under `repo_root`.
-// Slow (one compiler invocation per header) — run by the CI lint job and by
+// Slow (one compiler invocation per header) — run by the CI lint job via
 // `lpsgd_lint --check_headers`, not by the unit tests.
-StatusOr<std::vector<LintIssue>> CheckTreeHeaders(
+StatusOr<std::vector<Finding>> CheckTreeHeaders(
     const std::string& repo_root, const std::string& compiler_command,
     const std::string& work_dir);
 

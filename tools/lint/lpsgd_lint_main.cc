@@ -1,12 +1,12 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// CLI driver for the repo lint (see lpsgd_lint.h for the rule set).
+// CLI driver for the repo's static checker (see lpsgd_lint.h for the rule
+// set).
 //
-//   lpsgd_lint --root .                       # text rules over src/ + tools/
-//   lpsgd_lint --root . --check_headers       # + per-header TU syntax check
-//   lpsgd_lint --files src/quant/qsgd.cc ...  # text rules on specific files
+//   lpsgd_lint --root .                  # every rule over src/ tools/ bench/
+//   lpsgd_lint --root . --check_headers  # + per-header TU syntax check
 //
-// Exit codes: 0 clean, 1 issues found, 2 usage/internal error.
+// Exit codes: 0 clean, 1 findings, 2 usage/internal error.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,11 +15,9 @@
 
 namespace {
 
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: lpsgd_lint [--root DIR] [--check_headers] [--compiler CMD]\n"
-      "                  [--workdir DIR] [--files FILE...]\n");
+int Fail(const lpsgd::Status& status) {
+  std::fprintf(stderr, "lpsgd_lint: %s\n", status.ToString().c_str());
+  return 2;
 }
 
 }  // namespace
@@ -29,7 +27,6 @@ int main(int argc, char** argv) {
   std::string compiler = "c++ -std=c++20";
   std::string workdir = "lpsgd_lint_work";
   bool check_headers = false;
-  std::vector<std::string> files;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -41,51 +38,27 @@ int main(int argc, char** argv) {
       workdir = argv[++i];
     } else if (arg == "--check_headers") {
       check_headers = true;
-    } else if (arg == "--files") {
-      for (++i; i < argc; ++i) files.push_back(argv[i]);
     } else {
-      Usage();
+      std::fprintf(stderr,
+                   "usage: lpsgd_lint [--root DIR] [--check_headers] "
+                   "[--compiler CMD] [--workdir DIR]\n");
       return 2;
     }
   }
 
-  const lpsgd::lint::LintOptions options;
-  std::vector<lpsgd::lint::LintIssue> issues;
-
-  if (!files.empty()) {
-    for (const std::string& file : files) {
-      auto file_issues = lpsgd::lint::LintFile(file, options);
-      if (!file_issues.ok()) {
-        std::fprintf(stderr, "lpsgd_lint: %s\n",
-                     file_issues.status().ToString().c_str());
-        return 2;
-      }
-      issues.insert(issues.end(), file_issues->begin(), file_issues->end());
-    }
-  } else {
-    auto tree_issues = lpsgd::lint::LintTree(root, options);
-    if (!tree_issues.ok()) {
-      std::fprintf(stderr, "lpsgd_lint: %s\n",
-                   tree_issues.status().ToString().c_str());
-      return 2;
-    }
-    issues = std::move(*tree_issues);
-    if (check_headers) {
-      auto header_issues =
-          lpsgd::lint::CheckTreeHeaders(root, compiler, workdir);
-      if (!header_issues.ok()) {
-        std::fprintf(stderr, "lpsgd_lint: %s\n",
-                     header_issues.status().ToString().c_str());
-        return 2;
-      }
-      issues.insert(issues.end(), header_issues->begin(),
-                    header_issues->end());
-    }
+  auto findings = lpsgd::lint::LintTree(root);
+  if (!findings.ok()) return Fail(findings.status());
+  if (check_headers) {
+    auto header_findings =
+        lpsgd::lint::CheckTreeHeaders(root, compiler, workdir);
+    if (!header_findings.ok()) return Fail(header_findings.status());
+    findings->insert(findings->end(), header_findings->begin(),
+                     header_findings->end());
   }
 
-  for (const auto& issue : issues) {
-    std::fprintf(stdout, "%s\n", issue.ToString().c_str());
+  for (const lpsgd::lint::Finding& finding : *findings) {
+    std::fprintf(stdout, "%s\n", finding.ToString().c_str());
   }
-  std::fprintf(stderr, "lpsgd_lint: %zu issue(s)\n", issues.size());
-  return issues.empty() ? 0 : 1;
+  std::fprintf(stderr, "lpsgd_lint: %zu finding(s)\n", findings->size());
+  return findings->empty() ? 0 : 1;
 }

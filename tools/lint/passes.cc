@@ -1,5 +1,5 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
-#include "analyze/passes.h"
+#include "lint/passes.h"
 
 #include <algorithm>
 #include <cctype>
@@ -8,14 +8,12 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string_view>
+#include <utility>
 
 namespace lpsgd {
-namespace analyze {
+namespace lint {
 namespace {
-
-using srctext::IsIdentChar;
-using srctext::IsWholeWord;
-using srctext::SkipSpace;
 
 constexpr size_t npos = std::string_view::npos;
 
@@ -25,18 +23,8 @@ std::string FileLine(const Model& model, int tu_index, size_t offset) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: transitive hot-path purity.
+// Pass 1: hot-path purity.
 // ---------------------------------------------------------------------------
-
-// Functions the zero-allocation contract bans outright (the lint bans most
-// of these repo-wide already; the analyzer re-checks them on the reachable
-// set so a future lint relaxation cannot silently leak them onto hot paths).
-const std::set<std::string>& BannedFunctions() {
-  static const std::set<std::string> kBanned = {
-      "rand", "srand", "strcpy", "strcat", "sprintf", "vsprintf", "gets",
-  };
-  return kBanned;
-}
 
 // True when the call is exempted by an LPSGD_HOT_CALLEE_OK annotation;
 // marks every matching key as consulted.
@@ -70,13 +58,36 @@ bool IsExemptedDef(const Model& model, const FunctionDef& def,
 
 }  // namespace
 
-std::string Finding::Fingerprint() const {
-  return rule + "|" + file + "|" + symbol + "|" + detail;
+std::string Finding::ToString() const {
+  return file + ":" + std::to_string(line) + ": [" + rule + "] " + message;
 }
 
 std::vector<Finding> RunPurityPass(const Model& model) {
   std::vector<Finding> findings;
   std::set<std::string> consulted;
+  // (tu, offset) of every reported allocation: a site inside a hot region
+  // of a function that is also reachable is reported once, as a region
+  // site.
+  std::set<std::pair<int, size_t>> reported;
+  auto report_alloc = [&](int tu_index, size_t offset,
+                          const std::string& message) {
+    if (!reported.emplace(tu_index, offset).second) return;
+    const TranslationUnit& tu = model.tus[static_cast<size_t>(tu_index)];
+    findings.push_back(
+        {tu.relative, tu.lines.LineAt(offset), "hot-path-alloc", message});
+  };
+
+  for (size_t ti = 0; ti < model.tus.size(); ++ti) {
+    const TranslationUnit& tu = model.tus[ti];
+    for (const HotRegion& region : tu.hot_regions) {
+      const std::string_view body = std::string_view(tu.stripped).substr(
+          region.begin, region.end - region.begin);
+      for (const AllocationSite& site : ScanAllocations(body)) {
+        report_alloc(static_cast<int>(ti), region.begin + site.offset,
+                     site.message + " inside an LPSGD_HOT_PATH region");
+      }
+    }
+  }
 
   // parent[i] = function we reached i from (-1 for a direct hot-region
   // callee); root_caller[i] = display name of the hot function/lambda whose
@@ -93,19 +104,15 @@ std::vector<Finding> RunPurityPass(const Model& model) {
   };
 
   // Roots: every call site that sits inside a hot region.
-  for (size_t fi = 0; fi < model.functions.size(); ++fi) {
-    const FunctionDef& fn = model.functions[fi];
+  for (const FunctionDef& fn : model.functions) {
     const TranslationUnit& tu = model.tus[static_cast<size_t>(fn.tu_index)];
     for (const CallSite& call : fn.calls) {
-      bool in_hot = false;
-      for (const srctext::HotRegion& region : tu.hot_regions) {
-        if (call.offset >= region.begin && call.offset < region.end) {
-          in_hot = true;
-          break;
-        }
-      }
-      if (!in_hot) continue;
-      if (IsExempted(model, call, &consulted)) continue;
+      const bool in_hot = std::any_of(
+          tu.hot_regions.begin(), tu.hot_regions.end(),
+          [&](const HotRegion& region) {
+            return call.offset >= region.begin && call.offset < region.end;
+          });
+      if (!in_hot || IsExempted(model, call, &consulted)) continue;
       for (int target : model.Resolve(call.callee, fn.tu_index)) {
         const FunctionDef& def = model.functions[static_cast<size_t>(target)];
         if (IsExemptedDef(model, def, &consulted)) continue;
@@ -134,39 +141,14 @@ std::vector<Finding> RunPurityPass(const Model& model) {
     queue.pop_front();
     const FunctionDef& fn = model.functions[static_cast<size_t>(idx)];
     const TranslationUnit& tu = model.tus[static_cast<size_t>(fn.tu_index)];
-
-    // Hot-marked bodies are the lint's responsibility (hot-path-alloc);
-    // re-reporting them here would double every finding. Their callees are
-    // still traversed below.
-    if (!fn.hot_marked) {
-      const std::string_view body =
-          std::string_view(tu.stripped)
-              .substr(fn.body_begin, fn.body_end - fn.body_begin);
-      for (const srctext::AllocationSite& site :
-           srctext::ScanAllocations(body)) {
-        Finding f;
-        f.rule = "hot-path-transitive-alloc";
-        f.file = tu.relative;
-        f.line = tu.lines.LineAt(fn.body_begin + site.offset);
-        f.symbol = fn.qualified;
-        f.detail = site.message;
-        f.note = "reachable via " + chain_for(idx);
-        findings.push_back(std::move(f));
-      }
+    const std::string_view body = std::string_view(tu.stripped).substr(
+        fn.body_begin, fn.body_end - fn.body_begin);
+    for (const AllocationSite& site : ScanAllocations(body)) {
+      report_alloc(fn.tu_index, fn.body_begin + site.offset,
+                   site.message + " in " + fn.qualified + ", reachable via " +
+                       chain_for(idx));
     }
-
     for (const CallSite& call : fn.calls) {
-      if (BannedFunctions().count(call.callee) > 0) {
-        Finding f;
-        f.rule = "hot-path-banned-call";
-        f.file = tu.relative;
-        f.line = tu.lines.LineAt(call.offset);
-        f.symbol = fn.qualified;
-        f.detail = "calls " + call.callee + "()";
-        f.note = "reachable via " + chain_for(idx);
-        findings.push_back(std::move(f));
-        continue;
-      }
       if (IsExempted(model, call, &consulted)) continue;
       for (int target : model.Resolve(call.callee, fn.tu_index)) {
         const FunctionDef& def = model.functions[static_cast<size_t>(target)];
@@ -180,13 +162,9 @@ std::vector<Finding> RunPurityPass(const Model& model) {
   // cold (delete the annotation) or the name rotted (fix it).
   for (const auto& [name, where] : model.hot_callee_ok) {
     if (consulted.count(name) > 0) continue;
-    Finding f;
-    f.rule = "stale-hot-callee-ok";
-    f.file = where.first;
-    f.line = where.second;
-    f.symbol = name;
-    f.detail = "LPSGD_HOT_CALLEE_OK names a function no hot path calls";
-    findings.push_back(std::move(f));
+    findings.push_back({where.first, where.second, "stale-hot-callee-ok",
+                        HotCalleeOkMarker() + "(" + name +
+                            ") names a function no hot path calls"});
   }
   return findings;
 }
@@ -259,14 +237,11 @@ std::vector<Finding> RunLockOrderPass(const Model& model) {
   LockGraph graph;
   auto self_deadlock = [&](const FunctionDef& fn, const std::string& id,
                            size_t offset, const std::string& how) {
-    Finding f;
-    f.rule = "lock-order-cycle";
-    f.file = model.tus[static_cast<size_t>(fn.tu_index)].relative;
-    f.line = model.tus[static_cast<size_t>(fn.tu_index)].lines.LineAt(offset);
-    f.symbol = id;
-    f.detail = "re-acquired while already held in " + fn.qualified;
-    f.note = how;
-    findings.push_back(std::move(f));
+    const TranslationUnit& tu = model.tus[static_cast<size_t>(fn.tu_index)];
+    findings.push_back({tu.relative, tu.lines.LineAt(offset),
+                        "lock-order-cycle",
+                        id + " re-acquired while already held in " +
+                            fn.qualified + " (" + how + ")"});
   };
 
   for (size_t i = 0; i < model.functions.size(); ++i) {
@@ -367,21 +342,19 @@ std::vector<Finding> RunLockOrderPass(const Model& model) {
                   note += (k > 0 ? "; " : "") + from + " -> " + to +
                           " at " + graph.edges.at(from).at(to);
                 }
-                Finding f;
-                f.rule = "lock-order-cycle";
-                f.symbol = label;
-                f.detail = "lock acquisition order cycle";
-                f.note = note;
-                // Anchor the finding at the first edge's witness when it
-                // carries a file:line.
+                // Anchor the finding at the first edge's witness, where an
+                // allow comment can suppress it.
                 const std::string& w =
                     graph.edges.at(cycle.front()).at(cycle[1 % cycle.size()]);
-                const size_t colon = w.rfind(':');
-                if (colon != std::string::npos && w.rfind("via ", 0) != 0) {
-                  f.file = w.substr(0, colon);
-                  f.line = std::atoi(w.c_str() + colon + 1);
-                }
-                findings.push_back(std::move(f));
+                const size_t at_pos = w.rfind(" at ");
+                const std::string where =
+                    at_pos == std::string::npos ? w : w.substr(at_pos + 4);
+                const size_t colon = where.rfind(':');
+                findings.push_back(
+                    {where.substr(0, colon),
+                     std::atoi(where.c_str() + colon + 1), "lock-order-cycle",
+                     "lock acquisition order cycle " + label + " (" + note +
+                         ")"});
               }
             } else if (color[next] == 0) {
               dfs(next);
@@ -589,17 +562,13 @@ std::vector<Finding> RunStatusDropPass(const Model& model) {
             }
           }
           if (used) continue;
-          Finding f;
-          f.rule = "status-drop";
-          f.file = tu.relative;
-          f.line = tu.lines.LineAt(fn.body_begin + a.offset);
-          f.symbol = fn.qualified;
-          f.detail =
-              std::string(type_name) + " value assigned to `" + name +
-              "` is " +
-              (ai + 1 < assigns.size() ? "overwritten" : "scope-exited") +
-              " without being inspected";
-          findings.push_back(std::move(f));
+          findings.push_back(
+              {tu.relative, tu.lines.LineAt(fn.body_begin + a.offset),
+               "status-drop",
+               std::string(type_name) + " value assigned to `" + name +
+                   "` in " + fn.qualified + " is " +
+                   (ai + 1 < assigns.size() ? "overwritten" : "scope-exited") +
+                   " without being inspected"});
         }
       }
     }
@@ -607,20 +576,5 @@ std::vector<Finding> RunStatusDropPass(const Model& model) {
   return findings;
 }
 
-std::vector<Finding> RunAllPasses(const Model& model) {
-  std::vector<Finding> all = RunPurityPass(model);
-  for (Finding& f : RunLockOrderPass(model)) all.push_back(std::move(f));
-  for (Finding& f : RunStatusDropPass(model)) all.push_back(std::move(f));
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Finding& a, const Finding& b) {
-                     if (a.file != b.file) return a.file < b.file;
-                     if (a.line != b.line) return a.line < b.line;
-                     if (a.rule != b.rule) return a.rule < b.rule;
-                     if (a.symbol != b.symbol) return a.symbol < b.symbol;
-                     return a.detail < b.detail;
-                   });
-  return all;
-}
-
-}  // namespace analyze
+}  // namespace lint
 }  // namespace lpsgd

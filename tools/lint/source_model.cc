@@ -1,16 +1,12 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
-#include "analyze/source_model.h"
+#include "lint/source_model.h"
 
 #include <algorithm>
 #include <cctype>
 
 namespace lpsgd {
-namespace analyze {
+namespace lint {
 namespace {
-
-using srctext::IsIdentChar;
-using srctext::IsWholeWord;
-using srctext::SkipSpace;
 
 constexpr size_t npos = std::string_view::npos;
 
@@ -435,18 +431,17 @@ std::vector<int> Model::Resolve(const std::string& name,
   return same_tu.empty() ? it->second : same_tu;
 }
 
-void AddTranslationUnit(const std::string& relative,
-                        std::string_view contents, Model* model) {
+void AddTranslationUnit(std::string relative, std::string contents,
+                        Model* model) {
   const int tu_index = static_cast<int>(model->tus.size());
-  model->tus.emplace_back(relative,
-                          srctext::StripCommentsAndStrings(contents));
-  TranslationUnit& tu = model->tus.back();
+  model->tus.emplace_back(std::move(relative), std::move(contents));
+  const TranslationUnit& tu = model->tus.back();
   const std::string_view s = tu.stripped;
   const std::vector<ClassRange> classes = FindClassRanges(s);
 
   // LPSGD_HOT_CALLEE_OK(fn) exemptions, anywhere in the TU.
   {
-    const std::string& marker = srctext::HotCalleeOkMarker();
+    const std::string& marker = HotCalleeOkMarker();
     for (size_t pos = 0; (pos = s.find(marker, pos)) != npos;
          pos += marker.size()) {
       if (!IsWholeWord(s, pos, marker.size())) continue;
@@ -466,7 +461,7 @@ void AddTranslationUnit(const std::string& relative,
       }
       if (!name.empty()) {
         model->hot_callee_ok.emplace(
-            name, std::make_pair(relative, tu.lines.LineAt(pos)));
+            name, std::make_pair(tu.relative, tu.lines.LineAt(pos)));
       }
     }
   }
@@ -576,12 +571,6 @@ void AddTranslationUnit(const std::string& relative,
     fn.qualified = enclosing_class.empty()
                        ? name
                        : enclosing_class + "::" + name;
-    for (const srctext::HotRegion& region : tu.hot_regions) {
-      if (region.begin == fn.body_begin) {
-        fn.hot_marked = true;
-        break;
-      }
-    }
     const std::string_view header =
         s.substr(name_begin, body_open - name_begin);
     CollectAnnotationArgs(header, "LPSGD_REQUIRES", enclosing_class,
@@ -618,5 +607,5 @@ void FinalizeModel(Model* model) {
   }
 }
 
-}  // namespace analyze
+}  // namespace lint
 }  // namespace lpsgd

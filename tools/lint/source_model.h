@@ -1,13 +1,13 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// The whole-program source model behind tools/analyze/lpsgd_analyze: a
-// heuristic (token-level, not a full C++ frontend) cross-TU symbol table
-// built from the same comment/string-stripped view of the tree the lint
-// uses (tools/common/source_text.h). Per translation unit it extracts:
+// The whole-program source model behind lpsgd_lint's cross-TU passes: a
+// heuristic (token-level, not a full C++ frontend) symbol table built from
+// the same comment/string-stripped view of each file the per-file rules
+// read (source_text.h). Per translation unit it extracts:
 //
 //  * function definitions — unqualified + class-qualified names, body byte
-//    ranges, LPSGD_HOT_PATH markedness, and any LPSGD_REQUIRES/ACQUIRE
-//    thread-annotation arguments on the definition;
+//    ranges, and any LPSGD_REQUIRES/ACQUIRE thread-annotation arguments on
+//    the definition;
 //  * call sites inside each body (identifier-before-'(' with keyword and
 //    cast filtering; `obj.Fn(...)`, `p->Fn(...)` and `Class::Fn(...)`
 //    record the trailing method name);
@@ -22,20 +22,21 @@
 // invariants"): call resolution is by name, preferring same-TU candidates,
 // so overloads collapse onto one node and virtual calls fan out to every
 // same-named method — deliberately conservative for the purity pass. The
-// passes that consume this model live in tools/analyze/passes.h.
-#ifndef LPSGD_TOOLS_ANALYZE_SOURCE_MODEL_H_
-#define LPSGD_TOOLS_ANALYZE_SOURCE_MODEL_H_
+// passes that consume this model live in passes.h.
+#ifndef LPSGD_TOOLS_LINT_SOURCE_MODEL_H_
+#define LPSGD_TOOLS_LINT_SOURCE_MODEL_H_
 
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/source_text.h"
+#include "lint/source_text.h"
 
 namespace lpsgd {
-namespace analyze {
+namespace lint {
 
 // One call site inside a function body.
 struct CallSite {
@@ -59,7 +60,6 @@ struct FunctionDef {
   int line = 0;            // line of the definition's name token
   size_t body_begin = 0;   // [begin, end) into the TU's stripped text
   size_t body_end = 0;
-  bool hot_marked = false;  // definition carries LPSGD_HOT_PATH
   // LPSGD_REQUIRES(mu) arguments on the definition: locks the caller holds
   // for the whole body (each is an order-edge source for every acquisition
   // inside).
@@ -72,18 +72,23 @@ struct FunctionDef {
   std::vector<LockSite> locks;
 };
 
-// One parsed translation unit (any .h/.cc/.inc file handed to the model).
+// One parsed source file. Read and stripped once; the per-file rules and
+// the whole-program passes share its line index, allows and hot regions.
 struct TranslationUnit {
   std::string relative;   // repo-root-relative path (stable across hosts)
+  std::string contents;   // original text
   std::string stripped;   // comment/string-blanked contents, same length
-  srctext::LineIndex lines;
-  std::vector<srctext::HotRegion> hot_regions;
+  LineIndex lines;
+  std::vector<Allow> allows;
+  std::vector<HotRegion> hot_regions;
 
-  TranslationUnit(std::string rel, std::string stripped_text)
+  TranslationUnit(std::string rel, std::string text)
       : relative(std::move(rel)),
-        stripped(std::move(stripped_text)),
+        contents(std::move(text)),
+        stripped(StripCommentsAndStrings(contents)),
         lines(stripped),
-        hot_regions(srctext::FindHotRegions(stripped)) {}
+        allows(ParseAllows(contents)),
+        hot_regions(FindHotRegions(stripped)) {}
 };
 
 // The whole-program model.
@@ -104,8 +109,8 @@ struct Model {
 
 // Parses one file's contents into `model` (appends a TranslationUnit and
 // its functions). `relative` is echoed into findings.
-void AddTranslationUnit(const std::string& relative,
-                        std::string_view contents, Model* model);
+void AddTranslationUnit(std::string relative, std::string contents,
+                        Model* model);
 
 // Finalizes cross-TU indices (by_name). Call once after the last
 // AddTranslationUnit.
@@ -118,7 +123,7 @@ void FinalizeModel(Model* model);
 std::string CanonicalLockId(std::string_view expr,
                             const std::string& enclosing_class);
 
-}  // namespace analyze
+}  // namespace lint
 }  // namespace lpsgd
 
-#endif  // LPSGD_TOOLS_ANALYZE_SOURCE_MODEL_H_
+#endif  // LPSGD_TOOLS_LINT_SOURCE_MODEL_H_

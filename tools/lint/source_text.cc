@@ -1,17 +1,12 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
-#include "common/source_text.h"
+#include "lint/source_text.h"
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace lpsgd {
-namespace srctext {
+namespace lint {
 namespace {
-
-namespace fs = std::filesystem;
 
 // Member calls that can grow a container (and therefore allocate) when
 // invoked as `.name(` / `->name(`.
@@ -166,40 +161,42 @@ int LineIndex::LineAt(size_t offset) const {
   return static_cast<int>(it - starts_.begin());
 }
 
-SuppressionMap::SuppressionMap(std::string_view contents,
-                               std::string_view tag) {
+std::vector<Allow> ParseAllows(std::string_view contents) {
+  static const std::string tag = std::string("lpsgd-lint: ") + "allow(";
+  std::vector<Allow> allows;
   int line = 1;
-  size_t pos = 0;
-  while (pos < contents.size()) {
+  for (size_t pos = 0; pos < contents.size(); ++line) {
     size_t eol = contents.find('\n', pos);
     if (eol == std::string_view::npos) eol = contents.size();
-    std::string_view text = contents.substr(pos, eol - pos);
-    size_t at = text.find(tag);
-    while (at != std::string_view::npos) {
-      size_t start = at + tag.size();
-      size_t close = text.find(')', start);
+    const std::string_view text = contents.substr(pos, eol - pos);
+    for (size_t at = text.find(tag); at != std::string_view::npos;
+         at = text.find(tag, at + tag.size())) {
+      const size_t close = text.find(')', at + tag.size());
       if (close == std::string_view::npos) break;
-      std::string rules(text.substr(start, close - start));
-      std::stringstream ss(rules);
+      std::vector<Allow> rules;
       std::string rule;
-      while (std::getline(ss, rule, ',')) {
-        rule.erase(std::remove_if(rule.begin(), rule.end(), ::isspace),
-                   rule.end());
-        if (!rule.empty()) allowed_[line].insert(rule);
+      bool valid = true;
+      for (char c : text.substr(at + tag.size(), close - at - tag.size())) {
+        if (c == ',') {
+          valid = valid && !rule.empty();
+          rules.push_back({line, rule});
+          rule.clear();
+        } else if (std::islower(static_cast<unsigned char>(c)) != 0 ||
+                   std::isdigit(static_cast<unsigned char>(c)) != 0 ||
+                   c == '-') {
+          rule.push_back(c);
+        } else if (c != ' ') {
+          valid = false;
+        }
       }
-      at = text.find(tag, close);
+      rules.push_back({line, rule});
+      if (valid && !rule.empty()) {
+        allows.insert(allows.end(), rules.begin(), rules.end());
+      }
     }
     pos = eol + 1;
-    ++line;
   }
-}
-
-bool SuppressionMap::Allows(int line, const std::string& rule) const {
-  for (int l : {line, line - 1}) {
-    auto it = allowed_.find(l);
-    if (it != allowed_.end() && it->second.count(rule) > 0) return true;
-  }
-  return false;
+  return allows;
 }
 
 std::vector<HotRegion> FindHotRegions(std::string_view stripped) {
@@ -327,45 +324,5 @@ std::vector<AllocationSite> ScanAllocations(std::string_view body) {
   return sites;
 }
 
-StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFoundError("cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-StatusOr<std::vector<SourceFile>> ListSourceFiles(
-    const std::string& repo_root, const std::vector<std::string>& subdirs) {
-  const fs::path root(repo_root);
-  std::vector<fs::path> files;
-  for (const std::string& subdir : subdirs) {
-    const fs::path base = root / subdir;
-    if (!fs::exists(base)) continue;
-    for (const auto& entry : fs::recursive_directory_iterator(base)) {
-      if (!entry.is_regular_file()) continue;
-      const auto ext = entry.path().extension();
-      // .inc: textually-included kernel fragments (SIMD lane helpers) —
-      // they hold intrinsics and hot-path bodies, so the tools treat them
-      // like source.
-      if (ext == ".h" || ext == ".cc" || ext == ".inc") {
-        files.push_back(entry.path());
-      }
-    }
-  }
-  std::sort(files.begin(), files.end());
-  std::vector<SourceFile> out;
-  out.reserve(files.size());
-  for (const fs::path& file : files) {
-    std::error_code ec;
-    fs::path rel = fs::relative(file, root, ec);
-    out.push_back({file.string(),
-                   ec ? file.generic_string() : rel.generic_string()});
-  }
-  return out;
-}
-
-}  // namespace srctext
+}  // namespace lint
 }  // namespace lpsgd

@@ -1,35 +1,29 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// Shared source-text tokenizer for the repo's compiled code tools
-// (tools/lint/lpsgd_lint and tools/analyze/lpsgd_analyze). Both tools
-// operate on a comment- and string-stripped copy of each file so tokens
-// inside literals or documentation never trip a rule; the helpers here are
-// the single implementation of that stripping, the offset -> line mapping,
-// the per-line suppression grammar, the LPSGD_HOT_PATH region finder, and
-// the allocation-site scanner the hot-path rules share.
-#ifndef LPSGD_TOOLS_COMMON_SOURCE_TEXT_H_
-#define LPSGD_TOOLS_COMMON_SOURCE_TEXT_H_
+// Source-text primitives of lpsgd_lint. Every rule operates on a comment-
+// and string-stripped copy of each file so tokens inside literals or
+// documentation never trip a rule; the helpers here are the single
+// implementation of that stripping, the offset -> line mapping, the allow
+// comment grammar, the LPSGD_HOT_PATH region finder, and the
+// allocation-site scanner behind the hot-path-alloc rule.
+#ifndef LPSGD_TOOLS_LINT_SOURCE_TEXT_H_
+#define LPSGD_TOOLS_LINT_SOURCE_TEXT_H_
 
-#include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "base/status.h"
-#include "base/statusor.h"
-
 namespace lpsgd {
-namespace srctext {
+namespace lint {
 
 // The zero-allocation region marker, assembled from two halves so the
-// scanners never fire on the tools' own source (strings are stripped before
+// scanners never fire on the tool's own source (strings are stripped before
 // scanning, but the identifier must also not appear verbatim in code
-// position inside the tools).
+// position inside the tool).
 const std::string& HotPathMarker();
 
-// The transitive-purity escape hatch recognized by lpsgd_analyze:
-// LPSGD_HOT_CALLEE_OK(fn). Assembled from halves for the same reason.
+// The transitive-purity escape hatch: LPSGD_HOT_CALLEE_OK(fn). Assembled
+// from halves for the same reason.
 const std::string& HotCalleeOkMarker();
 
 // Returns `contents` with comments and string/character literals blanked to
@@ -59,19 +53,17 @@ class LineIndex {
   std::vector<size_t> starts_;
 };
 
-// Per-line suppressions parsed from the *original* text (suppressions live
-// in comments, which the stripped copy no longer has). The grammar is
-// `<tag><rule>[, <rule>...])` — e.g. "lpsgd-lint: allow(" — and a
-// suppression on line N covers lines N and N+1.
-class SuppressionMap {
- public:
-  SuppressionMap(std::string_view contents, std::string_view tag);
-
-  bool Allows(int line, const std::string& rule) const;
-
- private:
-  std::map<int, std::set<std::string>> allowed_;
+// One rule named by an allow comment. The grammar, parsed from the
+// original text (the stripped copy has no comments), is the tag
+// "lpsgd-lint: allow(" followed by one or more comma-separated rule names
+// ([a-z0-9-]+), ')', and a reason. An allow on line N suppresses findings
+// of its rules on lines N and N+1; a list with any other token is not an
+// allow, so prose that quotes the grammar with a placeholder is ignored.
+struct Allow {
+  int line = 0;
+  std::string rule;
 };
+std::vector<Allow> ParseAllows(std::string_view contents);
 
 // One half-open [begin, end) byte range of a hot-path function body.
 struct HotRegion {
@@ -89,8 +81,7 @@ std::vector<HotRegion> FindHotRegions(std::string_view stripped);
 // One allocation site found by ScanAllocations.
 struct AllocationSite {
   size_t offset = 0;
-  // Human-readable description, e.g. "`new`", ".push_back()", shared by the
-  // lint's hot-path-alloc rule and the analyzer's transitive purity pass.
+  // Human-readable description, e.g. "`new`", ".push_back()".
   std::string message;
 };
 
@@ -100,20 +91,7 @@ struct AllocationSite {
 // std::vector declarations or temporaries. Offsets are relative to `body`.
 std::vector<AllocationSite> ScanAllocations(std::string_view body);
 
-// Reads a file fully; NotFound on open failure.
-StatusOr<std::string> ReadFileToString(const std::string& path);
-
-// Lists every .h/.cc/.inc under `repo_root`/<subdir> for each of `subdirs`,
-// sorted, as (absolute path, repo-root-relative path) pairs. Missing
-// subdirs are skipped silently.
-struct SourceFile {
-  std::string path;      // absolute or cwd-relative, openable
-  std::string relative;  // repo-root-relative, stable across machines
-};
-StatusOr<std::vector<SourceFile>> ListSourceFiles(
-    const std::string& repo_root, const std::vector<std::string>& subdirs);
-
-}  // namespace srctext
+}  // namespace lint
 }  // namespace lpsgd
 
-#endif  // LPSGD_TOOLS_COMMON_SOURCE_TEXT_H_
+#endif  // LPSGD_TOOLS_LINT_SOURCE_TEXT_H_
