@@ -15,8 +15,10 @@ Tensor ActivationLayer::Forward(const Tensor& input, bool /*training*/) {
   float* data = output.data();
   switch (kind_) {
     case ActivationKind::kRelu:
+      // A select, not a branch: it vectorizes, and NaN and -0 pass
+      // through unchanged.
       for (int64_t i = 0; i < output.size(); ++i) {
-        if (data[i] < 0.0f) data[i] = 0.0f;
+        data[i] = data[i] < 0.0f ? 0.0f : data[i];
       }
       break;
     case ActivationKind::kTanh:
@@ -28,7 +30,7 @@ Tensor ActivationLayer::Forward(const Tensor& input, bool /*training*/) {
       }
       break;
   }
-  cached_output_ = output;
+  cached_output_ = output;  // reuses the cache's storage once it is sized
   return output;
 }
 
@@ -40,7 +42,7 @@ Tensor ActivationLayer::Backward(const Tensor& output_grad) {
   switch (kind_) {
     case ActivationKind::kRelu:
       for (int64_t i = 0; i < input_grad.size(); ++i) {
-        if (out[i] <= 0.0f) grad[i] = 0.0f;
+        grad[i] = out[i] <= 0.0f ? 0.0f : grad[i];
       }
       break;
     case ActivationKind::kTanh:

@@ -1,12 +1,30 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/logging.h"
 #include "tensor/ops.h"
 
 namespace lpsgd {
+
+namespace {
+
+// Samples per im2col + Gemm in an eval-mode Forward. An eval batch can be
+// large and nothing reads its patches again, so only a chunk's worth is
+// live at a time. Every output element is its own dot product, so the
+// chunking cannot change a bit.
+constexpr int64_t kEvalChunkSamples = 16;
+
+// Per-thread scratch for the matrices that live for one call only. Each
+// grows to the largest size its thread has needed and is then reused.
+// {out_c, samples * plane}: Forward's Gemm output, Backward's output grad.
+thread_local Tensor t_channel_rows;
+// {samples * plane, K}: an eval chunk's patches, Backward's patch grads.
+thread_local Tensor t_patch_rows;
+
+}  // namespace
 
 Conv2dLayer::Conv2dLayer(std::string name, int in_channels, int out_channels,
                          int kernel_size, int stride, int padding, Rng* rng)
@@ -28,7 +46,7 @@ Conv2dLayer::Conv2dLayer(std::string name, int in_channels, int out_channels,
   weight_.FillGaussian(rng, std::sqrt(2.0f / fan_in));
 }
 
-Tensor Conv2dLayer::Forward(const Tensor& input, bool /*training*/) {
+Tensor Conv2dLayer::Forward(const Tensor& input, bool training) {
   CHECK_EQ(input.shape().ndim(), 4) << name_;
   const int64_t batch = input.shape().dim(0);
   CHECK_EQ(input.shape().dim(1), in_channels_) << name_;
@@ -39,78 +57,105 @@ Tensor Conv2dLayer::Forward(const Tensor& input, bool /*training*/) {
   CHECK_GT(out_h, 0) << name_;
   CHECK_GT(out_w, 0) << name_;
 
-  cached_input_ = input;
-  cached_patches_.assign(static_cast<size_t>(batch), Tensor());
-
   Tensor output(Shape({batch, out_channels_, out_h, out_w}));
-  const int64_t sample_in = input.size() / batch;
-  const int64_t sample_out = output.size() / batch;
   const int64_t plane = int64_t{out_h} * out_w;
-
-  Tensor image(Shape({in_channels_, height, width}));
-  for (int64_t s = 0; s < batch; ++s) {
-    std::copy(input.data() + s * sample_in,
-              input.data() + (s + 1) * sample_in, image.data());
-    Tensor patches(
-        Shape({plane, int64_t{in_channels_} * kernel_size_ * kernel_size_}));
-    Im2Col(image, kernel_size_, kernel_size_, stride_, padding_, &patches);
-
-    // out[oc, pos] = sum_k W[oc, k] * patches[pos, k]  (oc x plane matrix).
-    Tensor out_mat(Shape({out_channels_, plane}));
-    Gemm(/*transpose_a=*/false, /*transpose_b=*/true, 1.0f, weight_, patches,
-         0.0f, &out_mat);
-    float* out_sample = output.data() + s * sample_out;
-    for (int oc = 0; oc < out_channels_; ++oc) {
-      const float b = bias_.at(oc);
-      const float* src = out_mat.data() + int64_t{oc} * plane;
-      float* dst = out_sample + int64_t{oc} * plane;
-      for (int64_t p = 0; p < plane; ++p) dst[p] = src[p] + b;
-    }
-    cached_patches_[static_cast<size_t>(s)] = std::move(patches);
+  const int64_t patch_width = weight_.cols();
+  has_patches_ = training;
+  if (training) {
+    cached_input_shape_ = input.shape();
+    patches_.Resize({batch * plane, patch_width});
+    ForwardSamples(input, 0, batch, &patches_, &output);
+    return output;
+  }
+  for (int64_t first = 0; first < batch; first += kEvalChunkSamples) {
+    const int64_t count = std::min(kEvalChunkSamples, batch - first);
+    t_patch_rows.Resize({count * plane, patch_width});
+    ForwardSamples(input, first, count, &t_patch_rows, &output);
   }
   return output;
 }
 
+void Conv2dLayer::ForwardSamples(const Tensor& input, int64_t first,
+                                 int64_t count, Tensor* patches,
+                                 Tensor* output) const {
+  const int height = static_cast<int>(input.shape().dim(2));
+  const int width = static_cast<int>(input.shape().dim(3));
+  const int64_t plane = output->shape().dim(2) * output->shape().dim(3);
+  const int64_t sample_in = int64_t{in_channels_} * height * width;
+  const int64_t sample_out = int64_t{out_channels_} * plane;
+  const int64_t n = count * plane;
+  for (int64_t s = 0; s < count; ++s) {
+    Im2Col(input.data() + (first + s) * sample_in, in_channels_, height,
+           width, kernel_size_, kernel_size_, stride_, padding_,
+           patches->data() + s * plane * patches->cols());
+  }
+
+  // out[oc, s * plane + pos] = sum_k W[oc, k] * patches[s * plane + pos, k].
+  t_channel_rows.Resize({out_channels_, n});
+  Gemm(/*transpose_a=*/false, /*transpose_b=*/true, 1.0f, weight_, *patches,
+       0.0f, &t_channel_rows);
+  for (int64_t s = 0; s < count; ++s) {
+    float* out_sample = output->data() + (first + s) * sample_out;
+    for (int oc = 0; oc < out_channels_; ++oc) {
+      const float b = bias_.at(oc);
+      const float* src = t_channel_rows.data() + oc * n + s * plane;
+      float* dst = out_sample + int64_t{oc} * plane;
+      for (int64_t p = 0; p < plane; ++p) dst[p] = src[p] + b;
+    }
+  }
+}
+
 Tensor Conv2dLayer::Backward(const Tensor& output_grad) {
-  const Shape& in_shape = cached_input_.shape();
+  CHECK(has_patches_) << name_
+                      << ": Backward needs a training-mode Forward before it";
+  const Shape& in_shape = cached_input_shape_;
   const int64_t batch = in_shape.dim(0);
   const int height = static_cast<int>(in_shape.dim(2));
   const int width = static_cast<int>(in_shape.dim(3));
-  const int out_h = ConvOutputSize(height, kernel_size_, stride_, padding_);
-  const int out_w = ConvOutputSize(width, kernel_size_, stride_, padding_);
-  const int64_t plane = int64_t{out_h} * out_w;
+  const int64_t plane = patches_.rows() / batch;
+  const int64_t n = batch * plane;
   CHECK_EQ(output_grad.shape().dim(0), batch);
   CHECK_EQ(output_grad.shape().dim(1), out_channels_);
+  CHECK_EQ(output_grad.size(), out_channels_ * n);
 
-  Tensor input_grad(in_shape);
-  const int64_t sample_in = cached_input_.size() / batch;
-  const int64_t sample_out = output_grad.size() / batch;
-
-  Tensor grad_mat(Shape({out_channels_, plane}));
-  Tensor image_grad(Shape({in_channels_, height, width}));
+  // output_grad as {oc, batch * plane}: sample s in columns
+  // [s * plane, (s + 1) * plane), the layout of the patches' rows.
+  const float* grad = output_grad.data();
+  const int64_t sample_out = int64_t{out_channels_} * plane;
+  t_channel_rows.Resize({out_channels_, n});
   for (int64_t s = 0; s < batch; ++s) {
-    std::copy(output_grad.data() + s * sample_out,
-              output_grad.data() + (s + 1) * sample_out, grad_mat.data());
-    const Tensor& patches = cached_patches_[static_cast<size_t>(s)];
-
-    // dW += grad_mat * patches ; dPatches = grad_mat^T * W.
-    Gemm(/*transpose_a=*/false, /*transpose_b=*/false, 1.0f, grad_mat,
-         patches, 1.0f, &weight_grad_);
     for (int oc = 0; oc < out_channels_; ++oc) {
-      const float* src = grad_mat.data() + int64_t{oc} * plane;
+      const float* src = grad + s * sample_out + oc * plane;
+      std::copy(src, src + plane, t_channel_rows.data() + oc * n + s * plane);
+    }
+  }
+
+  // dW += G * patches. Gemm adds each k term straight into C, k ascending,
+  // and k = batch * plane runs sample by sample, so this is exactly the
+  // chain of one beta = 1 Gemm per sample.
+  Gemm(/*transpose_a=*/false, /*transpose_b=*/false, 1.0f, t_channel_rows,
+       patches_, 1.0f, &weight_grad_);
+  // db: one float sum per sample and channel, added in sample order.
+  for (int64_t s = 0; s < batch; ++s) {
+    for (int oc = 0; oc < out_channels_; ++oc) {
+      const float* src = grad + s * sample_out + oc * plane;
       float sum = 0.0f;
       for (int64_t p = 0; p < plane; ++p) sum += src[p];
       bias_grad_.at(oc) += sum;
     }
+  }
 
-    Tensor patch_grad(patches.shape());
-    Gemm(/*transpose_a=*/true, /*transpose_b=*/false, 1.0f, grad_mat,
-         weight_, 0.0f, &patch_grad);
-    image_grad.SetZero();
-    Col2Im(patch_grad, kernel_size_, kernel_size_, stride_, padding_,
-           &image_grad);
-    std::copy(image_grad.data(), image_grad.data() + sample_in,
-              input_grad.data() + s * sample_in);
+  // dPatches = G^T * W, then col2im of each sample into its input grad.
+  const int64_t patch_width = patches_.cols();
+  t_patch_rows.Resize({n, patch_width});
+  Gemm(/*transpose_a=*/true, /*transpose_b=*/false, 1.0f, t_channel_rows,
+       weight_, 0.0f, &t_patch_rows);
+  Tensor input_grad(in_shape);
+  const int64_t sample_in = int64_t{in_channels_} * height * width;
+  for (int64_t s = 0; s < batch; ++s) {
+    Col2Im(t_patch_rows.data() + s * plane * patch_width, in_channels_,
+           height, width, kernel_size_, kernel_size_, stride_, padding_,
+           input_grad.data() + s * sample_in);
   }
   return input_grad;
 }

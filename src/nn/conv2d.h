@@ -10,8 +10,12 @@
 
 namespace lpsgd {
 
-// 2-D convolution over {batch, channels, height, width} inputs, implemented
-// as im2col + GEMM per sample. Square kernels, uniform stride/padding.
+// 2-D convolution over {batch, channels, height, width} inputs. Square
+// kernels, uniform stride/padding. A training Forward or a Backward is one
+// im2col over the batch and one Gemm per product, with every sample's
+// output positions side by side; an eval Forward does the same a few
+// samples at a time. Each output and gradient element sees the same float
+// operations, in the same order, as a loop of per-sample Gemms gives it.
 class Conv2dLayer : public Layer {
  public:
   Conv2dLayer(std::string name, int in_channels, int out_channels,
@@ -24,6 +28,12 @@ class Conv2dLayer : public Layer {
   Shape OutputShape(const Shape& input_shape) const override;
 
  private:
+  // Runs im2col + Gemm for samples [first, first + count) of `input`,
+  // with their patches in `patches` ({count * plane, K}), and writes their
+  // outputs plus bias into `output`.
+  void ForwardSamples(const Tensor& input, int64_t first, int64_t count,
+                      Tensor* patches, Tensor* output) const;
+
   std::string name_;
   int in_channels_;
   int out_channels_;
@@ -34,9 +44,12 @@ class Conv2dLayer : public Layer {
   Tensor weight_grad_;  // same shape
   Tensor bias_;         // {out_c}
   Tensor bias_grad_;    // {out_c}
-  Tensor cached_input_;
-  // im2col patches per sample from the last Forward, reused in Backward.
-  std::vector<Tensor> cached_patches_;
+  // Input shape and im2col patches ({batch * plane, K}, sample-major) of
+  // the last training Forward, which Backward needs. An eval Forward keeps
+  // no patches and clears `has_patches_`.
+  Shape cached_input_shape_;
+  Tensor patches_;
+  bool has_patches_ = false;
 };
 
 }  // namespace lpsgd

@@ -5,6 +5,42 @@
 
 namespace lpsgd {
 
+namespace {
+
+using LayerList = std::vector<std::unique_ptr<Layer>>;
+
+// Runs `layers` in order. The first layer reads `input` in place, so only
+// the layers' own outputs are materialized; with no layers, `input` is
+// copied.
+Tensor ForwardChain(const LayerList& layers, const Tensor& input,
+                    bool training) {
+  if (layers.empty()) return input;
+  Tensor activation = layers.front()->Forward(input, training);
+  for (size_t i = 1; i < layers.size(); ++i) {
+    activation = layers[i]->Forward(activation, training);
+  }
+  return activation;
+}
+
+// Runs `layers` backward, last layer first, the same way.
+Tensor BackwardChain(const LayerList& layers, const Tensor& grad) {
+  if (layers.empty()) return grad;
+  Tensor input_grad = layers.back()->Backward(grad);
+  for (size_t i = layers.size() - 1; i-- > 0;) {
+    input_grad = layers[i]->Backward(input_grad);
+  }
+  return input_grad;
+}
+
+// Adds `addend` into `sum` elementwise.
+void AddInto(const Tensor& addend, Tensor* sum) {
+  float* out = sum->data();
+  const float* in = addend.data();
+  for (int64_t i = 0; i < sum->size(); ++i) out[i] += in[i];
+}
+
+}  // namespace
+
 Network& Network::Add(std::unique_ptr<Layer> layer) {
   CHECK(layer != nullptr);
   layers_.push_back(std::move(layer));
@@ -12,18 +48,11 @@ Network& Network::Add(std::unique_ptr<Layer> layer) {
 }
 
 Tensor Network::Forward(const Tensor& input, bool training) {
-  Tensor activation = input;
-  for (auto& layer : layers_) {
-    activation = layer->Forward(activation, training);
-  }
-  return activation;
+  return ForwardChain(layers_, input, training);
 }
 
 void Network::Backward(const Tensor& logits_grad) {
-  Tensor grad = logits_grad;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->Backward(grad);
-  }
+  BackwardChain(layers_, logits_grad);
 }
 
 std::vector<ParamRef> Network::Params() {
@@ -69,36 +98,29 @@ ResidualBlock::ResidualBlock(std::string name,
 }
 
 Tensor ResidualBlock::Forward(const Tensor& input, bool training) {
-  Tensor main_path = input;
-  for (auto& layer : inner_) {
-    main_path = layer->Forward(main_path, training);
+  Tensor main_path = ForwardChain(inner_, input, training);
+  // The identity shortcut reads `input` itself.
+  Tensor projected;
+  if (!projection_.empty()) {
+    projected = ForwardChain(projection_, input, training);
   }
-  Tensor shortcut = input;
-  for (auto& layer : projection_) {
-    shortcut = layer->Forward(shortcut, training);
-  }
+  const Tensor& shortcut = projection_.empty() ? input : projected;
   CHECK(main_path.shape() == shortcut.shape())
       << name_ << ": inner " << main_path.shape().ToString()
       << " vs shortcut " << shortcut.shape().ToString();
-  float* out = main_path.data();
-  const float* sc = shortcut.data();
-  for (int64_t i = 0; i < main_path.size(); ++i) out[i] += sc[i];
+  AddInto(shortcut, &main_path);
   return main_path;
 }
 
 Tensor ResidualBlock::Backward(const Tensor& output_grad) {
-  Tensor main_grad = output_grad;
-  for (auto it = inner_.rbegin(); it != inner_.rend(); ++it) {
-    main_grad = (*it)->Backward(main_grad);
+  Tensor main_grad = BackwardChain(inner_, output_grad);
+  Tensor projected;
+  if (!projection_.empty()) {
+    projected = BackwardChain(projection_, output_grad);
   }
-  Tensor shortcut_grad = output_grad;
-  for (auto it = projection_.rbegin(); it != projection_.rend(); ++it) {
-    shortcut_grad = (*it)->Backward(shortcut_grad);
-  }
+  const Tensor& shortcut_grad = projection_.empty() ? output_grad : projected;
   CHECK(main_grad.shape() == shortcut_grad.shape()) << name_;
-  float* out = main_grad.data();
-  const float* sc = shortcut_grad.data();
-  for (int64_t i = 0; i < main_grad.size(); ++i) out[i] += sc[i];
+  AddInto(shortcut_grad, &main_grad);
   return main_grad;
 }
 

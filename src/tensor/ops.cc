@@ -196,33 +196,44 @@ void SoftmaxRows(const Tensor& logits, Tensor* probs) {
   }
 }
 
-void Im2Col(const Tensor& image, int kernel_h, int kernel_w, int stride,
-            int padding, Tensor* patches) {
-  CHECK_EQ(image.shape().ndim(), 3);
-  const int channels = static_cast<int>(image.shape().dim(0));
-  const int height = static_cast<int>(image.shape().dim(1));
-  const int width = static_cast<int>(image.shape().dim(2));
-  const int out_h = ConvOutputSize(height, kernel_h, stride, padding);
-  const int out_w = ConvOutputSize(width, kernel_w, stride, padding);
-  CHECK_EQ(patches->rows(), int64_t{out_h} * out_w);
-  CHECK_EQ(patches->cols(), int64_t{channels} * kernel_h * kernel_w);
+namespace {
 
-  const float* img = image.data();
-  float* out = patches->data();
-  const int64_t patch_width = patches->cols();
+// Im2Col and Col2Im bodies. A window row inside the image is a short
+// contiguous run; with its width kFixedWidth known at compile time (3, for
+// every 3x3 kernel) it becomes a few moves instead of a loop of unknown
+// length. kFixedWidth 0 reads the width from kernel_w. Both instantiations
+// perform the same copies and adds in the same order.
+template <int kFixedWidth>
+void Im2ColRows(const float* image, int channels, int height, int width,
+                int kernel_h, int kernel_w, int stride, int padding,
+                float* patches) {
+  const int kw = kFixedWidth > 0 ? kFixedWidth : kernel_w;
+  const int out_h = ConvOutputSize(height, kernel_h, stride, padding);
+  const int out_w = ConvOutputSize(width, kw, stride, padding);
   for (int oy = 0; oy < out_h; ++oy) {
     for (int ox = 0; ox < out_w; ++ox) {
-      float* row = out + (int64_t{oy} * out_w + ox) * patch_width;
-      int64_t idx = 0;
+      float* row = patches;
+      patches += int64_t{channels} * kernel_h * kw;
+      // The window's left column, and whether the window lies within the
+      // image's width, so its rows need no per-element checks.
+      const int x0 = ox * stride - padding;
+      const bool inside_x = x0 >= 0 && x0 + kw <= width;
       for (int ch = 0; ch < channels; ++ch) {
-        const float* plane = img + int64_t{ch} * height * width;
-        for (int ky = 0; ky < kernel_h; ++ky) {
+        const float* plane = image + int64_t{ch} * height * width;
+        for (int ky = 0; ky < kernel_h; ++ky, row += kw) {
           const int iy = oy * stride + ky - padding;
-          for (int kx = 0; kx < kernel_w; ++kx, ++idx) {
-            const int ix = ox * stride + kx - padding;
-            row[idx] = (iy >= 0 && iy < height && ix >= 0 && ix < width)
-                           ? plane[int64_t{iy} * width + ix]
-                           : 0.0f;
+          if (iy < 0 || iy >= height) {
+            std::fill(row, row + kw, 0.0f);
+            continue;
+          }
+          const float* line = plane + int64_t{iy} * width;
+          if (inside_x) {
+            for (int kx = 0; kx < kw; ++kx) row[kx] = line[x0 + kx];
+            continue;
+          }
+          for (int kx = 0; kx < kw; ++kx) {
+            const int ix = x0 + kx;
+            row[kx] = ix >= 0 && ix < width ? line[ix] : 0.0f;
           }
         }
       }
@@ -230,37 +241,62 @@ void Im2Col(const Tensor& image, int kernel_h, int kernel_w, int stride,
   }
 }
 
-void Col2Im(const Tensor& patches, int kernel_h, int kernel_w, int stride,
-            int padding, Tensor* image_grad) {
-  CHECK_EQ(image_grad->shape().ndim(), 3);
-  const int channels = static_cast<int>(image_grad->shape().dim(0));
-  const int height = static_cast<int>(image_grad->shape().dim(1));
-  const int width = static_cast<int>(image_grad->shape().dim(2));
+template <int kFixedWidth>
+void Col2ImRows(const float* patches, int channels, int height, int width,
+                int kernel_h, int kernel_w, int stride, int padding,
+                float* image_grad) {
+  const int kw = kFixedWidth > 0 ? kFixedWidth : kernel_w;
   const int out_h = ConvOutputSize(height, kernel_h, stride, padding);
-  const int out_w = ConvOutputSize(width, kernel_w, stride, padding);
-  CHECK_EQ(patches.rows(), int64_t{out_h} * out_w);
-  CHECK_EQ(patches.cols(), int64_t{channels} * kernel_h * kernel_w);
-
-  const float* in = patches.data();
-  float* img = image_grad->data();
-  const int64_t patch_width = patches.cols();
+  const int out_w = ConvOutputSize(width, kw, stride, padding);
   for (int oy = 0; oy < out_h; ++oy) {
     for (int ox = 0; ox < out_w; ++ox) {
-      const float* row = in + (int64_t{oy} * out_w + ox) * patch_width;
-      int64_t idx = 0;
+      const float* row = patches;
+      patches += int64_t{channels} * kernel_h * kw;
+      const int x0 = ox * stride - padding;
+      const bool inside_x = x0 >= 0 && x0 + kw <= width;
       for (int ch = 0; ch < channels; ++ch) {
-        float* plane = img + int64_t{ch} * height * width;
-        for (int ky = 0; ky < kernel_h; ++ky) {
+        float* plane = image_grad + int64_t{ch} * height * width;
+        for (int ky = 0; ky < kernel_h; ++ky, row += kw) {
           const int iy = oy * stride + ky - padding;
-          for (int kx = 0; kx < kernel_w; ++kx, ++idx) {
-            const int ix = ox * stride + kx - padding;
-            if (iy >= 0 && iy < height && ix >= 0 && ix < width) {
-              plane[int64_t{iy} * width + ix] += row[idx];
-            }
+          if (iy < 0 || iy >= height) continue;
+          float* line = plane + int64_t{iy} * width;
+          if (inside_x) {
+            for (int kx = 0; kx < kw; ++kx) line[x0 + kx] += row[kx];
+            continue;
+          }
+          for (int kx = 0; kx < kw; ++kx) {
+            const int ix = x0 + kx;
+            if (ix >= 0 && ix < width) line[ix] += row[kx];
           }
         }
       }
     }
+  }
+}
+
+}  // namespace
+
+void Im2Col(const float* image, int channels, int height, int width,
+            int kernel_h, int kernel_w, int stride, int padding,
+            float* patches) {
+  if (kernel_w == 3) {
+    Im2ColRows<3>(image, channels, height, width, kernel_h, kernel_w, stride,
+                  padding, patches);
+  } else {
+    Im2ColRows<0>(image, channels, height, width, kernel_h, kernel_w, stride,
+                  padding, patches);
+  }
+}
+
+void Col2Im(const float* patches, int channels, int height, int width,
+            int kernel_h, int kernel_w, int stride, int padding,
+            float* image_grad) {
+  if (kernel_w == 3) {
+    Col2ImRows<3>(patches, channels, height, width, kernel_h, kernel_w,
+                  stride, padding, image_grad);
+  } else {
+    Col2ImRows<0>(patches, channels, height, width, kernel_h, kernel_w,
+                  stride, padding, image_grad);
   }
 }
 

@@ -32,19 +32,21 @@ void SumRowsTo(const Tensor& grad, Tensor* bias_grad);
 // Row-wise softmax: probs(r, :) = softmax(logits(r, :)). In-place allowed.
 void SoftmaxRows(const Tensor& logits, Tensor* probs);
 
-// im2col for 2-D convolution with square stride/padding semantics.
-// Input `image` has shape {channels, height, width} (single sample).
-// Output `patches` must have shape
-//   {out_h * out_w, channels * kernel_h * kernel_w}.
-// Padding uses zeros.
-void Im2Col(const Tensor& image, int kernel_h, int kernel_w, int stride,
-            int padding, Tensor* patches);
+// im2col for 2-D convolution with square stride/padding semantics, over
+// one sample. `image` points at its {channels, height, width} floats and
+// `patches` at the {out_h * out_w, channels * kernel_h * kernel_w}
+// row-major matrix it fills. Padding uses zeros. A batch is converted one
+// sample at a time, each at its own offsets into the two buffers.
+void Im2Col(const float* image, int channels, int height, int width,
+            int kernel_h, int kernel_w, int stride, int padding,
+            float* patches);
 
-// Transpose of Im2Col: scatters patch gradients back onto the image
-// gradient (accumulating). `image_grad` must be pre-shaped {C, H, W};
-// contents are accumulated into, not overwritten.
-void Col2Im(const Tensor& patches, int kernel_h, int kernel_w, int stride,
-            int padding, Tensor* image_grad);
+// Transpose of Im2Col: scatters one sample's patch gradients back onto its
+// {channels, height, width} image gradient. Accumulates into `image_grad`
+// rather than overwriting it.
+void Col2Im(const float* patches, int channels, int height, int width,
+            int kernel_h, int kernel_w, int stride, int padding,
+            float* image_grad);
 
 // Output spatial size for a convolution/pooling dimension.
 inline int ConvOutputSize(int input, int kernel, int stride, int padding) {

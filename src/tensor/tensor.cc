@@ -39,6 +39,14 @@ void Tensor::Reshape(Shape shape) {
   shape_ = std::move(shape);
 }
 
+void Tensor::Resize(std::initializer_list<int64_t> dims) {
+  const std::vector<int64_t>& current = shape_.dims();
+  if (!std::equal(dims.begin(), dims.end(), current.begin(), current.end())) {
+    shape_ = Shape(dims);
+  }
+  data_.resize(static_cast<size_t>(shape_.element_count()));
+}
+
 double Tensor::SumSquares() const {
   double sum = 0.0;
   for (float x : data_) sum += static_cast<double>(x) * x;

@@ -3,6 +3,7 @@
 #define LPSGD_TENSOR_TENSOR_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,11 @@ class Tensor {
 
   // Reinterprets the buffer with a new shape of identical element count.
   void Reshape(Shape shape);
+
+  // Gives the tensor the shape `dims`, keeping its storage's capacity: it
+  // allocates only when the shape changes or the storage must grow. Element
+  // values are unspecified afterwards. For scratch reused across calls.
+  void Resize(std::initializer_list<int64_t> dims);
 
   // Sum of squares and norms over all elements.
   double SumSquares() const;

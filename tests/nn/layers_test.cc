@@ -1,5 +1,8 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -70,6 +73,45 @@ TEST(ActivationLayerTest, ReluClampsNegatives) {
   Tensor in_grad = relu.Backward(grad);
   EXPECT_FLOAT_EQ(in_grad.at(0), 0.0f);  // blocked where output <= 0
   EXPECT_FLOAT_EQ(in_grad.at(2), 1.0f);
+}
+
+TEST(ActivationLayerTest, ReluMatchesBranchyLoopOnSpecialValues) {
+  // ReLU is a select now; the reference is the loop it replaced, which
+  // branched on the sign: forward zeroes x < 0, backward zeroes the grad
+  // where out <= 0. NaN, -0, +-inf and denormals must come out the same,
+  // at every position of a vector (1001 elements: a ragged tail).
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f, -0.0f, inf,      -inf,
+                            nan,  -nan,  denormal, -denormal,
+                            1.5f, -2.5f, 1e-39f,   -1e-39f};
+  const int64_t n = 1001;
+  Tensor input(Shape({7, n / 7}));
+  Tensor grad(input.shape());
+  for (int64_t i = 0; i < n; ++i) {
+    input.at(i) = specials[i % std::size(specials)];
+    // The grad cycle shifts by one each time the input cycle restarts,
+    // so every (input, grad) pairing occurs.
+    grad.at(i) = specials[(i / std::size(specials) + 5 * i) %
+                          std::size(specials)];
+  }
+
+  Tensor expected_out = input;
+  for (int64_t i = 0; i < n; ++i) {
+    if (expected_out.at(i) < 0.0f) expected_out.at(i) = 0.0f;
+  }
+  Tensor expected_grad = grad;
+  for (int64_t i = 0; i < n; ++i) {
+    if (expected_out.at(i) <= 0.0f) expected_grad.at(i) = 0.0f;
+  }
+
+  ActivationLayer relu("relu", ActivationKind::kRelu);
+  const Tensor out = relu.Forward(input, true);
+  const Tensor in_grad = relu.Backward(grad);
+  const size_t bytes = static_cast<size_t>(n) * sizeof(float);
+  EXPECT_EQ(std::memcmp(out.data(), expected_out.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(in_grad.data(), expected_grad.data(), bytes), 0);
 }
 
 TEST(ActivationLayerTest, SigmoidAndTanhRanges) {

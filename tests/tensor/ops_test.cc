@@ -369,7 +369,7 @@ TEST(Im2ColTest, IdentityKernelExtractsPixels) {
   // 1x1 kernel, stride 1: patches are just the pixels.
   Tensor image = MakeTensor(Shape({1, 2, 2}), {1, 2, 3, 4});
   Tensor patches(Shape({4, 1}));
-  Im2Col(image, 1, 1, 1, 0, &patches);
+  Im2Col(image.data(), 1, 2, 2, 1, 1, 1, 0, patches.data());
   EXPECT_FLOAT_EQ(patches.at(0, 0), 1.0f);
   EXPECT_FLOAT_EQ(patches.at(3, 0), 4.0f);
 }
@@ -377,7 +377,7 @@ TEST(Im2ColTest, IdentityKernelExtractsPixels) {
 TEST(Im2ColTest, PaddingProducesZeros) {
   Tensor image = MakeTensor(Shape({1, 1, 1}), {5});
   Tensor patches(Shape({1, 9}));
-  Im2Col(image, 3, 3, 1, 1, &patches);
+  Im2Col(image.data(), 1, 1, 1, 3, 3, 1, 1, patches.data());
   // Center of the 3x3 patch is the pixel; everything else is padding.
   for (int i = 0; i < 9; ++i) {
     EXPECT_FLOAT_EQ(patches.at(0, i), i == 4 ? 5.0f : 0.0f);
@@ -389,7 +389,7 @@ TEST(Im2ColTest, MultiChannelLayout) {
   // values then channel 1's.
   Tensor image = MakeTensor(Shape({2, 2, 2}), {1, 2, 3, 4, 10, 20, 30, 40});
   Tensor patches(Shape({1, 8}));
-  Im2Col(image, 2, 2, 1, 0, &patches);
+  Im2Col(image.data(), 2, 2, 2, 2, 2, 1, 0, patches.data());
   const float expected[] = {1, 2, 3, 4, 10, 20, 30, 40};
   for (int i = 0; i < 8; ++i) EXPECT_FLOAT_EQ(patches.at(0, i), expected[i]);
 }
@@ -403,12 +403,12 @@ TEST(Col2ImTest, IsTransposeOfIm2Col) {
   const int out_h = ConvOutputSize(5, kh, stride, pad);
   const int out_w = ConvOutputSize(4, kw, stride, pad);
   Tensor patches(Shape({int64_t{out_h} * out_w, 2 * kh * kw}));
-  Im2Col(image, kh, kw, stride, pad, &patches);
+  Im2Col(image.data(), 2, 5, 4, kh, kw, stride, pad, patches.data());
 
   Tensor random_patches(patches.shape());
   random_patches.FillGaussian(&rng, 1.0f);
   Tensor back(image.shape());
-  Col2Im(random_patches, kh, kw, stride, pad, &back);
+  Col2Im(random_patches.data(), 2, 5, 4, kh, kw, stride, pad, back.data());
 
   double lhs = 0.0, rhs = 0.0;
   for (int64_t i = 0; i < patches.size(); ++i) {

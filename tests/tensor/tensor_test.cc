@@ -43,6 +43,21 @@ TEST(TensorTest, ReshapePreservesData) {
   for (int64_t i = 0; i < 12; ++i) EXPECT_EQ(t.at(i), static_cast<float>(i));
 }
 
+TEST(TensorTest, ResizeKeepsStorageWithinCapacity) {
+  Tensor t;
+  t.Resize({4, 8});
+  EXPECT_EQ(t.shape(), Shape({4, 8}));
+  EXPECT_EQ(t.size(), 32);
+  const float* storage = t.data();
+  t.Resize({2, 3});  // shrink: same storage
+  EXPECT_EQ(t.shape(), Shape({2, 3}));
+  EXPECT_EQ(t.size(), 6);
+  EXPECT_EQ(t.data(), storage);
+  t.Resize({8, 4});  // grow back within capacity: still the same storage
+  EXPECT_EQ(t.shape(), Shape({8, 4}));
+  EXPECT_EQ(t.data(), storage);
+}
+
 TEST(TensorTest, Norms) {
   Tensor t(Shape({2}));
   t.at(0) = 3.0f;
