@@ -2,8 +2,11 @@
 #include "fault/fault_plan.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "base/strings.h"
 
@@ -34,14 +37,25 @@ std::string FormatSeconds(double value) {
   return buffer;
 }
 
-// Parses "<int64>" fully; false on trailing garbage or negatives.
-bool ParseIteration(const std::string& text, int64_t* out) {
+// Parses a decimal integer fully into [min, numeric_limits<T>::max()];
+// false on trailing garbage or an out-of-range value, so ToString prints
+// back exactly what was parsed.
+template <typename T>
+bool ParseInRange(const std::string& text, T min, T* out) {
   if (text.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value < 0) return false;
-  *out = static_cast<int64_t>(value);
+  if (end == nullptr || *end != '\0' || errno == ERANGE || value < min ||
+      value > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  *out = static_cast<T>(value);
   return true;
+}
+
+bool ParseIteration(const std::string& text, int64_t* out) {
+  return ParseInRange<int64_t>(text, 0, out);
 }
 
 }  // namespace
@@ -87,7 +101,8 @@ StatusOr<FaultPlan> FaultPlan::Parse(const std::string& text) {
       char* end = nullptr;
       event.delay_seconds = std::strtod(seconds.c_str(), &end);
       if (seconds.empty() || end == nullptr || *end != '\0' ||
-          event.delay_seconds < 0.0) {
+          !(event.delay_seconds >= 0.0) ||
+          !std::isfinite(event.delay_seconds)) {
         return InvalidArgumentError(StrCat("bad straggle delay: ", raw));
       }
     } else if (head == "fail" || head == "corrupt" || head == "enospc") {
@@ -96,13 +111,9 @@ StatusOr<FaultPlan> FaultPlan::Parse(const std::string& text) {
                                        : FaultKind::kDiskFull;
       const auto x = arg.find('x');
       if (x != std::string::npos) {
-        const std::string count = arg.substr(x + 1);
-        char* end = nullptr;
-        const long parsed = std::strtol(count.c_str(), &end, 10);
-        if (count.empty() || end == nullptr || *end != '\0' || parsed < 1) {
+        if (!ParseInRange(arg.substr(x + 1), 1, &event.count)) {
           return InvalidArgumentError(StrCat("bad fault count: ", raw));
         }
-        event.count = static_cast<int>(parsed);
         arg = arg.substr(0, x);
       }
       if (!ParseIteration(arg, &event.iteration)) {
@@ -118,13 +129,9 @@ StatusOr<FaultPlan> FaultPlan::Parse(const std::string& text) {
       if (!ParseIteration(arg.substr(0, colon), &event.iteration)) {
         return InvalidArgumentError(StrCat("bad fault iteration: ", raw));
       }
-      const std::string rank = arg.substr(colon + 1);
-      char* end = nullptr;
-      const long parsed = std::strtol(rank.c_str(), &end, 10);
-      if (rank.empty() || end == nullptr || *end != '\0' || parsed < 0) {
+      if (!ParseInRange(arg.substr(colon + 1), 0, &event.rank)) {
         return InvalidArgumentError(StrCat("bad crash rank: ", raw));
       }
-      event.rank = static_cast<int>(parsed);
     } else if (head == "torn" || head == "shortwrite" || head == "kill") {
       event.kind = head == "torn"        ? FaultKind::kTornWrite
                    : head == "shortwrite" ? FaultKind::kShortWrite

@@ -47,7 +47,7 @@ struct FaultEvent {
 
 // A seeded, fully deterministic fault schedule, injected at the
 // GradientAggregator boundary by FaultInjectingAggregator. The text form
-// round-trips through Parse/ToString, mirroring CodecSpec.
+// round-trips through Parse/ToString.
 struct FaultPlan {
   std::vector<FaultEvent> events;
   // Seeds the corruption probe's choice of victim rank and bit.

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "base/bit_packing.h"
@@ -278,49 +279,16 @@ int LinkAdaptiveQsgdCodecFamily() { return 0; }
 
 namespace {
 
-CodecFamily AdaptiveQsgdFamily() {
-  CodecFamily family;
-  family.kind = CodecKind::kQsgdAdaptive;
-  family.name = "aq<bits>";
-  family.help = "adaptive-level QSGD (ZipML placement), bits in [2,16], "
-                "optional :<bucket> or bucket=";
-  family.keys = {"bucket"};
-  family.matches = [](const std::string& head) {
-    return MatchesBitsHead(head, "aq");
-  };
-  family.parse = [](const std::string& head,
-                    CodecParams* params) -> StatusOr<CodecSpec> {
-    LPSGD_ASSIGN_OR_RETURN(const int bits,
-                           ParseBitsHead(head, "aq", "AdaptiveQSGD"));
-    CodecSpec spec = AdaptiveQsgdSpec(bits);
-    LPSGD_RETURN_IF_ERROR(TakeBucketParam(params, &spec));
-    return spec;
-  };
-  family.create = [](const CodecSpec& spec)
-      -> StatusOr<std::unique_ptr<GradientCodec>> {
-    if (spec.bits < 2 || spec.bits > 16) {
-      return InvalidArgumentError(
-          StrCat("AdaptiveQSGD bits must be in [2, 16], got ", spec.bits));
-    }
-    if (spec.bucket_size <= 0) {
-      return InvalidArgumentError(
-          StrCat("AdaptiveQSGD bucket size must be positive, got ",
-                 spec.bucket_size));
-    }
-    return std::unique_ptr<GradientCodec>(
-        new AdaptiveQsgdCodec(spec.bits, spec.bucket_size, spec.seed));
-  };
-  family.label = [](const CodecSpec& spec) {
-    return StrCat("AdaptiveQSGD ", spec.bits, "bit (b=", spec.bucket_size,
-                  ")");
-  };
-  family.short_label = [](const CodecSpec& spec) {
-    return StrCat("AQ", spec.bits);
-  };
-  return family;
+std::unique_ptr<GradientCodec> MakeAdaptiveQsgdCodec(const CodecSpec& spec) {
+  return std::make_unique<AdaptiveQsgdCodec>(spec.bits, spec.bucket_size,
+                                             spec.seed);
 }
 
-const CodecRegistrar registrar(AdaptiveQsgdFamily());
+const CodecRegistrar registrar(BitsCodecFamily(
+    CodecKind::kQsgdAdaptive, "aq", "AdaptiveQSGD", "AQ",
+    "adaptive-level QSGD (ZipML placement), bits in [2,16], "
+    "optional :<bucket> or bucket=",
+    &AdaptiveQsgdSpec, &MakeAdaptiveQsgdCodec));
 
 }  // namespace
 }  // namespace lpsgd

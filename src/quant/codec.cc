@@ -2,7 +2,6 @@
 #include "quant/codec.h"
 
 #include <cctype>
-#include <cstring>
 #include <numeric>
 
 #include "base/bit_packing.h"
@@ -149,22 +148,6 @@ Status VerifyWireBlob(std::string_view codec, const uint8_t* bytes,
     return DataLossError(StrCat(codec, ": wire checksum mismatch"));
   }
   return OkStatus();
-}
-
-void AppendFloats(const float* values, int64_t count,
-                  std::vector<uint8_t>* out) {
-  const size_t offset = out->size();
-  out->resize(offset + static_cast<size_t>(count) * sizeof(float));
-  std::memcpy(out->data() + offset, values,
-              static_cast<size_t>(count) * sizeof(float));
-}
-
-void AppendWords(const uint32_t* words, int64_t count,
-                 std::vector<uint8_t>* out) {
-  const size_t offset = out->size();
-  out->resize(offset + static_cast<size_t>(count) * sizeof(uint32_t));
-  std::memcpy(out->data() + offset, words,
-              static_cast<size_t>(count) * sizeof(uint32_t));
 }
 
 const float* FloatsAt(const uint8_t* bytes, int64_t offset_bytes) {

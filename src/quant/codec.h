@@ -169,15 +169,20 @@ enum class QsgdLevelScheme { kSignMagnitude, kSymmetric };
 // Full description of a communication precision configuration.
 struct CodecSpec {
   CodecKind kind = CodecKind::kFullPrecision;
-  int bits = 32;                // QSGD only (2, 4, 8, 16)
-  int64_t bucket_size = 512;    // QSGD and 1bitSGD*
-  QsgdNorm norm = QsgdNorm::kMax;
-  QsgdLevelScheme levels = QsgdLevelScheme::kSignMagnitude;
+  // Wire field width of the bit-width families: q, aq, nuq and ecq take
+  // [2, 16]; TernGrad is fixed at 2.
+  int bits = 32;
+  // Elements per independently-scaled bucket: q, aq, nuq, ecq and 1bitSGD*
+  // (positive); TernGrad (0 = one scalar per matrix).
+  int64_t bucket_size = 512;
+  QsgdNorm norm = QsgdNorm::kMax;  // q only (nuq is L2, ecq max)
+  QsgdLevelScheme levels = QsgdLevelScheme::kSignMagnitude;  // q only
   double density = 0.01;        // TopK only: fraction of components sent
   // TernGrad only: gradient clipping threshold as a multiple of the chunk's
   // standard deviation (Wen et al. Section 4); 0 disables clipping.
   double clip = 0.0;
-  // Ablation switch: disable 1bitSGD's error-feedback accumulator.
+  // Ablation switch for the error-feedback residual of 1bitSGD, 1bitSGD*,
+  // ECQ-SGD and TopK.
   bool error_feedback = true;
   uint64_t seed = 0x95bd0b1f2c3d4e5fULL;
 
@@ -261,10 +266,6 @@ int64_t BucketRangeAlignment(int64_t bucket_size, int bits);
                                     int64_t expected_bytes);
 
 // Wire-format helpers shared by codec implementations.
-void AppendFloats(const float* values, int64_t count,
-                  std::vector<uint8_t>* out);
-void AppendWords(const uint32_t* words, int64_t count,
-                 std::vector<uint8_t>* out);
 const float* FloatsAt(const uint8_t* bytes, int64_t offset_bytes);
 const uint32_t* WordsAt(const uint8_t* bytes, int64_t offset_bytes);
 float* MutableFloatsAt(uint8_t* bytes, int64_t offset_bytes);

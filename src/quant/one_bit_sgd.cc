@@ -304,17 +304,7 @@ CodecFamily OneBitSgdReshapedFamily() {
   family.parse = [](const std::string& /*head*/,
                     CodecParams* params) -> StatusOr<CodecSpec> {
     CodecSpec spec = OneBitSgdReshapedSpec();
-    LPSGD_ASSIGN_OR_RETURN(const std::string bucket_text,
-                           TakeValueOrKey(params, "bucket"));
-    if (!bucket_text.empty()) {
-      LPSGD_ASSIGN_OR_RETURN(const int64_t bucket,
-                             ParseInt64Param(bucket_text, "bucket size"));
-      if (bucket <= 0) {
-        return InvalidArgumentError(
-            StrCat("bad bucket size: ", bucket_text));
-      }
-      spec.bucket_size = bucket;
-    }
+    LPSGD_RETURN_IF_ERROR(TakeBucketParam(params, &spec));
     return spec;
   };
   family.create = [](const CodecSpec& spec)

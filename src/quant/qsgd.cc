@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <memory>
 
 #include "base/bit_packing.h"
 #include "base/logging.h"
@@ -22,30 +24,78 @@ using codec_internal::MutableFloatsAt;
 using codec_internal::MutableWordsAt;
 using codec_internal::WordsAt;
 
+// The three settings of QsgdCodec: how each is spelled in the grammar, in
+// labels and names, and in the quant/<id>/* counters.
+struct QsgdVariant {
+  CodecKind kind;
+  const char* prefix;        // grammar head "<prefix><bits>"
+  const char* display;       // Name() and Label()
+  const char* short_prefix;  // ShortLabel()
+  const char* metric;        // MetricName()
+  const char* help;
+  CodecSpec (*make_spec)(int bits);
+};
+
+constexpr QsgdVariant kVariants[] = {
+    {CodecKind::kQsgd, "q", "QSGD", "Q", "qsgd",
+     "QSGD, bits in [2,16], optional :<bucket> or key=value "
+     "(bucket=, norm=max|l2, levels=sm|sym)",
+     &QsgdSpec},
+    {CodecKind::kNuqsgd, "nuq", "NUQSGD", "NQ", "nuqsgd",
+     "nonuniform (exponential-level) QSGD, bits in [2,16], "
+     "optional :<bucket> or bucket=",
+     &NuqsgdSpec},
+    {CodecKind::kEcqSgd, "ecq", "ECQ-SGD", "EC", "ecq_sgd",
+     "error-compensated QSGD, bits in [2,16], optional "
+     ":<bucket> or bucket=",
+     &EcqSgdSpec},
+};
+
+const QsgdVariant& VariantOf(CodecKind kind) {
+  size_t i = 0;
+  while (i < std::size(kVariants) && kVariants[i].kind != kind) ++i;
+  CHECK_LT(i, std::size(kVariants)) << "not a QSGD-family codec kind";
+  return kVariants[i];
+}
+
 }  // namespace
 
-QsgdCodec::QsgdCodec(int bits, int64_t bucket_size, QsgdNorm norm,
-                     QsgdLevelScheme levels, uint64_t seed)
-    : GradientCodec("qsgd"),
-      bits_(bits),
-      bucket_size_(bucket_size),
-      norm_(norm),
-      levels_(levels),
-      seed_(seed) {
-  CHECK_GE(bits, 2);
-  CHECK_LE(bits, 16);
-  CHECK_GT(bucket_size, 0);
+QsgdCodec::QsgdCodec(const CodecSpec& spec)
+    : GradientCodec(VariantOf(spec.kind).metric),
+      kind_(spec.kind),
+      bits_(spec.bits),
+      bucket_size_(spec.bucket_size),
+      // The norm each NUQSGD and ECQ-SGD analysis assumes.
+      norm_(kind_ == CodecKind::kNuqsgd   ? QsgdNorm::kL2
+            : kind_ == CodecKind::kEcqSgd ? QsgdNorm::kMax
+                                          : spec.norm),
+      levels_(kind_ == CodecKind::kQsgd ? spec.levels
+                                        : QsgdLevelScheme::kSignMagnitude),
+      error_feedback_(kind_ == CodecKind::kEcqSgd && spec.error_feedback),
+      seed_(spec.seed) {
+  CHECK_GE(bits_, 2);
+  CHECK_LE(bits_, 16);
+  CHECK_GT(bucket_size_, 0);
   level_count_ = levels_ == QsgdLevelScheme::kSignMagnitude
                      ? (1u << (bits_ - 1)) - 1u  // s magnitude levels
                      : (1u << bits_) - 2u;       // 2^bits - 1 endpoints
   CHECK_GE(level_count_, 1u);
   magnitudes_.resize(static_cast<size_t>(level_count_) + 1);
   const double s = static_cast<double>(level_count_);
-  for (uint32_t m = 0; m <= level_count_; ++m) magnitudes_[m] = m / s;
+  const int s_int = static_cast<int>(level_count_);
+  for (uint32_t m = 0; m <= level_count_; ++m) {
+    if (kind_ == CodecKind::kNuqsgd) {
+      magnitudes_[m] =
+          m == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(m) - s_int);
+    } else {
+      magnitudes_[m] = m / s;
+    }
+  }
 }
 
 std::string QsgdCodec::Name() const {
-  return StrCat("QSGD ", bits_, "bit (b=", bucket_size_, ")");
+  return StrCat(VariantOf(kind_).display, " ", bits_, "bit (b=",
+                bucket_size_, ")");
 }
 
 int64_t QsgdCodec::EncodedSizeBytes(const Shape& shape) const {
@@ -69,9 +119,13 @@ int64_t QsgdCodec::RangeAlignment(const Shape& /*shape*/) const {
 LPSGD_HOT_PATH
 void QsgdCodec::EncodeRange(const float* grad, const Shape& shape,
                             uint64_t stochastic_tag,
-                            std::vector<float>* /*error*/, int64_t begin,
-                            int64_t end, CodecWorkspace* /*workspace*/,
+                            std::vector<float>* error, int64_t begin,
+                            int64_t end, CodecWorkspace* workspace,
                             uint8_t* blob) const {
+  CHECK(!error_feedback_ || error != nullptr);
+  if (error_feedback_) {
+    CHECK_EQ(static_cast<int64_t>(error->size()), shape.element_count());
+  }
   const int64_t buckets = NumChunks(shape);
   const CounterRng stream(seed_, stochastic_tag);
 
@@ -84,44 +138,71 @@ void QsgdCodec::EncodeRange(const float* grad, const Shape& shape,
           begin / BitPacker(bits_).values_per_word(),
       bits_);
 
-  // Stochastic rounding of a*s between floor and ceil keeps the estimator
+  // Stochastic rounding between adjacent levels keeps the estimator
   // unbiased (Equation 1); the fused quantize loops live in the
   // runtime-dispatched kernel tables (quant/simd_kernels.h).
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
   const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
   quant_simd::QuantizeArgs args;
-  args.values = grad;
   args.stream_seed = stream.stream_seed();
   args.bits = bits_;
   args.level_count = level_count_;
   args.writer = &writer;
+  args.magnitudes = magnitudes_.data();
+  args.error = error_feedback_ ? error->data() : nullptr;
   for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
     const int64_t bucket_begin = b * bucket_size_;
     const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
+    const int64_t len = bucket_end - bucket_begin;
+
+    // The values to quantize, addressed by absolute element. ECQ-SGD
+    // stages v = grad + carried error per bucket in workspace scratch, so
+    // `values` points bucket_begin floats before the staged bucket.
+    const float* values = grad;
+    if (kind_ == CodecKind::kEcqSgd) {
+      float* staged = quant_internal::EnsureSize(&workspace->corrected,
+                                                 static_cast<size_t>(len));
+      kernels.stage_corrected(
+          grad + bucket_begin,
+          error_feedback_ ? error->data() + bucket_begin : nullptr, staged,
+          len);
+      values = staged - bucket_begin;
+    }
 
     double scale = 0.0;
     if (norm_ == QsgdNorm::kL2) {
       // Sequential widened sum: order-sensitive, stays scalar in every
       // dispatch mode so the wire scale is ISA-independent.
       for (int64_t i = bucket_begin; i < bucket_end; ++i) {
-        scale += static_cast<double>(grad[i]) * grad[i];
+        scale += static_cast<double>(values[i]) * values[i];
       }
       scale = std::sqrt(scale);
     } else {
-      scale = elementwise.max_abs_f32(grad + bucket_begin,
-                                      bucket_end - bucket_begin);
+      scale = elementwise.max_abs_f32(values + bucket_begin, len);
     }
     scales[b] = static_cast<float>(scale);
     if (scale == 0.0) {
-      // Zero fields decode to exact zeros; keep the stream position.
+      // Zero fields decode to exact zeros (and leave a zero residual);
+      // keep the stream position.
       for (int64_t i = bucket_begin; i < bucket_end; ++i) writer.Put(0u);
+      if (error_feedback_) {
+        std::fill(error->begin() + bucket_begin,
+                  error->begin() + bucket_end, 0.0f);
+      }
       continue;
     }
 
+    args.values = values;
     args.begin = bucket_begin;
     args.end = bucket_end;
     args.scale = scale;
-    if (levels_ == QsgdLevelScheme::kSignMagnitude) {
+    if (kind_ == CodecKind::kEcqSgd) {
+      // Fused with the residual refresh v - Q(v).
+      kernels.ecq_quantize(args);
+    } else if (kind_ == CodecKind::kNuqsgd) {
+      // Bracket search on the exponential grid.
+      kernels.nuq_quantize(args);
+    } else if (levels_ == QsgdLevelScheme::kSignMagnitude) {
       kernels.qsgd_quantize_sm(args);
     } else {
       // Symmetric endpoints over [-scale, +scale].
@@ -143,12 +224,11 @@ Status QsgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
           begin / BitPacker(bits_).values_per_word(),
       bits_);
 
-  const double s = static_cast<double>(level_count_);
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
   quant_simd::DequantizeArgs args;
   args.reader = &reader;
   args.bits = bits_;
-  args.s = s;
+  args.s = static_cast<double>(level_count_);
   args.out = out;
   const int64_t first_bucket = begin / bucket_size_;
   if (levels_ == QsgdLevelScheme::kSignMagnitude) {
@@ -183,10 +263,6 @@ CodecSpec QsgdSpec(int bits) {
     case 2:
       spec.bucket_size = 128;
       break;
-    case 4:
-    case 8:
-      spec.bucket_size = 512;
-      break;
     case 16:
       spec.bucket_size = 8192;
       break;
@@ -197,28 +273,44 @@ CodecSpec QsgdSpec(int bits) {
   return spec;
 }
 
+CodecSpec NuqsgdSpec(int bits) {
+  CodecSpec spec = QsgdSpec(bits);
+  spec.kind = CodecKind::kNuqsgd;
+  spec.norm = QsgdNorm::kL2;  // the norm the NUQSGD analysis assumes
+  return spec;
+}
+
+CodecSpec EcqSgdSpec(int bits) {
+  CodecSpec spec = QsgdSpec(bits);
+  spec.kind = CodecKind::kEcqSgd;
+  return spec;
+}
+
 namespace codec_internal {
 // Force-link anchor referenced by registry.cc (see kCodecFamilyLinkAnchor).
-int LinkQsgdCodecFamily() { return 0; }
+int LinkQsgdCodecFamilies() { return 0; }
 }  // namespace codec_internal
 
 namespace {
 
+std::unique_ptr<GradientCodec> MakeQsgdCodec(const CodecSpec& spec) {
+  return std::make_unique<QsgdCodec>(spec);
+}
+
+CodecFamily VariantFamily(const QsgdVariant& variant) {
+  return BitsCodecFamily(variant.kind, variant.prefix, variant.display,
+                         variant.short_prefix, variant.help,
+                         variant.make_spec, &MakeQsgdCodec);
+}
+
+// q<bits> adds the QSGD-only norm= and levels= keys to the shared grammar.
 CodecFamily QsgdFamily() {
-  CodecFamily family;
-  family.kind = CodecKind::kQsgd;
-  family.name = "q<bits>";
-  family.help = "QSGD, bits in [2,16], optional :<bucket> or key=value "
-                "(bucket=, norm=max|l2, levels=sm|sym)";
+  CodecFamily family = VariantFamily(kVariants[0]);
   family.keys = {"bucket", "norm", "levels"};
-  family.matches = [](const std::string& head) {
-    return MatchesBitsHead(head, "q");
-  };
-  family.parse = [](const std::string& head,
-                    CodecParams* params) -> StatusOr<CodecSpec> {
-    LPSGD_ASSIGN_OR_RETURN(const int bits, ParseBitsHead(head, "q", "QSGD"));
-    CodecSpec spec = QsgdSpec(bits);
-    LPSGD_RETURN_IF_ERROR(TakeBucketParam(params, &spec));
+  family.parse = [parse_bits = std::move(family.parse)](
+                     const std::string& head,
+                     CodecParams* params) -> StatusOr<CodecSpec> {
+    LPSGD_ASSIGN_OR_RETURN(CodecSpec spec, parse_bits(head, params));
     if (const std::string* norm = params->Take("norm")) {
       if (*norm == "max") {
         spec.norm = QsgdNorm::kMax;
@@ -242,29 +334,12 @@ CodecFamily QsgdFamily() {
     }
     return spec;
   };
-  family.create = [](const CodecSpec& spec)
-      -> StatusOr<std::unique_ptr<GradientCodec>> {
-    if (spec.bits < 2 || spec.bits > 16) {
-      return InvalidArgumentError(
-          StrCat("QSGD bits must be in [2, 16], got ", spec.bits));
-    }
-    if (spec.bucket_size <= 0) {
-      return InvalidArgumentError(StrCat(
-          "QSGD bucket size must be positive, got ", spec.bucket_size));
-    }
-    return std::unique_ptr<GradientCodec>(new QsgdCodec(
-        spec.bits, spec.bucket_size, spec.norm, spec.levels, spec.seed));
-  };
-  family.label = [](const CodecSpec& spec) {
-    return StrCat("QSGD ", spec.bits, "bit (b=", spec.bucket_size, ")");
-  };
-  family.short_label = [](const CodecSpec& spec) {
-    return StrCat("Q", spec.bits);
-  };
   return family;
 }
 
-const CodecRegistrar registrar(QsgdFamily());
+const CodecRegistrar qsgd_registrar(QsgdFamily());
+const CodecRegistrar nuqsgd_registrar(VariantFamily(kVariants[1]));
+const CodecRegistrar ecq_sgd_registrar(VariantFamily(kVariants[2]));
 
 }  // namespace
 }  // namespace lpsgd

@@ -1,7 +1,10 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "quant/registry.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "base/logging.h"
@@ -86,8 +89,9 @@ Status CodecParams::Finish(
 StatusOr<int64_t> ParseInt64Param(const std::string& value,
                                   const std::string& what) {
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || end == nullptr || *end != '\0') {
+  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
     return InvalidArgumentError(StrCat("bad ", what, ": ", value));
   }
   return static_cast<int64_t>(parsed);
@@ -97,7 +101,8 @@ StatusOr<double> ParseDoubleParam(const std::string& value,
                                   const std::string& what) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0') {
+  if (value.empty() || end == nullptr || *end != '\0' ||
+      !std::isfinite(parsed)) {
     return InvalidArgumentError(StrCat("bad ", what, ": ", value));
   }
   return parsed;
@@ -116,6 +121,22 @@ StatusOr<std::string> TakeValueOrKey(CodecParams* params,
   return positional;
 }
 
+Status TakeBucketParam(CodecParams* params, CodecSpec* spec) {
+  LPSGD_ASSIGN_OR_RETURN(const std::string bucket_text,
+                         TakeValueOrKey(params, "bucket"));
+  if (!bucket_text.empty()) {
+    LPSGD_ASSIGN_OR_RETURN(const int64_t bucket,
+                           ParseInt64Param(bucket_text, "bucket size"));
+    if (bucket <= 0 || bucket > std::numeric_limits<int32_t>::max()) {
+      return InvalidArgumentError(StrCat("bad bucket size: ", bucket_text));
+    }
+    spec->bucket_size = bucket;
+  }
+  return OkStatus();
+}
+
+namespace {
+
 bool MatchesBitsHead(const std::string& head, const std::string& prefix) {
   if (head.size() <= prefix.size() ||
       head.compare(0, prefix.size(), prefix) != 0) {
@@ -130,27 +151,57 @@ bool MatchesBitsHead(const std::string& head, const std::string& prefix) {
 StatusOr<int> ParseBitsHead(const std::string& head,
                             const std::string& prefix,
                             const std::string& family) {
-  LPSGD_ASSIGN_OR_RETURN(
-      const int64_t bits,
-      ParseInt64Param(head.substr(prefix.size()), StrCat(family, " bits")));
-  if (bits < 2 || bits > 16) {
+  const StatusOr<int64_t> bits =
+      ParseInt64Param(head.substr(prefix.size()), "bits");
+  if (!bits.ok() || *bits < 2 || *bits > 16) {
     return InvalidArgumentError(StrCat("bad ", family, " bits: ", head));
   }
-  return static_cast<int>(bits);
+  return static_cast<int>(*bits);
 }
 
-Status TakeBucketParam(CodecParams* params, CodecSpec* spec) {
-  LPSGD_ASSIGN_OR_RETURN(const std::string bucket_text,
-                         TakeValueOrKey(params, "bucket"));
-  if (!bucket_text.empty()) {
-    LPSGD_ASSIGN_OR_RETURN(const int64_t bucket,
-                           ParseInt64Param(bucket_text, "bucket size"));
-    if (bucket <= 0) {
-      return InvalidArgumentError(StrCat("bad bucket size: ", bucket_text));
+}  // namespace
+
+CodecFamily BitsCodecFamily(
+    CodecKind kind, const std::string& prefix, const std::string& display,
+    const std::string& short_prefix, std::string help,
+    CodecSpec (*make_spec)(int bits),
+    std::unique_ptr<GradientCodec> (*make_codec)(const CodecSpec& spec)) {
+  CodecFamily family;
+  family.kind = kind;
+  family.name = StrCat(prefix, "<bits>");
+  family.help = std::move(help);
+  family.keys = {"bucket"};
+  family.matches = [prefix](const std::string& head) {
+    return MatchesBitsHead(head, prefix);
+  };
+  family.parse = [prefix, display, make_spec](
+                     const std::string& head,
+                     CodecParams* params) -> StatusOr<CodecSpec> {
+    LPSGD_ASSIGN_OR_RETURN(const int bits,
+                           ParseBitsHead(head, prefix, display));
+    CodecSpec spec = make_spec(bits);
+    LPSGD_RETURN_IF_ERROR(TakeBucketParam(params, &spec));
+    return spec;
+  };
+  family.create = [display, make_codec](const CodecSpec& spec)
+      -> StatusOr<std::unique_ptr<GradientCodec>> {
+    if (spec.bits < 2 || spec.bits > 16) {
+      return InvalidArgumentError(
+          StrCat(display, " bits must be in [2, 16], got ", spec.bits));
     }
-    spec->bucket_size = bucket;
-  }
-  return OkStatus();
+    if (spec.bucket_size <= 0) {
+      return InvalidArgumentError(StrCat(
+          display, " bucket size must be positive, got ", spec.bucket_size));
+    }
+    return make_codec(spec);
+  };
+  family.label = [display](const CodecSpec& spec) {
+    return StrCat(display, " ", spec.bits, "bit (b=", spec.bucket_size, ")");
+  };
+  family.short_label = [short_prefix](const CodecSpec& spec) {
+    return StrCat(short_prefix, spec.bits);
+  };
+  return family;
 }
 
 CodecRegistry& CodecRegistry::Global() {
@@ -217,18 +268,15 @@ namespace codec_internal {
 // keeps every codec TU — and its static CodecRegistrar — in the binary.
 int LinkFullPrecisionCodecFamily();
 int LinkOneBitSgdCodecFamilies();
-int LinkQsgdCodecFamily();
+int LinkQsgdCodecFamilies();
 int LinkAdaptiveQsgdCodecFamily();
 int LinkTopKCodecFamily();
 int LinkTernGradCodecFamily();
-int LinkNuqsgdCodecFamily();
-int LinkEcqSgdCodecFamily();
 
 const int kCodecFamilyLinkAnchor =
     LinkFullPrecisionCodecFamily() + LinkOneBitSgdCodecFamilies() +
-    LinkQsgdCodecFamily() + LinkAdaptiveQsgdCodecFamily() +
-    LinkTopKCodecFamily() + LinkTernGradCodecFamily() +
-    LinkNuqsgdCodecFamily() + LinkEcqSgdCodecFamily();
+    LinkQsgdCodecFamilies() + LinkAdaptiveQsgdCodecFamily() +
+    LinkTopKCodecFamily() + LinkTernGradCodecFamily();
 
 }  // namespace codec_internal
 }  // namespace lpsgd

@@ -47,7 +47,8 @@ class CodecParams {
 };
 
 // Strict numeric parsers for family param parsers: the whole token must
-// parse, or the error names it ("bad <what>: <value>").
+// parse to an in-range int64 or a finite double, or the error names it
+// ("bad <what>: <value>").
 [[nodiscard]] StatusOr<int64_t> ParseInt64Param(const std::string& value,
                                                 const std::string& what);
 [[nodiscard]] StatusOr<double> ParseDoubleParam(const std::string& value,
@@ -60,14 +61,8 @@ class CodecParams {
 [[nodiscard]] StatusOr<std::string> TakeValueOrKey(CodecParams* params,
                                                    const std::string& key);
 
-// Shared grammar pieces of the QSGD-skeleton families ("q4", "aq8",
-// "nuq4", "ecq4"): a `<prefix><bits>` head with bits in [2, 16], and an
-// optional bucket size (positional or bucket=). Errors name the family.
-[[nodiscard]] bool MatchesBitsHead(const std::string& head,
-                                   const std::string& prefix);
-[[nodiscard]] StatusOr<int> ParseBitsHead(const std::string& head,
-                                          const std::string& prefix,
-                                          const std::string& family);
+// Consumes an optional bucket size (positional or bucket=) into
+// spec->bucket_size; it must be in [1, 2^31 - 1].
 [[nodiscard]] Status TakeBucketParam(CodecParams* params, CodecSpec* spec);
 
 // One codec family's registry entry: everything CodecSpec::Parse / Create /
@@ -96,6 +91,19 @@ struct CodecFamily {
   std::function<std::string(const CodecSpec& spec)> short_label;
 };
 
+// The `<prefix><bits>[:<bucket>]` family of a QSGD-skeleton codec ("q4",
+// "aq8", "nuq4", "ecq4"): a head with bits in [2, 16], an optional
+// positive bucket size (positional or bucket=), parse and create errors
+// that name `display`, and the labels "<display> <bits>bit (b=<bucket>)"
+// and "<short_prefix><bits>". `make_spec` gives a bit width's defaults;
+// `make_codec` instantiates a validated spec. Callers may extend the
+// returned family (q<bits> adds its norm= and levels= keys).
+CodecFamily BitsCodecFamily(
+    CodecKind kind, const std::string& prefix, const std::string& display,
+    const std::string& short_prefix, std::string help,
+    CodecSpec (*make_spec)(int bits),
+    std::unique_ptr<GradientCodec> (*make_codec)(const CodecSpec& spec));
+
 // The global codec family table. Families self-register during static
 // initialization via CodecRegistrar objects in their translation units;
 // codec_internal::kCodecFamilyLinkAnchor (registry.cc) keeps those TUs
@@ -123,9 +131,9 @@ class CodecRegistry {
 };
 
 // Registers `family` during static initialization. Each codec TU defines
-// one at namespace scope:
+// one per family at namespace scope:
 //   namespace { const CodecRegistrar registrar(MakeMyFamily()); }
-// plus a Link<Name>CodecFamily() anchor referenced from registry.cc.
+// plus one Link<Name>CodecFamily() anchor referenced from registry.cc.
 class CodecRegistrar {
  public:
   explicit CodecRegistrar(CodecFamily family);

@@ -212,7 +212,7 @@ CodecFamily TernGradFamily() {
       return InvalidArgumentError(StrCat(
           "TernGrad bucket size must be >= 0, got ", spec.bucket_size));
     }
-    if (spec.clip < 0.0) {
+    if (!(spec.clip >= 0.0)) {
       return InvalidArgumentError(
           StrCat("TernGrad clip must be >= 0, got ", spec.clip));
     }

@@ -221,7 +221,7 @@ CodecFamily TopKFamily() {
   };
   family.create = [](const CodecSpec& spec)
       -> StatusOr<std::unique_ptr<GradientCodec>> {
-    if (spec.density <= 0.0 || spec.density > 1.0) {
+    if (!(spec.density > 0.0 && spec.density <= 1.0)) {
       return InvalidArgumentError(StrCat(
           "TopK density must be in (0, 1], got ", spec.density));
     }

@@ -99,6 +99,10 @@ TEST(FaultPlanTest, RejectsMalformedDirectives) {
       "straggle@3:-1",   // negative delay
       "crash@3",         // missing :<rank>
       "crash@3:-1",      // negative rank
+      // Values ToString could not print back: non-finite delays,
+      // overflowing iterations, counts and ranks wider than int.
+      "straggle@3:nan", "straggle@3:inf", "fail@99999999999999999999",
+      "fail@3x2147483648", "corrupt@3x4294967297", "crash@3:4294967295",
       "explode@3",       // unknown kind
       "seed=",           // missing value
       "seed=banana",     // non-numeric seed

@@ -121,8 +121,9 @@ TEST(AdaptiveQsgdTest, LowerVarianceThanUniformOnGaussianGradients) {
   };
 
   AdaptiveQsgdCodec adaptive(4, 512, 1);
-  QsgdCodec uniform(4, 512, QsgdNorm::kMax, QsgdLevelScheme::kSignMagnitude,
-                    1);
+  CodecSpec uniform_spec = QsgdSpec(4);  // max norm, sign-magnitude
+  uniform_spec.seed = 1;
+  const QsgdCodec uniform(uniform_spec);
   EXPECT_LT(mse_of(adaptive), mse_of(uniform));
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/strings.h"
 #include "quant/workspace.h"
 #include "tensor/tensor.h"
 #include "base/logging.h"
@@ -11,13 +12,52 @@
 namespace lpsgd {
 namespace {
 
+// Every codec's observable identity: the spec labels of the paper's
+// tables, the codec's display name, the quant/<id>/* metric id, and
+// whether the trainer must keep an error-feedback residual for it.
 TEST(CodecSpecTest, Labels) {
-  EXPECT_EQ(FullPrecisionSpec().Label(), "32bit");
-  EXPECT_EQ(QsgdSpec(4).Label(), "QSGD 4bit (b=512)");
-  EXPECT_EQ(OneBitSgdSpec().Label(), "1bitSGD");
-  EXPECT_EQ(OneBitSgdReshapedSpec(64).Label(), "1bitSGD* (b=64)");
+  const struct {
+    const char* text;
+    bool error_feedback;  // the spec's switch, applied after parsing
+    const char* label;
+    const char* short_label;
+    const char* name;
+    const char* metric;
+    bool uses_error_feedback;
+  } kRows[] = {
+      {"32bit", true, "32bit", "32bit", "32bit", "full_precision", false},
+      {"1bit", true, "1bitSGD", "1b", "1bitSGD", "one_bit_sgd", true},
+      {"1bit*", true, "1bitSGD* (b=64)", "1b*", "1bitSGD* (b=64)",
+       "one_bit_sgd_reshaped", true},
+      {"q4", true, "QSGD 4bit (b=512)", "Q4", "QSGD 4bit (b=512)", "qsgd",
+       false},
+      {"q4:norm=l2,levels=sym", true, "QSGD 4bit (b=512)", "Q4",
+       "QSGD 4bit (b=512)", "qsgd", false},
+      {"nuq4", true, "NUQSGD 4bit (b=512)", "NQ4", "NUQSGD 4bit (b=512)",
+       "nuqsgd", false},
+      {"ecq4", true, "ECQ-SGD 4bit (b=512)", "EC4", "ECQ-SGD 4bit (b=512)",
+       "ecq_sgd", true},
+      {"ecq4", false, "ECQ-SGD 4bit (b=512)", "EC4", "ECQ-SGD 4bit (b=512)",
+       "ecq_sgd", false},
+      {"aq4", true, "AdaptiveQSGD 4bit (b=512)", "AQ4",
+       "AdaptiveQSGD 4bit (b=512)", "adaptive_qsgd", false},
+      {"terngrad", true, "TernGrad", "T", "TernGrad", "terngrad", false},
+      {"topk:0.25", true, "TopK 25.0%", "K25", "TopK (25.0%)", "topk", true},
+  };
+  for (const auto& row : kRows) {
+    SCOPED_TRACE(StrCat(row.text, " error_feedback=", row.error_feedback));
+    auto spec = CodecSpec::Parse(row.text);
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    spec->error_feedback = row.error_feedback;
+    EXPECT_EQ(spec->Label(), row.label);
+    EXPECT_EQ(spec->ShortLabel(), row.short_label);
+    auto codec = spec->Create();
+    ASSERT_TRUE(codec.ok()) << codec.status();
+    EXPECT_EQ((*codec)->Name(), row.name);
+    EXPECT_EQ((*codec)->MetricName(), row.metric);
+    EXPECT_EQ((*codec)->UsesErrorFeedback(), row.uses_error_feedback);
+  }
   EXPECT_EQ(QsgdSpec(2).ShortLabel(), "Q2");
-  EXPECT_EQ(OneBitSgdReshapedSpec().ShortLabel(), "1b*");
 }
 
 TEST(CodecSpecTest, PaperBucketSizes) {

@@ -1,5 +1,5 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
-#include "quant/ecq_sgd.h"
+#include "quant/qsgd.h"
 
 #include <cmath>
 
@@ -13,7 +13,18 @@
 namespace lpsgd {
 namespace {
 
-std::vector<float> EncodeDecode(const EcqSgdCodec& codec, const Tensor& grad,
+// ECQ-SGD setting of QsgdCodec at the given bits, bucket size, feedback
+// switch and seed.
+QsgdCodec EcqSgd(int bits, int64_t bucket_size, bool error_feedback,
+                 uint64_t seed) {
+  CodecSpec spec = EcqSgdSpec(bits);
+  spec.bucket_size = bucket_size;
+  spec.error_feedback = error_feedback;
+  spec.seed = seed;
+  return QsgdCodec(spec);
+}
+
+std::vector<float> EncodeDecode(const QsgdCodec& codec, const Tensor& grad,
                                 uint64_t tag, std::vector<float>* error) {
   CodecWorkspace workspace;
   std::vector<uint8_t> blob;
@@ -63,7 +74,7 @@ TEST(EcqSgdCodecTest, ResidualIsExactQuantizationError) {
   Rng rng(2);
   grad.FillGaussian(&rng, 1.0f);
 
-  EcqSgdCodec codec(4, 64, true, 0);
+  const QsgdCodec codec = EcqSgd(4, 64, true, 0);
   std::vector<float> error(128, 0.0f);
   const std::vector<float> decoded = EncodeDecode(codec, grad, 7, &error);
   for (int64_t i = 0; i < 128; ++i) {
@@ -76,7 +87,7 @@ TEST(EcqSgdCodecTest, ResidualIsExactQuantizationError) {
 TEST(EcqSgdCodecTest, RunningSumPreservedWithCompensation) {
   // Telescoping invariant: sum of decoded gradients + final residual ==
   // sum of true gradients (g_t = Q(v_t) + e_t - e_{t-1}).
-  EcqSgdCodec codec(2, 32, true, 0);
+  const QsgdCodec codec = EcqSgd(2, 32, true, 0);
   const Shape shape({50});
   Rng rng(3);
   std::vector<float> error(50, 0.0f);
@@ -109,7 +120,7 @@ TEST(EcqSgdCodecTest, CompensationShrinksCumulativeError) {
   const int iterations = 200;
 
   auto run = [&](bool error_feedback) {
-    EcqSgdCodec codec(2, 32, error_feedback, 0);
+    const QsgdCodec codec = EcqSgd(2, 32, error_feedback, 0);
     Rng rng(4);
     std::vector<float> error(64, 0.0f);
     std::vector<double> true_sum(64, 0.0), decoded_sum(64, 0.0);

@@ -1,5 +1,5 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
-#include "quant/nuqsgd.h"
+#include "quant/qsgd.h"
 
 #include <cmath>
 #include <cstring>
@@ -14,7 +14,15 @@
 namespace lpsgd {
 namespace {
 
-std::vector<float> EncodeDecode(const NuqsgdCodec& codec, const Tensor& grad,
+// NUQSGD setting of QsgdCodec at the given bits, bucket size and seed.
+QsgdCodec Nuqsgd(int bits, int64_t bucket_size, uint64_t seed) {
+  CodecSpec spec = NuqsgdSpec(bits);
+  spec.bucket_size = bucket_size;
+  spec.seed = seed;
+  return QsgdCodec(spec);
+}
+
+std::vector<float> EncodeDecode(const QsgdCodec& codec, const Tensor& grad,
                                 uint64_t tag) {
   CodecWorkspace workspace;
   std::vector<uint8_t> blob;
@@ -31,7 +39,7 @@ TEST(NuqsgdCodecTest, DecodedValuesLieOnTheExponentialGrid) {
   CodecWorkspace workspace;
   // 4 bits -> s = 7 nonzero levels 2^-6 .. 2^0, scaled by the bucket's L2
   // norm. Every decoded magnitude must be exactly scale * 2^(j - s).
-  NuqsgdCodec codec(/*bits=*/4, /*bucket_size=*/512, /*seed=*/1);
+  const QsgdCodec codec = Nuqsgd(/*bits=*/4, /*bucket_size=*/512, /*seed=*/1);
   const Shape shape({100});
   Tensor grad(shape);
   Rng rng(2);
@@ -67,7 +75,7 @@ TEST(NuqsgdCodecTest, DecodedValuesLieOnTheExponentialGrid) {
 TEST(NuqsgdCodecTest, SingleNonzeroComponentIsExact) {
   // One nonzero element: its normalized magnitude is exactly 1 = l_s, the
   // top level, so the round trip is deterministic and lossless.
-  NuqsgdCodec codec(4, 512, 1);
+  const QsgdCodec codec = Nuqsgd(4, 512, 1);
   const Shape shape({32});
   Tensor grad(shape);
   grad.SetZero();
@@ -85,7 +93,7 @@ TEST(NuqsgdCodecTest, SingleNonzeroComponentIsExact) {
 }
 
 TEST(NuqsgdCodecTest, StochasticRoundingIsUnbiased) {
-  NuqsgdCodec codec(4, 512, 1);
+  const QsgdCodec codec = Nuqsgd(4, 512, 1);
   const Shape shape({16});
   Tensor grad(shape);
   Rng rng(3);
@@ -110,7 +118,7 @@ TEST(NuqsgdCodecTest, WireLayoutMatchesQsgd) {
   // Same skeleton as QSGD: scale words + bits-wide fields + checksum, so
   // the encoded size matches QSGD's at every (bits, bucket) setting.
   for (int bits : {2, 4, 8}) {
-    NuqsgdCodec nuq(bits, 64, 1);
+    const QsgdCodec nuq = Nuqsgd(bits, 64, 1);
     CodecSpec q = QsgdSpec(bits);
     q.bucket_size = 64;
     auto qsgd = q.Create();
@@ -123,7 +131,7 @@ TEST(NuqsgdCodecTest, WireLayoutMatchesQsgd) {
 }
 
 TEST(NuqsgdCodecTest, ZeroBucketsRoundTripToZero) {
-  NuqsgdCodec codec(4, 16, 1);
+  const QsgdCodec codec = Nuqsgd(4, 16, 1);
   const Shape shape({64});
   Tensor grad(shape);
   grad.SetZero();

@@ -1,4 +1,7 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
+#include <cmath>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "quant/codec.h"
@@ -201,6 +204,41 @@ TEST(ParseCodecSpecTest, ErrorsNameOffendingToken) {
   EXPECT_TRUE(contains(message("nuq17"), "bad NUQSGD bits: nuq17"));
   EXPECT_TRUE(
       contains(message("topk:x"), "bad TopK density: x"));
+}
+
+// Values the grammar accepts must be values the codec can represent: a
+// non-finite double or an out-of-range integer is a parse error that
+// names the token, never a codec that aborts or overflows later.
+TEST(ParseCodecSpecTest, RejectsUnrepresentableValues) {
+  const struct {
+    const char* text;
+    const char* error;
+  } kCases[] = {
+      {"topk:nan", "bad TopK density: nan"},
+      {"topk:density=inf", "bad TopK density: inf"},
+      {"terngrad:clip=nan", "bad TernGrad clip: nan"},
+      {"terngrad:clip=inf", "bad TernGrad clip: inf"},
+      {"q4:bucket=99999999999999999999",
+       "bad bucket size: 99999999999999999999"},
+      {"q4:2147483648", "bad bucket size: 2147483648"},
+      {"1bit*:bucket=2147483648", "bad bucket size: 2147483648"},
+      {"q99999999999999999999", "bad QSGD bits: q99999999999999999999"},
+  };
+  for (const auto& c : kCases) {
+    auto spec = CodecSpec::Parse(c.text);
+    ASSERT_FALSE(spec.ok()) << c.text;
+    EXPECT_NE(std::string(spec.status().message()).find(c.error),
+              std::string::npos)
+        << c.text << ": " << spec.status().message();
+  }
+  // The largest representable bucket still parses and creates.
+  auto widest = CodecSpec::Parse("q4:2147483647");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_TRUE(widest->Create().ok());
+
+  // Create rejects the same values when a spec is built directly.
+  EXPECT_FALSE(TopKSpec(std::nan("")).Create().ok());
+  EXPECT_FALSE(TernGradSpec(0, std::nan("")).Create().ok());
 }
 
 TEST(ParseCodecSpecTest, RoundTripsThroughCreateCodec) {

@@ -69,7 +69,6 @@ const std::pair<const char*, int> kRequiredHotPathMarkers[] = {
     {"src/quant/full_precision.cc", 2}, {"src/quant/one_bit_sgd.cc", 2},
     {"src/quant/qsgd.cc", 2},           {"src/quant/adaptive_qsgd.cc", 2},
     {"src/quant/topk.cc", 3},           {"src/quant/terngrad.cc", 2},
-    {"src/quant/nuqsgd.cc", 2},         {"src/quant/ecq_sgd.cc", 2},
     {"src/base/bit_packing.h", 4},      {"src/comm/mpi_reduce_bcast.cc", 2},
     {"src/comm/nccl_ring.cc", 3},       {"src/comm/retry.cc", 1},
     {"src/obs/span.h", 3},
