@@ -4,11 +4,10 @@
 // configuration of the paper's trade-off space.
 //
 //   ./perf_explorer <network> <machine> <mpi|nccl> <codec> <gpus>
-//                   [--threads N] [--profile_out <path>]
-//                   [--simd auto|scalar|avx2|neon]
+//                   [--obs <list>] [--obs_out <prefix>]
 //   ./perf_explorer AlexNet p2.8xlarge mpi q4 8
 //   ./perf_explorer VGG19 DGX-1 nccl 32bit 8
-//   ./perf_explorer ResNet50 p2.16xlarge mpi 1bit*:64 16 --threads 4
+//   ./perf_explorer ResNet50 p2.16xlarge mpi 1bit*:64 16 --obs=profile
 //
 // Codec grammar (from the codec registry; a bad spec prints the full
 // per-family help): 32bit | 1bit | 1bit*[:<bucket>] | q<bits>[:<bucket>]
@@ -16,70 +15,57 @@
 //   | terngrad[:clip=<c>] | topk:<density> — families also take
 //   key=value parameters, e.g. q4:bucket=512,norm=l2.
 //
-// --profile_out writes the estimated iteration as a profiler breakdown
-// (virtual compute/encode/wire phases) so model estimates and measured
+// --obs takes the same exporter list as train_cli and the LPSGD_OBS
+// environment variable. With the profile exporter on, the estimated
+// iteration is recorded as one profiler step (virtual compute/encode/wire
+// phases), printed as a table and written to <prefix>.profile.json
+// (--obs_out, default "perf_explorer"), so model estimates and measured
 // training runs share one JSON schema and table format.
-// --simd pins the codec kernel dispatch; the estimate itself is
-// closed-form, but the header reports the effective ISA so perf-model
-// headers line up with measured-run headers.
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "base/simd/simd.h"
 #include "base/strings.h"
-#include "base/thread_pool.h"
 #include "machine/specs.h"
 #include "obs/profile.h"
+#include "obs/span.h"
 #include "quant/codec.h"
 #include "quant/registry.h"
 #include "sim/perf_model.h"
 
 int main(int argc, char** argv) {
   using namespace lpsgd;  // NOLINT(build/namespaces)
-  // Split --threads (as "--threads N" or "--threads=N") out of the
-  // positional arguments.
-  int threads = 0;  // 0 = one worker per hardware thread
-  std::string profile_out;
-  std::string simd_mode;
+  // Split --obs and --obs_out ("--flag value" or "--flag=value") out of
+  // the positional arguments.
+  std::string obs_list;
+  std::string obs_out = "perf_explorer";
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for --threads\n";
-        return 1;
-      }
-      threads = std::atoi(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + std::string("--threads=").size());
-    } else if (arg == "--profile_out") {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for --profile_out\n";
-        return 1;
-      }
-      profile_out = argv[++i];
-    } else if (arg.rfind("--profile_out=", 0) == 0) {
-      profile_out = arg.substr(std::string("--profile_out=").size());
-    } else if (arg == "--simd") {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for --simd\n";
-        return 1;
-      }
-      simd_mode = argv[++i];
-    } else if (arg.rfind("--simd=", 0) == 0) {
-      simd_mode = arg.substr(std::string("--simd=").size());
-    } else {
+    if (arg.rfind("--", 0) != 0) {
       positional.push_back(arg);
+      continue;
     }
-  }
-  if (!simd_mode.empty()) {
-    if (Status status = SetSimdMode(simd_mode); !status.ok()) {
-      std::cerr << status << " (--simd takes auto|scalar|avx2|neon)\n";
+    const auto eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    std::string* value = flag == "--obs"       ? &obs_list
+                         : flag == "--obs_out" ? &obs_out
+                                               : nullptr;
+    if (value == nullptr) {
+      std::cerr << "unknown flag " << flag << " (flags: --obs, --obs_out)\n";
+      return 1;
+    }
+    if (eq != std::string::npos) {
+      *value = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      *value = argv[++i];
+    } else {
+      std::cerr << "missing value for " << flag << "\n";
       return 1;
     }
   }
+  obs::EnableFromFlags(obs_list, obs_out);
   const std::string network =
       positional.size() > 0 ? positional[0] : "AlexNet";
   const std::string machine_name =
@@ -118,15 +104,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The estimate itself is closed-form; the header still reports the
-  // effective execution context so run headers are uniform across tools.
-  ExecutionContext execution;
-  execution.intra_op_threads = threads;
   std::cout << network << " on " << machine->name << " x" << gpus
             << " GPUs, " << spec->Label() << " over "
-            << CommPrimitiveName(primitive) << ", execution "
-            << execution.Description() << ", simd "
-            << SimdIsaName(ActiveSimdIsa()) << "\n\n";
+            << CommPrimitiveName(primitive) << "\n\n";
   std::cout << "  global batch:        " << est->global_batch << " ("
             << est->per_gpu_batch << " per GPU)\n";
   std::cout << "  computation:         "
@@ -156,25 +136,28 @@ int main(int argc, char** argv) {
             << " at $" << FormatDouble(machine->price_per_hour_usd, 1)
             << "/h\n";
 
-  if (!profile_out.empty()) {
-    // Export the estimate through the profiler so it lands in the same
+  if (obs::ProfileEnabled()) {
+    // Record the estimate as one profiler step so it lands in the same
     // schema (and table) as a measured training run's breakdown.
     obs::PhaseTimes estimate;
     estimate.AddVirtual(obs::kPhaseForward, est->compute_seconds);
     estimate.AddVirtual(obs::kPhaseEncode, est->encode_seconds);
     estimate.AddVirtual(obs::kPhaseWire, est->comm_seconds);
-    obs::Profiler profiler(/*enabled=*/true);
+    obs::Profiler& profiler = obs::Profiler::Global();
     profiler.BeginStep(0);
     profiler.AddPhases(estimate);
     profiler.EndStep(est->IterationSeconds());
     std::cout << "\nestimated iteration breakdown:\n";
     profiler.PrintTable(std::cout);
-    if (Status status = obs::WriteJsonFile(profile_out, profiler.ToJson());
-        !status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::cout << "profile written to " << profile_out << "\n";
+  }
+  std::vector<std::string> written;
+  if (Status status = obs::WriteOutputs(obs_out, obs::Exporters(), &written);
+      !status.ok()) {
+    std::cerr << status << "\n";
+    return 1;
+  }
+  for (const std::string& path : written) {
+    std::cout << "wrote " << path << "\n";
   }
   return 0;
 }

@@ -171,12 +171,10 @@ int64_t AdaptiveQsgdCodec::RangeAlignment(const Shape& /*shape*/) const {
 }
 
 LPSGD_HOT_PATH
-void AdaptiveQsgdCodec::EncodeRange(const float* grad, const Shape& shape,
-                                    uint64_t stochastic_tag,
-                                    std::vector<float>* /*error*/,
-                                    int64_t begin, int64_t end,
-                                    CodecWorkspace* workspace,
-                                    uint8_t* blob) const {
+void AdaptiveQsgdCodec::QuantizeRange(const float* grad, const Shape& shape,
+                                      uint64_t stochastic_tag, int64_t begin,
+                                      int64_t end, CodecWorkspace* workspace,
+                                      uint8_t* blob) const {
   const int64_t n = shape.element_count();
   CHECK_EQ(begin, 0);
   CHECK_EQ(end, n);

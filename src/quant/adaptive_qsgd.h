@@ -31,10 +31,6 @@ class AdaptiveQsgdCodec : public GradientCodec {
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
   int64_t RangeAlignment(const Shape& shape) const override;
-  void EncodeRange(const float* grad, const Shape& shape,
-                   uint64_t stochastic_tag, std::vector<float>* error,
-                   int64_t begin, int64_t end, CodecWorkspace* workspace,
-                   uint8_t* blob) const override;
   Status DecodeRange(const uint8_t* blob, const Shape& shape, int64_t begin,
                      int64_t end, CodecWorkspace* workspace,
                      float* out) const override;
@@ -49,6 +45,10 @@ class AdaptiveQsgdCodec : public GradientCodec {
   uint32_t level_count() const { return level_count_; }
 
  private:
+  void QuantizeRange(const float* grad, const Shape& shape,
+                     uint64_t stochastic_tag, int64_t begin, int64_t end,
+                     CodecWorkspace* workspace, uint8_t* blob) const override;
+
   // Fills workspace->levels (using workspace->sample / trial as scratch)
   // with the level table for `grad`; the allocation-free core the public
   // ComputeLevels wraps.

@@ -10,12 +10,15 @@
 #include "base/thread_annotations.h"
 #include "obs/metrics.h"
 #include "quant/registry.h"
+#include "quant/simd_kernels.h"
 #include "quant/workspace.h"
 
 namespace lpsgd {
 
-GradientCodec::GradientCodec(std::string_view metric_name)
+GradientCodec::GradientCodec(std::string_view metric_name,
+                             bool error_feedback)
     : metric_name_(metric_name),
+      error_feedback_(error_feedback),
       encode_calls_metric_(StrCat("quant/", metric_name, "/encode_calls")),
       decode_calls_metric_(StrCat("quant/", metric_name, "/decode_calls")) {}
 
@@ -40,6 +43,37 @@ void GradientCodec::Encode(const float* grad, const Shape& shape,
   if (obs::MetricsEnabled()) {
     obs::Count(encode_calls_metric_);
     obs::Count("quant/encode_bytes", num_bytes);
+  }
+}
+
+LPSGD_HOT_PATH
+void GradientCodec::EncodeRange(const float* grad, const Shape& shape,
+                                uint64_t stochastic_tag,
+                                std::vector<float>* error, int64_t begin,
+                                int64_t end, CodecWorkspace* workspace,
+                                uint8_t* blob) const {
+  if (!error_feedback_) {
+    QuantizeRange(grad, shape, stochastic_tag, begin, end, workspace, blob);
+    return;
+  }
+  CHECK(error != nullptr);
+  CHECK_EQ(static_cast<int64_t>(error->size()), shape.element_count());
+  // c = grad + error over the range, in a buffer of the stage's own so
+  // the codec's scratch stays free; `corrected` is indexed by absolute
+  // element, like `grad`.
+  const int64_t length = end - begin;
+  float* staged = quant_internal::EnsureSize(&workspace->ef_corrected,
+                                             static_cast<size_t>(length));
+  float* residual = error->data();
+  quant_simd::ActiveCodecKernels().stage_corrected(
+      grad + begin, residual + begin, staged, length);
+  const float* corrected = staged - begin;
+  QuantizeRange(corrected, shape, stochastic_tag, begin, end, workspace, blob);
+  // e = c - Q(c): decode the range just written straight into the
+  // residual, then subtract it from c in place.
+  CHECK_OK(DecodeRange(blob, shape, begin, end, workspace, residual));
+  for (int64_t i = begin; i < end; ++i) {
+    residual[i] = corrected[i] - residual[i];
   }
 }
 

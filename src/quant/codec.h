@@ -21,17 +21,21 @@ struct CodecWorkspace;  // quant/workspace.h
 // Encode consumes one gradient matrix (flat fp32 buffer interpreted through
 // its CNTK quantization shape, Section 3.2.1) and produces a wire blob;
 // Decode reconstructs an approximate gradient. Codecs are stateless —
-// error-feedback residuals (1bitSGD) are owned by the caller, one per
-// (rank, matrix), and passed in; stochastic codecs (QSGD) derive their
-// randomness from the caller-provided `stochastic_tag` so runs are exactly
-// reproducible.
+// error-feedback residuals (1bitSGD, 1bitSGD*, ECQ-SGD, TopK) are owned by
+// the caller, one per (rank, matrix), and passed in; stochastic codecs
+// (QSGD) derive their randomness from the caller-provided `stochastic_tag`
+// so runs are exactly reproducible.
 //
-// Every codec implements one range pair, EncodeRange/DecodeRange, over a
-// contiguous run of flat elements; Encode and Decode are compositions of
-// it written once here. Bucketed codecs accept any RangeAlignment-aligned
-// range, which lets the MPI exchange split a matrix into independent tiles
-// (DESIGN.md §7 "Range-split exchange"); codecs whose blob depends on the
-// whole matrix accept only the full range.
+// Every codec implements one range pair, QuantizeRange/DecodeRange, over a
+// contiguous run of flat elements; EncodeRange, Encode and Decode are
+// compositions of it written once here. Error feedback is one stage of
+// EncodeRange, the same for every codec: it quantizes c = g + e and
+// carries e <- c - Q(c) (Wu et al.'s ECQ-SGD rule, and 1bitSGD's carried
+// error), so no codec touches a residual itself. Bucketed codecs accept
+// any RangeAlignment-aligned range, which lets the MPI exchange split a
+// matrix into independent tiles (DESIGN.md §7 "Range-split exchange");
+// codecs whose blob depends on the whole matrix accept only the full
+// range.
 class GradientCodec {
  public:
   virtual ~GradientCodec() = default;
@@ -54,8 +58,10 @@ class GradientCodec {
 
   // True when the codec maintains an error-feedback residual; the caller
   // must then pass a persistent, zero-initialized `error` buffer of
-  // shape.element_count() floats to every Encode call.
-  virtual bool UsesErrorFeedback() const { return false; }
+  // shape.element_count() floats to every Encode call. Fixed at
+  // construction: the families that honour CodecSpec::error_feedback
+  // pass it to the constructor, every other codec passes false.
+  bool UsesErrorFeedback() const { return error_feedback_; }
 
   // Encodes `grad` (shape.element_count() floats). `error` may be null for
   // codecs without error feedback. `workspace` provides reusable scratch
@@ -99,10 +105,20 @@ class GradientCodec {
   // encoding the ranges of any partition in any order (then sealing)
   // reproduces Encode's bytes and residuals exactly. Same workspace
   // contract as Encode.
-  virtual void EncodeRange(const float* grad, const Shape& shape,
-                           uint64_t stochastic_tag, std::vector<float>* error,
-                           int64_t begin, int64_t end,
-                           CodecWorkspace* workspace, uint8_t* blob) const = 0;
+  //
+  // Without error feedback this is QuantizeRange on `grad`. With it, the
+  // error-feedback stage runs here, for every codec alike: it stages
+  // c = grad + error over the range into workspace->ef_corrected, runs
+  // QuantizeRange on c, decodes the range straight into `error` and sets
+  // error[i] = c[i] - error[i]. The blob and residual are therefore
+  // exactly those of the EF-free codec on c followed by c - Decode
+  // (tests/quant/error_feedback_test.cc). c - d is -0.0 only when c is,
+  // and c = g + e only when e is, so a residual that starts zeroed never
+  // holds -0.0 and a zero-scale bucket leaves +0.0 behind.
+  void EncodeRange(const float* grad, const Shape& shape,
+                   uint64_t stochastic_tag, std::vector<float>* error,
+                   int64_t begin, int64_t end, CodecWorkspace* workspace,
+                   uint8_t* blob) const;
 
   // Decodes elements [begin, end) of a blob into out[begin, end) (`out`
   // indexed by absolute element; nothing outside the range is written).
@@ -131,15 +147,27 @@ class GradientCodec {
 
  protected:
   // `metric_name` must be a string literal; the codec's counter names are
-  // formed from it here, once, not per call.
-  explicit GradientCodec(std::string_view metric_name);
+  // formed from it here, once, not per call. `error_feedback` switches on
+  // EncodeRange's error-feedback stage.
+  explicit GradientCodec(std::string_view metric_name,
+                         bool error_feedback = false);
 
   // Bumps quant/<id>/decode_calls: once per decode entry point call
   // (Decode, TopK's DecodeSparse), while metrics are enabled.
   void CountDecode() const;
 
  private:
+  // The codec's own encode: writes the wire bytes of elements
+  // [begin, end) of `grad` under EncodeRange's range and workspace
+  // contract, without error feedback (EncodeRange stages the corrected
+  // values and refreshes the residual around it).
+  virtual void QuantizeRange(const float* grad, const Shape& shape,
+                             uint64_t stochastic_tag, int64_t begin,
+                             int64_t end, CodecWorkspace* workspace,
+                             uint8_t* blob) const = 0;
+
   std::string_view metric_name_;
+  bool error_feedback_;
   std::string encode_calls_metric_;
   std::string decode_calls_metric_;
 };
@@ -181,8 +209,9 @@ struct CodecSpec {
   // TernGrad only: gradient clipping threshold as a multiple of the chunk's
   // standard deviation (Wen et al. Section 4); 0 disables clipping.
   double clip = 0.0;
-  // Ablation switch for the error-feedback residual of 1bitSGD, 1bitSGD*,
-  // ECQ-SGD and TopK.
+  // Ablation switch for the error-feedback stage (GradientCodec::
+  // EncodeRange). Only 1bitSGD, 1bitSGD*, ECQ-SGD and TopK honour it;
+  // every other family runs without error feedback.
   bool error_feedback = true;
   uint64_t seed = 0x95bd0b1f2c3d4e5fULL;
 

@@ -24,12 +24,12 @@ int64_t FullPrecisionCodec::RangeAlignment(const Shape& /*shape*/) const {
 }
 
 LPSGD_HOT_PATH
-void FullPrecisionCodec::EncodeRange(const float* grad, const Shape& /*shape*/,
-                                     uint64_t /*stochastic_tag*/,
-                                     std::vector<float>* /*error*/,
-                                     int64_t begin, int64_t end,
-                                     CodecWorkspace* /*workspace*/,
-                                     uint8_t* blob) const {
+void FullPrecisionCodec::QuantizeRange(const float* grad,
+                                       const Shape& /*shape*/,
+                                       uint64_t /*stochastic_tag*/,
+                                       int64_t begin, int64_t end,
+                                       CodecWorkspace* /*workspace*/,
+                                       uint8_t* blob) const {
   std::memcpy(blob + begin * static_cast<int64_t>(sizeof(float)), grad + begin,
               static_cast<size_t>(end - begin) * sizeof(float));
 }

@@ -3,7 +3,6 @@
 #define LPSGD_QUANT_FULL_PRECISION_H_
 
 #include <string>
-#include <vector>
 
 #include "quant/codec.h"
 
@@ -19,13 +18,14 @@ class FullPrecisionCodec : public GradientCodec {
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
   int64_t RangeAlignment(const Shape& shape) const override;
-  void EncodeRange(const float* grad, const Shape& shape,
-                   uint64_t stochastic_tag, std::vector<float>* error,
-                   int64_t begin, int64_t end, CodecWorkspace* workspace,
-                   uint8_t* blob) const override;
   Status DecodeRange(const uint8_t* blob, const Shape& shape, int64_t begin,
                      int64_t end, CodecWorkspace* workspace,
                      float* out) const override;
+
+ private:
+  void QuantizeRange(const float* grad, const Shape& shape,
+                     uint64_t stochastic_tag, int64_t begin, int64_t end,
+                     CodecWorkspace* workspace, uint8_t* blob) const override;
 };
 
 }  // namespace lpsgd

@@ -20,20 +20,18 @@ using codec_internal::MutableFloatsAt;
 using codec_internal::MutableWordsAt;
 using codec_internal::WordsAt;
 
-// Computes avg+ / avg- over `count` values read through `get(i)`.
+// Computes avg+ / avg- over the `count` values values[0], values[stride],
+// values[2 * stride], ...
 //
-// Shared by both 1bitSGD variants; only the chunking (columns vs buckets)
-// differs. The error-corrected value v = grad + error is recomputed by the
-// callers' `get` in both the averaging and the quantization pass — the
-// identical float addition each time — instead of staging it in an n-float
-// buffer, so encoding allocates nothing.
-template <typename GetFn>
-void ChunkAverages(int64_t count, const GetFn& get, float* avg_pos,
-                   float* avg_neg) {
+// Shared by both 1bitSGD variants; only the chunking differs: a column
+// (stride = cols) or a bucket (stride 1). With error feedback the values
+// are the corrected c = g + e that GradientCodec::EncodeRange staged.
+void ChunkAverages(const float* values, int64_t count, int64_t stride,
+                   float* avg_pos, float* avg_neg) {
   double sum_pos = 0.0, sum_neg = 0.0;
   int64_t n_pos = 0, n_neg = 0;
   for (int64_t i = 0; i < count; ++i) {
-    const float v = get(i);
+    const float v = values[i * stride];
     if (v >= 0.0f) {
       sum_pos += v;
       ++n_pos;
@@ -67,20 +65,14 @@ int64_t OneBitSgdCodec::RangeAlignment(const Shape& /*shape*/) const {
 }
 
 LPSGD_HOT_PATH
-void OneBitSgdCodec::EncodeRange(const float* grad, const Shape& shape,
-                                 uint64_t /*stochastic_tag*/,
-                                 std::vector<float>* error, int64_t begin,
-                                 int64_t end, CodecWorkspace* /*workspace*/,
-                                 uint8_t* blob) const {
+void OneBitSgdCodec::QuantizeRange(const float* grad, const Shape& shape,
+                                   uint64_t /*stochastic_tag*/, int64_t begin,
+                                   int64_t end, CodecWorkspace* /*workspace*/,
+                                   uint8_t* blob) const {
   const int64_t rows = shape.rows();
   const int64_t cols = shape.cols();
-  const int64_t n = rows * cols;
   CHECK_EQ(begin, 0);
-  CHECK_EQ(end, n);
-  CHECK(!error_feedback_ || error != nullptr);
-  if (error_feedback_) {
-    CHECK_EQ(static_cast<int64_t>(error->size()), n);
-  }
+  CHECK_EQ(end, rows * cols);
 
   float* scales = MutableFloatsAt(blob, 0);  // 2 per column
   const int64_t words_per_col = (rows + 31) / 32;
@@ -89,32 +81,15 @@ void OneBitSgdCodec::EncodeRange(const float* grad, const Shape& shape,
   std::memset(bits, 0,
               static_cast<size_t>(cols * words_per_col) * sizeof(uint32_t));
 
-  // v = grad + carried error (Algorithm 2, line 1), recomputed per pass.
-  const auto corrected = [&](int64_t flat) {
-    return grad[flat] +
-           (error_feedback_ ? (*error)[static_cast<size_t>(flat)] : 0.0f);
-  };
-
   for (int64_t c = 0; c < cols; ++c) {
     // Column c: elements at flat index r * cols + c.
     float avg_pos = 0.0f, avg_neg = 0.0f;
-    ChunkAverages(
-        rows, [&](int64_t r) { return corrected(r * cols + c); }, &avg_pos,
-        &avg_neg);
+    ChunkAverages(grad + c, rows, cols, &avg_pos, &avg_neg);
     scales[2 * c] = avg_pos;
     scales[2 * c + 1] = avg_neg;
     for (int64_t r = 0; r < rows; ++r) {
-      const int64_t flat = r * cols + c;
-      const float v = corrected(flat);
-      const bool positive = v >= 0.0f;
-      if (positive) {
-        bits[c * words_per_col + r / 32] |= 1u << (r & 31);
-      }
-      if (error_feedback_) {
-        // Algorithm 2, line 4.
-        (*error)[static_cast<size_t>(flat)] =
-            v - (positive ? avg_pos : avg_neg);
-      }
+      bits[c * words_per_col + r / 32] |=
+          static_cast<uint32_t>(grad[r * cols + c] >= 0.0f) << (r & 31);
     }
   }
 }
@@ -136,8 +111,8 @@ Status OneBitSgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
     const float avg_neg = scales[2 * c + 1];
     const uint32_t* col_bits = bits + c * words_per_col;
     for (int64_t r = 0; r < rows; ++r) {
-      const bool positive = (col_bits[r / 32] >> (r & 31)) & 1u;
-      out[r * cols + c] = positive ? avg_pos : avg_neg;
+      out[r * cols + c] =
+          quant_simd::OneBitValue(col_bits, r, avg_pos, avg_neg);
     }
   }
   return OkStatus();
@@ -145,9 +120,8 @@ Status OneBitSgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
 
 OneBitSgdReshapedCodec::OneBitSgdReshapedCodec(int64_t bucket_size,
                                                bool error_feedback)
-    : GradientCodec("one_bit_sgd_reshaped"),
-      bucket_size_(bucket_size),
-      error_feedback_(error_feedback) {
+    : GradientCodec("one_bit_sgd_reshaped", error_feedback),
+      bucket_size_(bucket_size) {
   CHECK_GT(bucket_size, 0);
 }
 
@@ -173,17 +147,12 @@ int64_t OneBitSgdReshapedCodec::RangeAlignment(const Shape& /*shape*/) const {
 }
 
 LPSGD_HOT_PATH
-void OneBitSgdReshapedCodec::EncodeRange(const float* grad, const Shape& shape,
-                                         uint64_t /*stochastic_tag*/,
-                                         std::vector<float>* error,
-                                         int64_t begin, int64_t end,
-                                         CodecWorkspace* /*workspace*/,
-                                         uint8_t* blob) const {
-  CHECK(!error_feedback_ || error != nullptr);
-  if (error_feedback_) {
-    CHECK_EQ(static_cast<int64_t>(error->size()), shape.element_count());
-  }
-
+void OneBitSgdReshapedCodec::QuantizeRange(const float* grad,
+                                           const Shape& shape,
+                                           uint64_t /*stochastic_tag*/,
+                                           int64_t begin, int64_t end,
+                                           CodecWorkspace* /*workspace*/,
+                                           uint8_t* blob) const {
   const int64_t buckets = NumChunks(shape);
   float* scales = MutableFloatsAt(blob, 0);  // 2 per bucket
   uint32_t* bits = MutableWordsAt(
@@ -195,28 +164,18 @@ void OneBitSgdReshapedCodec::EncodeRange(const float* grad, const Shape& shape,
               static_cast<size_t>((end + 31) / 32 - begin / 32) *
                   sizeof(uint32_t));
 
-  const auto corrected = [&](int64_t i) {
-    return grad[i] +
-           (error_feedback_ ? (*error)[static_cast<size_t>(i)] : 0.0f);
-  };
-
-  // Quantize + error refresh (Algorithm 2, line 4) via the runtime-
-  // dispatched kernel table; the averaging pass must run first per bucket
-  // because the kernel overwrites the carried error in place.
+  // Averages first, then the sign bits via the runtime-dispatched kernel
+  // table.
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
-  float* error_data = error_feedback_ ? error->data() : nullptr;
   for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
     const int64_t bucket_begin = b * bucket_size_;
     const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
     float avg_pos = 0.0f, avg_neg = 0.0f;
-    ChunkAverages(
-        bucket_end - bucket_begin,
-        [&](int64_t i) { return corrected(bucket_begin + i); }, &avg_pos,
-        &avg_neg);
+    ChunkAverages(grad + bucket_begin, bucket_end - bucket_begin, 1,
+                  &avg_pos, &avg_neg);
     scales[2 * b] = avg_pos;
     scales[2 * b + 1] = avg_neg;
-    kernels.one_bit_quantize(grad, error_data, bucket_begin, bucket_end,
-                             avg_pos, avg_neg, bits);
+    kernels.one_bit_quantize(grad, bucket_begin, bucket_end, bits);
   }
 }
 

@@ -3,7 +3,6 @@
 #define LPSGD_QUANT_ONE_BIT_SGD_H_
 
 #include <string>
-#include <vector>
 
 #include "quant/codec.h"
 
@@ -24,23 +23,20 @@ namespace lpsgd {
 class OneBitSgdCodec : public GradientCodec {
  public:
   explicit OneBitSgdCodec(bool error_feedback = true)
-      : GradientCodec("one_bit_sgd"), error_feedback_(error_feedback) {}
+      : GradientCodec("one_bit_sgd", error_feedback) {}
 
   std::string Name() const override { return "1bitSGD"; }
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
-  bool UsesErrorFeedback() const override { return error_feedback_; }
   int64_t RangeAlignment(const Shape& shape) const override;
-  void EncodeRange(const float* grad, const Shape& shape,
-                   uint64_t stochastic_tag, std::vector<float>* error,
-                   int64_t begin, int64_t end, CodecWorkspace* workspace,
-                   uint8_t* blob) const override;
   Status DecodeRange(const uint8_t* blob, const Shape& shape, int64_t begin,
                      int64_t end, CodecWorkspace* workspace,
                      float* out) const override;
 
  private:
-  bool error_feedback_;
+  void QuantizeRange(const float* grad, const Shape& shape,
+                     uint64_t stochastic_tag, int64_t begin, int64_t end,
+                     CodecWorkspace* workspace, uint8_t* blob) const override;
 };
 
 // 1bitSGD* (Section 3.2, "Reshaped 1bitSGD"): identical math, but the
@@ -55,12 +51,7 @@ class OneBitSgdReshapedCodec : public GradientCodec {
   std::string Name() const override;
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
-  bool UsesErrorFeedback() const override { return error_feedback_; }
   int64_t RangeAlignment(const Shape& shape) const override;
-  void EncodeRange(const float* grad, const Shape& shape,
-                   uint64_t stochastic_tag, std::vector<float>* error,
-                   int64_t begin, int64_t end, CodecWorkspace* workspace,
-                   uint8_t* blob) const override;
   Status DecodeRange(const uint8_t* blob, const Shape& shape, int64_t begin,
                      int64_t end, CodecWorkspace* workspace,
                      float* out) const override;
@@ -68,8 +59,11 @@ class OneBitSgdReshapedCodec : public GradientCodec {
   int64_t bucket_size() const { return bucket_size_; }
 
  private:
+  void QuantizeRange(const float* grad, const Shape& shape,
+                     uint64_t stochastic_tag, int64_t begin, int64_t end,
+                     CodecWorkspace* workspace, uint8_t* blob) const override;
+
   int64_t bucket_size_;
-  bool error_feedback_;
 };
 
 }  // namespace lpsgd

@@ -1,7 +1,7 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
 // AVX2 kernels (and a NEON dequantize) for the flat-bitmap 1bitSGD* hot
-// loops. The sign test is the scalar `v >= 0.0f` as an ordered compare
+// loops. The sign test is the scalar `grad[i] >= 0.0f` as an ordered compare
 // (NOT a raw sign-bit movemask: -0.0f must count positive and NaN must
 // count negative, exactly like the scalar reference); 32 sign bits are
 // assembled per word from four 8-lane masks. Buckets may start and end
@@ -18,44 +18,25 @@ namespace avx2 {
 
 LPSGD_SIMD_TARGET_AVX2
 LPSGD_HOT_PATH
-void OneBitQuantize(const float* grad, float* error, int64_t begin,
-                    int64_t end, float avg_pos, float avg_neg,
+void OneBitQuantize(const float* grad, int64_t begin, int64_t end,
                     uint32_t* bits) {
   int64_t i = begin;
   while (i < end && (i & 31) != 0) {
-    OneBitStep(grad, error, i, avg_pos, avg_neg, bits);
+    OneBitStep(grad, i, bits);
     ++i;
   }
   const __m256 zero = _mm256_setzero_ps();
-  if (error != nullptr) {
-    const __m256 pos_v = _mm256_set1_ps(avg_pos);
-    const __m256 neg_v = _mm256_set1_ps(avg_neg);
-    for (; i + 32 <= end; i += 32) {
-      uint32_t word = 0;
-      for (int k = 0; k < 32; k += 8) {
-        const __m256 v = _mm256_add_ps(_mm256_loadu_ps(grad + i + k),
-                                       _mm256_loadu_ps(error + i + k));
-        const __m256 positive = _mm256_cmp_ps(v, zero, _CMP_GE_OQ);
-        word |= static_cast<uint32_t>(_mm256_movemask_ps(positive)) << k;
-        const __m256 average = _mm256_blendv_ps(neg_v, pos_v, positive);
-        _mm256_storeu_ps(error + i + k, _mm256_sub_ps(v, average));
-      }
-      bits[i >> 5] |= word;
+  for (; i + 32 <= end; i += 32) {
+    uint32_t word = 0;
+    for (int k = 0; k < 32; k += 8) {
+      const __m256 positive =
+          _mm256_cmp_ps(_mm256_loadu_ps(grad + i + k), zero, _CMP_GE_OQ);
+      word |= static_cast<uint32_t>(_mm256_movemask_ps(positive)) << k;
     }
-  } else {
-    for (; i + 32 <= end; i += 32) {
-      uint32_t word = 0;
-      for (int k = 0; k < 32; k += 8) {
-        // v = grad + literal 0.0f, as the scalar step computes it.
-        const __m256 v = _mm256_add_ps(_mm256_loadu_ps(grad + i + k), zero);
-        const __m256 positive = _mm256_cmp_ps(v, zero, _CMP_GE_OQ);
-        word |= static_cast<uint32_t>(_mm256_movemask_ps(positive)) << k;
-      }
-      bits[i >> 5] |= word;
-    }
+    bits[i >> 5] |= word;
   }
   for (; i < end; ++i) {
-    OneBitStep(grad, error, i, avg_pos, avg_neg, bits);
+    OneBitStep(grad, i, bits);
   }
 }
 
@@ -65,7 +46,7 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                       float avg_pos, float avg_neg, float* out) {
   int64_t i = begin;
   while (i < end && (i & 31) != 0) {
-    out[i] = SignBitAt(bits, i) ? avg_pos : avg_neg;
+    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
     ++i;
   }
   const __m256i lane_bit =
@@ -83,7 +64,7 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
     }
   }
   for (; i < end; ++i) {
-    out[i] = SignBitAt(bits, i) ? avg_pos : avg_neg;
+    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
   }
 }
 
@@ -106,7 +87,7 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                       float avg_pos, float avg_neg, float* out) {
   int64_t i = begin;
   while (i < end && (i & 31) != 0) {
-    out[i] = SignBitAt(bits, i) ? avg_pos : avg_neg;
+    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
     ++i;
   }
   const uint32x4_t lane_bit = {1u, 2u, 4u, 8u};
@@ -122,7 +103,7 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
     }
   }
   for (; i < end; ++i) {
-    out[i] = SignBitAt(bits, i) ? avg_pos : avg_neg;
+    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
   }
 }
 

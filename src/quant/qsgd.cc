@@ -14,7 +14,6 @@
 #include "base/strings.h"
 #include "quant/registry.h"
 #include "quant/simd_kernels.h"
-#include "quant/workspace.h"
 
 namespace lpsgd {
 namespace {
@@ -61,7 +60,8 @@ const QsgdVariant& VariantOf(CodecKind kind) {
 }  // namespace
 
 QsgdCodec::QsgdCodec(const CodecSpec& spec)
-    : GradientCodec(VariantOf(spec.kind).metric),
+    : GradientCodec(VariantOf(spec.kind).metric,
+                    spec.kind == CodecKind::kEcqSgd && spec.error_feedback),
       kind_(spec.kind),
       bits_(spec.bits),
       bucket_size_(spec.bucket_size),
@@ -71,7 +71,6 @@ QsgdCodec::QsgdCodec(const CodecSpec& spec)
                                           : spec.norm),
       levels_(kind_ == CodecKind::kQsgd ? spec.levels
                                         : QsgdLevelScheme::kSignMagnitude),
-      error_feedback_(kind_ == CodecKind::kEcqSgd && spec.error_feedback),
       seed_(spec.seed) {
   CHECK_GE(bits_, 2);
   CHECK_LE(bits_, 16);
@@ -117,15 +116,10 @@ int64_t QsgdCodec::RangeAlignment(const Shape& /*shape*/) const {
 }
 
 LPSGD_HOT_PATH
-void QsgdCodec::EncodeRange(const float* grad, const Shape& shape,
-                            uint64_t stochastic_tag,
-                            std::vector<float>* error, int64_t begin,
-                            int64_t end, CodecWorkspace* workspace,
-                            uint8_t* blob) const {
-  CHECK(!error_feedback_ || error != nullptr);
-  if (error_feedback_) {
-    CHECK_EQ(static_cast<int64_t>(error->size()), shape.element_count());
-  }
+void QsgdCodec::QuantizeRange(const float* grad, const Shape& shape,
+                              uint64_t stochastic_tag, int64_t begin,
+                              int64_t end, CodecWorkspace* /*workspace*/,
+                              uint8_t* blob) const {
   const int64_t buckets = NumChunks(shape);
   const CounterRng stream(seed_, stochastic_tag);
 
@@ -149,57 +143,34 @@ void QsgdCodec::EncodeRange(const float* grad, const Shape& shape,
   args.level_count = level_count_;
   args.writer = &writer;
   args.magnitudes = magnitudes_.data();
-  args.error = error_feedback_ ? error->data() : nullptr;
+  args.values = grad;
   for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
     const int64_t bucket_begin = b * bucket_size_;
     const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
-    const int64_t len = bucket_end - bucket_begin;
-
-    // The values to quantize, addressed by absolute element. ECQ-SGD
-    // stages v = grad + carried error per bucket in workspace scratch, so
-    // `values` points bucket_begin floats before the staged bucket.
-    const float* values = grad;
-    if (kind_ == CodecKind::kEcqSgd) {
-      float* staged = quant_internal::EnsureSize(&workspace->corrected,
-                                                 static_cast<size_t>(len));
-      kernels.stage_corrected(
-          grad + bucket_begin,
-          error_feedback_ ? error->data() + bucket_begin : nullptr, staged,
-          len);
-      values = staged - bucket_begin;
-    }
 
     double scale = 0.0;
     if (norm_ == QsgdNorm::kL2) {
       // Sequential widened sum: order-sensitive, stays scalar in every
       // dispatch mode so the wire scale is ISA-independent.
       for (int64_t i = bucket_begin; i < bucket_end; ++i) {
-        scale += static_cast<double>(values[i]) * values[i];
+        scale += static_cast<double>(grad[i]) * grad[i];
       }
       scale = std::sqrt(scale);
     } else {
-      scale = elementwise.max_abs_f32(values + bucket_begin, len);
+      scale = elementwise.max_abs_f32(grad + bucket_begin,
+                                      bucket_end - bucket_begin);
     }
     scales[b] = static_cast<float>(scale);
     if (scale == 0.0) {
-      // Zero fields decode to exact zeros (and leave a zero residual);
-      // keep the stream position.
+      // Zero fields decode to exact zeros; keep the stream position.
       for (int64_t i = bucket_begin; i < bucket_end; ++i) writer.Put(0u);
-      if (error_feedback_) {
-        std::fill(error->begin() + bucket_begin,
-                  error->begin() + bucket_end, 0.0f);
-      }
       continue;
     }
 
-    args.values = values;
     args.begin = bucket_begin;
     args.end = bucket_end;
     args.scale = scale;
-    if (kind_ == CodecKind::kEcqSgd) {
-      // Fused with the residual refresh v - Q(v).
-      kernels.ecq_quantize(args);
-    } else if (kind_ == CodecKind::kNuqsgd) {
+    if (kind_ == CodecKind::kNuqsgd) {
       // Bracket search on the exponential grid.
       kernels.nuq_quantize(args);
     } else if (levels_ == QsgdLevelScheme::kSignMagnitude) {

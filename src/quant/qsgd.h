@@ -22,10 +22,10 @@ namespace lpsgd {
 //    grid l_0 = 0, l_j = 2^(j - s) for j = 1..s, which matches the mass of
 //    normalized gradient components near zero and has a tighter variance
 //    bound at the same bit budget. Always L2-scaled and sign-magnitude.
-//  * kEcqSgd — ECQ-SGD (Wu et al., ICML 2018): quantizes the
-//    error-corrected v = g + e and carries the fresh residual v - Q(v) in
-//    the caller-owned per-(rank, matrix) error buffer, the contract
-//    1bitSGD and TopK use. Always max-norm and sign-magnitude; the wire
+//  * kEcqSgd — ECQ-SGD (Wu et al., ICML 2018): max-norm sign-magnitude
+//    QSGD with error feedback, which GradientCodec::EncodeRange applies:
+//    it quantizes v = g + e and carries v - Q(v) in the caller-owned
+//    per-(rank, matrix) error buffer, as for 1bitSGD and TopK. The wire
 //    carries no extra state.
 //
 // Wire format (every kind): one fp32 scale per bucket, then `bits` bits per
@@ -43,12 +43,7 @@ class QsgdCodec : public GradientCodec {
   std::string Name() const override;
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
-  bool UsesErrorFeedback() const override { return error_feedback_; }
   int64_t RangeAlignment(const Shape& shape) const override;
-  void EncodeRange(const float* grad, const Shape& shape,
-                   uint64_t stochastic_tag, std::vector<float>* error,
-                   int64_t begin, int64_t end, CodecWorkspace* workspace,
-                   uint8_t* blob) const override;
   Status DecodeRange(const uint8_t* blob, const Shape& shape, int64_t begin,
                      int64_t end, CodecWorkspace* workspace,
                      float* out) const override;
@@ -57,20 +52,23 @@ class QsgdCodec : public GradientCodec {
   int64_t bucket_size() const { return bucket_size_; }
 
  private:
+  void QuantizeRange(const float* grad, const Shape& shape,
+                     uint64_t stochastic_tag, int64_t begin, int64_t end,
+                     CodecWorkspace* workspace, uint8_t* blob) const override;
+
   CodecKind kind_;
   int bits_;
   int64_t bucket_size_;
   QsgdNorm norm_;
   QsgdLevelScheme levels_;
-  bool error_feedback_;  // ECQ-SGD only
   uint64_t seed_;
   // Number of magnitude levels s (sign-magnitude) or total levels minus
   // one (symmetric).
   uint32_t level_count_;
-  // Sign-magnitude level table, built once and shared by every EncodeRange
-  // (ECQ-SGD's residual refresh, NUQSGD's bracket search) and DecodeRange:
-  // m / s on the uniform grid — the identical double division the flat
-  // decode loop once did per element — or 0, 2^(j - s) for NUQSGD.
+  // Sign-magnitude level table, built once and shared by every
+  // QuantizeRange (NUQSGD's bracket search) and DecodeRange: m / s on the
+  // uniform grid — the identical double division the flat decode loop once
+  // did per element — or 0, 2^(j - s) for NUQSGD.
   std::vector<double> magnitudes_;
 };
 

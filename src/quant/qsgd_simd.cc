@@ -52,9 +52,9 @@ void QsgdQuantizeSm(const QuantizeArgs& args) {
       for (; t + 4 <= count; t += 4) {
         const __m256d u = Uniform4At(args.stream_seed, i + t);
         const __m256d dg = _mm256_cvtps_pd(_mm_loadu_ps(args.values + i + t));
-        const SmLanes lanes =
-            QuantizeSm4(dg, args.scale, s, args.level_count, args.bits, u);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(fields + t), lanes.field);
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i*>(fields + t),
+            QuantizeSm4(dg, args.scale, s, args.level_count, args.bits, u));
       }
       for (; t < count; ++t) {
         const double u =

@@ -1,10 +1,10 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
 // Scalar reference kernels and the ISA dispatch tables. The loop bodies
-// here are the codec hot loops moved verbatim out of qsgd.cc / ecq_sgd.cc /
-// nuqsgd.cc / terngrad.cc / one_bit_sgd.cc (via the shared per-element
-// helpers in simd_kernels.h): they define the wire format, and every
-// vector kernel is property-tested bit-identical against them.
+// here are the codec hot loops of qsgd.cc / terngrad.cc / one_bit_sgd.cc /
+// topk.cc (via the shared per-element helpers in simd_kernels.h): they
+// define the wire format, and every vector kernel is property-tested
+// bit-identical against them.
 #include "quant/simd_kernels.h"
 
 namespace lpsgd {
@@ -49,17 +49,6 @@ void ScalarDequantizeSym(const DequantizeArgs& args) {
 }
 
 LPSGD_HOT_PATH
-void ScalarEcqQuantize(const QuantizeArgs& args) {
-  const double s = static_cast<double>(args.level_count);
-  for (int64_t i = args.begin; i < args.end; ++i) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
-    args.writer->Put(EcqFieldSm(
-        args.values[i], args.scale, s, args.level_count, args.bits, u,
-        args.magnitudes, args.error != nullptr ? args.error + i : nullptr));
-  }
-}
-
-LPSGD_HOT_PATH
 void ScalarNuqQuantize(const QuantizeArgs& args) {
   const int s_int = static_cast<int>(args.level_count);
   for (int64_t i = args.begin; i < args.end; ++i) {
@@ -87,19 +76,16 @@ void ScalarTernGradDequantize(const DequantizeArgs& args) {
 }
 
 LPSGD_HOT_PATH
-void ScalarOneBitQuantize(const float* grad, float* error, int64_t begin,
-                          int64_t end, float avg_pos, float avg_neg,
+void ScalarOneBitQuantize(const float* grad, int64_t begin, int64_t end,
                           uint32_t* bits) {
-  for (int64_t i = begin; i < end; ++i) {
-    OneBitStep(grad, error, i, avg_pos, avg_neg, bits);
-  }
+  for (int64_t i = begin; i < end; ++i) OneBitStep(grad, i, bits);
 }
 
 LPSGD_HOT_PATH
 void ScalarOneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                             float avg_pos, float avg_neg, float* out) {
   for (int64_t i = begin; i < end; ++i) {
-    out[i] = SignBitAt(bits, i) ? avg_pos : avg_neg;
+    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
   }
 }
 
@@ -117,7 +103,7 @@ const CodecKernels& CodecKernelsForIsa(SimdIsa isa) {
   static const CodecKernels scalar = {
       ScalarQsgdQuantizeSm,     ScalarQsgdQuantizeSym,
       ScalarDequantizeSm,       ScalarDequantizeSym,
-      ScalarEcqQuantize,        ScalarNuqQuantize,
+      ScalarNuqQuantize,
       ScalarTernGradQuantize,   ScalarTernGradDequantize,
       ScalarOneBitQuantize,     ScalarOneBitDequantize,
       ScalarStageCorrected,
@@ -126,7 +112,7 @@ const CodecKernels& CodecKernelsForIsa(SimdIsa isa) {
   static const CodecKernels avx2_table = {
       avx2::QsgdQuantizeSm,     avx2::QsgdQuantizeSym,
       avx2::DequantizeSm,       avx2::DequantizeSym,
-      avx2::EcqQuantize,        avx2::NuqQuantize,
+      avx2::NuqQuantize,
       avx2::TernGradQuantize,   avx2::TernGradDequantize,
       avx2::OneBitQuantize,     avx2::OneBitDequantize,
       avx2::StageCorrected,
@@ -143,7 +129,7 @@ const CodecKernels& CodecKernelsForIsa(SimdIsa isa) {
   static const CodecKernels neon_table = {
       ScalarQsgdQuantizeSm,     ScalarQsgdQuantizeSym,
       ScalarDequantizeSm,       ScalarDequantizeSym,
-      ScalarEcqQuantize,        ScalarNuqQuantize,
+      ScalarNuqQuantize,
       ScalarTernGradQuantize,   neon::TernGradDequantize,
       ScalarOneBitQuantize,     neon::OneBitDequantize,
       neon::StageCorrected,

@@ -5,7 +5,7 @@
 //
 // The contract every table entry must satisfy: for identical arguments,
 // every ISA produces the identical wire bytes (through BitWriter), decoded
-// floats, and residuals as the scalar reference — bit for bit. That holds
+// floats and staged values as the scalar reference — bit for bit. That holds
 // because the per-element math is lane-independent IEEE arithmetic (div,
 // mul, min/clamp selects, truncating casts) plus the counter-based hash,
 // all of which are deterministic per element; the only order-sensitive
@@ -35,8 +35,7 @@ namespace quant_simd {
 // indices: the stochastic-rounding stream is addressed by flat index, so a
 // kernel invocation is position-dependent but history-free.
 struct QuantizeArgs {
-  const float* values = nullptr;  // gradient (QSGD/NUQ/TernGrad) or
-                                  // error-corrected values (ECQ)
+  const float* values = nullptr;  // the codec's input, indexed by element
   int64_t begin = 0;              // [begin, end) flat range
   int64_t end = 0;
   double scale = 0.0;             // bucket scale; caller handles scale == 0
@@ -44,9 +43,7 @@ struct QuantizeArgs {
   int bits = 0;                   // wire field width
   uint32_t level_count = 0;       // s (magnitude levels / endpoints)
   BitWriter* writer = nullptr;    // positioned at the bucket's first field
-  const double* magnitudes = nullptr;  // ECQ: dequant table (m / s);
-                                       // NUQSGD: exponential level table
-  float* error = nullptr;         // ECQ residual out; null = no feedback
+  const double* magnitudes = nullptr;  // NUQSGD: exponential level table
   double threshold = 0.0;         // TernGrad clip threshold
 };
 
@@ -64,9 +61,10 @@ struct DequantizeArgs {
 };
 
 // ---------------------------------------------------------------------------
-// Per-element golden helpers. Each is the exact expression the codec TU ran
-// before kernel extraction; do not "simplify" them — every select and cast
-// is part of the pinned wire format.
+// Per-element golden helpers. Each computes exactly what the codec TU ran
+// before kernel extraction (the 1bitSGD sign selects as bit-identical
+// branch-free rewrites); do not "simplify" them — every select and cast is
+// part of the pinned wire format.
 
 // CounterRng::UniformAt for a pre-mixed stream seed.
 LPSGD_HOT_PATH
@@ -99,28 +97,6 @@ inline uint32_t QsgdFieldSym(float g, double scale, double s,
   if (u < frac && level < level_count) ++level;
   if (level > level_count) level = level_count;
   return level;
-}
-
-// ECQ-SGD field + residual for one error-corrected element. `magnitudes`
-// is the m / s dequant table; `residual` may be null (no error feedback).
-LPSGD_HOT_PATH
-inline uint32_t EcqFieldSm(float corrected, double scale, double s,
-                           uint32_t level_count, int bits, double u,
-                           const double* magnitudes, float* residual) {
-  const double v = corrected;
-  const double a = std::min(1.0, std::abs(v) / scale);
-  uint32_t level = static_cast<uint32_t>(a * s);
-  const double frac = a * s - level;
-  if (u < frac && level < level_count) ++level;
-  if (level > level_count) level = level_count;
-  const uint32_t sign = v < 0.0 ? 1u : 0u;
-  if (residual != nullptr) {
-    const double magnitude = magnitudes[level] * scale;
-    const float dequantized =
-        static_cast<float>(sign ? -magnitude : magnitude);
-    *residual = static_cast<float>(v) - dequantized;
-  }
-  return (sign << (bits - 1)) | level;
 }
 
 // NUQSGD field on the exponential level grid (levels[j] = 2^(j - s)).
@@ -178,19 +154,22 @@ inline float TernGradValue(uint32_t field, float scale) {
   return (field >> 1) & 1u ? -magnitude : magnitude;
 }
 
-// One 1bitSGD* quantize step: OR the sign bit of grad[i] + error[i] into
-// the flat bitmap and refresh the carried error (Algorithm 2, line 4).
+// One 1bitSGD* quantize step: OR the sign bit of grad[i] into the flat
+// bitmap (Algorithm 2). `>= 0.0f` counts -0.0f positive and NaN negative.
+// Branch-free: gradient signs are random, so a branch would mispredict
+// half the time.
 LPSGD_HOT_PATH
-inline void OneBitStep(const float* grad, float* error, int64_t i,
-                       float avg_pos, float avg_neg, uint32_t* bits) {
-  const float v = grad[i] + (error != nullptr ? error[i] : 0.0f);
-  const bool positive = v >= 0.0f;
-  if (positive) {
-    bits[i >> 5] |= 1u << (i & 31);
-  }
-  if (error != nullptr) {
-    error[i] = v - (positive ? avg_pos : avg_neg);
-  }
+inline void OneBitStep(const float* grad, int64_t i, uint32_t* bits) {
+  bits[i >> 5] |= static_cast<uint32_t>(grad[i] >= 0.0f) << (i & 31);
+}
+
+// One 1bitSGD dequantized element: avg+ where bit i is set, avg- where it
+// is clear. Indexes a two-entry table rather than branching on the bit.
+LPSGD_HOT_PATH
+inline float OneBitValue(const uint32_t* bits, int64_t i, float avg_pos,
+                         float avg_neg) {
+  const float averages[2] = {avg_neg, avg_pos};
+  return averages[SignBitAt(bits, i)];
 }
 
 // Packs word_count * per_word staged fields into whole 32-bit words in the
@@ -236,25 +215,25 @@ inline void UnpackFieldWords(const uint32_t* words, int64_t word_count,
 struct CodecKernels {
   void (*qsgd_quantize_sm)(const QuantizeArgs& args);
   void (*qsgd_quantize_sym)(const QuantizeArgs& args);
-  // Shared by QSGD-SM, ECQ, and NUQSGD decode (the table differs).
+  // Shared by QSGD-SM (ECQ-SGD included) and NUQSGD decode (the table
+  // differs).
   void (*dequantize_sm)(const DequantizeArgs& args);
   void (*dequantize_sym)(const DequantizeArgs& args);
-  void (*ecq_quantize)(const QuantizeArgs& args);
   void (*nuq_quantize)(const QuantizeArgs& args);
   void (*terngrad_quantize)(const QuantizeArgs& args);
   void (*terngrad_dequantize)(const DequantizeArgs& args);
-  // 1bitSGD* flat-bitmap quantize: OR sign bits of grad[i] + error[i] into
-  // `bits` (pre-zeroed; buckets may straddle words) and refresh the error.
-  // `error` is null when feedback is off.
-  void (*one_bit_quantize)(const float* grad, float* error, int64_t begin,
-                           int64_t end, float avg_pos, float avg_neg,
+  // 1bitSGD* flat-bitmap quantize: OR the sign bits of grad[begin, end)
+  // into `bits` (pre-zeroed; buckets may straddle words).
+  void (*one_bit_quantize)(const float* grad, int64_t begin, int64_t end,
                            uint32_t* bits);
   void (*one_bit_dequantize)(const uint32_t* bits, int64_t begin,
                              int64_t end, float avg_pos, float avg_neg,
                              float* out);
-  // v = grad + carried error staging (TopK, ECQ). `error` may be null:
-  // the scalar reference adds literal 0.0f then (which flushes -0.0f to
-  // +0.0f — wire-visible in TopK, so a memcpy would NOT be equivalent).
+  // c = grad + carried error staging (the error-feedback stage of
+  // GradientCodec::EncodeRange; TopK). `error` may be null: the scalar
+  // reference adds literal 0.0f then (which flushes -0.0f to +0.0f —
+  // wire-visible in TopK's EF-free pass, so a memcpy would NOT be
+  // equivalent).
   void (*stage_corrected)(const float* grad, const float* error, float* out,
                           int64_t n);
 };
@@ -275,12 +254,10 @@ void QsgdQuantizeSm(const QuantizeArgs& args);    // qsgd_simd.cc
 void QsgdQuantizeSym(const QuantizeArgs& args);   // qsgd_simd.cc
 void DequantizeSm(const DequantizeArgs& args);    // qsgd_simd.cc
 void DequantizeSym(const DequantizeArgs& args);   // qsgd_simd.cc
-void EcqQuantize(const QuantizeArgs& args);       // ecq_sgd_simd.cc
 void NuqQuantize(const QuantizeArgs& args);       // nuqsgd_simd.cc
 void TernGradQuantize(const QuantizeArgs& args);  // terngrad_simd.cc
 void TernGradDequantize(const DequantizeArgs& args);
-void OneBitQuantize(const float* grad, float* error, int64_t begin,
-                    int64_t end, float avg_pos, float avg_neg,
+void OneBitQuantize(const float* grad, int64_t begin, int64_t end,
                     uint32_t* bits);              // one_bit_simd.cc
 void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                       float avg_pos, float avg_neg, float* out);

@@ -69,11 +69,10 @@ int64_t TernGradCodec::RangeAlignment(const Shape& /*shape*/) const {
 }
 
 LPSGD_HOT_PATH
-void TernGradCodec::EncodeRange(const float* grad, const Shape& shape,
-                                uint64_t stochastic_tag,
-                                std::vector<float>* /*error*/, int64_t begin,
-                                int64_t end, CodecWorkspace* /*workspace*/,
-                                uint8_t* blob) const {
+void TernGradCodec::QuantizeRange(const float* grad, const Shape& shape,
+                                  uint64_t stochastic_tag, int64_t begin,
+                                  int64_t end, CodecWorkspace* /*workspace*/,
+                                  uint8_t* blob) const {
   const int64_t n = shape.element_count();
   const int64_t chunks = NumChunks(shape);
   const int64_t len = ChunkLength(n);

@@ -3,7 +3,6 @@
 #define LPSGD_QUANT_TERNGRAD_H_
 
 #include <string>
-#include <vector>
 
 #include "quant/codec.h"
 
@@ -35,10 +34,6 @@ class TernGradCodec : public GradientCodec {
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
   int64_t RangeAlignment(const Shape& shape) const override;
-  void EncodeRange(const float* grad, const Shape& shape,
-                   uint64_t stochastic_tag, std::vector<float>* error,
-                   int64_t begin, int64_t end, CodecWorkspace* workspace,
-                   uint8_t* blob) const override;
   Status DecodeRange(const uint8_t* blob, const Shape& shape, int64_t begin,
                      int64_t end, CodecWorkspace* workspace,
                      float* out) const override;
@@ -47,6 +42,10 @@ class TernGradCodec : public GradientCodec {
   double clip() const { return clip_; }
 
  private:
+  void QuantizeRange(const float* grad, const Shape& shape,
+                     uint64_t stochastic_tag, int64_t begin, int64_t end,
+                     CodecWorkspace* workspace, uint8_t* blob) const override;
+
   // Elements covered by chunk `b` of an n-element gradient.
   int64_t ChunkLength(int64_t n) const;
 

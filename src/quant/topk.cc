@@ -24,9 +24,7 @@ using codec_internal::MutableWordsAt;
 using codec_internal::WordsAt;
 
 TopKCodec::TopKCodec(double density, bool error_feedback)
-    : GradientCodec("topk"),
-      density_(density),
-      error_feedback_(error_feedback) {
+    : GradientCodec("topk", error_feedback), density_(density) {
   CHECK_GT(density, 0.0);
   CHECK_LE(density, 1.0);
 }
@@ -64,28 +62,22 @@ int64_t TopKCodec::RangeAlignment(const Shape& /*shape*/) const {
 }
 
 LPSGD_HOT_PATH
-void TopKCodec::EncodeRange(const float* grad, const Shape& shape,
-                            uint64_t /*stochastic_tag*/,
-                            std::vector<float>* error, int64_t begin,
-                            int64_t end, CodecWorkspace* workspace,
-                            uint8_t* blob) const {
+void TopKCodec::QuantizeRange(const float* grad, const Shape& shape,
+                              uint64_t /*stochastic_tag*/, int64_t begin,
+                              int64_t end, CodecWorkspace* workspace,
+                              uint8_t* blob) const {
   const int64_t n = shape.element_count();
   CHECK_EQ(begin, 0);
   CHECK_EQ(end, n);
-  CHECK(!error_feedback_ || error != nullptr);
-  if (error_feedback_) {
-    CHECK_EQ(static_cast<int64_t>(error->size()), n);
-  }
 
-  // v = grad + carried error; the selection permutes `order`, so the
-  // corrected values are staged once (in reusable workspace scratch) rather
-  // than recomputed per comparison.
+  // The selection permutes `order`, so the values are staged once (in
+  // reusable workspace scratch) as grad + 0.0f, which flushes -0.0f to
+  // +0.0f in the sent values (see CodecKernels::stage_corrected).
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
   const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
-  float* corrected =
+  float* staged =
       quant_internal::EnsureSize(&workspace->corrected, static_cast<size_t>(n));
-  kernels.stage_corrected(grad, error_feedback_ ? error->data() : nullptr,
-                          corrected, n);
+  kernels.stage_corrected(grad, nullptr, staged, n);
 
   // Magnitude threshold scan: |v| precomputed in one elementwise pass so
   // the nth_element comparator is two loads instead of two fabs. The
@@ -93,7 +85,7 @@ void TopKCodec::EncodeRange(const float* grad, const Shape& shape,
   // selected set (and thus the wire bytes) is unchanged.
   float* magnitude =
       quant_internal::EnsureSize(&workspace->sample, static_cast<size_t>(n));
-  elementwise.abs_f32(corrected, magnitude, n);
+  elementwise.abs_f32(staged, magnitude, n);
 
   const int64_t k = KeptCount(n);
   std::vector<int64_t>& order = workspace->order;
@@ -114,17 +106,7 @@ void TopKCodec::EncodeRange(const float* grad, const Shape& shape,
                 IndexRunWordCount(n, k) *
                     static_cast<int64_t>(sizeof(uint32_t)));
   for (int64_t i = 0; i < k; ++i) {
-    values[i] = corrected[order[static_cast<size_t>(i)]];
-  }
-
-  if (error_feedback_) {
-    // Unsent components accumulate; sent components reset.
-    for (int64_t i = 0; i < n; ++i) {
-      (*error)[static_cast<size_t>(i)] = corrected[i];
-    }
-    for (int64_t i = 0; i < k; ++i) {
-      (*error)[static_cast<size_t>(order[static_cast<size_t>(i)])] = 0.0f;
-    }
+    values[i] = staged[order[static_cast<size_t>(i)]];
   }
 }
 

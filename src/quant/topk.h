@@ -3,7 +3,6 @@
 #define LPSGD_QUANT_TOPK_H_
 
 #include <string>
-#include <vector>
 
 #include "quant/codec.h"
 
@@ -35,12 +34,7 @@ class TopKCodec : public GradientCodec {
   std::string Name() const override;
   int64_t EncodedSizeBytes(const Shape& shape) const override;
   int64_t NumChunks(const Shape& shape) const override;
-  bool UsesErrorFeedback() const override { return error_feedback_; }
   int64_t RangeAlignment(const Shape& shape) const override;
-  void EncodeRange(const float* grad, const Shape& shape,
-                   uint64_t stochastic_tag, std::vector<float>* error,
-                   int64_t begin, int64_t end, CodecWorkspace* workspace,
-                   uint8_t* blob) const override;
   Status DecodeRange(const uint8_t* blob, const Shape& shape, int64_t begin,
                      int64_t end, CodecWorkspace* workspace,
                      float* out) const override;
@@ -55,6 +49,10 @@ class TopKCodec : public GradientCodec {
   int64_t KeptCount(int64_t n) const;
 
  private:
+  void QuantizeRange(const float* grad, const Shape& shape,
+                     uint64_t stochastic_tag, int64_t begin, int64_t end,
+                     CodecWorkspace* workspace, uint8_t* blob) const override;
+
   // Validates a blob's framing fields (count, index run) and copies out
   // its sparse form; DataLoss, with the outputs unspecified, on a
   // malformed payload. Shared by DecodeSparse and DecodeRange.
@@ -62,7 +60,6 @@ class TopKCodec : public GradientCodec {
                      float* values) const;
 
   double density_;
-  bool error_feedback_;
 };
 
 }  // namespace lpsgd

@@ -1,10 +1,10 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// Vector staging kernel shared by the error-feedback codecs (TopK, ECQ):
-// out[i] = grad[i] + error[i], or grad[i] + literal 0.0f when no error is
-// carried. The 0.0f add is wire-visible for TopK (it flushes -0.0f to
-// +0.0f in the stored values), so the no-error path adds a zero vector
-// rather than copying.
+// Vector staging kernel of the error-feedback stage
+// (GradientCodec::EncodeRange) and of TopK's selection: out[i] = grad[i] +
+// error[i], or grad[i] + literal 0.0f when no error is carried. The 0.0f
+// add is wire-visible for TopK (it flushes -0.0f to +0.0f in the stored
+// values), so the no-error path adds a zero vector rather than copying.
 #include "quant/simd_kernels.h"
 
 #if defined(__x86_64__)

@@ -22,8 +22,11 @@ namespace lpsgd {
 // codecs, matrices, and iterations freely (but not across threads — a
 // workspace is single-threaded scratch).
 struct CodecWorkspace {
-  // TopK: error-corrected gradient (grad + carried error). ECQ-SGD: one
-  // bucket of it. TopK decode: staged values.
+  // Error-feedback stage (GradientCodec::EncodeRange): the corrected range
+  // c = grad + carried error, which the codec then quantizes.
+  std::vector<float> ef_corrected;
+  // TopK encode: the staged gradient (grad + 0.0f) the selection permutes.
+  // TopK decode: the sparse values staged for validation.
   std::vector<float> corrected;
   // TopK: element order for the magnitude selection.
   std::vector<int64_t> order;

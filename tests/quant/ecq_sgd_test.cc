@@ -65,25 +65,6 @@ TEST(EcqSgdCodecTest, FreshErrorStateMatchesQsgdExactly) {
   EXPECT_EQ(ecq_blob, qsgd_blob);
 }
 
-TEST(EcqSgdCodecTest, ResidualIsExactQuantizationError) {
-  // After an encode, error[i] holds exactly v[i] - Q(v)[i], computed with
-  // the same dequantization table Decode uses — so decoded + error
-  // reconstructs the corrected gradient bit-for-bit.
-  const Shape shape({128});
-  Tensor grad(shape);
-  Rng rng(2);
-  grad.FillGaussian(&rng, 1.0f);
-
-  const QsgdCodec codec = EcqSgd(4, 64, true, 0);
-  std::vector<float> error(128, 0.0f);
-  const std::vector<float> decoded = EncodeDecode(codec, grad, 7, &error);
-  for (int64_t i = 0; i < 128; ++i) {
-    EXPECT_EQ(error[static_cast<size_t>(i)],
-              grad.at(i) - decoded[static_cast<size_t>(i)])
-        << i;
-  }
-}
-
 TEST(EcqSgdCodecTest, RunningSumPreservedWithCompensation) {
   // Telescoping invariant: sum of decoded gradients + final residual ==
   // sum of true gradients (g_t = Q(v_t) + e_t - e_{t-1}).

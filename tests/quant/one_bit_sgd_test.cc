@@ -69,24 +69,6 @@ TEST(OneBitSgdTest, ChunkSumIsPreserved) {
   }
 }
 
-TEST(OneBitSgdTest, ErrorFeedbackStoresResidual) {
-  CodecWorkspace workspace;
-  OneBitSgdCodec codec(/*error_feedback=*/true);
-  const Shape shape({8, 1});
-  Tensor grad(shape);
-  Rng rng(2);
-  grad.FillGaussian(&rng, 1.0f);
-  std::vector<float> error(8, 0.0f);
-
-  std::vector<uint8_t> blob;
-  codec.Encode(grad.data(), shape, 0, &error, &workspace, &blob);
-  const std::vector<float> decoded = Decode(codec, blob, shape);
-  for (int64_t i = 0; i < 8; ++i) {
-    EXPECT_NEAR(error[static_cast<size_t>(i)],
-                grad.at(i) - decoded[static_cast<size_t>(i)], 1e-6);
-  }
-}
-
 TEST(OneBitSgdTest, ErrorFeedbackCompensatesOverIterations) {
   CodecWorkspace workspace;
   // Feeding the residual forward makes the *running sum* of decoded

@@ -323,8 +323,12 @@ TEST(WorkspaceAllocationTest, SteadyStateAllReduceAllocatesNothing) {
   const std::vector<Shape> shapes = {Shape({1024, 256}), Shape({1024}),
                                      Shape({1024, 1024}), Shape({1024}),
                                      Shape({10, 1024}),   Shape({10})};
+  // The error-feedback rows show that the stage's workspace buffer stops
+  // growing too, for a splittable and an unsplittable codec.
   for (const CodecCase& c :
-       {CodecCase{"qsgd4", QsgdSpec(4)}, CodecCase{"ecq4", EcqSgdSpec(4)}}) {
+       {CodecCase{"qsgd4", QsgdSpec(4)}, CodecCase{"ecq4", EcqSgdSpec(4)},
+        CodecCase{"1bit*:64", OneBitSgdReshapedSpec(64)},
+        CodecCase{"topk:0.25", TopKSpec(0.25)}}) {
     SCOPED_TRACE(c.name);
     auto aggregator = MpiReduceBcastAggregator::Create(
         k, c.spec, Ec2P2_8xlarge(), ExecutionContext::WithThreads(2));

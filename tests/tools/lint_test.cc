@@ -220,10 +220,10 @@ TEST(SimdConfinementTest, IntrinsicsHeaderOnlyInSimdTus) {
 
 TEST(SimdConfinementTest, IncFragmentOnlyIncludedFromSimdTus) {
   const std::string contents = "#include \"quant/lanes_common.inc\"\n";
-  EXPECT_EQ(CountRule(LintOne("src/quant/ecq_sgd_simd.cc", contents),
+  EXPECT_EQ(CountRule(LintOne("src/quant/qsgd_simd.cc", contents),
                       "simd-include-confined"),
             0);
-  EXPECT_EQ(CountRule(LintOne("src/quant/ecq_sgd.cc", contents),
+  EXPECT_EQ(CountRule(LintOne("src/quant/qsgd.cc", contents),
                       "simd-include-confined"),
             1);
 }

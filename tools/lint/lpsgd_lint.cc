@@ -75,10 +75,9 @@ const std::pair<const char*, int> kRequiredHotPathMarkers[] = {
     // The SIMD kernel TUs and their dispatch tables: one marker per kernel
     // body (scalar golden reference, AVX2, NEON) — the alloc rule must
     // cover every vectorized encode/decode loop.
-    {"src/quant/simd_kernels.cc", 11},
+    {"src/quant/simd_kernels.cc", 10},
     {"src/quant/simd_avx2_common.inc", 9},
     {"src/quant/qsgd_simd.cc", 4},
-    {"src/quant/ecq_sgd_simd.cc", 1},
     {"src/quant/nuqsgd_simd.cc", 1},
     {"src/quant/terngrad_simd.cc", 3},
     {"src/quant/one_bit_simd.cc", 3},
