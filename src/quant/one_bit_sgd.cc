@@ -2,6 +2,7 @@
 #include "quant/one_bit_sgd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "base/bit_packing.h"
@@ -26,20 +27,28 @@ using codec_internal::WordsAt;
 // Shared by both 1bitSGD variants; only the chunking differs: a column
 // (stride = cols) or a bucket (stride 1). With error feedback the values
 // are the corrected c = g + e that GradientCodec::EncodeRange staged.
+//
+// Branch-free: random signs would mispredict a sign branch about half the
+// time, and GCC compiles a ternary back into one, so both sums take every
+// value through a bit mask (v or +0.0f). A NaN fails v >= 0 and lands in
+// the negative sum, as the old branch sent it. The sums match the branchy
+// fold bit for bit: adding +0.0 changes only -0.0, and neither sum can hold
+// -0.0 (the positive one starts at +0.0 and adds v >= 0, where
+// +0.0 + -0.0 = +0.0; the negative one adds values of one sign).
 void ChunkAverages(const float* values, int64_t count, int64_t stride,
                    float* avg_pos, float* avg_neg) {
   double sum_pos = 0.0, sum_neg = 0.0;
-  int64_t n_pos = 0, n_neg = 0;
+  int64_t n_pos = 0;
   for (int64_t i = 0; i < count; ++i) {
     const float v = values[i * stride];
-    if (v >= 0.0f) {
-      sum_pos += v;
-      ++n_pos;
-    } else {
-      sum_neg += v;
-      ++n_neg;
-    }
+    const uint32_t is_pos = static_cast<uint32_t>(v >= 0.0f);
+    const uint32_t pos_mask = 0u - is_pos;
+    const uint32_t bits = std::bit_cast<uint32_t>(v);
+    sum_pos += std::bit_cast<float>(bits & pos_mask);
+    sum_neg += std::bit_cast<float>(bits & ~pos_mask);
+    n_pos += is_pos;
   }
+  const int64_t n_neg = count - n_pos;
   *avg_pos = n_pos > 0 ? static_cast<float>(sum_pos / n_pos) : 0.0f;
   *avg_neg = n_neg > 0 ? static_cast<float>(sum_neg / n_neg) : 0.0f;
 }
