@@ -209,14 +209,11 @@ inline void PackIndexRun(const int64_t* indices, int64_t count,
   return true;
 }
 
-// FNV-1a over 32 bits: the integrity hash every codec appends to its wire
-// blob (quant/codec.h, VerifyWireBlob). Chosen over a table-driven CRC for
-// its 4-line allocation-free inner loop — one xor and one multiply per
-// byte. That loop is latency-bound, not memory-bound: each byte waits on
-// the previous multiply, so it hashes about 0.59 GB/s on a 2.1 GHz AVX2
-// core. Verifying the 0.5 MB blob of a 1 M-element QSGD-4 matrix takes
-// about 0.9 ms against about 1.4 ms to decode its fields, close to half of
-// Decode.
+// FNV-1a over 32 bits: the integrity word of the LPCK checkpoint format
+// (ckpt/format.cc), whose versioned on-disk layout keeps it. Its loop is
+// latency-bound — each byte waits on the previous multiply, about
+// 0.59 GB/s on a 2.1 GHz AVX2 core — which suits a cold path only; the
+// codecs' wire blobs carry a CRC-32C (ElementwiseKernels::crc32c) instead.
 inline constexpr uint32_t kFnv1a32OffsetBasis = 0x811c9dc5u;
 inline constexpr uint32_t kFnv1a32Prime = 16777619u;
 

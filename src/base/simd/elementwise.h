@@ -9,10 +9,11 @@
 namespace lpsgd {
 
 // Elementwise float kernels shared by the codecs (bucket norms, corrected
-// staging, magnitude scans) and the aggregators (fp32 sum paths). Every
-// entry is bit-exact across ISAs: the operations are lane-independent IEEE
-// arithmetic (or, for max_abs_f32, an associative-and-commutative fold), so
-// any vector width produces the bytes the scalar reference produces.
+// staging, magnitude scans) and the aggregators (fp32 sum paths), plus the
+// wire checksum. Every entry is bit-exact across ISAs: the operations are
+// lane-independent IEEE arithmetic (or, for max_abs_f32, an
+// associative-and-commutative fold), so any vector width produces the bytes
+// the scalar reference produces; crc32c is one fixed function of its bytes.
 //
 // Order-sensitive reductions (the L2 norms' sequential double sums, the
 // 1bitSGD chunk averages) are deliberately NOT here: reassociating them
@@ -31,6 +32,9 @@ struct ElementwiseKernels {
   void (*accumulate_f64)(double* acc, const float* x, int64_t n);
   // out[i] = float(acc[i]) — the widened sum's rounding back to fp32
   void (*store_f64_as_f32)(const double* acc, float* out, int64_t n);
+  // CRC-32C (Castagnoli: reflected polynomial 0x82F63B78, init and final
+  // xor 0xFFFFFFFF) of bytes[0, n) — the codecs' wire integrity word.
+  uint32_t (*crc32c)(const uint8_t* bytes, int64_t n);
 };
 
 // Kernel table for `isa`; unsupported or not-compiled-in ISAs resolve to
@@ -50,6 +54,7 @@ void AbsF32(const float* x, float* out, int64_t n);
 void AddAssignF32(float* acc, const float* x, int64_t n);
 void AccumulateF64(double* acc, const float* x, int64_t n);
 void StoreF64AsF32(const double* acc, float* out, int64_t n);
+uint32_t Crc32c(const uint8_t* bytes, int64_t n);
 }  // namespace simd_scalar
 
 // Vector variants, defined in elementwise_simd.cc (only *_simd.cc TUs may
@@ -62,6 +67,7 @@ void AbsF32(const float* x, float* out, int64_t n);
 void AddAssignF32(float* acc, const float* x, int64_t n);
 void AccumulateF64(double* acc, const float* x, int64_t n);
 void StoreF64AsF32(const double* acc, float* out, int64_t n);
+uint32_t Crc32c(const uint8_t* bytes, int64_t n);  // SSE4.2 crc32
 }  // namespace simd_avx2
 #endif
 #if defined(__aarch64__)

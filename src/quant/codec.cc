@@ -4,8 +4,8 @@
 #include <cctype>
 #include <numeric>
 
-#include "base/bit_packing.h"
 #include "base/logging.h"
+#include "base/simd/elementwise.h"
 #include "base/strings.h"
 #include "base/thread_annotations.h"
 #include "obs/metrics.h"
@@ -152,11 +152,11 @@ StatusOr<CodecSpec> CodecSpec::Parse(const std::string& text) {
 namespace codec_internal {
 
 void SealWireBlob(uint8_t* blob, int64_t payload_bytes) {
-  const uint32_t hash = Fnv1a32(blob, payload_bytes);
-  blob[payload_bytes + 0] = static_cast<uint8_t>(hash & 0xffu);
-  blob[payload_bytes + 1] = static_cast<uint8_t>((hash >> 8) & 0xffu);
-  blob[payload_bytes + 2] = static_cast<uint8_t>((hash >> 16) & 0xffu);
-  blob[payload_bytes + 3] = static_cast<uint8_t>((hash >> 24) & 0xffu);
+  const uint32_t crc = ActiveElementwiseKernels().crc32c(blob, payload_bytes);
+  blob[payload_bytes + 0] = static_cast<uint8_t>(crc & 0xffu);
+  blob[payload_bytes + 1] = static_cast<uint8_t>((crc >> 8) & 0xffu);
+  blob[payload_bytes + 2] = static_cast<uint8_t>((crc >> 16) & 0xffu);
+  blob[payload_bytes + 3] = static_cast<uint8_t>((crc >> 24) & 0xffu);
 }
 
 int64_t BucketRangeAlignment(int64_t bucket_size, int bits) {
@@ -171,13 +171,14 @@ Status VerifyWireBlob(std::string_view codec, const uint8_t* bytes,
                                 " bytes, expected ", expected_bytes));
   }
   const int64_t payload_bytes = num_bytes - kWireChecksumBytes;
-  const uint32_t expected_hash =
+  const uint32_t expected_crc =
       static_cast<uint32_t>(bytes[payload_bytes + 0]) |
       (static_cast<uint32_t>(bytes[payload_bytes + 1]) << 8) |
       (static_cast<uint32_t>(bytes[payload_bytes + 2]) << 16) |
       (static_cast<uint32_t>(bytes[payload_bytes + 3]) << 24);
-  const uint32_t actual_hash = Fnv1a32(bytes, payload_bytes);
-  if (actual_hash != expected_hash) {
+  const uint32_t actual_crc =
+      ActiveElementwiseKernels().crc32c(bytes, payload_bytes);
+  if (actual_crc != expected_crc) {
     if (obs::MetricsEnabled()) obs::Count("comm/checksum_failures");
     return DataLossError(StrCat(codec, ": wire checksum mismatch"));
   }

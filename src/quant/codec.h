@@ -69,8 +69,8 @@ class GradientCodec {
   // overwritten (its capacity is reused). Output bytes are a pure function
   // of (grad, shape, stochastic_tag, error) — never of the workspace's
   // prior contents. The last codec_internal::kWireChecksumBytes of the
-  // blob are the FNV-1a-32 hash of everything before them (the trailing
-  // integrity word Decode verifies).
+  // blob are the CRC-32C of everything before them (the trailing integrity
+  // word Decode verifies).
   //
   // Sizes `out`, runs EncodeRange over [0, n), and seals the blob.
   void Encode(const float* grad, const Shape& shape, uint64_t stochastic_tag,
@@ -271,7 +271,9 @@ inline constexpr obs::SpanSite kDecodeSpan{"quant/decode", obs::kPhaseDecode,
                                            "quant/decode_seconds"};
 
 // Every encoded blob ends with a trailing integrity word: the little-endian
-// FNV-1a-32 hash (base/bit_packing.h) of all payload bytes before it.
+// CRC-32C (Castagnoli; ElementwiseKernels::crc32c in base/simd) of all
+// payload bytes before it. It rejects every error burst of up to 32 bits
+// (single-bit flips included) and an all-zero blob.
 // EncodedSizeBytes already includes it.
 inline constexpr int64_t kWireChecksumBytes =
     static_cast<int64_t>(sizeof(uint32_t));
@@ -288,7 +290,7 @@ int64_t BucketRangeAlignment(int64_t bucket_size, int bits);
 // Validates an encoded blob's framing and integrity before decoding:
 // `num_bytes` must equal `expected_bytes` (the codec's EncodedSizeBytes for
 // the shape, checksum included) and the trailing word must match the
-// payload hash. Violations return DataLoss and bump the
+// payload's CRC-32C. Violations return DataLoss and bump the
 // comm/checksum_failures counter; the blob must not be decoded.
 [[nodiscard]] Status VerifyWireBlob(std::string_view codec,
                                     const uint8_t* bytes, int64_t num_bytes,

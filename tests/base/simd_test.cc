@@ -2,12 +2,14 @@
 //
 // Runtime SIMD dispatch (base/simd): ISA naming/parsing, host detection,
 // the scoped force helper, and bit-identity of the elementwise kernel
-// tables against the scalar golden reference across odd lengths.
+// tables against the scalar golden reference across odd lengths, plus the
+// CRC-32C slot's known answers.
 #include "base/simd/simd.h"
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -155,6 +157,63 @@ TEST(ElementwiseKernelsTest, AllIsasMatchScalarBitForBit) {
       ref.store_f64_as_f32(sum_ref.data(), out_ref.data(), n);
       vec.store_f64_as_f32(sum_vec.data(), out_vec.data(), n);
       EXPECT_TRUE(BitsEqual(out_ref, out_vec));
+    }
+  }
+}
+
+// RFC 3720 (iSCSI) Appendix B.4 test vectors, plus the customary
+// "123456789" check value, under every table (an ISA this host cannot run
+// resolves to the scalar table, which must pass too).
+TEST(ElementwiseKernelsTest, Crc32cMatchesRfc3720Vectors) {
+  std::vector<uint8_t> ascending(32), descending(32);
+  std::iota(ascending.begin(), ascending.end(), uint8_t{0});
+  std::iota(descending.rbegin(), descending.rend(), uint8_t{0});
+  const std::vector<uint8_t> read_pdu = {
+      0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  const std::vector<uint8_t> digits = {'1', '2', '3', '4', '5',
+                                       '6', '7', '8', '9'};
+  const struct {
+    const char* name;
+    std::vector<uint8_t> bytes;
+    uint32_t crc;
+  } kVectors[] = {
+      {"32 zeros", std::vector<uint8_t>(32, 0x00), 0x8a9136aau},
+      {"32 ones", std::vector<uint8_t>(32, 0xff), 0x62a8ab43u},
+      {"ascending", ascending, 0x46dd794eu},
+      {"descending", descending, 0x113fdb5cu},
+      {"iSCSI read PDU", read_pdu, 0xd9963a56u},
+      {"123456789", digits, 0xe3069283u},
+  };
+  for (const SimdIsa isa :
+       {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+    const ElementwiseKernels& k = ElementwiseKernelsForIsa(isa);
+    for (const auto& v : kVectors) {
+      EXPECT_EQ(k.crc32c(v.bytes.data(), static_cast<int64_t>(v.bytes.size())),
+                v.crc)
+          << SimdIsaName(isa) << " " << v.name;
+    }
+    EXPECT_EQ(k.crc32c(nullptr, 0), 0u) << SimdIsaName(isa);
+  }
+}
+
+// Every length 0..257 at every start offset 0..7: the 8-byte body, the
+// byte tail and unaligned starts all give the scalar reference's word.
+TEST(ElementwiseKernelsTest, Crc32cAllIsasMatchScalarAtEveryOffset) {
+  std::vector<uint8_t> buffer(8 + 257);
+  Rng rng(0xc3c32ULL);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextUint64(256));
+  const ElementwiseKernels& ref = ElementwiseKernelsForIsa(SimdIsa::kScalar);
+  for (const SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kNeon}) {
+    const ElementwiseKernels& vec = ElementwiseKernelsForIsa(isa);
+    for (int64_t offset = 0; offset < 8; ++offset) {
+      for (int64_t n = 0; n <= 257; ++n) {
+        const uint8_t* bytes = buffer.data() + offset;
+        ASSERT_EQ(vec.crc32c(bytes, n), ref.crc32c(bytes, n))
+            << SimdIsaName(isa) << " offset=" << offset << " n=" << n;
+      }
     }
   }
 }

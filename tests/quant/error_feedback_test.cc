@@ -21,7 +21,7 @@
 #include "base/logging.h"
 #include "base/rng.h"
 #include "base/simd/simd.h"
-#include "base/strings.h"
+#include "canonical_spec.h"
 #include "quant/codec.h"
 #include "quant/registry.h"
 #include "quant/workspace.h"
@@ -29,18 +29,6 @@
 
 namespace lpsgd {
 namespace {
-
-// The registered family's canonical spelling: "<bits>" becomes 4, and a
-// family that needs a value (topk) takes the positional 0.25.
-StatusOr<CodecSpec> CanonicalSpec(std::string name) {
-  const size_t bits = name.find("<bits>");
-  if (bits != std::string::npos) {
-    name = StrCat(name.substr(0, bits), "4", name.substr(bits + 6));
-  }
-  StatusOr<CodecSpec> spec = CodecSpec::Parse(name);
-  if (!spec.ok()) spec = CodecSpec::Parse(name + ":0.25");
-  return spec;
-}
 
 struct EfRow {
   std::string text;  // the family name for a canonical row
