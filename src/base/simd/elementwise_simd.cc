@@ -113,12 +113,10 @@ void StoreF64AsF32(const double* acc, float* out, int64_t n) {
   _mm256_zeroupper();
 }
 
-// One dependent chain of 8-byte crc32 instructions (SSE4.2, enabled by the
-// AVX2 target): about 2.7 bytes per cycle, several times the table-driven
-// reference and fast enough that the checksum stays a small share of an
-// exchange, so the three-stream interleave with its shift-and-combine step
-// is not worth its code. The hardware instruction computes the same
-// reflected 0x82F63B78 remainder as the tables.
+// One dependent chain of 8-byte crc32 instructions (SSE4.2, which the AVX2
+// target enables); they compute the same reflected 0x82F63B78 remainder as
+// the scalar tables. One chain already makes the checksum a small share of
+// an exchange, so there is no multi-stream interleave and combine step.
 LPSGD_SIMD_TARGET_AVX2
 LPSGD_HOT_PATH
 uint32_t Crc32c(const uint8_t* bytes, int64_t n) {

@@ -133,7 +133,7 @@ Status FaultInjectingAggregator::RunCorruptionProbe(
       probe_blob_.data(), static_cast<int64_t>(probe_blob_.size()),
       slot.quant_shape, &probe_workspace_, probe_out_.data());
   if (decoded.ok()) {
-    // A single flipped bit always breaks the FNV-1a word; reaching here
+    // A single flipped bit always breaks the CRC-32C word; reaching here
     // means the codec skipped verification.
     return InternalError("corruption probe decoded a tampered blob");
   }
