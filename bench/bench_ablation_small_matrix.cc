@@ -11,7 +11,6 @@
 #include "base/strings.h"
 #include "base/table_printer.h"
 #include "bench/bench_util.h"
-#include "quant/policy.h"
 #include "sim/perf_model.h"
 
 namespace lpsgd {
@@ -29,23 +28,14 @@ void PrintPolicyEffect() {
     auto stats = FindNetworkStats(name);
     CHECK_OK(stats.status());
 
-    std::vector<Shape> shapes;
-    std::vector<ParamKind> kinds;
-    for (const MatrixStat& m : stats->matrices) {
-      for (int c = 0; c < m.count; ++c) {
-        shapes.push_back(Shape({m.rows, m.cols}));
-        kinds.push_back(m.kind);
-      }
-    }
-    QuantizationPolicyOptions policy;
-    policy.always_bypass_biases = false;
-    const auto decision = ChooseQuantizedMatrices(shapes, kinds, policy);
+    std::vector<MatrixSlot> slots = InventorySlots(*stats);
     int bypassed = 0;
     int64_t covered = 0, total = 0;
-    for (size_t i = 0; i < shapes.size(); ++i) {
-      total += shapes[i].element_count();
-      if (decision[i]) {
-        covered += shapes[i].element_count();
+    for (const MatrixSlot& slot : slots) {
+      const int64_t n = slot.quant_shape.element_count();
+      total += n;
+      if (slot.quantized) {
+        covered += n;
       } else {
         ++bypassed;
       }
@@ -53,31 +43,24 @@ void PrintPolicyEffect() {
 
     // Iteration time with the policy (the PerfModel default) vs a
     // hypothetical "quantize everything" run: the difference is the extra
-    // kernel-launch cost of the tiny matrices minus their byte savings.
+    // kernel time of the tiny matrices minus their byte savings. The
+    // policy estimate prices its exchange with ExchangeCost over these
+    // slots, so swapping that exchange for the all-quantized one leaves
+    // the compute term plus the all-quantized exchange.
+    const CodecSpec spec = QsgdSpec(4);
     PerfModel model(*stats, Ec2P2_8xlarge());
-    auto with_policy = model.Estimate(QsgdSpec(4), CommPrimitive::kMpi, 8);
+    auto with_policy = model.Estimate(spec, CommPrimitive::kMpi, 8);
     CHECK_OK(with_policy.status());
-    // Re-estimate with a zero-threshold policy by lowering the coverage
-    // target to force everything through quantization is equivalent to
-    // covered == total, which for these inventories only adds the handful
-    // of small matrices; report the delta analytically.
-    const CommCostModel cost(Ec2P2_8xlarge());
-    auto codec = QsgdSpec(4).Create();
+    auto codec = spec.Create();
     CHECK_OK(codec.status());
-    double extra_encode = 0.0;
-    int64_t byte_delta = 0;
-    for (size_t i = 0; i < shapes.size(); ++i) {
-      if (decision[i]) continue;
-      const int64_t n = shapes[i].element_count();
-      extra_encode +=
-          3.0 * cost.QuantKernelSeconds(n, (*codec)->NumChunks(shapes[i]));
-      byte_delta += (*codec)->EncodedSizeBytes(shapes[i]) - n * 4;
-    }
-    const double all_iter = with_policy->IterationSeconds() + extra_encode +
-                            2.0 * 7.0 / 8.0 * byte_delta /
-                                cost.MpiBandwidthBytesPerSec(8);
+    for (MatrixSlot& slot : slots) slot.quantized = true;
+    const CommStats quantize_all =
+        ExchangeCost(CommCostModel(model.machine()), CommPrimitive::kMpi, 8,
+                     spec, **codec, slots);
+    const double all_iter =
+        with_policy->compute_seconds + quantize_all.TotalSeconds();
 
-    table.AddRow({name, StrCat(shapes.size()), StrCat(bypassed),
+    table.AddRow({name, StrCat(slots.size()), StrCat(bypassed),
                   StrCat(FormatDouble(100.0 * covered / total, 2), "%"),
                   HumanSeconds(with_policy->IterationSeconds()),
                   HumanSeconds(all_iter)});

@@ -61,6 +61,41 @@ std::string CommPrimitiveName(CommPrimitive primitive) {
   return primitive == CommPrimitive::kMpi ? "MPI" : "NCCL";
 }
 
+CommStats ExchangeCost(const CommCostModel& cost_model,
+                       CommPrimitive primitive, int k, const CodecSpec& spec,
+                       const GradientCodec& codec,
+                       const std::vector<MatrixSlot>& slots) {
+  const bool mpi = primitive == CommPrimitive::kMpi;
+  const bool identity_codec = spec.kind == CodecKind::kFullPrecision;
+  // MPI: encode the own gradient, decode the aggregate, and an amortized
+  // share of the owner-side decodes and re-encode. NCCL: encode before and
+  // decode after the collective.
+  const double kernel_passes = mpi ? 3.0 : 2.0;
+  CommStats stats;
+  for (const MatrixSlot& slot : slots) {
+    const Shape& shape = slot.quant_shape;
+    const int64_t n = shape.element_count();
+    const int64_t raw_bytes = n * static_cast<int64_t>(sizeof(float));
+    stats.raw_bytes += raw_bytes;
+    stats.messages += mpi ? 2 : 1;
+    if (!slot.quantized || identity_codec) {
+      stats.wire_bytes += raw_bytes;
+      continue;
+    }
+    int64_t payload = codec.EncodedSizeBytes(shape);
+    if (!mpi && codec.SparseCount(shape) > 0) payload *= k;
+    stats.wire_bytes += payload;
+    const int64_t chunks = codec.NumChunks(shape);
+    stats.encode_seconds +=
+        kernel_passes * cost_model.QuantKernelSeconds(n, chunks);
+  }
+  stats.comm_seconds =
+      mpi ? cost_model.MpiExchangeSeconds(stats.wire_bytes, stats.messages, k)
+          : cost_model.NcclAllReduceSeconds(stats.wire_bytes, stats.messages,
+                                            k);
+  return stats;
+}
+
 double RetryBackoffSeconds(const ExchangeRetryOptions& options, int attempt) {
   double backoff = options.backoff_base_seconds;
   for (int i = 1; i < attempt; ++i) backoff *= 2.0;

@@ -10,6 +10,7 @@
 
 #include "base/statusor.h"
 #include "base/thread_pool.h"
+#include "comm/cost_model.h"
 #include "machine/specs.h"
 #include "quant/codec.h"
 #include "tensor/shape.h"
@@ -17,8 +18,7 @@
 namespace lpsgd {
 
 // Which collective engine moves the gradients (Section 2.4): CNTK's MPI
-// reduce-and-broadcast or the NCCL ring. (Historically declared in
-// sim/perf_model.h, which still re-exports it via this header.)
+// reduce-and-broadcast or the NCCL ring.
 enum class CommPrimitive { kMpi, kNccl };
 
 // "MPI" or "NCCL".
@@ -76,6 +76,20 @@ struct MatrixSlot {
   // pipeline regardless of the configured codec (small-matrix bypass).
   bool quantized = true;
 };
+
+// The one pricing of an exchange of `slots` over `primitive` at `k` ranks
+// with `codec` (created from `spec`), summed in matrix order: fp32 raw
+// bytes; wire bytes (the blob size, times k for a sparse codec over NCCL,
+// whose allgather delivers every rank's blob; fp32 bytes for a bypassed
+// matrix or the fp32 codec); 2 messages per matrix for MPI, 1 for NCCL;
+// 3 (MPI) or 2 (NCCL) kernel passes per quantized matrix; and the
+// primitive's wire time. Reads only shapes and flags and does not
+// allocate. Both engines return it from AllReduce; PerfModel prices its
+// estimates with it.
+CommStats ExchangeCost(const CommCostModel& cost_model,
+                       CommPrimitive primitive, int k, const CodecSpec& spec,
+                       const GradientCodec& codec,
+                       const std::vector<MatrixSlot>& slots);
 
 // Synchronous gradient aggregation: after AllReduce, every rank's buffer
 // holds the SUM over ranks of the (possibly quantization-approximated)

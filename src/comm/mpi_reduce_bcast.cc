@@ -400,26 +400,8 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     if (!bcast_status.ok()) return fail(bcast_status);
   }
 
-  // Accounting, in matrix order so the float sums are identical at any
-  // thread count.
-  CommStats stats;
-  for (const MatrixSlot& slot : *slots) {
-    const int64_t n = slot.quant_shape.element_count();
-    const int64_t raw_bytes = n * static_cast<int64_t>(sizeof(float));
-    stats.raw_bytes += raw_bytes;
-    stats.messages += 2;
-    if (!quantized(slot)) {
-      stats.wire_bytes += raw_bytes;
-      continue;
-    }
-    stats.wire_bytes += codec_->EncodedSizeBytes(slot.quant_shape);
-    // Per-rank kernel work: encode own gradient, decode the aggregate, and
-    // an amortized share of the owner-side decodes and re-encode.
-    const int64_t chunks = codec_->NumChunks(slot.quant_shape);
-    stats.encode_seconds += 3.0 * cost_model_.QuantKernelSeconds(n, chunks);
-  }
-  stats.comm_seconds +=
-      cost_model_.MpiExchangeSeconds(stats.wire_bytes, stats.messages, k);
+  const CommStats stats = ExchangeCost(cost_model_, CommPrimitive::kMpi, k,
+                                       spec_, *codec_, *slots);
   allreduce_span.set_bytes(stats.wire_bytes);
   comm_internal::RecordAllReduceStats(stats);
   // Fold the per-slot phase scratch (codec encode/decode plus the sum and

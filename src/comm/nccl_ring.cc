@@ -16,7 +16,6 @@ namespace {
 
 constexpr obs::SpanSite kAllReduceSpan{"nccl_ring/allreduce", -1,
                                        "comm/allreduce_wall_seconds"};
-constexpr obs::SpanSite kMatrixSpan{"nccl_ring/matrix"};
 
 }  // namespace
 
@@ -234,39 +233,8 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
         }));
   }
 
-  // Accounting pass (serial, matrix order): wire sizing and kernel-time
-  // charges are pure arithmetic on shapes, independent of the exchange.
-  CommStats stats;
-  for (size_t m = 0; m < slots->size(); ++m) {
-    const MatrixSlot& slot = (*slots)[m];
-    obs::Span matrix_span(kMatrixSpan, nullptr, static_cast<int>(m));
-    const int64_t n = slot.quant_shape.element_count();
-    const int64_t raw_bytes = n * static_cast<int64_t>(sizeof(float));
-    stats.raw_bytes += raw_bytes;
-
-    const bool low_precision = slot.quantized && !identity_codec;
-    int64_t payload = raw_bytes;
-    if (low_precision) {
-      payload = codec_->EncodedSizeBytes(slot.quant_shape);
-      if (takes_sparse_path(slot)) {
-        // Sparse allgather: every rank receives every other rank's blob,
-        // so the per-rank traffic is k blobs, not one ring payload.
-        payload *= k;
-      }
-    }
-    stats.wire_bytes += payload;
-    stats.messages += 1;
-    matrix_span.set_bytes(payload);
-    if (low_precision) {
-      const int64_t chunks = codec_->NumChunks(slot.quant_shape);
-      // Encode before and decode after the collective, at each rank.
-      stats.encode_seconds +=
-          2.0 * cost_model_.QuantKernelSeconds(n, chunks);
-    }
-  }
-
-  stats.comm_seconds +=
-      cost_model_.NcclAllReduceSeconds(stats.wire_bytes, stats.messages, k);
+  const CommStats stats = ExchangeCost(cost_model_, CommPrimitive::kNccl, k,
+                                       spec_, *codec_, *slots);
   allreduce_span.set_bytes(stats.wire_bytes);
   comm_internal::RecordAllReduceStats(stats);
   // Fold the per-slot phase scratch into the profiler's open step —

@@ -43,6 +43,30 @@ obs::JsonValue PerfEstimateToJson(const PerfEstimate& estimate) {
   return v;
 }
 
+std::vector<MatrixSlot> InventorySlots(const NetworkStats& network,
+                                       double model_scale) {
+  std::vector<Shape> shapes;
+  std::vector<ParamKind> kinds;
+  for (const MatrixStat& m : network.matrices) {
+    const int64_t cols = static_cast<int64_t>(
+        std::llround(static_cast<double>(m.cols) * model_scale));
+    for (int c = 0; c < m.count; ++c) {
+      shapes.push_back(Shape({m.rows, cols}));
+      kinds.push_back(m.kind);
+    }
+  }
+  QuantizationPolicyOptions policy;
+  policy.always_bypass_biases = false;  // inventory has no bias entries
+  const std::vector<bool> quantize =
+      ChooseQuantizedMatrices(shapes, kinds, policy);
+  std::vector<MatrixSlot> slots(shapes.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    slots[i].quant_shape = shapes[i];
+    slots[i].quantized = quantize[i];
+  }
+  return slots;
+}
+
 PerfModel::PerfModel(NetworkStats network, MachineSpec machine)
     : network_(std::move(network)),
       machine_(std::move(machine)),
@@ -106,62 +130,17 @@ StatusOr<PerfEstimate> PerfModel::EstimateInternal(
     return est;
   }
 
-  // --- Communication: expand the matrix inventory, apply the small-matrix
-  // bypass policy, and size each matrix with the codec.
+  // --- Communication: the engines' own pricing of one exchange of the
+  // inventory under the small-matrix bypass policy.
   LPSGD_ASSIGN_OR_RETURN(std::unique_ptr<GradientCodec> codec,
                          spec.Create());
-  const bool identity_codec = spec.kind == CodecKind::kFullPrecision;
-
-  std::vector<Shape> shapes;
-  std::vector<ParamKind> kinds;
-  for (const MatrixStat& m : network_.matrices) {
-    const int64_t cols = static_cast<int64_t>(
-        std::llround(static_cast<double>(m.cols) * model_scale));
-    for (int c = 0; c < m.count; ++c) {
-      shapes.push_back(Shape({m.rows, cols}));
-      kinds.push_back(m.kind);
-    }
-  }
-  QuantizationPolicyOptions policy;
-  policy.always_bypass_biases = false;  // inventory has no bias entries
-  const std::vector<bool> quantize =
-      identity_codec ? std::vector<bool>(shapes.size(), false)
-                     : ChooseQuantizedMatrices(shapes, kinds, policy);
-
-  int64_t wire_bytes = 0;
-  int64_t raw_bytes = 0;
-  int64_t quantized_elements = 0;
-  int64_t chunks = 0;
-  int64_t matrices = 0;
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    const int64_t n = shapes[i].element_count();
-    raw_bytes += n * static_cast<int64_t>(sizeof(float));
-    ++matrices;
-    if (quantize[i]) {
-      wire_bytes += codec->EncodedSizeBytes(shapes[i]);
-      quantized_elements += n;
-      chunks += codec->NumChunks(shapes[i]);
-    } else {
-      wire_bytes += n * static_cast<int64_t>(sizeof(float));
-    }
-  }
-  est.raw_bytes = raw_bytes;
-  est.wire_bytes = wire_bytes;
-
-  if (primitive == CommPrimitive::kMpi) {
-    // Per-matrix reduce + broadcast messages; three kernel passes per
-    // quantized matrix (local encode, owner decode share, final decode) —
-    // matching comm/MpiReduceBcastAggregator.
-    est.comm_seconds =
-        cost_model_.MpiExchangeSeconds(wire_bytes, 2 * matrices, gpus);
-    est.encode_seconds =
-        3.0 * cost_model_.QuantKernelSeconds(quantized_elements, chunks);
-  } else {
-    est.comm_seconds =
-        cost_model_.NcclAllReduceSeconds(wire_bytes, matrices, gpus);
-    est.encode_seconds =
-        2.0 * cost_model_.QuantKernelSeconds(quantized_elements, chunks);
-  }
+  const CommStats exchange =
+      ExchangeCost(cost_model_, primitive, gpus, spec, *codec,
+                   InventorySlots(network_, model_scale));
+  est.raw_bytes = exchange.raw_bytes;
+  est.wire_bytes = exchange.wire_bytes;
+  est.comm_seconds = exchange.comm_seconds;
+  est.encode_seconds = exchange.encode_seconds;
   RecordEstimate(est);
   return est;
 }

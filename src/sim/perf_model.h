@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "base/statusor.h"
-#include "comm/allreduce.h"  // re-exports CommPrimitive / CommPrimitiveName
+#include "comm/allreduce.h"
 #include "comm/cost_model.h"
 #include "machine/specs.h"
 #include "nn/model_zoo.h"
@@ -71,6 +71,13 @@ struct PerfEstimate {
 // enabled, so every bench binary's --metrics_out output carries its full
 // per-configuration compute/encode/comm split).
 obs::JsonValue PerfEstimateToJson(const PerfEstimate& estimate);
+
+// The network's parameter matrices in inventory order as buffer-less
+// exchange slots: column counts scaled by `model_scale` (Figure 16's dummy
+// parameters), `quantized` set by the small-matrix bypass policy
+// (Section 3.2.2). PerfModel prices these slots with ExchangeCost.
+std::vector<MatrixSlot> InventorySlots(const NetworkStats& network,
+                                       double model_scale = 1.0);
 
 // Analytic reproduction of the paper's performance methodology: compute
 // time is calibrated to the paper's measured single-GPU throughput

@@ -113,5 +113,21 @@ TEST(TopKPerfTest, HighDensityTopKBarelyBeatsFp32OnTheWire) {
   EXPECT_GT(q4_cut, 6.0);
 }
 
+TEST(TopKPerfTest, HighDensityTopKOverNcclSendsMoreThanFp32) {
+  // Section 7 over NCCL: a sparse blob cannot be summed inside the ring,
+  // so every rank allgathers all K blobs. At 25% density each blob is
+  // half the fp32 bytes, and K=8 of them send more than the fp32 ring.
+  for (const std::string& name : PerformanceFigureNetworks()) {
+    auto stats = FindNetworkStats(name);
+    ASSERT_TRUE(stats.ok());
+    PerfModel model(*stats, Ec2P2_8xlarge());
+    auto fp = model.Estimate(FullPrecisionSpec(), CommPrimitive::kNccl, 8);
+    auto topk = model.Estimate(TopKSpec(0.25), CommPrimitive::kNccl, 8);
+    ASSERT_TRUE(fp.ok());
+    ASSERT_TRUE(topk.ok());
+    EXPECT_GT(topk->wire_bytes, fp->wire_bytes) << name;
+  }
+}
+
 }  // namespace
 }  // namespace lpsgd
