@@ -111,10 +111,16 @@ void BM_EncodeNuq4(benchmark::State& state) {
 void BM_EncodeEcq4(benchmark::State& state) {
   RunEncode(state, EcqSgdSpec(4));
 }
-// Top-K at the paper's 1% density: selection + index-run packing dominate,
-// so this is the codec most sensitive to nth_element regressions.
+// Top-K at the paper's 1% density: the magnitude selection and the
+// index-run packing dominate.
 void BM_EncodeTopK1pct(benchmark::State& state) {
   RunEncode(state, TopKSpec(0.01));
+}
+// Top-K at lstm_sparse_nccl's 25% density on its 16384-element Wh shape:
+// the keep/drop decision is least predictable and k packed indices and
+// values are written per call.
+void BM_EncodeTopK25pct(benchmark::State& state) {
+  RunEncode(state, TopKSpec(0.25));
 }
 
 void BM_DecodeFullPrecision(benchmark::State& state) {
@@ -188,6 +194,7 @@ void BM_DecodeOneBitReshapedScalar(benchmark::State& state) {
 
 constexpr int64_t kSmall = 3 << 10;
 constexpr int64_t kLarge = 3 << 18;  // ~786k elements
+constexpr int64_t kLstmWh = 1 << 14;
 
 BENCHMARK(BM_EncodeFullPrecision)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_EncodeQsgd2)->Arg(kSmall)->Arg(kLarge);
@@ -200,6 +207,7 @@ BENCHMARK(BM_EncodeTernGrad)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_EncodeNuq4)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_EncodeEcq4)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_EncodeTopK1pct)->Arg(kSmall)->Arg(kLarge);
+BENCHMARK(BM_EncodeTopK25pct)->Arg(kLstmWh);
 BENCHMARK(BM_DecodeFullPrecision)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_DecodeQsgd2)->Arg(kSmall)->Arg(kLarge);
 BENCHMARK(BM_DecodeQsgd4)->Arg(kSmall)->Arg(kLarge);

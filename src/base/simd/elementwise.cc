@@ -63,11 +63,6 @@ void AddF32(const float* a, const float* b, float* out, int64_t n) {
 }
 
 LPSGD_HOT_PATH
-void AbsF32(const float* x, float* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = std::abs(x[i]);
-}
-
-LPSGD_HOT_PATH
 void AddAssignF32(float* acc, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) acc[i] += x[i];
 }
@@ -102,25 +97,23 @@ uint32_t Crc32c(const uint8_t* bytes, int64_t n) {
 
 const ElementwiseKernels& ElementwiseKernelsForIsa(SimdIsa isa) {
   static const ElementwiseKernels scalar = {
-      simd_scalar::MaxAbsF32,     simd_scalar::AddF32,
-      simd_scalar::AbsF32,        simd_scalar::AddAssignF32,
-      simd_scalar::AccumulateF64, simd_scalar::StoreF64AsF32,
-      simd_scalar::Crc32c,
+      simd_scalar::MaxAbsF32,    simd_scalar::AddF32,
+      simd_scalar::AddAssignF32, simd_scalar::AccumulateF64,
+      simd_scalar::StoreF64AsF32, simd_scalar::Crc32c,
   };
 #if defined(__x86_64__)
   static const ElementwiseKernels avx2 = {
-      simd_avx2::MaxAbsF32,     simd_avx2::AddF32,
-      simd_avx2::AbsF32,        simd_avx2::AddAssignF32,
-      simd_avx2::AccumulateF64, simd_avx2::StoreF64AsF32,
-      simd_avx2::Crc32c,
+      simd_avx2::MaxAbsF32,    simd_avx2::AddF32,
+      simd_avx2::AddAssignF32, simd_avx2::AccumulateF64,
+      simd_avx2::StoreF64AsF32, simd_avx2::Crc32c,
   };
   if (isa == SimdIsa::kAvx2 && SimdIsaSupported(SimdIsa::kAvx2)) return avx2;
 #endif
 #if defined(__aarch64__)
   static const ElementwiseKernels neon = {
-      simd_neon::MaxAbsF32,     simd_neon::AddF32,
-      simd_neon::AbsF32,        simd_neon::AddAssignF32,
-      simd_neon::AccumulateF64, simd_neon::StoreF64AsF32,
+      simd_neon::MaxAbsF32,    simd_neon::AddF32,
+      simd_neon::AddAssignF32, simd_neon::AccumulateF64,
+      simd_neon::StoreF64AsF32,
       // No ARMv8 CRC path (__crc32cd) yet: slicing-by-8 on every aarch64.
       simd_scalar::Crc32c,
   };

@@ -24,8 +24,6 @@ struct ElementwiseKernels {
   double (*max_abs_f32)(const float* x, int64_t n);
   // out[i] = a[i] + b[i]
   void (*add_f32)(const float* a, const float* b, float* out, int64_t n);
-  // out[i] = |x[i]|
-  void (*abs_f32)(const float* x, float* out, int64_t n);
   // acc[i] += x[i]
   void (*add_assign_f32)(float* acc, const float* x, int64_t n);
   // acc[i] += double(x[i]) — the full-precision aggregate's widened sum
@@ -50,7 +48,6 @@ inline const ElementwiseKernels& ActiveElementwiseKernels() {
 namespace simd_scalar {
 double MaxAbsF32(const float* x, int64_t n);
 void AddF32(const float* a, const float* b, float* out, int64_t n);
-void AbsF32(const float* x, float* out, int64_t n);
 void AddAssignF32(float* acc, const float* x, int64_t n);
 void AccumulateF64(double* acc, const float* x, int64_t n);
 void StoreF64AsF32(const double* acc, float* out, int64_t n);
@@ -63,7 +60,6 @@ uint32_t Crc32c(const uint8_t* bytes, int64_t n);
 namespace simd_avx2 {
 double MaxAbsF32(const float* x, int64_t n);
 void AddF32(const float* a, const float* b, float* out, int64_t n);
-void AbsF32(const float* x, float* out, int64_t n);
 void AddAssignF32(float* acc, const float* x, int64_t n);
 void AccumulateF64(double* acc, const float* x, int64_t n);
 void StoreF64AsF32(const double* acc, float* out, int64_t n);
@@ -74,7 +70,6 @@ uint32_t Crc32c(const uint8_t* bytes, int64_t n);  // SSE4.2 crc32
 namespace simd_neon {
 double MaxAbsF32(const float* x, int64_t n);
 void AddF32(const float* a, const float* b, float* out, int64_t n);
-void AbsF32(const float* x, float* out, int64_t n);
 void AddAssignF32(float* acc, const float* x, int64_t n);
 void AccumulateF64(double* acc, const float* x, int64_t n);
 void StoreF64AsF32(const double* acc, float* out, int64_t n);

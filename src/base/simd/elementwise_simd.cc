@@ -67,17 +67,6 @@ void AddF32(const float* a, const float* b, float* out, int64_t n) {
 
 LPSGD_SIMD_TARGET_AVX2
 LPSGD_HOT_PATH
-void AbsF32(const float* x, float* out, int64_t n) {
-  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_and_ps(_mm256_loadu_ps(x + i), abs_mask));
-  }
-  for (; i < n; ++i) out[i] = std::abs(x[i]);
-}
-
-LPSGD_SIMD_TARGET_AVX2
-LPSGD_HOT_PATH
 void AddAssignF32(float* acc, const float* x, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -172,15 +161,6 @@ void AddF32(const float* a, const float* b, float* out, int64_t n) {
     vst1q_f32(out + i, vaddq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
   }
   for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-LPSGD_HOT_PATH
-void AbsF32(const float* x, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(out + i, vabsq_f32(vld1q_f32(x + i)));
-  }
-  for (; i < n; ++i) out[i] = std::abs(x[i]);
 }
 
 LPSGD_HOT_PATH

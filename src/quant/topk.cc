@@ -2,13 +2,14 @@
 #include "quant/topk.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
-#include <numeric>
+#include <vector>
 
 #include "base/bit_packing.h"
 #include "base/logging.h"
-#include "base/simd/elementwise.h"
 #include "base/thread_annotations.h"
 #include "base/strings.h"
 #include "obs/span.h"
@@ -22,6 +23,103 @@ using codec_internal::FloatsAt;
 using codec_internal::MutableFloatsAt;
 using codec_internal::MutableWordsAt;
 using codec_internal::WordsAt;
+
+namespace {
+
+// Selection key of a staged value: its IEEE bits with the sign cleared.
+// Unsigned key order is magnitude order (denormals below normals, +inf
+// above every finite value), with every NaN ranked above +inf.
+inline uint32_t MagnitudeKey(float value) {
+  return std::bit_cast<uint32_t>(value) & 0x7fffffffu;
+}
+
+// The radix select's digits, most significant first: key bits 31..21,
+// 20..10 and 9..0.
+constexpr int kDigitBits = 11;
+constexpr int kLastDigitBits = 10;
+constexpr int kHighShift = kDigitBits + kLastDigitBits;
+constexpr uint32_t kDigitMask = (1u << kDigitBits) - 1;
+constexpr uint32_t kLastDigitMask = (1u << kLastDigitBits) - 1;
+using DigitHistogram = std::array<uint32_t, size_t{1} << kDigitBits>;
+
+// The digit whose bucket holds the rank-th largest (1-based) of the
+// counted keys, scanning `histogram[0, size)` from the top; *rank becomes
+// the rank within that bucket.
+uint32_t TopDigit(const DigitHistogram& histogram, uint32_t size,
+                  int64_t* rank) {
+  uint32_t digit = size - 1;
+  for (; digit > 0 && histogram[digit] < *rank; --digit) {
+    *rank -= histogram[digit];
+  }
+  return digit;
+}
+
+// The k-th largest key T of a radix select, how many keys equal T rank
+// among the k largest (>= 1), and how many keys equal T in all.
+struct Threshold {
+  uint32_t key;
+  int64_t ties;
+  int64_t equal;
+};
+
+// Radix select of the k-th largest key of staged[0, n). The first digit
+// is counted over every element, the second over the keys left in the
+// first digit's bucket (compacted into `candidates`), the third over the
+// candidates that also share the second digit. Integer-exact, so the
+// result is the same on every ISA.
+LPSGD_HOT_PATH
+Threshold SelectThreshold(const float* staged, int64_t n, int64_t k,
+                          std::vector<uint32_t>* candidates) {
+  DigitHistogram histogram{};
+  for (int64_t i = 0; i < n; ++i) {
+    ++histogram[MagnitudeKey(staged[i]) >> kHighShift];
+  }
+  int64_t rank = k;
+  const uint32_t high = TopDigit(histogram, kDigitMask + 1, &rank);
+
+  // Branch-free compaction: a non-matching key is written and then
+  // overwritten, so the list needs one slot past its final length. Sized
+  // by n, not by the bucket, so a steady-state encode never grows it.
+  uint32_t* list =
+      quant_internal::EnsureSize(candidates, static_cast<size_t>(n) + 1);
+  int64_t m = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t key = MagnitudeKey(staged[i]);
+    list[m] = key;
+    m += (key >> kHighShift) == high;
+  }
+
+  histogram.fill(0);
+  for (int64_t j = 0; j < m; ++j) {
+    ++histogram[(list[j] >> kLastDigitBits) & kDigitMask];
+  }
+  const uint32_t prefix =
+      (high << kDigitBits) | TopDigit(histogram, kDigitMask + 1, &rank);
+
+  histogram.fill(0);
+  for (int64_t j = 0; j < m; ++j) {
+    histogram[list[j] & kLastDigitMask] +=
+        (list[j] >> kLastDigitBits) == prefix;
+  }
+  const uint32_t low = TopDigit(histogram, kLastDigitMask + 1, &rank);
+  return {(prefix << kLastDigitBits) | low, rank, histogram[low]};
+}
+
+// Appends to kept[count, ...) the indices in [begin, end) whose key
+// exceeds `floor`, and returns the new count. Branch-free: a dropped index
+// is written and then overwritten, so `kept` needs one slot past the final
+// count.
+LPSGD_HOT_PATH
+int64_t KeepAbove(const float* staged, int64_t begin, int64_t end,
+                  int64_t floor, uint32_t* kept, int64_t count) {
+  for (int64_t i = begin; i < end; ++i) {
+    kept[count] = static_cast<uint32_t>(i);
+    count += int64_t{MagnitudeKey(staged[i])} > floor;
+  }
+  return count;
+}
+
+}  // namespace
 
 TopKCodec::TopKCodec(double density, bool error_feedback)
     : GradientCodec("topk", error_feedback), density_(density) {
@@ -70,44 +168,48 @@ void TopKCodec::QuantizeRange(const float* grad, const Shape& shape,
   CHECK_EQ(begin, 0);
   CHECK_EQ(end, n);
 
-  // The selection permutes `order`, so the values are staged once (in
-  // reusable workspace scratch) as grad + 0.0f, which flushes -0.0f to
-  // +0.0f in the sent values (see CodecKernels::stage_corrected).
+  // The values are staged once (in reusable workspace scratch) as
+  // grad + 0.0f, which flushes -0.0f to +0.0f in the sent values (see
+  // CodecKernels::stage_corrected); the selection reads the staged copy.
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
-  const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
   float* staged =
       quant_internal::EnsureSize(&workspace->corrected, static_cast<size_t>(n));
   kernels.stage_corrected(grad, nullptr, staged, n);
 
-  // Magnitude threshold scan: |v| precomputed in one elementwise pass so
-  // the nth_element comparator is two loads instead of two fabs. The
-  // magnitudes are the exact floats std::abs produced before, so the
-  // selected set (and thus the wire bytes) is unchanged.
-  float* magnitude =
-      quant_internal::EnsureSize(&workspace->sample, static_cast<size_t>(n));
-  elementwise.abs_f32(staged, magnitude, n);
-
   const int64_t k = KeptCount(n);
-  std::vector<int64_t>& order = workspace->order;
-  quant_internal::EnsureSize(&order, static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
-                   [&](int64_t a, int64_t b) {
-                     return magnitude[a] > magnitude[b];
-                   });
-  // Sort the kept indices so the wire format is deterministic.
-  std::sort(order.begin(), order.begin() + k);
+  const Threshold threshold =
+      SelectThreshold(staged, n, k, &workspace->candidates);
+
+  // The kept set: every key above T, then the lowest-indexed keys equal to
+  // T until k are kept. Before `cut` (one past the last tie kept, or n
+  // when every tie is kept) every key >= T goes, from `cut` on only keys
+  // > T, so one branch-free pass in index order emits the set.
+  int64_t cut = n;
+  if (threshold.ties < threshold.equal) {
+    int64_t seen = 0;
+    for (cut = 0; seen < threshold.ties; ++cut) {
+      seen += MagnitudeKey(staged[cut]) == threshold.key;
+    }
+  }
+  uint32_t* kept = quant_internal::EnsureSize(&workspace->sparse_indices,
+                                              static_cast<size_t>(k + 1));
+  int64_t count =
+      KeepAbove(staged, 0, cut, int64_t{threshold.key} - 1, kept, 0);
+  count = KeepAbove(staged, cut, n, threshold.key, kept, count);
+  DCHECK_EQ(count, k);
 
   uint32_t* words = MutableWordsAt(blob, 0);
   words[0] = static_cast<uint32_t>(k);
-  PackIndexRun(order.data(), k, n, words + 1);
+  BitWriter writer(words + 1, IndexBitWidth(n));
   float* values = MutableFloatsAt(
       blob, static_cast<int64_t>(sizeof(uint32_t)) +
                 IndexRunWordCount(n, k) *
                     static_cast<int64_t>(sizeof(uint32_t)));
-  for (int64_t i = 0; i < k; ++i) {
-    values[i] = staged[order[static_cast<size_t>(i)]];
+  for (int64_t j = 0; j < k; ++j) {
+    writer.Put(kept[j]);
+    values[j] = staged[kept[j]];
   }
+  writer.Finish();
 }
 
 LPSGD_HOT_PATH

@@ -14,6 +14,10 @@ namespace lpsgd {
 // transmitted (as index/value pairs); the rest accumulate locally in an
 // error-feedback buffer until they grow large enough to be sent.
 //
+// Kept set: the k largest magnitudes, ties at the k-th going to the lowest
+// indices, NaN ranked above +inf, and -0.0f sent as +0.0f (DESIGN.md
+// Section 4, "Sparse wire format").
+//
 // Wire format: one uint32 count, then the kept indices bit-packed at
 // IndexBitWidth(n) bits each in strictly increasing order, then count fp32
 // values in index order. Packing the indices (instead of a raw uint32

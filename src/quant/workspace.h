@@ -25,18 +25,19 @@ struct CodecWorkspace {
   // Error-feedback stage (GradientCodec::EncodeRange): the corrected range
   // c = grad + carried error, which the codec then quantizes.
   std::vector<float> ef_corrected;
-  // TopK encode: the staged gradient (grad + 0.0f) the selection permutes.
+  // TopK encode: the staged gradient (grad + 0.0f) the selection reads.
   // TopK decode: the sparse values staged for validation.
   std::vector<float> corrected;
-  // TopK: element order for the magnitude selection.
-  std::vector<int64_t> order;
+  // TopK encode: the radix select's candidates, the magnitude keys that
+  // share the threshold's first digit.
+  std::vector<uint32_t> candidates;
   // AdaptiveQSGD: subsampled normalized magnitudes for quantile placement.
-  // TopK: |corrected| staged for the magnitude threshold scan.
   std::vector<float> sample;
   // AdaptiveQSGD: level table under construction.
   std::vector<float> levels;
   // AdaptiveQSGD: coordinate-descent trial placement.
   std::vector<float> trial;
+  // TopK encode: the kept indices in index order, before packing.
   // TopK dense decode: unpacked component indices staged for validation
   // before `out` is touched.
   std::vector<uint32_t> sparse_indices;

@@ -1,7 +1,12 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "quant/topk.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -39,6 +44,115 @@ TEST(TopKCodecTest, KeepsExactlyTheLargestMagnitudes) {
   EXPECT_FLOAT_EQ(decoded[3], 3.0f);
   for (int i : {0, 2, 4, 5, 6, 7}) {
     EXPECT_EQ(decoded[static_cast<size_t>(i)], 0.0f) << i;
+  }
+}
+
+// The kept set as a codec blob carries it: indices in index order and the
+// sent values.
+struct SparseForm {
+  std::vector<uint32_t> indices;
+  std::vector<float> values;
+};
+
+SparseForm EncodeSparse(const TopKCodec& codec,
+                        const std::vector<float>& grad) {
+  const Shape shape({static_cast<int64_t>(grad.size())});
+  CodecWorkspace workspace;
+  std::vector<uint8_t> blob;
+  codec.Encode(grad.data(), shape, 0, nullptr, &workspace, &blob);
+  const int64_t k = codec.SparseCount(shape);
+  SparseForm form;
+  form.indices.resize(static_cast<size_t>(k));
+  form.values.resize(static_cast<size_t>(k));
+  CHECK_OK(codec.DecodeSparse(blob.data(), static_cast<int64_t>(blob.size()),
+                              shape, &workspace, form.indices.data(),
+                              form.values.data()));
+  return form;
+}
+
+TEST(TopKCodecTest, TiesAtTheThresholdKeepTheLowestIndices) {
+  // Eight equal magnitudes, k = 2: the two lowest indices win the tie.
+  TopKCodec codec(/*density=*/0.25, /*error_feedback=*/false);
+  const std::vector<float> equal = {1.5f,  -1.5f, -1.5f, 1.5f,
+                                    -1.5f, 1.5f,  1.5f,  -1.5f};
+  SparseForm form = EncodeSparse(codec, equal);
+  EXPECT_EQ(form.indices, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(form.values, (std::vector<float>{1.5f, -1.5f}));
+
+  // An all-zero gradient (signed zeros included) keeps indices 0..249 at
+  // n = 1000 and sends every value as +0.0.
+  std::vector<float> zeros(1000, 0.0f);
+  for (size_t i = 0; i < zeros.size(); i += 3) zeros[i] = -0.0f;
+  form = EncodeSparse(codec, zeros);
+  std::vector<uint32_t> lowest(250);
+  std::iota(lowest.begin(), lowest.end(), 0u);
+  EXPECT_EQ(form.indices, lowest);
+  for (const float value : form.values) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(value), 0u);
+  }
+}
+
+TEST(TopKCodecTest, SelectionMatchesStableSortReference) {
+  // A small value set, so every radix digit sees ties across the
+  // threshold: 1.0f and neighbours differing only in the low digit (bits
+  // 9..0), only in the middle digit (bits 20..10), or in both, plus
+  // signed zeros, denormals, infinities and NaN.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const auto bits = [](uint32_t b) { return std::bit_cast<float>(b); };
+  const float common[] = {
+      1.0f,   -1.0f,  bits(0x3f800001u), -bits(0x3f800001u),
+      bits(0x3f800400u), -bits(0x3f800401u), bits(0x3f800401u),
+      0.5f,   0.0f,   -0.0f,
+      denorm, -denorm, bits(0x00000401u), bits(0x007fffffu)};
+  const float rare[] = {inf, -inf, nan, -nan};
+  const int64_t sizes[] = {1, 2, 7, 512, 2047, 2048, 2049, 16384, 100003};
+  const double densities[] = {1e-9, 0.01, 0.25, 1.0};  // k = 1, 1%, 25%, n
+  Rng rng(25);
+  for (const int64_t n : sizes) {
+    std::vector<float> grad(static_cast<size_t>(n));
+    for (float& value : grad) {
+      value = rng.NextUint64(64) == 0
+                  ? rare[rng.NextUint64(std::size(rare))]
+                  : common[rng.NextUint64(std::size(common))];
+    }
+    // Reference: the staged values (grad + 0.0f) keyed by their bits with
+    // the sign cleared, stable-sorted by descending key.
+    std::vector<float> staged(grad.size());
+    std::vector<uint32_t> keys(grad.size());
+    for (size_t i = 0; i < grad.size(); ++i) {
+      staged[i] = grad[i] + 0.0f;
+      keys[i] = std::bit_cast<uint32_t>(staged[i]) & 0x7fffffffu;
+    }
+    std::vector<uint32_t> order(grad.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return keys[a] > keys[b];
+    });
+    for (const double density : densities) {
+      TopKCodec codec(density, /*error_feedback=*/false);
+      const int64_t k = codec.KeptCount(n);
+      SCOPED_TRACE(testing::Message() << "n=" << n << " k=" << k);
+      std::vector<uint32_t> expected(order.begin(), order.begin() + k);
+      std::sort(expected.begin(), expected.end());
+
+      const SparseForm form = EncodeSparse(codec, grad);
+      ASSERT_EQ(form.indices, expected);
+      for (size_t j = 0; j < expected.size(); ++j) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(form.values[j]),
+                  std::bit_cast<uint32_t>(staged[expected[j]]))
+            << "index " << expected[j];
+      }
+      // NaN ranks above +inf: when k covers every NaN, all are kept.
+      const int64_t nan_count = std::count_if(
+          grad.begin(), grad.end(), [](float v) { return std::isnan(v); });
+      if (nan_count <= k) {
+        EXPECT_EQ(std::count_if(form.values.begin(), form.values.end(),
+                                [](float v) { return std::isnan(v); }),
+                  nan_count);
+      }
+    }
   }
 }
 
