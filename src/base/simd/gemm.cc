@@ -1,6 +1,8 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "base/simd/gemm.h"
 
+#include <cmath>
+
 #include "base/thread_annotations.h"
 
 namespace lpsgd {
@@ -13,10 +15,20 @@ void GemmMicroKernel(int64_t count, const float* a, const int32_t* k_index,
   for (int64_t j = 0; j < kGemmNr; ++j) {
     acc[j] = beta == 0.0f ? 0.0f : beta == 1.0f ? c[j] : c[j] * beta;
   }
+  // When both operands of an add or a multiply are NaN, x86 returns the
+  // first one, and the compiler may swap the operands of either. The
+  // selects pin the order as written, as the AVX2 kernel's register
+  // operands do: a_ik's NaN survives the multiply and the accumulator's
+  // the add, so no result NaN depends on how a caller splits k into calls.
   for (int64_t t = 0; t < count; ++t) {
     const float at = a[t];
     const float* brow = b + int64_t{k_index[t]} * kGemmNr;
-    for (int64_t j = 0; j < kGemmNr; ++j) acc[j] = acc[j] + at * brow[j];
+    const bool at_nan = std::isnan(at);
+    for (int64_t j = 0; j < kGemmNr; ++j) {
+      const float product = at_nan ? at : at * brow[j];
+      const float sum = acc[j] + product;
+      acc[j] = std::isnan(acc[j]) ? acc[j] : sum;
+    }
   }
   for (int64_t j = 0; j < kGemmNr; ++j) c[j] = acc[j];
 }

@@ -22,8 +22,10 @@ struct GemmKernels {
   // loaded as beta * c with Gemm's beta rules (0 gives zeros without
   // reading c, 1 leaves c untouched). Then for t = 0 .. count-1 in order,
   // with b_t the kGemmNr floats at b + k_index[t] * kGemmNr:
-  // c[j] = c[j] + a[t] * b_t[j]. The caller packs only the nonzero
-  // alpha * a_ik, k ascending, so the skipped updates never reach here.
+  // c[j] = c[j] + a[t] * b_t[j]. Where both operands are NaN, the
+  // multiply returns a[t] and the add c[j]. The caller packs only the
+  // nonzero alpha * a_ik, k ascending, so the skipped updates never reach
+  // here.
   void (*micro_kernel)(int64_t count, const float* a, const int32_t* k_index,
                        const float* b, float beta, float* c);
   // Transposing pack of one op(B) column strip: `rows` (<= kGemmNr) rows

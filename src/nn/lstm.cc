@@ -1,6 +1,7 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/logging.h"
@@ -24,7 +25,8 @@ LstmLayer::LstmLayer(std::string name, int input_dim, int hidden_dim,
       wh_(Shape({4 * hidden_dim, hidden_dim})),
       wh_grad_(wh_.shape()),
       bias_(Shape({4 * hidden_dim})),
-      bias_grad_(bias_.shape()) {
+      bias_grad_(bias_.shape()),
+      step_bias_grad_(bias_.shape()) {
   CHECK_GT(input_dim, 0);
   CHECK_GT(hidden_dim, 0);
   wx_.FillGaussian(rng, std::sqrt(1.0f / static_cast<float>(input_dim)));
@@ -38,43 +40,54 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
   const int64_t batch = input.shape().dim(0);
   const int64_t time = input.shape().dim(1);
   CHECK_EQ(input.shape().dim(2), input_dim_) << name_;
+  const int64_t hidden = hidden_dim_;
+  const int64_t h4 = 4 * hidden;
+  const int64_t rows = time * batch;
 
-  steps_.clear();
-  steps_.reserve(static_cast<size_t>(time));
-
-  Tensor h(Shape({batch, hidden_dim_}));
-  Tensor c(Shape({batch, hidden_dim_}));
-  const int64_t h4 = 4 * int64_t{hidden_dim_};
+  x_.Resize({rows, input_dim_});
+  h_prev_.Resize({rows, hidden});
+  c_.Resize({rows + batch, hidden});
+  tanh_c_.Resize({rows, hidden});
+  gates_.Resize({rows, h4});
+  h_.Resize({batch, hidden});
+  step_gates_.Resize({batch, h4});
+  cached_batch_ = batch;
+  cached_time_ = time;
 
   for (int64_t t = 0; t < time; ++t) {
-    StepCache step;
-    step.x = Tensor(Shape({batch, input_dim_}));
+    float* dst = x_.data() + (time - 1 - t) * batch * input_dim_;
     for (int64_t b = 0; b < batch; ++b) {
-      const float* src =
-          input.data() + (b * time + t) * input_dim_;
-      std::copy(src, src + input_dim_, step.x.data() + b * input_dim_);
+      const float* src = input.data() + (b * time + t) * input_dim_;
+      std::copy(src, src + input_dim_, dst + b * input_dim_);
     }
-    step.h_prev = h;
-    step.c_prev = c;
+  }
+  // x_t · Wxᵀ for every step at once; the recurrence adds h_{t-1} · Whᵀ.
+  Gemm(false, true, 1.0f, x_, wx_, 0.0f, &gates_);
 
-    Tensor gates(Shape({batch, h4}));
-    Gemm(false, true, 1.0f, step.x, wx_, 0.0f, &gates);
-    Gemm(false, true, 1.0f, step.h_prev, wh_, 1.0f, &gates);
-    AddRowBroadcast(bias_, &gates);
+  h_.SetZero();
+  std::fill(c_.data() + rows * hidden, c_.data() + c_.size(), 0.0f);
+  for (int64_t t = 0; t < time; ++t) {
+    const int64_t row = (time - 1 - t) * batch;
+    std::copy(h_.data(), h_.data() + h_.size(),
+              h_prev_.data() + row * hidden);
+    float* gates = gates_.data() + row * h4;
+    std::copy(gates, gates + batch * h4, step_gates_.data());
+    Gemm(false, true, 1.0f, h_, wh_, 1.0f, &step_gates_);
+    AddRowBroadcast(bias_, &step_gates_);
 
-    step.c = Tensor(Shape({batch, hidden_dim_}));
-    step.tanh_c = Tensor(Shape({batch, hidden_dim_}));
     for (int64_t b = 0; b < batch; ++b) {
-      float* g = gates.data() + b * h4;
-      const float* cp = step.c_prev.data() + b * hidden_dim_;
-      float* cn = step.c.data() + b * hidden_dim_;
-      float* tc = step.tanh_c.data() + b * hidden_dim_;
-      float* hn = h.data() + b * hidden_dim_;
+      const float* pre = step_gates_.data() + b * h4;
+      float* g = gates + b * h4;
+      // c_{t-1} sits in the rows of step t-1, just below step t's.
+      const float* cp = c_.data() + (row + batch + b) * hidden;
+      float* cn = c_.data() + (row + b) * hidden;
+      float* tc = tanh_c_.data() + (row + b) * hidden;
+      float* hn = h_.data() + b * hidden;
       for (int j = 0; j < hidden_dim_; ++j) {
-        const float i_gate = SigmoidF(g[j]);
-        const float f_gate = SigmoidF(g[hidden_dim_ + j]);
-        const float g_gate = std::tanh(g[2 * hidden_dim_ + j]);
-        const float o_gate = SigmoidF(g[3 * hidden_dim_ + j]);
+        const float i_gate = SigmoidF(pre[j]);
+        const float f_gate = SigmoidF(pre[hidden_dim_ + j]);
+        const float g_gate = std::tanh(pre[2 * hidden_dim_ + j]);
+        const float o_gate = SigmoidF(pre[3 * hidden_dim_ + j]);
         g[j] = i_gate;
         g[hidden_dim_ + j] = f_gate;
         g[2 * hidden_dim_ + j] = g_gate;
@@ -84,21 +97,18 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
         hn[j] = o_gate * tc[j];
       }
     }
-    step.gates = std::move(gates);
-    c = step.c;
-    steps_.push_back(std::move(step));
   }
 
-  if (!return_sequences_) return h;
+  if (!return_sequences_) return h_;
 
   // Assemble the full hidden-state sequence {batch, time, hidden}.
-  // h_t for step t is o_t * tanh(c_t), both cached per step.
+  // h_t for step t is o_t * tanh(c_t), both in the stacks.
   Tensor sequence(Shape({batch, time, hidden_dim_}));
   for (int64_t t = 0; t < time; ++t) {
-    const StepCache& step = steps_[static_cast<size_t>(t)];
+    const int64_t row = (time - 1 - t) * batch;
     for (int64_t b = 0; b < batch; ++b) {
-      const float* gates = step.gates.data() + b * h4;
-      const float* tc = step.tanh_c.data() + b * hidden_dim_;
+      const float* gates = gates_.data() + (row + b) * h4;
+      const float* tc = tanh_c_.data() + (row + b) * hidden;
       float* dst = sequence.data() + (b * time + t) * hidden_dim_;
       for (int j = 0; j < hidden_dim_; ++j) {
         dst[j] = gates[3 * hidden_dim_ + j] * tc[j];
@@ -109,23 +119,30 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor LstmLayer::Backward(const Tensor& output_grad) {
-  CHECK(!steps_.empty()) << name_;
-  const int64_t time = static_cast<int64_t>(steps_.size());
-  const int64_t batch = output_grad.shape().dim(0);
-  if (return_sequences_) {
-    CHECK(output_grad.shape() == Shape({batch, time, hidden_dim_})) << name_;
-  } else {
-    CHECK_EQ(output_grad.cols(), hidden_dim_) << name_;
-  }
-  const int64_t h4 = 4 * int64_t{hidden_dim_};
+  CHECK_GT(cached_time_, 0)
+      << name_ << ": Backward needs a Forward whose caches no Backward "
+      << "has consumed";
+  const int64_t batch = cached_batch_;
+  const int64_t time = cached_time_;
+  const int64_t hidden = hidden_dim_;
+  const Shape& grad_shape = output_grad.shape();
+  CHECK_EQ(grad_shape.ndim(), return_sequences_ ? 3 : 2) << name_;
+  CHECK_EQ(grad_shape.dim(0), batch)
+      << name_ << ": output_grad batch differs from Forward's";
+  if (return_sequences_) CHECK_EQ(grad_shape.dim(1), time) << name_;
+  CHECK_EQ(grad_shape.dim(grad_shape.ndim() - 1), hidden) << name_;
+  const int64_t h4 = 4 * hidden;
 
   Tensor input_grad(Shape({batch, time, input_dim_}));
-  Tensor dh(Shape({batch, hidden_dim_}));
-  if (!return_sequences_) {
-    std::copy(output_grad.data(), output_grad.data() + dh.size(),
-              dh.data());
+  dh_.Resize({batch, hidden});
+  dc_.Resize({batch, hidden});
+  if (return_sequences_) {
+    dh_.SetZero();
+  } else {
+    std::copy(output_grad.data(), output_grad.data() + dh_.size(),
+              dh_.data());
   }
-  Tensor dc(Shape({batch, hidden_dim_}));
+  dc_.SetZero();
 
   for (int64_t t = time - 1; t >= 0; --t) {
     if (return_sequences_) {
@@ -134,23 +151,20 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
       for (int64_t b = 0; b < batch; ++b) {
         const float* src =
             output_grad.data() + (b * time + t) * hidden_dim_;
-        float* dst = dh.data() + b * hidden_dim_;
+        float* dst = dh_.data() + b * hidden_dim_;
         for (int j = 0; j < hidden_dim_; ++j) dst[j] += src[j];
       }
     }
-    const StepCache& step = steps_[static_cast<size_t>(t)];
-    Tensor dgates(Shape({batch, h4}));
-    Tensor dh_next(Shape({batch, hidden_dim_}));
-    Tensor dc_next(Shape({batch, hidden_dim_}));
+    const int64_t row = (time - 1 - t) * batch;
+    float* gates = gates_.data() + row * h4;
 
     for (int64_t b = 0; b < batch; ++b) {
-      const float* g = step.gates.data() + b * h4;
-      const float* cp = step.c_prev.data() + b * hidden_dim_;
-      const float* tc = step.tanh_c.data() + b * hidden_dim_;
-      const float* dhb = dh.data() + b * hidden_dim_;
-      const float* dcb = dc.data() + b * hidden_dim_;
-      float* dg = dgates.data() + b * h4;
-      float* dcn = dc_next.data() + b * hidden_dim_;
+      const float* g = gates + b * h4;
+      const float* cp = c_.data() + (row + batch + b) * hidden;
+      const float* tc = tanh_c_.data() + (row + b) * hidden;
+      const float* dhb = dh_.data() + b * hidden;
+      float* dc = dc_.data() + b * hidden;
+      float* dg = step_gates_.data() + b * h4;
       for (int j = 0; j < hidden_dim_; ++j) {
         const float i_gate = g[j];
         const float f_gate = g[hidden_dim_ + j];
@@ -158,7 +172,7 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
         const float o_gate = g[3 * hidden_dim_ + j];
         // dL/dc_t: through h_t = o * tanh(c_t) plus carried dc.
         const float dct =
-            dcb[j] + dhb[j] * o_gate * (1.0f - tc[j] * tc[j]);
+            dc[j] + dhb[j] * o_gate * (1.0f - tc[j] * tc[j]);
         dg[j] = dct * g_gate * i_gate * (1.0f - i_gate);            // di
         dg[hidden_dim_ + j] =
             dct * cp[j] * f_gate * (1.0f - f_gate);                 // df
@@ -166,30 +180,34 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
             dct * i_gate * (1.0f - g_gate * g_gate);                // dg
         dg[3 * hidden_dim_ + j] =
             dhb[j] * tc[j] * o_gate * (1.0f - o_gate);              // do
-        dcn[j] = dct * f_gate;  // toward c_{t-1}
+        dc[j] = dct * f_gate;  // toward c_{t-1}
       }
     }
 
-    // Parameter gradients.
-    Gemm(true, false, 1.0f, dgates, step.x, 1.0f, &wx_grad_);
-    Gemm(true, false, 1.0f, dgates, step.h_prev, 1.0f, &wh_grad_);
-    Tensor db(bias_grad_.shape());
-    SumRowsTo(dgates, &db);
-    Axpy(1.0f, db, &bias_grad_);
-
-    // Input and recurrent gradients.
-    Tensor dx(Shape({batch, input_dim_}));
-    Gemm(false, false, 1.0f, dgates, wx_, 0.0f, &dx);
-    for (int64_t b = 0; b < batch; ++b) {
-      float* dst = input_grad.data() + (b * time + t) * input_dim_;
-      std::copy(dx.data() + b * input_dim_, dx.data() + (b + 1) * input_dim_,
-                dst);
-    }
-    Gemm(false, false, 1.0f, dgates, wh_, 0.0f, &dh_next);
-
-    dh = std::move(dh_next);
-    dc = std::move(dc_next);
+    // The bias gradient adds one float sum per step, as the per-step loop
+    // did; one sum over all T·B rows would round differently.
+    SumRowsTo(step_gates_, &step_bias_grad_);
+    Axpy(1.0f, step_bias_grad_, &bias_grad_);
+    // Step t's gates are dead now: its gate gradients take their rows.
+    std::copy(step_gates_.data(), step_gates_.data() + batch * h4, gates);
+    // dh toward h_{t-1}; step 0 has no earlier step to pass it to.
+    if (t > 0) Gemm(false, false, 1.0f, step_gates_, wh_, 0.0f, &dh_);
   }
+
+  // With the steps stacked in descending t, each weight gradient element
+  // takes its terms in the order the per-step beta = 1 Gemms added them.
+  Gemm(true, false, 1.0f, gates_, x_, 1.0f, &wx_grad_);
+  Gemm(true, false, 1.0f, gates_, h_prev_, 1.0f, &wh_grad_);
+  // dx for every step, written over the x stack, which is dead now.
+  Gemm(false, false, 1.0f, gates_, wx_, 0.0f, &x_);
+  for (int64_t t = 0; t < time; ++t) {
+    const float* src = x_.data() + (time - 1 - t) * batch * input_dim_;
+    for (int64_t b = 0; b < batch; ++b) {
+      std::copy(src + b * input_dim_, src + (b + 1) * input_dim_,
+                input_grad.data() + (b * time + t) * input_dim_);
+    }
+  }
+  cached_time_ = 0;
   return input_grad;
 }
 

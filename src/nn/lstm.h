@@ -2,6 +2,7 @@
 #ifndef LPSGD_NN_LSTM_H_
 #define LPSGD_NN_LSTM_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,19 @@ namespace lpsgd {
 // {batch, time, hidden_dim}, which is what stacked LSTMs consume (the
 // paper's AN4 network has three LSTM components). Gate layout in the
 // packed weight matrices is [input, forget, cell, output].
+//
+// Only the recurrence runs per timestep: the h · Whᵀ Gemm and the
+// nonlinearity in Forward, the gate gradients and dh = dgates · Wh in
+// Backward. Everything else is one Gemm over all time·batch rows: x · Wxᵀ
+// before the loop, dWx, dWh and dx after it. For that, Forward keeps its
+// per-step values in layer-owned stacks that hold step t in rows
+// [(T-1-t)·B, +B): descending t, the order Backward visits the steps in,
+// so the batched weight gradients accumulate their terms in the order the
+// per-step Gemms did (DESIGN.md, "LSTM"). Backward overwrites each step's
+// gates with its gate gradients, so it consumes the caches: exactly one
+// Backward per Forward, as `Layer` requires, and a CHECK enforces it.
+// In steady-state training the layer allocates only the tensors it
+// returns.
 class LstmLayer : public Layer {
  public:
   LstmLayer(std::string name, int input_dim, int hidden_dim, Rng* rng,
@@ -39,16 +53,22 @@ class LstmLayer : public Layer {
   Tensor bias_;     // {4h}
   Tensor bias_grad_;
 
-  // Per-timestep caches from the last Forward.
-  struct StepCache {
-    Tensor x;      // {batch, input_dim}
-    Tensor h_prev; // {batch, h}
-    Tensor c_prev; // {batch, h}
-    Tensor gates;  // {batch, 4h} post-nonlinearity: i, f, g, o
-    Tensor c;      // {batch, h}
-    Tensor tanh_c; // {batch, h}
-  };
-  std::vector<StepCache> steps_;
+  // Stacks from the last Forward, step t in rows [(T-1-t)·B, +B).
+  Tensor x_;       // {T·B, input_dim}; Backward reuses it for dx
+  Tensor h_prev_;  // {T·B, h}: h_{t-1}
+  Tensor c_;       // {(T+1)·B, h}: c_t, then c_{-1} = 0 in the last B rows
+  Tensor tanh_c_;  // {T·B, h}
+  Tensor gates_;   // {T·B, 4h}: post-nonlinearity i, f, g, o; then dgates
+  int64_t cached_batch_ = 0;
+  int64_t cached_time_ = 0;  // 0 once Backward has consumed the stacks
+
+  // Per-step operands of the recurrent Gemms, {B, h} and {B, 4h}, and the
+  // per-step bias-gradient sum.
+  Tensor h_;
+  Tensor dh_;
+  Tensor dc_;
+  Tensor step_gates_;
+  Tensor step_bias_grad_;
 };
 
 }  // namespace lpsgd

@@ -1,8 +1,9 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
 // Allocation-regression tests for the layer compute path: after warm-up, a
-// Conv2dLayer training pass and a ReLU pass allocate only the tensors they
-// return, with every im2col, Gemm and cache buffer reused. This test
+// Conv2dLayer training pass, an LstmLayer training pass and a ReLU pass
+// allocate only the tensors they return, with every im2col, Gemm, stack
+// and cache buffer reused. This test
 // overrides the global allocator to count allocations, so it lives in its
 // own binary (nn_allocation_test) and must not be merged into nn_test.
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "base/rng.h"
 #include "nn/activation.h"
 #include "nn/conv2d.h"
+#include "nn/lstm.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -101,6 +103,44 @@ TEST(LayerAllocationTest, ConvTrainingPassAllocatesOnlyItsResults) {
       input_grad = conv.Backward(output_grad);
     });
     EXPECT_EQ(count, 2 * per_tensor) << "pass " << pass;
+  }
+}
+
+// The two layers of the lstm_sparse_nccl network, BuildDeepLstmClassifier(
+// 32, 64, 2, 8), at its per-rank batch of 8 and 20 timesteps.
+TEST(LayerAllocationTest, LstmTrainingPassAllocatesOnlyItsResults) {
+  struct LstmShape {
+    int input_dim;
+    bool return_sequences;
+  };
+  for (const LstmShape s : {LstmShape{32, true}, LstmShape{64, false}}) {
+    SCOPED_TRACE(s.input_dim);
+    Rng rng(13);
+    LstmLayer lstm("lstm", s.input_dim, 64, &rng, s.return_sequences);
+    const Shape input_shape({8, 20, s.input_dim});
+    const Shape output_shape =
+        s.return_sequences ? Shape({8, 20, 64}) : Shape({8, 64});
+    Tensor input(input_shape);
+    input.FillGaussian(&rng, 1.0f);
+    Tensor output_grad(output_shape);
+    output_grad.FillGaussian(&rng, 1.0f);
+
+    Tensor output;
+    Tensor input_grad;
+    for (int warm_up = 0; warm_up < 2; ++warm_up) {
+      output = lstm.Forward(input, /*training=*/true);
+      input_grad = lstm.Backward(output_grad);
+    }
+    const int64_t results = AllocationsPerTensor(output_shape) +
+                            AllocationsPerTensor(input_shape);
+    EXPECT_EQ(results, 4);
+    for (int pass = 0; pass < 3; ++pass) {
+      const int64_t count = CountAllocations([&] {
+        output = lstm.Forward(input, /*training=*/true);
+        input_grad = lstm.Backward(output_grad);
+      });
+      EXPECT_EQ(count, results) << "pass " << pass;
+    }
   }
 }
 

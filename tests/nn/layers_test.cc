@@ -298,5 +298,27 @@ TEST(LstmLayerTest, SequenceOrderMatters) {
   EXPECT_TRUE(any_diff);
 }
 
+TEST(LstmLayerDeathTest, BackwardBatchMustMatchForward) {
+  Rng rng(14);
+  LstmLayer lstm("lstm", 3, 4, &rng);
+  const Tensor input(Shape({3, 5, 3}), 1.0f);
+  lstm.Forward(input, /*training=*/true);
+  // Two rows of gradient for a three-sample Forward.
+  const Tensor grad(Shape({2, 4}), 1.0f);
+  EXPECT_DEATH(lstm.Backward(grad), "batch differs from Forward");
+}
+
+TEST(LstmLayerDeathTest, SecondBackwardPerForwardFails) {
+  Rng rng(15);
+  LstmLayer lstm("lstm", 3, 4, &rng, /*return_sequences=*/true);
+  const Tensor input(Shape({2, 5, 3}), 1.0f);
+  const Tensor grad(Shape({2, 5, 4}), 1.0f);
+  EXPECT_DEATH(lstm.Backward(grad), "caches no Backward has consumed");
+  lstm.Forward(input, /*training=*/true);
+  lstm.Backward(grad);
+  // The first Backward overwrote the cached gates with their gradients.
+  EXPECT_DEATH(lstm.Backward(grad), "caches no Backward has consumed");
+}
+
 }  // namespace
 }  // namespace lpsgd
