@@ -822,20 +822,52 @@ EvalResult SyncTrainer::Evaluate(const Dataset& dataset) {
   EvalResult total;
   Network& net = replicas_[0];
   const int64_t batch_size = options_.eval_batch_size;
+  const int64_t sample_elems = dataset.SampleShape().element_count();
   std::vector<int64_t> indices;
+  std::vector<EvalResult> rows;
   for (int64_t begin = 0; begin < dataset.NumSamples();
        begin += batch_size) {
     const int64_t end = std::min(begin + batch_size, dataset.NumSamples());
-    indices.resize(static_cast<size_t>(end - begin));
+    const int64_t n = end - begin;
+    indices.resize(static_cast<size_t>(n));
     for (int64_t i = begin; i < end; ++i) {
       indices[static_cast<size_t>(i - begin)] = i;
     }
+    // Read on this thread: a Dataset need not be thread-safe.
     const Batch batch = MakeBatch(dataset, indices);
-    Tensor logits = net.Forward(batch.inputs, /*training=*/false);
-    const EvalResult r = EvaluateSoftmaxCrossEntropy(logits, batch.labels);
-    total.loss_sum += r.loss_sum;
-    total.correct += r.correct;
-    total.correct_top5 += r.correct_top5;
+
+    // Eval passes write no layer state and every row's logits depend on
+    // that row only (nn/layer.h), so each thread runs replica 0 on its own
+    // slice of rows and leaves one result per sample.
+    rows.resize(static_cast<size_t>(n));
+    const int64_t slices = std::min<int64_t>(options_.execution.threads(), n);
+    CHECK_OK(options_.execution.ParallelFor(
+        0, slices, [&](int64_t slice) -> Status {
+          const int64_t first = slice * n / slices;
+          const int64_t last = (slice + 1) * n / slices;
+          std::vector<int64_t> dims = batch.inputs.shape().dims();
+          dims[0] = last - first;
+          Tensor inputs{Shape(dims)};
+          std::copy(batch.inputs.data() + first * sample_elems,
+                    batch.inputs.data() + last * sample_elems,
+                    inputs.data());
+          const Tensor logits = net.Forward(inputs, /*training=*/false);
+          Tensor probs(logits.shape());
+          SoftmaxRows(logits, &probs);
+          for (int64_t r = 0; r < last - first; ++r) {
+            rows[static_cast<size_t>(first + r)] =
+                EvaluateSoftmaxCrossEntropyRow(
+                    logits, probs, r,
+                    batch.labels[static_cast<size_t>(first + r)]);
+          }
+          return OkStatus();
+        }));
+    // Summed here, in sample order and per batch, exactly as a serial
+    // EvaluateSoftmaxCrossEntropy over the batch: bit-identical at any
+    // thread count.
+    EvalResult batch_result;
+    for (const EvalResult& row : rows) batch_result.Add(row);
+    total.Add(batch_result);
   }
   return total;
 }

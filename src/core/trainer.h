@@ -133,7 +133,12 @@ class SyncTrainer {
   [[nodiscard]] StatusOr<std::vector<EpochMetrics>> Train(
       const Dataset& train, const Dataset& test, int epochs);
 
-  // Evaluates replica 0 on `dataset` (eval mode).
+  // Evaluates replica 0 on `dataset` (eval mode), `eval_batch_size`
+  // samples at a time. Each batch is read on the calling thread, then its
+  // rows are split across the execution pool, every thread running eval
+  // passes of replica 0 on its own slice. The per-sample losses and hits
+  // are summed on the calling thread in sample order, per batch, so the
+  // result is bit-identical at any thread count.
   EvalResult Evaluate(const Dataset& dataset);
 
   // Replica `rank`'s network (e.g. for invariant checks).

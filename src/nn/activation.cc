@@ -10,7 +10,7 @@ namespace lpsgd {
 ActivationLayer::ActivationLayer(std::string name, ActivationKind kind)
     : name_(std::move(name)), kind_(kind) {}
 
-Tensor ActivationLayer::Forward(const Tensor& input, bool /*training*/) {
+Tensor ActivationLayer::Forward(const Tensor& input, bool training) {
   Tensor output = input;
   float* data = output.data();
   switch (kind_) {
@@ -30,7 +30,8 @@ Tensor ActivationLayer::Forward(const Tensor& input, bool /*training*/) {
       }
       break;
   }
-  cached_output_ = output;  // reuses the cache's storage once it is sized
+  // Reuses the cache's storage once it is sized.
+  if (training) cached_output_ = output;
   return output;
 }
 

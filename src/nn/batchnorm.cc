@@ -78,27 +78,28 @@ Tensor BatchNormLayer::Forward(const Tensor& input, bool training) {
     }
   }
 
-  cached_inv_std_.assign(static_cast<size_t>(channels_), 0.0f);
+  std::vector<float> inv_std(static_cast<size_t>(channels_));
   for (int c = 0; c < channels_; ++c) {
-    cached_inv_std_[static_cast<size_t>(c)] = static_cast<float>(
+    inv_std[static_cast<size_t>(c)] = static_cast<float>(
         1.0 / std::sqrt(var[static_cast<size_t>(c)] + epsilon_));
   }
 
+  // Only a training pass keeps the normalized input for Backward.
   Tensor output(shape);
-  Tensor normalized(shape);
+  Tensor normalized = training ? Tensor(shape) : Tensor();
   const float* in = input.data();
   float* out = output.data();
-  float* norm = normalized.data();
+  float* norm = training ? normalized.data() : nullptr;
   ForEachChannelElement(shape, [&](int64_t c, int64_t idx) {
     const size_t ci = static_cast<size_t>(c);
-    const float n = (in[idx] - static_cast<float>(mean[ci])) *
-                    cached_inv_std_[ci];
-    norm[idx] = n;
+    const float n = (in[idx] - static_cast<float>(mean[ci])) * inv_std[ci];
+    if (norm != nullptr) norm[idx] = n;
     out[idx] = gamma_.at(c) * n + beta_.at(c);
   });
 
   if (training) {
     cached_normalized_ = std::move(normalized);
+    cached_inv_std_ = std::move(inv_std);
     cached_input_shape_ = shape;
   }
   return output;

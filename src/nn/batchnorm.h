@@ -11,7 +11,9 @@ namespace lpsgd {
 
 // Batch normalization over the channel dimension. Accepts {batch, C, H, W}
 // (per-channel statistics over batch*H*W) or {batch, C} (per-feature
-// statistics over the batch). Tracks running statistics for evaluation.
+// statistics over the batch). A training Forward updates the running
+// statistics that an eval Forward normalizes with; an eval Forward only
+// reads them.
 class BatchNormLayer : public Layer {
  public:
   BatchNormLayer(std::string name, int channels, float momentum = 0.9f,

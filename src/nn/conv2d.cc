@@ -60,7 +60,7 @@ Tensor Conv2dLayer::Forward(const Tensor& input, bool training) {
   Tensor output(Shape({batch, out_channels_, out_h, out_w}));
   const int64_t plane = int64_t{out_h} * out_w;
   const int64_t patch_width = weight_.cols();
-  has_patches_ = training;
+  has_patches_.store(training, std::memory_order_relaxed);
   if (training) {
     cached_input_shape_ = input.shape();
     patches_.Resize({batch * plane, patch_width});
@@ -106,8 +106,8 @@ void Conv2dLayer::ForwardSamples(const Tensor& input, int64_t first,
 }
 
 Tensor Conv2dLayer::Backward(const Tensor& output_grad) {
-  CHECK(has_patches_) << name_
-                      << ": Backward needs a training-mode Forward before it";
+  CHECK(has_patches_.load(std::memory_order_relaxed))
+      << name_ << ": Backward needs a training-mode Forward before it";
   const Shape& in_shape = cached_input_shape_;
   const int64_t batch = in_shape.dim(0);
   const int height = static_cast<int>(in_shape.dim(2));

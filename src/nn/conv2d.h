@@ -2,6 +2,7 @@
 #ifndef LPSGD_NN_CONV2D_H_
 #define LPSGD_NN_CONV2D_H_
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -46,10 +47,11 @@ class Conv2dLayer : public Layer {
   Tensor bias_grad_;    // {out_c}
   // Input shape and im2col patches ({batch * plane, K}, sample-major) of
   // the last training Forward, which Backward needs. An eval Forward keeps
-  // no patches and clears `has_patches_`.
+  // no patches and clears `has_patches_`; concurrent eval passes all store
+  // false, hence relaxed atomic.
   Shape cached_input_shape_;
   Tensor patches_;
-  bool has_patches_ = false;
+  std::atomic<bool> has_patches_{false};
 };
 
 }  // namespace lpsgd

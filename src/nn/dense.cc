@@ -24,9 +24,9 @@ DenseLayer::DenseLayer(std::string name, int64_t in_features,
   weight_.FillGaussian(rng, stddev);
 }
 
-Tensor DenseLayer::Forward(const Tensor& input, bool /*training*/) {
+Tensor DenseLayer::Forward(const Tensor& input, bool training) {
   CHECK_EQ(input.cols(), in_features_) << name_;
-  cached_input_ = input;
+  if (training) cached_input_ = input;
   Tensor output(Shape({input.rows(), out_features_}));
   Gemm(/*transpose_a=*/false, /*transpose_b=*/true, 1.0f, input, weight_,
        0.0f, &output);

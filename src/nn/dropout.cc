@@ -13,7 +13,7 @@ DropoutLayer::DropoutLayer(std::string name, float rate, uint64_t seed)
 }
 
 Tensor DropoutLayer::Forward(const Tensor& input, bool training) {
-  last_was_training_ = training;
+  last_was_training_.store(training, std::memory_order_relaxed);
   if (!training || rate_ == 0.0f) {
     return input;
   }
@@ -34,7 +34,8 @@ Tensor DropoutLayer::Forward(const Tensor& input, bool training) {
 }
 
 Tensor DropoutLayer::Backward(const Tensor& output_grad) {
-  if (!last_was_training_ || rate_ == 0.0f) {
+  if (!last_was_training_.load(std::memory_order_relaxed) ||
+      rate_ == 0.0f) {
     return output_grad;
   }
   CHECK_EQ(static_cast<size_t>(output_grad.size()), mask_.size()) << name_;

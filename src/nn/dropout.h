@@ -2,6 +2,7 @@
 #ifndef LPSGD_NN_DROPOUT_H_
 #define LPSGD_NN_DROPOUT_H_
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,9 @@ class DropoutLayer : public Layer {
   uint64_t seed_;
   uint64_t forward_calls_ = 0;
   std::vector<bool> mask_;  // true = kept
-  bool last_was_training_ = false;
+  // Whether the last Forward was a training one. Concurrent eval passes
+  // all store false, hence relaxed atomic; nothing else is ordered by it.
+  std::atomic<bool> last_was_training_{false};
 };
 
 }  // namespace lpsgd

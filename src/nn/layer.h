@@ -37,8 +37,16 @@ struct ParamRef {
 };
 
 // One differentiable network module. Layers cache whatever they need from
-// Forward to run Backward; a layer instance therefore belongs to exactly
-// one replica and one in-flight batch at a time.
+// a training Forward to run Backward; a layer instance therefore belongs
+// to exactly one replica and one in-flight training batch at a time.
+//
+// Eval passes are different: an eval-mode Forward writes no state that
+// another eval pass reads. It caches nothing for Backward and keeps its
+// scratch per thread, so several threads may run eval Forwards on the
+// same layer at once, e.g. on disjoint row slices of one batch, while no
+// training pass runs. Each output row depends only on its own input row,
+// so a slice's output is bit-identical to the same rows of one eval
+// Forward over the whole batch.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -47,6 +55,11 @@ class Layer {
 
   // Computes the layer output for `input` (leading dimension = batch).
   // `training` toggles train-time behaviour (e.g. batch-norm statistics).
+  // With `training` false the call is an eval pass (see the class
+  // comment): it leaves the caches of the last training Forward for
+  // Backward, except that a layer whose Backward cannot pair with an
+  // earlier training Forward across an eval pass (Conv2d, Dropout) only
+  // clears a flag.
   virtual Tensor Forward(const Tensor& input, bool training) = 0;
 
   // Given the loss gradient w.r.t. the layer output, accumulates parameter

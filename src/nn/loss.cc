@@ -42,22 +42,29 @@ LossResult SoftmaxCrossEntropy(const Tensor& logits,
 EvalResult EvaluateSoftmaxCrossEntropy(const Tensor& logits,
                                        const std::vector<int>& labels) {
   const int64_t batch = logits.rows();
-  const int64_t classes = logits.cols();
   CHECK_EQ(static_cast<size_t>(batch), labels.size());
 
   EvalResult result;
   Tensor probs(logits.shape());
   SoftmaxRows(logits, &probs);
   for (int64_t r = 0; r < batch; ++r) {
-    const int label = labels[static_cast<size_t>(r)];
-    CHECK_GE(label, 0);
-    CHECK_LT(label, classes);
-    const double p =
-        std::max(static_cast<double>(probs.at(r, label)), kProbFloor);
-    result.loss_sum += -std::log(p);
-    if (ArgMaxRow(probs, r) == label) ++result.correct;
-    if (LabelInTopK(logits, r, label, 5)) ++result.correct_top5;
+    result.Add(EvaluateSoftmaxCrossEntropyRow(
+        logits, probs, r, labels[static_cast<size_t>(r)]));
   }
+  return result;
+}
+
+EvalResult EvaluateSoftmaxCrossEntropyRow(const Tensor& logits,
+                                          const Tensor& probs, int64_t r,
+                                          int label) {
+  CHECK_GE(label, 0);
+  CHECK_LT(label, logits.cols());
+  EvalResult result;
+  const double p =
+      std::max(static_cast<double>(probs.at(r, label)), kProbFloor);
+  result.loss_sum = -std::log(p);
+  if (ArgMaxRow(probs, r) == label) result.correct = 1;
+  if (LabelInTopK(logits, r, label, 5)) result.correct_top5 = 1;
   return result;
 }
 

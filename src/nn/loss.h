@@ -26,9 +26,24 @@ struct EvalResult {
   double loss_sum = 0.0;
   int64_t correct = 0;
   int64_t correct_top5 = 0;
+
+  void Add(const EvalResult& other) {
+    loss_sum += other.loss_sum;
+    correct += other.correct;
+    correct_top5 += other.correct_top5;
+  }
 };
+// Adds EvaluateSoftmaxCrossEntropyRow over the rows in order.
 EvalResult EvaluateSoftmaxCrossEntropy(const Tensor& logits,
                                        const std::vector<int>& labels);
+
+// Row `r` alone: its loss, and 0 or 1 in `correct` and `correct_top5`.
+// `probs` is SoftmaxRows(logits), or at least its row `r`. Each row's
+// result depends on that row only, so rows may be evaluated on any
+// thread; adding them in row order reproduces the batch sum bit for bit.
+EvalResult EvaluateSoftmaxCrossEntropyRow(const Tensor& logits,
+                                          const Tensor& probs, int64_t r,
+                                          int label);
 
 // True when `label` is among the `k` largest logits of row `r`.
 bool LabelInTopK(const Tensor& logits, int64_t r, int label, int k);

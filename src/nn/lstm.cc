@@ -35,7 +35,9 @@ LstmLayer::LstmLayer(std::string name, int input_dim, int hidden_dim,
   for (int j = 0; j < hidden_dim; ++j) bias_.at(hidden_dim + j) = 1.0f;
 }
 
-Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
+thread_local LstmLayer::Stacks LstmLayer::eval_stacks_;
+
+Tensor LstmLayer::Forward(const Tensor& input, bool training) {
   CHECK_EQ(input.shape().ndim(), 3) << name_;
   const int64_t batch = input.shape().dim(0);
   const int64_t time = input.shape().dim(1);
@@ -44,45 +46,50 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
   const int64_t h4 = 4 * hidden;
   const int64_t rows = time * batch;
 
-  x_.Resize({rows, input_dim_});
-  h_prev_.Resize({rows, hidden});
-  c_.Resize({rows + batch, hidden});
-  tanh_c_.Resize({rows, hidden});
-  gates_.Resize({rows, h4});
-  h_.Resize({batch, hidden});
-  step_gates_.Resize({batch, h4});
-  cached_batch_ = batch;
-  cached_time_ = time;
+  Stacks& s = training ? stacks_ : eval_stacks_;
+  s.x.Resize({rows, input_dim_});
+  s.c.Resize({rows + batch, hidden});
+  s.tanh_c.Resize({rows, hidden});
+  s.gates.Resize({rows, h4});
+  s.h.Resize({batch, hidden});
+  s.step_gates.Resize({batch, h4});
+  if (training) {
+    s.h_prev.Resize({rows, hidden});
+    cached_batch_ = batch;
+    cached_time_ = time;
+  }
 
   for (int64_t t = 0; t < time; ++t) {
-    float* dst = x_.data() + (time - 1 - t) * batch * input_dim_;
+    float* dst = s.x.data() + (time - 1 - t) * batch * input_dim_;
     for (int64_t b = 0; b < batch; ++b) {
       const float* src = input.data() + (b * time + t) * input_dim_;
       std::copy(src, src + input_dim_, dst + b * input_dim_);
     }
   }
   // x_t · Wxᵀ for every step at once; the recurrence adds h_{t-1} · Whᵀ.
-  Gemm(false, true, 1.0f, x_, wx_, 0.0f, &gates_);
+  Gemm(false, true, 1.0f, s.x, wx_, 0.0f, &s.gates);
 
-  h_.SetZero();
-  std::fill(c_.data() + rows * hidden, c_.data() + c_.size(), 0.0f);
+  s.h.SetZero();
+  std::fill(s.c.data() + rows * hidden, s.c.data() + s.c.size(), 0.0f);
   for (int64_t t = 0; t < time; ++t) {
     const int64_t row = (time - 1 - t) * batch;
-    std::copy(h_.data(), h_.data() + h_.size(),
-              h_prev_.data() + row * hidden);
-    float* gates = gates_.data() + row * h4;
-    std::copy(gates, gates + batch * h4, step_gates_.data());
-    Gemm(false, true, 1.0f, h_, wh_, 1.0f, &step_gates_);
-    AddRowBroadcast(bias_, &step_gates_);
+    if (training) {
+      std::copy(s.h.data(), s.h.data() + s.h.size(),
+                s.h_prev.data() + row * hidden);
+    }
+    float* gates = s.gates.data() + row * h4;
+    std::copy(gates, gates + batch * h4, s.step_gates.data());
+    Gemm(false, true, 1.0f, s.h, wh_, 1.0f, &s.step_gates);
+    AddRowBroadcast(bias_, &s.step_gates);
 
     for (int64_t b = 0; b < batch; ++b) {
-      const float* pre = step_gates_.data() + b * h4;
+      const float* pre = s.step_gates.data() + b * h4;
       float* g = gates + b * h4;
       // c_{t-1} sits in the rows of step t-1, just below step t's.
-      const float* cp = c_.data() + (row + batch + b) * hidden;
-      float* cn = c_.data() + (row + b) * hidden;
-      float* tc = tanh_c_.data() + (row + b) * hidden;
-      float* hn = h_.data() + b * hidden;
+      const float* cp = s.c.data() + (row + batch + b) * hidden;
+      float* cn = s.c.data() + (row + b) * hidden;
+      float* tc = s.tanh_c.data() + (row + b) * hidden;
+      float* hn = s.h.data() + b * hidden;
       for (int j = 0; j < hidden_dim_; ++j) {
         const float i_gate = SigmoidF(pre[j]);
         const float f_gate = SigmoidF(pre[hidden_dim_ + j]);
@@ -99,7 +106,7 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
     }
   }
 
-  if (!return_sequences_) return h_;
+  if (!return_sequences_) return s.h;
 
   // Assemble the full hidden-state sequence {batch, time, hidden}.
   // h_t for step t is o_t * tanh(c_t), both in the stacks.
@@ -107,8 +114,8 @@ Tensor LstmLayer::Forward(const Tensor& input, bool /*training*/) {
   for (int64_t t = 0; t < time; ++t) {
     const int64_t row = (time - 1 - t) * batch;
     for (int64_t b = 0; b < batch; ++b) {
-      const float* gates = gates_.data() + (row + b) * h4;
-      const float* tc = tanh_c_.data() + (row + b) * hidden;
+      const float* gates = s.gates.data() + (row + b) * h4;
+      const float* tc = s.tanh_c.data() + (row + b) * hidden;
       float* dst = sequence.data() + (b * time + t) * hidden_dim_;
       for (int j = 0; j < hidden_dim_; ++j) {
         dst[j] = gates[3 * hidden_dim_ + j] * tc[j];
@@ -122,6 +129,7 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
   CHECK_GT(cached_time_, 0)
       << name_ << ": Backward needs a Forward whose caches no Backward "
       << "has consumed";
+  Stacks& s = stacks_;
   const int64_t batch = cached_batch_;
   const int64_t time = cached_time_;
   const int64_t hidden = hidden_dim_;
@@ -156,15 +164,15 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
       }
     }
     const int64_t row = (time - 1 - t) * batch;
-    float* gates = gates_.data() + row * h4;
+    float* gates = s.gates.data() + row * h4;
 
     for (int64_t b = 0; b < batch; ++b) {
       const float* g = gates + b * h4;
-      const float* cp = c_.data() + (row + batch + b) * hidden;
-      const float* tc = tanh_c_.data() + (row + b) * hidden;
+      const float* cp = s.c.data() + (row + batch + b) * hidden;
+      const float* tc = s.tanh_c.data() + (row + b) * hidden;
       const float* dhb = dh_.data() + b * hidden;
       float* dc = dc_.data() + b * hidden;
-      float* dg = step_gates_.data() + b * h4;
+      float* dg = s.step_gates.data() + b * h4;
       for (int j = 0; j < hidden_dim_; ++j) {
         const float i_gate = g[j];
         const float f_gate = g[hidden_dim_ + j];
@@ -186,22 +194,22 @@ Tensor LstmLayer::Backward(const Tensor& output_grad) {
 
     // The bias gradient adds one float sum per step, as the per-step loop
     // did; one sum over all T·B rows would round differently.
-    SumRowsTo(step_gates_, &step_bias_grad_);
+    SumRowsTo(s.step_gates, &step_bias_grad_);
     Axpy(1.0f, step_bias_grad_, &bias_grad_);
     // Step t's gates are dead now: its gate gradients take their rows.
-    std::copy(step_gates_.data(), step_gates_.data() + batch * h4, gates);
+    std::copy(s.step_gates.data(), s.step_gates.data() + batch * h4, gates);
     // dh toward h_{t-1}; step 0 has no earlier step to pass it to.
-    if (t > 0) Gemm(false, false, 1.0f, step_gates_, wh_, 0.0f, &dh_);
+    if (t > 0) Gemm(false, false, 1.0f, s.step_gates, wh_, 0.0f, &dh_);
   }
 
   // With the steps stacked in descending t, each weight gradient element
   // takes its terms in the order the per-step beta = 1 Gemms added them.
-  Gemm(true, false, 1.0f, gates_, x_, 1.0f, &wx_grad_);
-  Gemm(true, false, 1.0f, gates_, h_prev_, 1.0f, &wh_grad_);
+  Gemm(true, false, 1.0f, s.gates, s.x, 1.0f, &wx_grad_);
+  Gemm(true, false, 1.0f, s.gates, s.h_prev, 1.0f, &wh_grad_);
   // dx for every step, written over the x stack, which is dead now.
-  Gemm(false, false, 1.0f, gates_, wx_, 0.0f, &x_);
+  Gemm(false, false, 1.0f, s.gates, wx_, 0.0f, &s.x);
   for (int64_t t = 0; t < time; ++t) {
-    const float* src = x_.data() + (time - 1 - t) * batch * input_dim_;
+    const float* src = s.x.data() + (time - 1 - t) * batch * input_dim_;
     for (int64_t b = 0; b < batch; ++b) {
       std::copy(src + b * input_dim_, src + (b + 1) * input_dim_,
                 input_grad.data() + (b * time + t) * input_dim_);

@@ -29,7 +29,8 @@ namespace lpsgd {
 // gates with its gate gradients, so it consumes the caches: exactly one
 // Backward per Forward, as `Layer` requires, and a CHECK enforces it.
 // In steady-state training the layer allocates only the tensors it
-// returns.
+// returns. An eval Forward runs the same code on per-thread stacks and
+// leaves the layer's own stacks to Backward.
 class LstmLayer : public Layer {
  public:
   LstmLayer(std::string name, int input_dim, int hidden_dim, Rng* rng,
@@ -53,21 +54,28 @@ class LstmLayer : public Layer {
   Tensor bias_;     // {4h}
   Tensor bias_grad_;
 
-  // Stacks from the last Forward, step t in rows [(T-1-t)·B, +B).
-  Tensor x_;       // {T·B, input_dim}; Backward reuses it for dx
-  Tensor h_prev_;  // {T·B, h}: h_{t-1}
-  Tensor c_;       // {(T+1)·B, h}: c_t, then c_{-1} = 0 in the last B rows
-  Tensor tanh_c_;  // {T·B, h}
-  Tensor gates_;   // {T·B, 4h}: post-nonlinearity i, f, g, o; then dgates
+  // What a Forward computes, step t in rows [(T-1-t)·B, +B) of each
+  // stack, and the per-step operands of the recurrent Gemm.
+  struct Stacks {
+    Tensor x;       // {T·B, input_dim}; Backward reuses it for dx
+    Tensor h_prev;  // {T·B, h}: h_{t-1}; training only
+    Tensor c;       // {(T+1)·B, h}: c_t, then c_{-1} = 0 in the last B rows
+    Tensor tanh_c;  // {T·B, h}
+    Tensor gates;   // {T·B, 4h}: post-nonlinearity i, f, g, o; then dgates
+    Tensor h;           // {B, h}
+    Tensor step_gates;  // {B, 4h}; Backward's per-step dgates
+  };
+
+  // The last training Forward's stacks, for Backward.
+  Stacks stacks_;
   int64_t cached_batch_ = 0;
   int64_t cached_time_ = 0;  // 0 once Backward has consumed the stacks
+  // An eval Forward's stacks: one set per thread, shared by every layer.
+  static thread_local Stacks eval_stacks_;
 
-  // Per-step operands of the recurrent Gemms, {B, h} and {B, 4h}, and the
-  // per-step bias-gradient sum.
-  Tensor h_;
+  // Backward's {B, h} recurrent gradients and per-step bias-gradient sum.
   Tensor dh_;
   Tensor dc_;
-  Tensor step_gates_;
   Tensor step_bias_grad_;
 };
 

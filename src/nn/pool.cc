@@ -14,9 +14,8 @@ MaxPool2dLayer::MaxPool2dLayer(std::string name, int window, int stride)
   CHECK_GT(stride, 0);
 }
 
-Tensor MaxPool2dLayer::Forward(const Tensor& input, bool /*training*/) {
+Tensor MaxPool2dLayer::Forward(const Tensor& input, bool training) {
   CHECK_EQ(input.shape().ndim(), 4) << name_;
-  cached_input_shape_ = input.shape();
   const int64_t batch = input.shape().dim(0);
   const int64_t channels = input.shape().dim(1);
   const int height = static_cast<int>(input.shape().dim(2));
@@ -27,7 +26,13 @@ Tensor MaxPool2dLayer::Forward(const Tensor& input, bool /*training*/) {
   CHECK_GT(out_w, 0) << name_;
 
   Tensor output(Shape({batch, channels, out_h, out_w}));
-  argmax_.assign(static_cast<size_t>(output.size()), 0);
+  // Only a training pass records where each maximum came from.
+  int64_t* argmax = nullptr;
+  if (training) {
+    cached_input_shape_ = input.shape();
+    argmax_.assign(static_cast<size_t>(output.size()), 0);
+    argmax = argmax_.data();
+  }
 
   const float* in = input.data();
   float* out = output.data();
@@ -52,7 +57,7 @@ Tensor MaxPool2dLayer::Forward(const Tensor& input, bool /*training*/) {
           }
         }
         out[out_idx] = best;
-        argmax_[static_cast<size_t>(out_idx)] = best_idx;
+        if (argmax != nullptr) argmax[out_idx] = best_idx;
       }
     }
   }
@@ -79,9 +84,9 @@ Shape MaxPool2dLayer::OutputShape(const Shape& input_shape) const {
   return Shape({input_shape.dim(0), out_h, out_w});
 }
 
-Tensor GlobalAvgPoolLayer::Forward(const Tensor& input, bool /*training*/) {
+Tensor GlobalAvgPoolLayer::Forward(const Tensor& input, bool training) {
   CHECK_EQ(input.shape().ndim(), 4) << name_;
-  cached_input_shape_ = input.shape();
+  if (training) cached_input_shape_ = input.shape();
   const int64_t batch = input.shape().dim(0);
   const int64_t channels = input.shape().dim(1);
   const int64_t plane = input.shape().dim(2) * input.shape().dim(3);
@@ -116,8 +121,8 @@ Shape GlobalAvgPoolLayer::OutputShape(const Shape& input_shape) const {
   return Shape({input_shape.dim(0)});
 }
 
-Tensor FlattenLayer::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_shape_ = input.shape();
+Tensor FlattenLayer::Forward(const Tensor& input, bool training) {
+  if (training) cached_input_shape_ = input.shape();
   Tensor output = input;
   output.Reshape(Shape({input.shape().dim(0), input.size() /
                                                   input.shape().dim(0)}));

@@ -10,7 +10,8 @@
 namespace lpsgd {
 
 // Max pooling over {batch, channels, height, width} inputs with square
-// windows. Remembers argmax positions for the backward pass.
+// windows. A training Forward remembers argmax positions for the backward
+// pass.
 class MaxPool2dLayer : public Layer {
  public:
   MaxPool2dLayer(std::string name, int window, int stride);

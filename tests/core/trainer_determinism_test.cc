@@ -5,7 +5,9 @@
 // must produce byte-identical checkpoints and identical epoch metrics —
 // every floating-point reduction order is fixed by the call sites, and all
 // randomness flows from counter-based tags.
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,8 +54,11 @@ RunResult RunTraining(const SyncTrainer::NetworkFactory& factory,
                    ckpt::Serialize((*trainer)->CaptureState())};
 }
 
+// The bits of `value`: EXPECT_DOUBLE_EQ would allow 4 ULPs.
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
 // Every field except wall_seconds (host time can never match) must be
-// exactly equal.
+// exactly equal; the evaluation metrics bit for bit.
 void ExpectIdenticalMetrics(const std::vector<EpochMetrics>& serial,
                             const std::vector<EpochMetrics>& parallel) {
   ASSERT_EQ(serial.size(), parallel.size());
@@ -62,10 +67,11 @@ void ExpectIdenticalMetrics(const std::vector<EpochMetrics>& serial,
     EXPECT_EQ(serial[e].epoch, parallel[e].epoch);
     EXPECT_DOUBLE_EQ(serial[e].train_loss, parallel[e].train_loss);
     EXPECT_DOUBLE_EQ(serial[e].train_accuracy, parallel[e].train_accuracy);
-    EXPECT_DOUBLE_EQ(serial[e].test_loss, parallel[e].test_loss);
-    EXPECT_DOUBLE_EQ(serial[e].test_accuracy, parallel[e].test_accuracy);
-    EXPECT_DOUBLE_EQ(serial[e].test_top5_accuracy,
-                     parallel[e].test_top5_accuracy);
+    EXPECT_EQ(Bits(serial[e].test_loss), Bits(parallel[e].test_loss));
+    EXPECT_EQ(Bits(serial[e].test_accuracy),
+              Bits(parallel[e].test_accuracy));
+    EXPECT_EQ(Bits(serial[e].test_top5_accuracy),
+              Bits(parallel[e].test_top5_accuracy));
     EXPECT_DOUBLE_EQ(serial[e].virtual_seconds, parallel[e].virtual_seconds);
     EXPECT_DOUBLE_EQ(serial[e].comm.comm_seconds,
                      parallel[e].comm.comm_seconds);
@@ -169,6 +175,73 @@ TEST(ThreadCountDeterminismTest, ConvNetSerialMatchesFourThreads) {
   const RunResult serial = RunTraining(factory, options, train, test, 1);
   options.execution = ExecutionContext::WithThreads(4);
   const RunResult parallel = RunTraining(factory, options, train, test, 1);
+
+  ExpectIdenticalMetrics(serial.metrics, parallel.metrics);
+  EXPECT_EQ(serial.checkpoint, parallel.checkpoint);
+}
+
+// BatchNorm and residual blocks: Evaluate's eval passes run on every pool
+// thread, each over its own slice of the eval batch.
+TEST(ThreadCountDeterminismTest, MiniResNetSerialMatchesFourThreads) {
+  SyntheticImageOptions image_options;
+  image_options.num_classes = 10;
+  image_options.channels = 1;
+  image_options.height = 8;
+  image_options.width = 8;
+  image_options.num_samples = 64;
+  image_options.signal = 1.2f;
+  image_options.noise = 0.8f;
+  const SyntheticImageDataset train(image_options);
+  image_options.num_samples = 45;
+  image_options.sample_offset = 1 << 20;
+  const SyntheticImageDataset test(image_options);
+
+  const auto factory = [](uint64_t seed) {
+    return BuildMiniResNet(1, 8, /*num_blocks=*/1, /*width=*/4, 10, seed);
+  };
+  TrainerOptions options;
+  options.num_gpus = 4;
+  options.global_batch_size = 16;
+  options.eval_batch_size = 16;  // batches of 16, 16 and 13
+  options.codec = QsgdSpec(4);
+  options.seed = 5;
+
+  options.execution = ExecutionContext::Serial();
+  const RunResult serial = RunTraining(factory, options, train, test, 2);
+  options.execution = ExecutionContext::WithThreads(4);
+  const RunResult parallel = RunTraining(factory, options, train, test, 2);
+
+  ExpectIdenticalMetrics(serial.metrics, parallel.metrics);
+  EXPECT_EQ(serial.checkpoint, parallel.checkpoint);
+}
+
+// Stacked LSTMs: the eval stacks are per thread.
+TEST(ThreadCountDeterminismTest, DeepLstmSerialMatchesFourThreads) {
+  SyntheticSequenceOptions sequence_options;
+  sequence_options.num_classes = 8;
+  sequence_options.time_steps = 5;
+  sequence_options.frame_dim = 6;
+  sequence_options.num_samples = 64;
+  const SyntheticSequenceDataset train(sequence_options);
+  sequence_options.num_samples = 45;
+  sequence_options.sample_offset = 1 << 20;
+  const SyntheticSequenceDataset test(sequence_options);
+
+  const auto factory = [](uint64_t seed) {
+    return BuildDeepLstmClassifier(6, 8, /*num_lstm_layers=*/2, 8, seed);
+  };
+  TrainerOptions options;
+  options.num_gpus = 4;
+  options.global_batch_size = 16;
+  options.eval_batch_size = 16;
+  options.codec = TopKSpec(0.25);
+  options.primitive = CommPrimitive::kNccl;
+  options.seed = 9;
+
+  options.execution = ExecutionContext::Serial();
+  const RunResult serial = RunTraining(factory, options, train, test, 2);
+  options.execution = ExecutionContext::WithThreads(4);
+  const RunResult parallel = RunTraining(factory, options, train, test, 2);
 
   ExpectIdenticalMetrics(serial.metrics, parallel.metrics);
   EXPECT_EQ(serial.checkpoint, parallel.checkpoint);

@@ -1,11 +1,18 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "core/trainer.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/thread_pool.h"
+#include "data/dataset.h"
 #include "data/synthetic.h"
+#include "nn/loss.h"
 #include "nn/model_zoo.h"
 
 namespace lpsgd {
@@ -297,6 +304,68 @@ TEST(SyncTrainerTest, EvaluateCountsAllSamples) {
   EXPECT_GE(eval.correct, 0);
   EXPECT_LE(eval.correct, 100);
   EXPECT_GT(eval.loss_sum, 0.0);
+}
+
+// Reference evaluation: one eval Forward of replica 0 per batch on the
+// calling thread, the batch sums added in batch order.
+EvalResult SerialReferenceEvaluate(Network& net, const Dataset& dataset,
+                                   int64_t batch_size) {
+  EvalResult total;
+  std::vector<int64_t> indices;
+  for (int64_t begin = 0; begin < dataset.NumSamples();
+       begin += batch_size) {
+    const int64_t end = std::min(begin + batch_size, dataset.NumSamples());
+    indices.clear();
+    for (int64_t i = begin; i < end; ++i) indices.push_back(i);
+    const Batch batch = MakeBatch(dataset, indices);
+    const Tensor logits = net.Forward(batch.inputs, /*training=*/false);
+    const EvalResult r = EvaluateSoftmaxCrossEntropy(logits, batch.labels);
+    total.loss_sum += r.loss_sum;
+    total.correct += r.correct;
+    total.correct_top5 += r.correct_top5;
+  }
+  return total;
+}
+
+TEST(SyncTrainerTest, ParallelEvaluateMatchesSerialLoopBitForBit) {
+  // Ten classes, so top-5 is not trivially every sample; 263 test samples,
+  // which neither 7 nor 256 divides, nor 2 or 3 threads a batch of 7.
+  SyntheticImageOptions image_options;
+  image_options.num_classes = 10;
+  image_options.channels = 1;
+  image_options.height = 4;
+  image_options.width = 4;
+  image_options.num_samples = 64;
+  image_options.signal = 1.0f;
+  image_options.noise = 1.0f;
+  const SyntheticImageDataset train(image_options);
+  image_options.num_samples = 263;
+  image_options.sample_offset = 1 << 20;
+  const SyntheticImageDataset test(image_options);
+
+  for (const int threads : {1, 2, 3}) {
+    for (const int64_t eval_batch : {int64_t{1}, int64_t{7}, int64_t{256}}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, eval batch "
+                                      << eval_batch);
+      TrainerOptions options = BaseOptions(2, FullPrecisionSpec());
+      options.eval_batch_size = eval_batch;
+      options.execution = ExecutionContext::WithThreads(threads);
+      auto trainer =
+          SyncTrainer::Create(MlpFactory({16, 12, 10}), options);
+      ASSERT_TRUE(trainer.ok());
+      ASSERT_TRUE((*trainer)->Train(train, test, 1).ok());
+
+      const EvalResult parallel = (*trainer)->Evaluate(test);
+      const EvalResult serial =
+          SerialReferenceEvaluate((*trainer)->replica(0), test, eval_batch);
+      EXPECT_EQ(std::bit_cast<uint64_t>(parallel.loss_sum),
+                std::bit_cast<uint64_t>(serial.loss_sum))
+          << parallel.loss_sum << " vs " << serial.loss_sum;
+      EXPECT_EQ(parallel.correct, serial.correct);
+      EXPECT_EQ(parallel.correct_top5, serial.correct_top5);
+      EXPECT_LT(serial.correct_top5, test.NumSamples());
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // Allocation-regression tests for the layer compute path: after warm-up, a
 // Conv2dLayer training pass, an LstmLayer training pass and a ReLU pass
 // allocate only the tensors they return, with every im2col, Gemm, stack
-// and cache buffer reused. This test
+// and cache buffer reused; so does an eval pass of each on a thread whose
+// per-thread scratch is warm. This test
 // overrides the global allocator to count allocations, so it lives in its
 // own binary (nn_allocation_test) and must not be merged into nn_test.
 #include <atomic>
@@ -164,6 +165,72 @@ TEST(LayerAllocationTest, ReluPassAllocatesOnlyItsResults) {
     EXPECT_EQ(CountAllocations([&] { input_grad = relu.Backward(grad); }),
               per_tensor)
         << "backward, pass " << pass;
+  }
+}
+
+// SyncTrainer::Evaluate runs eval passes on every pool thread; each thread
+// warms its own scratch once and then allocates only the results. The
+// conv_compute body conv at a 32-sample eval slice, two full eval chunks.
+TEST(LayerAllocationTest, ConvEvalPassAllocatesOnlyItsResult) {
+  Rng rng(14);
+  Conv2dLayer conv("conv", 16, 16, 3, 1, 1, &rng);
+  const Shape shape({32, 16, 16, 16});
+  Tensor input(shape);
+  input.FillGaussian(&rng, 1.0f);
+
+  Tensor output = conv.Forward(input, /*training=*/false);
+  const int64_t per_tensor = AllocationsPerTensor(shape);
+  for (int pass = 0; pass < 3; ++pass) {
+    EXPECT_EQ(CountAllocations([&] {
+                output = conv.Forward(input, /*training=*/false);
+              }),
+              per_tensor)
+        << "pass " << pass;
+  }
+}
+
+// The lstm_sparse_nccl layers at a 16-sample eval slice and 20 timesteps.
+TEST(LayerAllocationTest, LstmEvalPassAllocatesOnlyItsResult) {
+  struct LstmShape {
+    int input_dim;
+    bool return_sequences;
+  };
+  for (const LstmShape s : {LstmShape{32, true}, LstmShape{64, false}}) {
+    SCOPED_TRACE(s.input_dim);
+    Rng rng(15);
+    LstmLayer lstm("lstm", s.input_dim, 64, &rng, s.return_sequences);
+    Tensor input(Shape({16, 20, s.input_dim}));
+    input.FillGaussian(&rng, 1.0f);
+    const Shape output_shape =
+        s.return_sequences ? Shape({16, 20, 64}) : Shape({16, 64});
+
+    Tensor output = lstm.Forward(input, /*training=*/false);
+    const int64_t per_tensor = AllocationsPerTensor(output_shape);
+    for (int pass = 0; pass < 3; ++pass) {
+      EXPECT_EQ(CountAllocations([&] {
+                  output = lstm.Forward(input, /*training=*/false);
+                }),
+                per_tensor)
+          << "pass " << pass;
+    }
+  }
+}
+
+TEST(LayerAllocationTest, ReluEvalPassAllocatesOnlyItsResult) {
+  Rng rng(16);
+  ActivationLayer relu("relu", ActivationKind::kRelu);
+  const Shape shape({16, 16, 16, 16});
+  Tensor input(shape);
+  input.FillGaussian(&rng, 1.0f);
+
+  Tensor output = relu.Forward(input, /*training=*/false);
+  const int64_t per_tensor = AllocationsPerTensor(shape);
+  for (int pass = 0; pass < 3; ++pass) {
+    EXPECT_EQ(CountAllocations([&] {
+                output = relu.Forward(input, /*training=*/false);
+              }),
+              per_tensor)
+        << "pass " << pass;
   }
 }
 
