@@ -97,10 +97,6 @@ StatusOr<std::unique_ptr<SyncTrainer>> SyncTrainer::Create(
   for (int r = 0; r < resolved.num_gpus; ++r) {
     replicas.push_back(factory(resolved.seed));
   }
-  // Defend against non-deterministic factories: force identical weights.
-  for (int r = 1; r < resolved.num_gpus; ++r) {
-    replicas[static_cast<size_t>(r)].CopyParamsFrom(replicas[0]);
-  }
 
   LPSGD_ASSIGN_OR_RETURN(
       std::unique_ptr<GradientAggregator> aggregator,
@@ -112,6 +108,8 @@ StatusOr<std::unique_ptr<SyncTrainer>> SyncTrainer::Create(
 
   std::unique_ptr<SyncTrainer> trainer(new SyncTrainer(
       resolved, std::move(replicas), std::move(aggregator)));
+  // Defend against non-deterministic factories: force identical weights.
+  trainer->MirrorParams();
   LPSGD_RETURN_IF_ERROR(trainer->SetUpDurableCheckpoint());
   return trainer;
 }
@@ -153,6 +151,7 @@ SyncTrainer::SyncTrainer(TrainerOptions options,
                          std::unique_ptr<GradientAggregator> aggregator)
     : options_(std::move(options)),
       replicas_(std::move(replicas)),
+      optimizer_(options_.learning_rate, options_.momentum),
       aggregator_(std::move(aggregator)),
       live_gpus_(static_cast<int>(replicas_.size())),
       active_plan_(options_.fault_tolerance.plan) {
@@ -193,11 +192,6 @@ SyncTrainer::SyncTrainer(TrainerOptions options,
     }
   }
 
-  optimizers_.reserve(replicas_.size());
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    optimizers_.emplace_back(options_.learning_rate, options_.momentum);
-  }
-
   slot_phases_.resize(static_cast<size_t>(options_.execution.threads()));
 }
 
@@ -229,7 +223,7 @@ void SyncTrainer::CaptureStateAt(double loss_sum, int64_t correct,
     entry.dims = value.shape().dims();
     entry.data.assign(value.data(), value.data() + value.size());
   }
-  const std::vector<Tensor>& velocity = optimizers_[0].velocity();
+  const std::vector<Tensor>& velocity = optimizer_.velocity();
   state->optimizer.resize(velocity.size());
   for (size_t m = 0; m < velocity.size(); ++m) {
     ckpt::TensorEntry& entry = state->optimizer[m];
@@ -326,9 +320,7 @@ void SyncTrainer::InstallState(const ckpt::TrainerState& state) {
     std::copy(state.params[m].data.begin(), state.params[m].data.end(),
               replica_params_[0][m].value->data());
   }
-  for (size_t r = 1; r < replicas_.size(); ++r) {
-    replicas_[r].CopyParamsFrom(replicas_[0]);
-  }
+  MirrorParams();
   std::vector<Tensor> velocity;
   velocity.reserve(state.optimizer.size());
   for (const ckpt::TensorEntry& entry : state.optimizer) {
@@ -336,7 +328,7 @@ void SyncTrainer::InstallState(const ckpt::TrainerState& state) {
     std::copy(entry.data.begin(), entry.data.end(), tensor.data());
     velocity.push_back(std::move(tensor));
   }
-  for (auto& optimizer : optimizers_) optimizer.set_velocity(velocity);
+  optimizer_.set_velocity(std::move(velocity));
   // Residuals, remapped elastically (see Restore()); an empty section
   // keeps the current ones.
   const int old_ranks = static_cast<int>(state.residuals.size());
@@ -380,13 +372,13 @@ Status SyncTrainer::ApplyState(const ckpt::TrainerState& state) {
   virtual_seconds_ = state.virtual_seconds;
   epochs_completed_ = state.epochs_completed;
   // Re-derive the effective learning rate for the resume position: the
-  // optimizers are fresh, so schedule entries from earlier epochs must be
+  // optimizer is fresh, so schedule entries from earlier epochs must be
   // re-applied (Train() only applies the entry for the epoch it starts).
   float lr = options_.learning_rate;
   for (const auto& [at_epoch, scheduled] : options_.lr_schedule) {
     if (at_epoch <= state.epochs_completed) lr = scheduled;
   }
-  for (auto& optimizer : optimizers_) optimizer.set_learning_rate(lr);
+  optimizer_.set_learning_rate(lr);
   pending_resume_ =
       state.epoch_batch_cursor > 0 || state.epoch_samples > 0;
   resume_cursor_ = state.epoch_batch_cursor;
@@ -427,6 +419,18 @@ Status SyncTrainer::AfterCommit(double loss_sum, int64_t correct,
     return fault::ProcessKillError(iteration_);
   }
   return OkStatus();
+}
+
+void SyncTrainer::MirrorParams() {
+  CHECK_OK(options_.execution.ParallelFor(
+      1, live_gpus_, [this](int64_t rank) -> Status {
+        const std::vector<ParamRef>& params =
+            replica_params_[static_cast<size_t>(rank)];
+        for (size_t m = 0; m < params.size(); ++m) {
+          *params[m].value = *replica_params_[0][m].value;  // no allocation
+        }
+        return OkStatus();
+      }));
 }
 
 Network& SyncTrainer::replica(int rank) {
@@ -534,23 +538,16 @@ Status SyncTrainer::TrainIteration(const Batch& batch, double* loss_sum,
   virtual_seconds_ += stats.TotalSeconds() +
                       options_.virtual_compute_seconds_per_iter;
 
-  // Phase 3 (parallel across ranks): identical averaged update. Each rank
-  // scales and steps only its own parameters and momentum state.
-  const float inv_k = 1.0f / static_cast<float>(k);
-  LPSGD_RETURN_IF_ERROR(options_.execution.ParallelFor(
-      0, k, [&](int64_t r) -> Status {
-        const int slot_id = ThreadPool::CurrentSlot();
-        CHECK_LT(static_cast<size_t>(slot_id), slot_phases_.size());
-        obs::Span optimizer_span(obs::kPhaseOptimizer,
-                                 &slot_phases_[static_cast<size_t>(slot_id)],
-                                 -1, static_cast<int>(r));
-        for (ParamRef& param : replica_params_[static_cast<size_t>(r)]) {
-          Scale(inv_k, param.grad);
-        }
-        optimizers_[static_cast<size_t>(r)].Step(
-            replica_params_[static_cast<size_t>(r)]);
-        return OkStatus();
-      }));
+  // Phase 3: identical averaged update. Every rank holds the same reduced
+  // gradient, so rank 0's alone is scaled and stepped, and the stepped
+  // parameters are mirrored into the other ranks.
+  {
+    obs::Span optimizer_span(obs::kPhaseOptimizer, &slot_phases_[0]);
+    const float inv_k = 1.0f / static_cast<float>(k);
+    for (ParamRef& param : replica_params_[0]) Scale(inv_k, param.grad);
+    optimizer_.Step(replica_params_[0]);
+    MirrorParams();
+  }
 
   // Commit only now that every phase succeeded: a failed iteration must
   // leave the epoch accumulators and the iteration counter untouched so a
@@ -594,9 +591,7 @@ StatusOr<std::vector<EpochMetrics>> SyncTrainer::Train(const Dataset& train,
   for (int e = 0; e < epochs; ++e) {
     const int epoch = epochs_completed_;
     for (const auto& [at_epoch, lr] : options_.lr_schedule) {
-      if (at_epoch == epoch) {
-        for (auto& optimizer : optimizers_) optimizer.set_learning_rate(lr);
-      }
+      if (at_epoch == epoch) optimizer_.set_learning_rate(lr);
     }
 
     obs::Span epoch_span(kEpochSpan);
@@ -711,7 +706,6 @@ Status SyncTrainer::DropRank(int rank) {
   }
   const size_t r = static_cast<size_t>(rank);
   replicas_.erase(replicas_.begin() + static_cast<std::ptrdiff_t>(r));
-  optimizers_.erase(optimizers_.begin() + static_cast<std::ptrdiff_t>(r));
   errors_.erase(errors_.begin() + static_cast<std::ptrdiff_t>(r));
   if (recovery_valid_) {
     recovery_.residuals.erase(recovery_.residuals.begin() +

@@ -66,7 +66,7 @@ struct TrainerOptions {
   ckpt::DurableCheckpointOptions durable_checkpoint;
 
   // Host-side execution of the per-rank work (forward/backward, codec
-  // kernels, optimizer steps). Defaults to one pool sized to the hardware
+  // kernels, parameter mirror). Defaults to one pool sized to the hardware
   // concurrency; ExecutionContext::Serial() reproduces the historical
   // rank-by-rank order. Results are bit-identical at any thread count.
   ExecutionContext execution;
@@ -100,9 +100,9 @@ obs::JsonValue EpochMetricsToJson(const EpochMetrics& metrics);
 // Ranks execute sequentially in program order but semantically in
 // parallel: every rank computes gradients on its shard of the global
 // batch, gradients are exchanged through a GradientAggregator (MPI
-// reduce-and-broadcast or NCCL ring), and each rank applies the identical
-// averaged update — so replicas stay bit-identical, which is also a tested
-// invariant.
+// reduce-and-broadcast or NCCL ring), and every rank receives the identical
+// averaged gradient, so one optimizer steps rank 0's parameters and they
+// are copied into the other replicas: bit-identical by construction.
 class SyncTrainer {
  public:
   // Builds one model replica; must be deterministic in `seed` (every rank
@@ -176,7 +176,7 @@ class SyncTrainer {
 
   // Runs one synchronous iteration on `batch`; on success adds the batch's
   // summed loss and correct count to the outputs. On failure nothing is
-  // committed — replicas, optimizers, residuals, the iteration counter,
+  // committed — replicas, the optimizer, residuals, the iteration counter,
   // and the epoch accumulators are all as they were before the call (the
   // aggregator contract plus commit-on-success ordering make the iteration
   // a transaction), so a failed step can be retried or rolled over.
@@ -210,10 +210,13 @@ class SyncTrainer {
   // residual sizes.
   Status ValidateState(const ckpt::TrainerState& state) const;
   // Installs a validated state's parameters (into every replica),
-  // momentum (into every optimizer), per-rank residuals (with the elastic
+  // momentum (into the optimizer), per-rank residuals (with the elastic
   // remap described on Restore()) and iteration counter. Shared by
   // rollback and ApplyState.
   void InstallState(const ckpt::TrainerState& state);
+  // Copies rank 0's parameters into ranks 1..live_gpus_-1, one rank per
+  // pool task.
+  void MirrorParams();
   // Restores a decoded checkpoint: InstallState plus the aggregator
   // section, the virtual clock, the epoch count, the learning rate for
   // that epoch and the mid-epoch resume markers. Fails without side
@@ -230,7 +233,7 @@ class SyncTrainer {
   TrainerOptions options_;
   std::vector<Network> replicas_;
   std::vector<std::vector<ParamRef>> replica_params_;  // [rank][matrix]
-  std::vector<SgdMomentumOptimizer> optimizers_;       // one per rank
+  SgdMomentumOptimizer optimizer_;  // steps rank 0; see MirrorParams
   std::unique_ptr<GradientAggregator> aggregator_;
   // Error-feedback residuals: [rank][matrix] (empty when codec has none).
   std::vector<std::vector<std::vector<float>>> errors_;

@@ -25,10 +25,10 @@ class SgdMomentumOptimizer {
   // must already hold the (globally averaged) gradient for `params[i]`.
   void Step(const std::vector<ParamRef>& params);
 
-  // Momentum-state access for in-memory recovery snapshots (SyncTrainer's
-  // rollback-and-retry): velocity() copies out the per-parameter buffers,
-  // set_velocity restores them. An empty vector resets to the lazily-sized
-  // initial state.
+  // Momentum-state access for recovery snapshots and checkpoints
+  // (SyncTrainer's rollback-and-retry and durable saves): velocity() reads
+  // the per-parameter buffers in place, set_velocity replaces them. An
+  // empty vector resets to the lazily-sized initial state.
   const std::vector<Tensor>& velocity() const { return velocity_; }
   void set_velocity(std::vector<Tensor> velocity) {
     velocity_ = std::move(velocity);

@@ -39,6 +39,7 @@ class Shape {
   friend bool operator!=(const Shape& a, const Shape& b) { return !(a == b); }
 
  private:
+  friend class Tensor;  // Resize assigns dims_ in place, without allocating
   std::vector<int64_t> dims_;
 };
 

@@ -40,10 +40,8 @@ void Tensor::Reshape(Shape shape) {
 }
 
 void Tensor::Resize(std::initializer_list<int64_t> dims) {
-  const std::vector<int64_t>& current = shape_.dims();
-  if (!std::equal(dims.begin(), dims.end(), current.begin(), current.end())) {
-    shape_ = Shape(dims);
-  }
+  for (int64_t d : dims) CHECK_GE(d, 0);
+  shape_.dims_.assign(dims);  // reuses the dims' capacity
   data_.resize(static_cast<size_t>(shape_.element_count()));
 }
 

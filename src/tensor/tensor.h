@@ -54,8 +54,8 @@ class Tensor {
   // Reinterprets the buffer with a new shape of identical element count.
   void Reshape(Shape shape);
 
-  // Gives the tensor the shape `dims`, keeping its storage's capacity: it
-  // allocates only when the shape changes or the storage must grow. Element
+  // Gives the tensor the shape `dims`, keeping the capacity of its storage
+  // and of its dims: it allocates only when either must grow. Element
   // values are unspecified afterwards. For scratch reused across calls.
   void Resize(std::initializer_list<int64_t> dims);
 

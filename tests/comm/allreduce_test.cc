@@ -2,14 +2,19 @@
 #include "comm/allreduce.h"
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "../quant/canonical_spec.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "comm/mpi_reduce_bcast.h"
 #include "comm/nccl_ring.h"
 #include "machine/specs.h"
+#include "quant/registry.h"
 #include "tensor/tensor.h"
 
 namespace lpsgd {
@@ -108,19 +113,40 @@ TEST_P(AllReduceRankCountTest, NcclComputesExactSum) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, AllReduceRankCountTest,
                          ::testing::Values(1, 2, 3, 4, 8, 16));
 
-TEST(MpiAllReduceTest, AllRanksReceiveIdenticalQuantizedAggregate) {
+// Every rank must leave AllReduce with the same reduced gradient, byte for
+// byte: the trainer steps rank 0's parameters alone and copies them to the
+// other ranks. Every codec family, both engines, serial and on 4 threads,
+// with one quantized and one policy-bypassed slot.
+TEST(AllReduceTest, AllRanksReceiveIdenticalAggregate) {
   const int k = 4;
-  auto agg = CreateAggregator(CommPrimitive::kMpi, k, QsgdSpec(4),
-                              Ec2P2_8xlarge(), ExecutionContext::Serial());
-  ASSERT_TRUE(agg.ok());
-  std::vector<TestMatrix> matrices;
-  matrices.push_back(MakeMatrix(Shape({32, 16}), k, 4));
-  auto slots = MakeSlots(matrices, k);
-  ASSERT_TRUE((*agg)->AllReduce(&slots, 0).ok());
-  for (int r = 1; r < k; ++r) {
-    for (int64_t i = 0; i < 512; ++i) {
-      EXPECT_EQ(matrices[0].rank_grads[static_cast<size_t>(r)].at(i),
-                matrices[0].rank_grads[0].at(i));
+  for (const std::string& name : CodecRegistry::Global().Names()) {
+    StatusOr<CodecSpec> spec = CanonicalSpec(name);
+    ASSERT_TRUE(spec.ok()) << name << ": " << spec.status();
+    for (CommPrimitive primitive :
+         {CommPrimitive::kMpi, CommPrimitive::kNccl}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(StrCat(spec->Label(), " ", CommPrimitiveName(primitive),
+                            " threads=", threads));
+        auto agg = CreateAggregator(primitive, k, *spec, Ec2P2_8xlarge(),
+                                    ExecutionContext::WithThreads(threads));
+        ASSERT_TRUE(agg.ok()) << agg.status();
+        std::vector<TestMatrix> matrices;
+        matrices.push_back(MakeMatrix(Shape({32, 16}), k, 4));
+        matrices.push_back(MakeMatrix(Shape({40}), k, 9));
+        auto slots = MakeSlots(matrices, k);
+        slots[1].quantized = false;  // small-matrix bypass
+        ASSERT_TRUE((*agg)->AllReduce(&slots, 0).ok());
+        for (const TestMatrix& m : matrices) {
+          const size_t bytes =
+              sizeof(float) * static_cast<size_t>(m.shape.element_count());
+          for (int r = 1; r < k; ++r) {
+            EXPECT_EQ(std::memcmp(m.rank_grads[static_cast<size_t>(r)].data(),
+                                  m.rank_grads[0].data(), bytes),
+                      0)
+                << "rank " << r << ", matrix " << m.shape.ToString();
+          }
+        }
+      }
     }
   }
 }

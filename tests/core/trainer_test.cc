@@ -5,15 +5,24 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/logging.h"
 #include "base/thread_pool.h"
+#include "ckpt/format.h"
+#include "comm/allreduce.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
+#include "nn/optimizer.h"
+#include "quant/policy.h"
+#include "tensor/ops.h"
 
 namespace lpsgd {
 namespace {
@@ -124,45 +133,175 @@ TEST(TrainerOptionsValidateTest, RejectsNegativeThreadRequest) {
   EXPECT_FALSE(SyncTrainer::Create(MlpFactory({16, 8, 4}), options).ok());
 }
 
-// Central invariant of synchronous data-parallel SGD: all replicas remain
-// bit-identical after every iteration, for every codec.
-class ReplicaConsistencyTest
-    : public ::testing::TestWithParam<CodecSpec> {};
+// Central invariant of synchronous data-parallel SGD: every rank applies
+// the identical averaged update, so K replicas each stepped by their own
+// optimizer stay bit-identical. The trainer instead steps rank 0 once and
+// mirrors its parameters, so it is checked against that K-optimizer loop,
+// kept here as the reference, on the same batch stream.
+struct ReferenceRun {
+  std::vector<Network> replicas;
+  std::vector<SgdMomentumOptimizer> optimizers;
+};
 
-TEST_P(ReplicaConsistencyTest, ReplicasStayIdentical) {
-  TrainerOptions options = BaseOptions(4, GetParam());
-  auto trainer = SyncTrainer::Create(MlpFactory({16, 12, 4}), options);
+ReferenceRun TrainReference(const SyncTrainer::NetworkFactory& factory,
+                            const TrainerOptions& options,
+                            const Dataset& train, int epochs) {
+  const int k = options.num_gpus;
+  ReferenceRun run;
+  std::vector<std::vector<ParamRef>> params;
+  for (int r = 0; r < k; ++r) {
+    run.replicas.push_back(factory(options.seed));
+    run.optimizers.emplace_back(options.learning_rate, options.momentum);
+  }
+  for (int r = 0; r < k; ++r) {
+    Network& replica = run.replicas[static_cast<size_t>(r)];
+    if (r > 0) replica.CopyParamsFrom(run.replicas[0]);
+    params.push_back(replica.Params());
+  }
+  const std::vector<bool> quantized =
+      ChooseQuantizedMatrices(params[0], options.policy);
+  auto codec = options.codec.Create();
+  CHECK_OK(codec.status());
+  std::vector<std::vector<std::vector<float>>> errors(
+      static_cast<size_t>(k),
+      std::vector<std::vector<float>>(params[0].size()));
+  for (size_t m = 0; m < params[0].size(); ++m) {
+    const Shape& shape = params[0][m].quant_shape;
+    if ((*codec)->UsesErrorFeedback() && quantized[m] &&
+        (options.primitive == CommPrimitive::kMpi ||
+         (*codec)->SparseCount(shape) > 0)) {
+      for (auto& rank_errors : errors) {
+        rank_errors[m].assign(static_cast<size_t>(shape.element_count()),
+                              0.0f);
+      }
+    }
+  }
+  auto aggregator = CreateAggregator(options.primitive, k, options.codec,
+                                     options.machine,
+                                     ExecutionContext::Serial());
+  CHECK_OK(aggregator.status());
+
+  BatchIterator iterator(&train, options.global_batch_size,
+                         options.seed ^ 0xdadaULL);
+  int64_t iteration = 0;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    iterator.StartEpoch(epoch);
+    Batch batch;
+    while (iterator.NextBatch(&batch)) {
+      CHECK_EQ(batch.size(), options.global_batch_size);
+      const int64_t shard = batch.size() / k;
+      const int64_t sample_elems = batch.inputs.size() / batch.size();
+      std::vector<int64_t> dims = batch.inputs.shape().dims();
+      dims[0] = shard;
+      for (int r = 0; r < k; ++r) {
+        Network& replica = run.replicas[static_cast<size_t>(r)];
+        replica.ZeroGrads();
+        Tensor inputs{Shape(dims)};
+        std::copy(batch.inputs.data() + r * shard * sample_elems,
+                  batch.inputs.data() + (r + 1) * shard * sample_elems,
+                  inputs.data());
+        const std::vector<int> labels(batch.labels.begin() + r * shard,
+                                      batch.labels.begin() + (r + 1) * shard);
+        const Tensor logits = replica.Forward(inputs, /*training=*/true);
+        replica.Backward(SoftmaxCrossEntropy(logits, labels).logits_grad);
+      }
+      std::vector<MatrixSlot> slots(params[0].size());
+      for (size_t m = 0; m < slots.size(); ++m) {
+        slots[m].quant_shape = params[0][m].quant_shape;
+        slots[m].quantized = quantized[m];
+        for (int r = 0; r < k; ++r) {
+          slots[m].rank_grads.push_back(
+              params[static_cast<size_t>(r)][m].grad->data());
+          slots[m].rank_errors.push_back(&errors[static_cast<size_t>(r)][m]);
+        }
+      }
+      CHECK_OK((*aggregator)->AllReduce(&slots, iteration).status());
+      for (int r = 0; r < k; ++r) {
+        for (ParamRef& param : params[static_cast<size_t>(r)]) {
+          Scale(1.0f / static_cast<float>(k), param.grad);
+        }
+        run.optimizers[static_cast<size_t>(r)].Step(
+            params[static_cast<size_t>(r)]);
+      }
+      ++iteration;
+    }
+  }
+  return run;
+}
+
+// The LPCK params and optimizer sections alone, serialized.
+std::string ParamsAndMomentumBytes(const ckpt::TrainerState& state) {
+  ckpt::TrainerState sections;
+  sections.params = state.params;
+  sections.optimizer = state.optimizer;
+  return ckpt::Serialize(sections);
+}
+
+class ReplicaConsistencyTest
+    : public ::testing::TestWithParam<std::tuple<CodecSpec, CommPrimitive>> {
+};
+
+TEST_P(ReplicaConsistencyTest, MatchesOneOptimizerPerReplica) {
+  TrainerOptions options = BaseOptions(4, std::get<0>(GetParam()));
+  options.primitive = std::get<1>(GetParam());
+  const SyncTrainer::NetworkFactory factory = MlpFactory({16, 12, 4});
+  auto trainer = SyncTrainer::Create(factory, options);
   ASSERT_TRUE(trainer.ok());
   const auto train = TrainSet();
   const auto test = TestSet(32);
   ASSERT_TRUE((*trainer)->Train(train, test, 2).ok());
 
-  auto params0 = (*trainer)->replica(0).Params();
+  ReferenceRun reference = TrainReference(factory, options, train, 2);
+  ckpt::TrainerState expected;
+  for (ParamRef& param : reference.replicas[0].Params()) {
+    const Tensor& value = *param.value;
+    expected.params.push_back(
+        {param.name, value.shape().dims(),
+         std::vector<float>(value.data(), value.data() + value.size())});
+  }
+  for (const Tensor& velocity : reference.optimizers[0].velocity()) {
+    expected.optimizer.push_back(
+        {"", velocity.shape().dims(),
+         std::vector<float>(velocity.data(),
+                            velocity.data() + velocity.size())});
+  }
+  EXPECT_EQ(ParamsAndMomentumBytes((*trainer)->CaptureState()),
+            ParamsAndMomentumBytes(expected));
+
   for (int r = 1; r < 4; ++r) {
-    auto params = (*trainer)->replica(r).Params();
-    ASSERT_EQ(params.size(), params0.size());
+    SCOPED_TRACE(r);
+    const std::vector<ParamRef> params = (*trainer)->replica(r).Params();
+    const std::vector<ParamRef> reference_params =
+        reference.replicas[static_cast<size_t>(r)].Params();
+    ASSERT_EQ(params.size(), reference_params.size());
     for (size_t m = 0; m < params.size(); ++m) {
-      for (int64_t i = 0; i < params[m].value->size(); ++i) {
-        ASSERT_EQ(params[m].value->at(i), params0[m].value->at(i))
-            << "rank " << r << " matrix " << m << " elem " << i;
-      }
+      ASSERT_EQ(params[m].value->size(), reference_params[m].value->size());
+      EXPECT_EQ(std::memcmp(params[m].value->data(),
+                            reference_params[m].value->data(),
+                            sizeof(float) *
+                                static_cast<size_t>(params[m].value->size())),
+                0)
+          << params[m].name;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Codecs, ReplicaConsistencyTest,
-    ::testing::Values(FullPrecisionSpec(), QsgdSpec(4), QsgdSpec(8),
-                      OneBitSgdSpec(), OneBitSgdReshapedSpec(16),
-                      TopKSpec(0.25), AdaptiveQsgdSpec(4), TernGradSpec(),
-                      NuqsgdSpec(4), EcqSgdSpec(4)),
-    [](const ::testing::TestParamInfo<CodecSpec>& info) {
-      std::string name = info.param.Label();
+    ::testing::Combine(
+        ::testing::Values(FullPrecisionSpec(), QsgdSpec(4), QsgdSpec(8),
+                          OneBitSgdSpec(), OneBitSgdReshapedSpec(16),
+                          TopKSpec(0.25), AdaptiveQsgdSpec(4), TernGradSpec(),
+                          NuqsgdSpec(4), EcqSgdSpec(4)),
+        ::testing::Values(CommPrimitive::kMpi, CommPrimitive::kNccl)),
+    [](const ::testing::TestParamInfo<
+        std::tuple<CodecSpec, CommPrimitive>>& info) {
       std::string out;
-      for (char c : name) {
+      for (char c : std::get<0>(info.param).Label()) {
         if (std::isalnum(static_cast<unsigned char>(c))) out += c;
       }
-      return out;
+      return out + (std::get<1>(info.param) == CommPrimitive::kMpi ? "Mpi"
+                                                                   : "Nccl");
     });
 
 // Regression: the NCCL ring really encodes sparse codecs (allgather of

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/strings.h"
 #include "ckpt/format.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -284,6 +285,34 @@ TEST(ChaosRecoveryTest, RankCrashDegradesToSurvivors) {
   EXPECT_EQ(delta.rollbacks, 1);
   EXPECT_EQ(delta.retries, 0);
   EXPECT_EQ(delta.checksum_failures, 0);
+}
+
+// Which rank crashes must not matter: the survivors hold identical
+// parameters and share one optimizer, and shards follow live-rank order.
+// Losing rank 0 — the rank whose parameters the trainer steps and mirrors —
+// must therefore commit the same state as losing rank 1.
+TEST(ChaosRecoveryTest, DroppingRankZeroMatchesDroppingRankOne) {
+  const auto train = MakeImages(128);
+  const auto test = MakeImages(64, 1 << 20);
+  for (const CodecSpec& codec : {FullPrecisionSpec(), QsgdSpec(4)}) {
+    for (CommPrimitive primitive :
+         {CommPrimitive::kMpi, CommPrimitive::kNccl}) {
+      SCOPED_TRACE(StrCat(codec.Label(), " ", CommPrimitiveName(primitive)));
+      std::string committed[2];
+      for (int rank : {0, 1}) {
+        TrainerOptions options = BaseOptions(codec, primitive);
+        auto plan = fault::FaultPlan::Parse(StrCat("crash@5:", rank));
+        ASSERT_TRUE(plan.ok()) << plan.status();
+        options.fault_tolerance.plan = *plan;
+        options.fault_tolerance.retry.max_retries = 1;
+        options.fault_tolerance.checkpoint_every = 2;
+        const RunResult result = RunTraining(options, train, test, 2);
+        ASSERT_EQ(result.live_gpus, 3);
+        committed[rank] = CommittedBytes(result.state);
+      }
+      EXPECT_EQ(committed[0], committed[1]);
+    }
+  }
 }
 
 // Without checkpoints (and without retry budget) a crash still degrades:

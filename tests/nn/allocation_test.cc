@@ -4,7 +4,8 @@
 // Conv2dLayer training pass, an LstmLayer training pass and a ReLU pass
 // allocate only the tensors they return, with every im2col, Gemm, stack
 // and cache buffer reused; so does an eval pass of each on a thread whose
-// per-thread scratch is warm. This test
+// per-thread scratch is warm, also when that scratch changes shape between
+// calls. This test
 // overrides the global allocator to count allocations, so it lives in its
 // own binary (nn_allocation_test) and must not be merged into nn_test.
 #include <atomic>
@@ -170,22 +171,27 @@ TEST(LayerAllocationTest, ReluPassAllocatesOnlyItsResults) {
 
 // SyncTrainer::Evaluate runs eval passes on every pool thread; each thread
 // warms its own scratch once and then allocates only the results. The
-// conv_compute body conv at a 32-sample eval slice, two full eval chunks.
+// conv_compute body conv at a 32-sample eval slice, two full eval chunks,
+// and at a 40-sample one, chunks of 16, 16 and 8 samples, whose per-thread
+// scratch changes shape within a pass and between passes.
 TEST(LayerAllocationTest, ConvEvalPassAllocatesOnlyItsResult) {
-  Rng rng(14);
-  Conv2dLayer conv("conv", 16, 16, 3, 1, 1, &rng);
-  const Shape shape({32, 16, 16, 16});
-  Tensor input(shape);
-  input.FillGaussian(&rng, 1.0f);
+  for (const int64_t batch : {32, 40}) {
+    SCOPED_TRACE(batch);
+    Rng rng(14);
+    Conv2dLayer conv("conv", 16, 16, 3, 1, 1, &rng);
+    const Shape shape({batch, 16, 16, 16});
+    Tensor input(shape);
+    input.FillGaussian(&rng, 1.0f);
 
-  Tensor output = conv.Forward(input, /*training=*/false);
-  const int64_t per_tensor = AllocationsPerTensor(shape);
-  for (int pass = 0; pass < 3; ++pass) {
-    EXPECT_EQ(CountAllocations([&] {
-                output = conv.Forward(input, /*training=*/false);
-              }),
-              per_tensor)
-        << "pass " << pass;
+    Tensor output = conv.Forward(input, /*training=*/false);
+    const int64_t per_tensor = AllocationsPerTensor(shape);
+    for (int pass = 0; pass < 3; ++pass) {
+      EXPECT_EQ(CountAllocations([&] {
+                  output = conv.Forward(input, /*training=*/false);
+                }),
+                per_tensor)
+          << "pass " << pass;
+    }
   }
 }
 
@@ -213,6 +219,30 @@ TEST(LayerAllocationTest, LstmEvalPassAllocatesOnlyItsResult) {
                 per_tensor)
           << "pass " << pass;
     }
+  }
+}
+
+// Both lstm_sparse_nccl layers evaluated back to back on one thread, as
+// one eval Forward of the network runs them: they share the thread's eval
+// scratch, whose input stack switches between widths 32 and 64.
+TEST(LayerAllocationTest, StackedLstmEvalPassesAllocateOnlyTheirResults) {
+  Rng rng(18);
+  LstmLayer first("lstm0", 32, 64, &rng, /*return_sequences=*/true);
+  LstmLayer second("lstm1", 64, 64, &rng, /*return_sequences=*/false);
+  Tensor input(Shape({16, 20, 32}));
+  input.FillGaussian(&rng, 1.0f);
+
+  Tensor hidden = first.Forward(input, /*training=*/false);
+  Tensor output = second.Forward(hidden, /*training=*/false);
+  const int64_t results = AllocationsPerTensor(hidden.shape()) +
+                          AllocationsPerTensor(output.shape());
+  for (int pass = 0; pass < 3; ++pass) {
+    EXPECT_EQ(CountAllocations([&] {
+                hidden = first.Forward(input, /*training=*/false);
+                output = second.Forward(hidden, /*training=*/false);
+              }),
+              results)
+        << "pass " << pass;
   }
 }
 
