@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 
 #include "base/thread_annotations.h"
 
@@ -93,21 +94,76 @@ uint32_t Crc32c(const uint8_t* bytes, int64_t n) {
   return ~crc;
 }
 
+LPSGD_HOT_PATH
+void TanhF32(const float* x, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = std::tanh(x[i]);
+}
+
+LPSGD_HOT_PATH
+void SigmoidF32(const float* x, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-x[i]));
+}
+
 }  // namespace simd_scalar
+
+#if defined(__x86_64__)
+namespace {
+
+// Inputs, as float bits, on which the AVX2 tanh must equal std::tanh before
+// it is installed: every fdlibm tanhf/expm1f branch (zero, subnormal, the
+// |x| < 2^-55 and 2^-25 shortcuts, expm1's k = 0, the +-1.5 ln2 reduction,
+// k = -3..-1 and k in [3, 23), [23, 56] and > 56, |x| >= 22, +-inf, NaN)
+// with the edges between them, and inputs where fdlibm and a correctly
+// rounded tanhf differ by an ulp (marked *). 32 entries: four full AVX2
+// vectors. volatile keeps the compiler from folding std::tanh of these
+// constants at build time: GCC folds with a correctly rounded tanhf, not
+// with this libm.
+const volatile uint32_t kTanhProbeBits[] = {
+    0x00000000, 0x80000001, 0x23ffffff, 0x24000000,  //
+    0x33000001, 0xba800003, 0x3e000000, 0xbe317001,  // * * * *
+    0x3e317218, 0xbe800002, 0x3f000001, 0xbf051001,  //   * * *
+    0x3f051592, 0xbf400003, 0x3f700001, 0xbf7fffff,  //   * *
+    0x3f800000, 0xbf800009, 0x40000009, 0xc08003a3,  //   * * *
+    0xc0f00000, 0x41000000, 0x4115b844, 0xc19b3333,
+    0x419e6666, 0xc1afffff, 0x41b00000, 0xc2c80000,
+    0x7f800000, 0xff800000, 0x7fc00000, 0xffc00001,
+};
+
+// True when the AVX2 fdlibm copy reproduces this process's libm tanhf on
+// the probe list; run once, and only on a host that can execute AVX2.
+bool Avx2TanhMatchesLibm() {
+  constexpr int64_t kCount = std::size(kTanhProbeBits);
+  float x[kCount], vec[kCount], ref[kCount];
+  for (int64_t i = 0; i < kCount; ++i) {
+    const uint32_t bits = kTanhProbeBits[i];
+    std::memcpy(&x[i], &bits, sizeof(bits));
+  }
+  simd_avx2::TanhF32(x, vec, kCount);
+  simd_scalar::TanhF32(x, ref, kCount);
+  return std::memcmp(vec, ref, sizeof(vec)) == 0;
+}
+
+}  // namespace
+#endif
 
 const ElementwiseKernels& ElementwiseKernelsForIsa(SimdIsa isa) {
   static const ElementwiseKernels scalar = {
       simd_scalar::MaxAbsF32,    simd_scalar::AddF32,
       simd_scalar::AddAssignF32, simd_scalar::AccumulateF64,
       simd_scalar::StoreF64AsF32, simd_scalar::Crc32c,
+      simd_scalar::TanhF32,      simd_scalar::SigmoidF32,
   };
 #if defined(__x86_64__)
-  static const ElementwiseKernels avx2 = {
-      simd_avx2::MaxAbsF32,    simd_avx2::AddF32,
-      simd_avx2::AddAssignF32, simd_avx2::AccumulateF64,
-      simd_avx2::StoreF64AsF32, simd_avx2::Crc32c,
-  };
-  if (isa == SimdIsa::kAvx2 && SimdIsaSupported(SimdIsa::kAvx2)) return avx2;
+  if (isa == SimdIsa::kAvx2 && SimdIsaSupported(SimdIsa::kAvx2)) {
+    static const ElementwiseKernels avx2 = {
+        simd_avx2::MaxAbsF32,     simd_avx2::AddF32,
+        simd_avx2::AddAssignF32,  simd_avx2::AccumulateF64,
+        simd_avx2::StoreF64AsF32, simd_avx2::Crc32c,
+        Avx2TanhMatchesLibm() ? simd_avx2::TanhF32 : simd_scalar::TanhF32,
+        simd_avx2::SigmoidF32,
+    };
+    return avx2;
+  }
 #endif
 #if defined(__aarch64__)
   static const ElementwiseKernels neon = {
@@ -116,6 +172,8 @@ const ElementwiseKernels& ElementwiseKernelsForIsa(SimdIsa isa) {
       simd_neon::StoreF64AsF32,
       // No ARMv8 CRC path (__crc32cd) yet: slicing-by-8 on every aarch64.
       simd_scalar::Crc32c,
+      // No NEON tanh or sigmoid yet: libm on every aarch64.
+      simd_scalar::TanhF32,     simd_scalar::SigmoidF32,
   };
   if (isa == SimdIsa::kNeon) return neon;
 #endif

@@ -1,9 +1,8 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "nn/activation.h"
 
-#include <cmath>
-
 #include "base/logging.h"
+#include "base/simd/elementwise.h"
 
 namespace lpsgd {
 
@@ -22,12 +21,10 @@ Tensor ActivationLayer::Forward(const Tensor& input, bool training) {
       }
       break;
     case ActivationKind::kTanh:
-      for (int64_t i = 0; i < output.size(); ++i) data[i] = std::tanh(data[i]);
+      ActiveElementwiseKernels().tanh_f32(data, data, output.size());
       break;
     case ActivationKind::kSigmoid:
-      for (int64_t i = 0; i < output.size(); ++i) {
-        data[i] = 1.0f / (1.0f + std::exp(-data[i]));
-      }
+      ActiveElementwiseKernels().sigmoid_f32(data, data, output.size());
       break;
   }
   // Reuses the cache's storage once it is sized.

@@ -5,14 +5,10 @@
 #include <cmath>
 
 #include "base/logging.h"
+#include "base/simd/elementwise.h"
 #include "tensor/ops.h"
 
 namespace lpsgd {
-namespace {
-
-inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-}  // namespace
 
 LstmLayer::LstmLayer(std::string name, int input_dim, int hidden_dim,
                      Rng* rng, bool return_sequences)
@@ -69,6 +65,7 @@ Tensor LstmLayer::Forward(const Tensor& input, bool training) {
   // x_t · Wxᵀ for every step at once; the recurrence adds h_{t-1} · Whᵀ.
   Gemm(false, true, 1.0f, s.x, wx_, 0.0f, &s.gates);
 
+  const ElementwiseKernels& kernels = ActiveElementwiseKernels();
   s.h.SetZero();
   std::fill(s.c.data() + rows * hidden, s.c.data() + s.c.size(), 0.0f);
   for (int64_t t = 0; t < time; ++t) {
@@ -90,19 +87,19 @@ Tensor LstmLayer::Forward(const Tensor& input, bool training) {
       float* cn = s.c.data() + (row + b) * hidden;
       float* tc = s.tanh_c.data() + (row + b) * hidden;
       float* hn = s.h.data() + b * hidden;
-      for (int j = 0; j < hidden_dim_; ++j) {
-        const float i_gate = SigmoidF(pre[j]);
-        const float f_gate = SigmoidF(pre[hidden_dim_ + j]);
-        const float g_gate = std::tanh(pre[2 * hidden_dim_ + j]);
-        const float o_gate = SigmoidF(pre[3 * hidden_dim_ + j]);
-        g[j] = i_gate;
-        g[hidden_dim_ + j] = f_gate;
-        g[2 * hidden_dim_ + j] = g_gate;
-        g[3 * hidden_dim_ + j] = o_gate;
-        cn[j] = f_gate * cp[j] + i_gate * g_gate;
-        tc[j] = std::tanh(cn[j]);
-        hn[j] = o_gate * tc[j];
+      // Gate blocks [i f g o]: sigmoid on i and f, tanh on g, sigmoid on o.
+      kernels.sigmoid_f32(pre, g, 2 * hidden);
+      kernels.tanh_f32(pre + 2 * hidden, g + 2 * hidden, hidden);
+      kernels.sigmoid_f32(pre + 3 * hidden, g + 3 * hidden, hidden);
+      const float* i_gate = g;
+      const float* f_gate = g + hidden;
+      const float* g_gate = g + 2 * hidden;
+      const float* o_gate = g + 3 * hidden;
+      for (int64_t j = 0; j < hidden; ++j) {
+        cn[j] = f_gate[j] * cp[j] + i_gate[j] * g_gate[j];
       }
+      kernels.tanh_f32(cn, tc, hidden);
+      for (int64_t j = 0; j < hidden; ++j) hn[j] = o_gate[j] * tc[j];
     }
   }
 

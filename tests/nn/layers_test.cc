@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/simd/elementwise.h"
+#include "base/simd/simd.h"
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -112,6 +114,48 @@ TEST(ActivationLayerTest, ReluMatchesBranchyLoopOnSpecialValues) {
   const size_t bytes = static_cast<size_t>(n) * sizeof(float);
   EXPECT_EQ(std::memcmp(out.data(), expected_out.data(), bytes), 0);
   EXPECT_EQ(std::memcmp(in_grad.data(), expected_grad.data(), bytes), 0);
+}
+
+TEST(ActivationLayerTest, SigmoidAndTanhForwardIsTheSameUnderEveryIsa) {
+  // The forward passes run the elementwise tanh_f32 / sigmoid_f32 slots:
+  // the AVX2 ones must give the scalar (libm) bytes on the values their
+  // vector paths hand back to libm, at every position of a ragged tensor.
+  // The layer runs the slot in place; the slots are also run out of place.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f,  -0.0f,     inf,       -inf,   nan,
+                            -nan,  denormal,  -denormal, 1e-39f, -1e-39f,
+                            88.5f, -88.5f,    100.0f,    -90.0f, 0.75f,
+                            -3.0f, 21.99f,    -22.5f,    1e-20f, -1e-30f};
+  const int64_t n = 1001;
+  Tensor input(Shape({7, n / 7}));
+  for (int64_t i = 0; i < n; ++i) {
+    input.at(i) = specials[(i + i / 8) % std::size(specials)];
+  }
+  const size_t bytes = static_cast<size_t>(n) * sizeof(float);
+  for (const ActivationKind kind :
+       {ActivationKind::kTanh, ActivationKind::kSigmoid}) {
+    ActivationLayer layer("act", kind);
+    const auto slot = kind == ActivationKind::kTanh
+                          ? &ElementwiseKernels::tanh_f32
+                          : &ElementwiseKernels::sigmoid_f32;
+    Tensor expected;
+    {
+      ScopedSimdIsa force(SimdIsa::kScalar);
+      expected = layer.Forward(input, true);
+    }
+    for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2}) {
+      SCOPED_TRACE(SimdIsaName(isa));
+      ScopedSimdIsa force(isa);
+      const Tensor out = layer.Forward(input, false);
+      EXPECT_EQ(std::memcmp(out.data(), expected.data(), bytes), 0);
+      Tensor out_of_place(input.shape());
+      (ActiveElementwiseKernels().*slot)(input.data(), out_of_place.data(),
+                                         n);
+      EXPECT_EQ(std::memcmp(out_of_place.data(), expected.data(), bytes), 0);
+    }
+  }
 }
 
 TEST(ActivationLayerTest, SigmoidAndTanhRanges) {

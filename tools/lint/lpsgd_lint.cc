@@ -82,8 +82,8 @@ const std::pair<const char*, int> kRequiredHotPathMarkers[] = {
     {"src/quant/terngrad_simd.cc", 3},
     {"src/quant/one_bit_simd.cc", 3},
     {"src/quant/topk_simd.cc", 2},
-    {"src/base/simd/elementwise.cc", 6},
-    {"src/base/simd/elementwise_simd.cc", 12},
+    {"src/base/simd/elementwise.cc", 8},
+    {"src/base/simd/elementwise_simd.cc", 18},
     {"src/base/simd/gemm.cc", 2},
     {"src/base/simd/gemm_simd.cc", 4},
 };
