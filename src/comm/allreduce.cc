@@ -1,9 +1,11 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "comm/allreduce.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/rng.h"
+#include "base/thread_annotations.h"
 #include "comm/mpi_reduce_bcast.h"
 #include "comm/nccl_ring.h"
 #include "comm/retry.h"
@@ -185,6 +187,20 @@ uint64_t ExchangeRankTag(int64_t iteration, int64_t matrix, int rank) {
 uint64_t ExchangeAggregateTag(int64_t iteration, int64_t matrix, int owner) {
   return HashCounter(ExchangeCounter(iteration, matrix),
                      0xa66e6a7eULL + static_cast<uint64_t>(owner));
+}
+
+LPSGD_HOT_PATH
+void ScatterAddRanks(const std::vector<std::vector<uint32_t>>& indices,
+                     const std::vector<std::vector<float>>& values, int k,
+                     int64_t count, int64_t n, float* sum) {
+  std::fill(sum, sum + n, 0.0f);
+  for (int r = 0; r < k; ++r) {
+    const uint32_t* rank_indices = indices[static_cast<size_t>(r)].data();
+    const float* rank_values = values[static_cast<size_t>(r)].data();
+    for (int64_t i = 0; i < count; ++i) {
+      sum[rank_indices[i]] += rank_values[i];
+    }
+  }
 }
 
 }  // namespace comm_internal

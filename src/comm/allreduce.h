@@ -63,6 +63,15 @@ uint64_t ExchangeRankTag(int64_t iteration, int64_t matrix, int rank);
 // streams of stage 1 (ranks are < 2^31, well under the offset).
 uint64_t ExchangeAggregateTag(int64_t iteration, int64_t matrix, int owner);
 
+// The aggregate of a sparse codec's k rank blobs, shared by both engines:
+// zeroes sum[0, n) and scatter-adds rank r's `count` (indices[r][i],
+// values[r][i]) pairs for r = 0, 1, ..., k - 1 in that order. Each absent
+// component contributes an exact 0.0f, so the result is element-equal to
+// the dense rank-order sum.
+void ScatterAddRanks(const std::vector<std::vector<uint32_t>>& indices,
+                     const std::vector<std::vector<float>>& values, int k,
+                     int64_t count, int64_t n, float* sum);
+
 }  // namespace comm_internal
 
 // One gradient matrix as seen by the aggregation engine: every rank's

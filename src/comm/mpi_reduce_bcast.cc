@@ -249,8 +249,10 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
   // decodes each rank's range of it into cache-resident scratch and adds
   // it in rank order (each element's fp summation order is fixed), then
   // re-encodes the range into the aggregate blob with the owner tag and
-  // the range of its persistent residual. Bypassed matrices sum their tile
-  // in double and store it to every rank instead.
+  // the range of its persistent residual. That encode decodes its own
+  // range straight into rank 0's gradient tile — the broadcast every rank
+  // receives — which is then copied to the other ranks. Bypassed matrices
+  // sum their tile in double and store it to every rank instead.
   const auto reduce_tile = LPSGD_HOT_PATH [&](int64_t t) -> Status {
     const Tile& tile = tiles_[static_cast<size_t>(t)];
     const size_t m = static_cast<size_t>(tile.matrix);
@@ -286,27 +288,14 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
       return OkStatus();
     }
 
-    // The codec range calls address buffers by absolute element, so the
-    // tile-local scratch is passed offset back by `begin`.
     float* sum = scratch.sum.data();
     const int64_t sparse_count = codec_->SparseCount(slot.quant_shape);
     if (sparse_count > 0) {
-      // Scatter-add the k (index, value) runs in rank order. Each absent
-      // component contributes an exact 0.0f, so the result is
-      // element-equal to the dense sum at any thread count. A sparse blob
-      // cannot be split, so the tile is the whole matrix.
+      // A sparse blob cannot be split, so the tile is the whole matrix.
       CHECK_EQ(length, slot.quant_shape.element_count());
       obs::Span sum_span(obs::kPhaseSum, &ws.phases, matrix);
-      std::fill(sum, sum + length, 0.0f);
-      for (int r = 0; r < k; ++r) {
-        const uint32_t* indices =
-            sparse_indices_[m][static_cast<size_t>(r)].data();
-        const float* values =
-            sparse_values_[m][static_cast<size_t>(r)].data();
-        for (int64_t i = 0; i < sparse_count; ++i) {
-          sum[indices[i]] += values[i];
-        }
-      }
+      comm_internal::ScatterAddRanks(sparse_indices_[m], sparse_values_[m], k,
+                                     sparse_count, length, sum);
     } else {
       float* decoded = scratch.decoded.data();
       {
@@ -318,7 +307,7 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
           obs::Span decode_span(obs::kPhaseDecode, &ws.phases, matrix, r);
           LPSGD_RETURN_IF_ERROR(codec_->DecodeRange(
               rank_blobs_[m][static_cast<size_t>(r)].data(), slot.quant_shape,
-              begin, tile.end, &ws, decoded - begin));
+              begin, tile.end, &ws, decoded));
         }
         obs::Span sum_span(obs::kPhaseSum, &ws.phases, matrix, r);
         elementwise.add_assign_f32(sum, decoded, length);
@@ -331,14 +320,25 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
         codec_->UsesErrorFeedback() ? &aggregate_errors_[m] : nullptr;
     const uint64_t agg_tag = comm_internal::ExchangeAggregateTag(
         iteration, static_cast<int64_t>(m), owner);
-    obs::Span encode_span(obs::kPhaseEncode, &ws.phases, matrix);
-    codec_->EncodeRange(sum - begin, slot.quant_shape, agg_tag, agg_error,
-                        begin, tile.end, &ws, aggregate_blobs_[m].data());
+    float* broadcast = slot.rank_grads[0] + begin;
+    {
+      obs::Span encode_span(obs::kPhaseEncode, &ws.phases, matrix);
+      codec_->EncodeRange(sum, slot.quant_shape, agg_tag, agg_error, begin,
+                          tile.end, &ws, aggregate_blobs_[m].data(),
+                          broadcast);
+    }
+    obs::Span copy_span(obs::kPhaseWire, &ws.phases, matrix);
+    for (int r = 1; r < k; ++r) {
+      std::memcpy(slot.rank_grads[static_cast<size_t>(r)] + begin, broadcast,
+                  static_cast<size_t>(length) * sizeof(float));
+    }
     return OkStatus();
   };
 
   // Stage 3 (parallel over matrices): seal each aggregate blob — the
-  // owner's broadcast message — and verify it on receipt.
+  // owner's broadcast message — and verify it on receipt. A blob that
+  // fails fails the call; the retry layer restores the rank gradients
+  // stage 2 already overwrote.
   const auto seal_aggregate = LPSGD_HOT_PATH [&](int64_t mi) -> Status {
     const size_t m = static_cast<size_t>(mi);
     if (!quantized((*slots)[m])) return OkStatus();
@@ -360,31 +360,6 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
         codec_->EncodedSizeBytes((*slots)[m].quant_shape));
   };
 
-  // Stage 4 (parallel over tiles): every rank decodes the broadcast
-  // aggregate; rank 0 decodes its range and the others copy it.
-  const auto broadcast_tile = LPSGD_HOT_PATH [&](int64_t t) -> Status {
-    const Tile& tile = tiles_[static_cast<size_t>(t)];
-    const size_t m = static_cast<size_t>(tile.matrix);
-    MatrixSlot& slot = (*slots)[m];
-    if (!quantized(slot)) return OkStatus();
-    CodecWorkspace& ws = SlotWorkspace();
-    float* rank0 = slot.rank_grads[0];
-    {
-      obs::Span decode_span(obs::kPhaseDecode, &ws.phases, static_cast<int>(m));
-      LPSGD_RETURN_IF_ERROR(
-          codec_->DecodeRange(aggregate_blobs_[m].data(), slot.quant_shape,
-                              tile.begin, tile.end, &ws, rank0));
-    }
-    obs::Span copy_span(obs::kPhaseWire, &ws.phases, static_cast<int>(m));
-    const size_t bytes =
-        static_cast<size_t>(tile.end - tile.begin) * sizeof(float);
-    for (int r = 1; r < k; ++r) {
-      std::memcpy(slot.rank_grads[static_cast<size_t>(r)] + tile.begin,
-                  rank0 + tile.begin, bytes);
-    }
-    return OkStatus();
-  };
-
   {
     obs::Span broadcast_span(kBroadcastSpan);
     Status bcast_status =
@@ -392,10 +367,6 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     if (bcast_status.ok()) {
       bcast_status =
           exec_.ParallelFor(0, num_matrices, std::ref(seal_aggregate));
-    }
-    if (bcast_status.ok()) {
-      bcast_status =
-          exec_.ParallelFor(0, num_tiles, std::ref(broadcast_tile));
     }
     if (!bcast_status.ok()) return fail(bcast_status);
   }

@@ -23,8 +23,11 @@ namespace lpsgd {
 //      blobs and sums them, then re-encodes the aggregate — carrying a
 //      persistent aggregation residual of its own, exactly like CNTK's
 //      1bitSGD.
-//   3. The owner broadcasts the aggregate; every rank decodes it into its
-//      gradient buffer.
+//   3. The owner broadcasts the aggregate, and every rank's gradient
+//      buffer receives its decode. The owner's re-encode already decodes
+//      it (GradientCodec::EncodeRange's `decoded`), straight into rank 0's
+//      buffer; the other ranks copy that, and the sealed blob is verified
+//      on receipt.
 //
 // Like CNTK, which splits every matrix into contiguous ranges that workers
 // reduce independently, steps 2 and 3 run per bucket-aligned *tile* of a
@@ -136,8 +139,8 @@ class MpiReduceBcastAggregator : public GradientAggregator {
   // scatter-adds k * SparseCount pairs instead of decoding k dense blobs.
   std::vector<std::vector<std::vector<uint32_t>>> sparse_indices_;
   std::vector<std::vector<std::vector<float>>> sparse_values_;
-  // The call's work list for stages 2 and 4: every tile of every matrix,
-  // in matrix order.
+  // The call's work list for stage 2: every tile of every matrix, in
+  // matrix order.
   struct Tile {
     int64_t matrix;
     int64_t begin;

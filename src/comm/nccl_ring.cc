@@ -75,9 +75,6 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
     if (sparse_values_.size() < slots->size()) {
       sparse_values_.resize(slots->size());
     }
-    if (aggregates_.size() < slots->size()) {
-      aggregates_.resize(slots->size());
-    }
     for (int64_t m = 0; m < num_matrices; ++m) {
       const MatrixSlot& slot = (*slots)[static_cast<size_t>(m)];
       CHECK_EQ(static_cast<int>(slot.rank_grads.size()), k);
@@ -190,9 +187,8 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
       }));
 
   // Sparse stage C (parallel over matrices): scatter-add the k decoded
-  // runs in rank order — element-equal to the dense sum, since absent
-  // components contribute exact zeros — and hand every rank the
-  // aggregate.
+  // runs in rank order straight into rank 0's gradient, which stage A has
+  // already encoded, and hand the other ranks a copy.
   if (any_sparse) {
     LPSGD_RETURN_IF_ERROR(exec_.ParallelFor(
         0, num_matrices, LPSGD_HOT_PATH [&](int64_t mi) -> Status {
@@ -204,27 +200,16 @@ StatusOr<CommStats> NcclRingAggregator::AllReduce(
           obs::PhaseTimes& phases =
               workspaces_[static_cast<size_t>(slot_id)].phases;
           const int64_t n = slot.quant_shape.element_count();
-          const int64_t sparse_count =
-              codec_->SparseCount(slot.quant_shape);
-          float* aggregate;
+          float* aggregate = slot.rank_grads[0];
           {
             obs::Span sum_span(obs::kPhaseSum, &phases, static_cast<int>(m));
-            aggregate = quant_internal::EnsureSize(&aggregates_[m],
-                                                   static_cast<size_t>(n));
-            std::fill(aggregate, aggregate + n, 0.0f);
-            for (int r = 0; r < k; ++r) {
-              const uint32_t* indices =
-                  sparse_indices_[m][static_cast<size_t>(r)].data();
-              const float* values =
-                  sparse_values_[m][static_cast<size_t>(r)].data();
-              for (int64_t i = 0; i < sparse_count; ++i) {
-                aggregate[indices[i]] += values[i];
-              }
-            }
+            comm_internal::ScatterAddRanks(
+                sparse_indices_[m], sparse_values_[m], k,
+                codec_->SparseCount(slot.quant_shape), n, aggregate);
           }
           {
             obs::Span wire_span(obs::kPhaseWire, &phases);
-            for (int r = 0; r < k; ++r) {
+            for (int r = 1; r < k; ++r) {
               std::memcpy(slot.rank_grads[static_cast<size_t>(r)],
                           aggregate, static_cast<size_t>(n) * sizeof(float));
             }

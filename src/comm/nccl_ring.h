@@ -62,12 +62,10 @@ class NcclRingAggregator : public GradientAggregator {
   // allgather spans, merged serially after the exchange (obs/profile.h).
   std::vector<CodecWorkspace> workspaces_;
   // Sparse wire path scratch, grown once and reused (zero-allocation
-  // steady state, like the MPI aggregator's buffers):
-  // per-(matrix, rank) decoded (index, value) runs...
+  // steady state, like the MPI aggregator's buffers): per-(matrix, rank)
+  // decoded (index, value) runs.
   std::vector<std::vector<std::vector<uint32_t>>> sparse_indices_;
   std::vector<std::vector<std::vector<float>>> sparse_values_;
-  // ...and the per-matrix scatter-add accumulator.
-  std::vector<std::vector<float>> aggregates_;
 };
 
 }  // namespace lpsgd

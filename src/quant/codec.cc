@@ -10,7 +10,6 @@
 #include "base/thread_annotations.h"
 #include "obs/metrics.h"
 #include "quant/registry.h"
-#include "quant/simd_kernels.h"
 #include "quant/workspace.h"
 
 namespace lpsgd {
@@ -36,7 +35,7 @@ void GradientCodec::Encode(const float* grad, const Shape& shape,
   uint8_t* blob =
       quant_internal::EnsureSize(out, static_cast<size_t>(num_bytes));
   EncodeRange(grad, shape, stochastic_tag, error, 0, shape.element_count(),
-              workspace, blob);
+              workspace, blob, /*decoded=*/nullptr);
   codec_internal::SealWireBlob(blob,
                                num_bytes - codec_internal::kWireChecksumBytes);
   span.set_bytes(num_bytes);
@@ -51,29 +50,30 @@ void GradientCodec::EncodeRange(const float* grad, const Shape& shape,
                                 uint64_t stochastic_tag,
                                 std::vector<float>* error, int64_t begin,
                                 int64_t end, CodecWorkspace* workspace,
-                                uint8_t* blob) const {
+                                uint8_t* blob, float* decoded) const {
   if (!error_feedback_) {
     QuantizeRange(grad, shape, stochastic_tag, begin, end, workspace, blob);
+    if (decoded != nullptr) {
+      CHECK_OK(DecodeRange(blob, shape, begin, end, workspace, decoded));
+    }
     return;
   }
   CHECK(error != nullptr);
   CHECK_EQ(static_cast<int64_t>(error->size()), shape.element_count());
   // c = grad + error over the range, in a buffer of the stage's own so
-  // the codec's scratch stays free; `corrected` is indexed by absolute
-  // element, like `grad`.
+  // the codec's scratch stays free.
   const int64_t length = end - begin;
-  float* staged = quant_internal::EnsureSize(&workspace->ef_corrected,
-                                             static_cast<size_t>(length));
-  float* residual = error->data();
-  quant_simd::ActiveCodecKernels().stage_corrected(
-      grad + begin, residual + begin, staged, length);
-  const float* corrected = staged - begin;
-  QuantizeRange(corrected, shape, stochastic_tag, begin, end, workspace, blob);
-  // e = c - Q(c): decode the range just written straight into the
-  // residual, then subtract it from c in place.
-  CHECK_OK(DecodeRange(blob, shape, begin, end, workspace, residual));
-  for (int64_t i = begin; i < end; ++i) {
-    residual[i] = corrected[i] - residual[i];
+  float* corrected = quant_internal::EnsureSize(&workspace->ef_corrected,
+                                                static_cast<size_t>(length));
+  float* residual = error->data() + begin;
+  ActiveElementwiseKernels().add_f32(grad, residual, corrected, length);
+  QuantizeRange(corrected, shape, stochastic_tag, begin, end, workspace,
+                blob);
+  // e = c - Q(c): decode the range just written, then subtract it from c.
+  float* quantized = decoded != nullptr ? decoded : residual;
+  CHECK_OK(DecodeRange(blob, shape, begin, end, workspace, quantized));
+  for (int64_t i = 0; i < length; ++i) {
+    residual[i] = corrected[i] - quantized[i];
   }
 }
 

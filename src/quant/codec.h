@@ -95,35 +95,49 @@ class GradientCodec {
   // (bucket scales and packed fields) are disjoint from every other
   // range's. 0 when the blob cannot be split — per-matrix statistics or a
   // per-column layout — and the only valid range is [0, n).
+  //
+  // The range calls are range-relative: every float buffer they take for
+  // the range (EncodeRange's `grad` and `decoded`, DecodeRange's `out`,
+  // QuantizeRange's `grad`) points at element `begin` and holds exactly
+  // end - begin floats. Only the stochastic-stream index, the bucket
+  // index, the bit position in a bitmap and the wire offset stay absolute,
+  // plus EncodeRange's `error`, which is the whole residual.
   virtual int64_t RangeAlignment(const Shape& shape) const = 0;
 
   // Writes exactly the wire bytes of elements [begin, end) into `blob`,
   // which must already be EncodedSizeBytes(shape) long; bytes of other
-  // ranges and the integrity word are left untouched. Reads grad[i] and
-  // reads/updates (*error)[i] for i in [begin, end) only — both buffers
-  // are indexed by absolute element, as is the stochastic stream, so
-  // encoding the ranges of any partition in any order (then sealing)
-  // reproduces Encode's bytes and residuals exactly. Same workspace
-  // contract as Encode.
+  // ranges and the integrity word are left untouched. Reads the range's
+  // gradient from `grad` and reads/updates (*error)[i] for i in
+  // [begin, end) only; the stochastic stream is indexed by absolute
+  // element, so encoding the ranges of any partition in any order (then
+  // sealing) reproduces Encode's bytes and residuals exactly. Same
+  // workspace contract as Encode.
   //
-  // Without error feedback this is QuantizeRange on `grad`. With it, the
-  // error-feedback stage runs here, for every codec alike: it stages
-  // c = grad + error over the range into workspace->ef_corrected, runs
-  // QuantizeRange on c, decodes the range straight into `error` and sets
-  // error[i] = c[i] - error[i]. The blob and residual are therefore
-  // exactly those of the EF-free codec on c followed by c - Decode
-  // (tests/quant/error_feedback_test.cc). c - d is -0.0 only when c is,
-  // and c = g + e only when e is, so a residual that starts zeroed never
-  // holds -0.0 and a zero-scale bucket leaves +0.0 behind.
+  // `decoded`, when not null, receives Q over the range: exactly what
+  // DecodeRange of the finished blob writes there. The MPI exchange passes
+  // the broadcast's destination, so each aggregate tile is decoded once.
+  //
+  // Without error feedback this is QuantizeRange on `grad`, then
+  // DecodeRange into `decoded` when it is set. With it, the error-feedback
+  // stage runs here, for every codec alike: it stages c = grad + error
+  // over the range into workspace->ef_corrected, runs QuantizeRange on c,
+  // decodes the range into `decoded` (into the residual's range when
+  // `decoded` is null) and sets error[i] = c[i] - Q(c)[i]. The blob and
+  // residual are therefore exactly those of the EF-free codec on c
+  // followed by c - Decode (tests/quant/error_feedback_test.cc). c - d is
+  // -0.0 only when c is, and c = g + e only when e is, so a residual that
+  // starts zeroed never holds -0.0 and a zero-scale bucket leaves +0.0
+  // behind.
   void EncodeRange(const float* grad, const Shape& shape,
                    uint64_t stochastic_tag, std::vector<float>* error,
                    int64_t begin, int64_t end, CodecWorkspace* workspace,
-                   uint8_t* blob) const;
+                   uint8_t* blob, float* decoded) const;
 
-  // Decodes elements [begin, end) of a blob into out[begin, end) (`out`
-  // indexed by absolute element; nothing outside the range is written).
-  // Does not check the blob's size or integrity word: the caller must have
-  // verified it (Decode does, via codec_internal::VerifyWireBlob). Codecs
+  // Decodes elements [begin, end) of a blob into `out`, which points at
+  // element `begin`; nothing outside the range's end - begin floats is
+  // written. Does not check the blob's size or integrity word: the caller
+  // must have verified it (Decode does, via
+  // codec_internal::VerifyWireBlob). Codecs
   // whose payload carries framing fields (TopK's count and index run)
   // still validate them and return DataLoss, leaving `out` untouched.
   virtual Status DecodeRange(const uint8_t* blob, const Shape& shape,
@@ -158,9 +172,10 @@ class GradientCodec {
 
  private:
   // The codec's own encode: writes the wire bytes of elements
-  // [begin, end) of `grad` under EncodeRange's range and workspace
-  // contract, without error feedback (EncodeRange stages the corrected
-  // values and refreshes the residual around it).
+  // [begin, end), read from `grad` (which points at element `begin`),
+  // under EncodeRange's range and workspace contract, without error
+  // feedback (EncodeRange stages the corrected values and refreshes the
+  // residual around it).
   virtual void QuantizeRange(const float* grad, const Shape& shape,
                              uint64_t stochastic_tag, int64_t begin,
                              int64_t end, CodecWorkspace* workspace,

@@ -30,7 +30,7 @@ void FullPrecisionCodec::QuantizeRange(const float* grad,
                                        int64_t begin, int64_t end,
                                        CodecWorkspace* /*workspace*/,
                                        uint8_t* blob) const {
-  std::memcpy(blob + begin * static_cast<int64_t>(sizeof(float)), grad + begin,
+  std::memcpy(blob + begin * static_cast<int64_t>(sizeof(float)), grad,
               static_cast<size_t>(end - begin) * sizeof(float));
 }
 
@@ -40,7 +40,7 @@ Status FullPrecisionCodec::DecodeRange(const uint8_t* blob,
                                        int64_t end,
                                        CodecWorkspace* /*workspace*/,
                                        float* out) const {
-  std::memcpy(out + begin, blob + begin * static_cast<int64_t>(sizeof(float)),
+  std::memcpy(out, blob + begin * static_cast<int64_t>(sizeof(float)),
               static_cast<size_t>(end - begin) * sizeof(float));
   return OkStatus();
 }

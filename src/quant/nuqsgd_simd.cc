@@ -31,15 +31,17 @@ LPSGD_HOT_PATH
 void NuqQuantize(const QuantizeArgs& args) {
   BitWriter* writer = args.writer;
   const int s_int = static_cast<int>(args.level_count);
-  int64_t i = args.begin;
-  while (i < args.end && !writer->AtWordBoundary()) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  const int64_t n = args.end - args.begin;
+  int64_t i = 0;
+  while (i < n && !writer->AtWordBoundary()) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + i));
     writer->Put(NuqField(args.values[i], args.scale, args.magnitudes, s_int,
                          args.bits, u));
     ++i;
   }
   const int per_word = 32 / args.bits;
-  int64_t words_left = (args.end - i) / per_word;
+  int64_t words_left = (n - i) / per_word;
   if (words_left > 0) {
     uint32_t* out_words = writer->cursor();
     writer->SkipWords(words_left);
@@ -59,7 +61,7 @@ void NuqQuantize(const QuantizeArgs& args) {
       const int64_t count = tile_words * per_word;
       int64_t t = 0;
       for (; t + 4 <= count; t += 4) {
-        const __m256d u = Uniform4At(args.stream_seed, i + t);
+        const __m256d u = Uniform4At(args.stream_seed, args.begin + i + t);
         const __m256d dg = _mm256_cvtps_pd(_mm_loadu_ps(args.values + i + t));
         __m256d a = _mm256_div_pd(_mm256_and_pd(dg, abs_mask), scale_v);
         a = _mm256_blendv_pd(one, a, _mm256_cmp_pd(a, one, _CMP_LT_OQ));
@@ -84,8 +86,8 @@ void NuqQuantize(const QuantizeArgs& args) {
         _mm_storeu_si128(reinterpret_cast<__m128i*>(fields + t), field);
       }
       for (; t < count; ++t) {
-        const double u =
-            StreamUniform(args.stream_seed, static_cast<uint64_t>(i + t));
+        const double u = StreamUniform(
+            args.stream_seed, static_cast<uint64_t>(args.begin + i + t));
         fields[t] = NuqField(args.values[i + t], args.scale, args.magnitudes,
                              s_int, args.bits, u);
       }
@@ -95,8 +97,9 @@ void NuqQuantize(const QuantizeArgs& args) {
       words_left -= tile_words;
     }
   }
-  for (; i < args.end; ++i) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  for (; i < n; ++i) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + i));
     writer->Put(NuqField(args.values[i], args.scale, args.magnitudes, s_int,
                          args.bits, u));
   }

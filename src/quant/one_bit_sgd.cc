@@ -179,12 +179,12 @@ void OneBitSgdReshapedCodec::QuantizeRange(const float* grad,
   for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
     const int64_t bucket_begin = b * bucket_size_;
     const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
+    const float* values = grad + (bucket_begin - begin);
     float avg_pos = 0.0f, avg_neg = 0.0f;
-    ChunkAverages(grad + bucket_begin, bucket_end - bucket_begin, 1,
-                  &avg_pos, &avg_neg);
+    ChunkAverages(values, bucket_end - bucket_begin, 1, &avg_pos, &avg_neg);
     scales[2 * b] = avg_pos;
     scales[2 * b + 1] = avg_neg;
-    kernels.one_bit_quantize(grad, bucket_begin, bucket_end, bits);
+    kernels.one_bit_quantize(values, bucket_begin, bucket_end, bits);
   }
 }
 
@@ -204,7 +204,7 @@ Status OneBitSgdReshapedCodec::DecodeRange(const uint8_t* blob,
     const int64_t bucket_begin = b * bucket_size_;
     const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
     kernels.one_bit_dequantize(bits, bucket_begin, bucket_end, scales[2 * b],
-                               scales[2 * b + 1], out);
+                               scales[2 * b + 1], out + (bucket_begin - begin));
   }
   return OkStatus();
 }

@@ -22,21 +22,21 @@ void OneBitQuantize(const float* grad, int64_t begin, int64_t end,
                     uint32_t* bits) {
   int64_t i = begin;
   while (i < end && (i & 31) != 0) {
-    OneBitStep(grad, i, bits);
+    OneBitStep(grad[i - begin], i, bits);
     ++i;
   }
   const __m256 zero = _mm256_setzero_ps();
   for (; i + 32 <= end; i += 32) {
     uint32_t word = 0;
     for (int k = 0; k < 32; k += 8) {
-      const __m256 positive =
-          _mm256_cmp_ps(_mm256_loadu_ps(grad + i + k), zero, _CMP_GE_OQ);
+      const __m256 positive = _mm256_cmp_ps(
+          _mm256_loadu_ps(grad + (i - begin) + k), zero, _CMP_GE_OQ);
       word |= static_cast<uint32_t>(_mm256_movemask_ps(positive)) << k;
     }
     bits[i >> 5] |= word;
   }
   for (; i < end; ++i) {
-    OneBitStep(grad, i, bits);
+    OneBitStep(grad[i - begin], i, bits);
   }
 }
 
@@ -46,7 +46,7 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                       float avg_pos, float avg_neg, float* out) {
   int64_t i = begin;
   while (i < end && (i & 31) != 0) {
-    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
+    out[i - begin] = OneBitValue(bits, i, avg_pos, avg_neg);
     ++i;
   }
   const __m256i lane_bit =
@@ -60,11 +60,12 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
           _mm256_set1_epi32(static_cast<int>(word >> k)), lane_bit);
       const __m256 is_pos = _mm256_castsi256_ps(
           _mm256_cmpeq_epi32(selected, lane_bit));
-      _mm256_storeu_ps(out + i + k, _mm256_blendv_ps(neg_v, pos_v, is_pos));
+      _mm256_storeu_ps(out + (i - begin) + k,
+                       _mm256_blendv_ps(neg_v, pos_v, is_pos));
     }
   }
   for (; i < end; ++i) {
-    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
+    out[i - begin] = OneBitValue(bits, i, avg_pos, avg_neg);
   }
 }
 
@@ -87,7 +88,7 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                       float avg_pos, float avg_neg, float* out) {
   int64_t i = begin;
   while (i < end && (i & 31) != 0) {
-    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
+    out[i - begin] = OneBitValue(bits, i, avg_pos, avg_neg);
     ++i;
   }
   const uint32x4_t lane_bit = {1u, 2u, 4u, 8u};
@@ -99,11 +100,11 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
       const uint32x4_t selected =
           vandq_u32(vdupq_n_u32(word >> k), lane_bit);
       const uint32x4_t is_pos = vceqq_u32(selected, lane_bit);
-      vst1q_f32(out + i + k, vbslq_f32(is_pos, pos_v, neg_v));
+      vst1q_f32(out + (i - begin) + k, vbslq_f32(is_pos, pos_v, neg_v));
     }
   }
   for (; i < end; ++i) {
-    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
+    out[i - begin] = OneBitValue(bits, i, avg_pos, avg_neg);
   }
 }
 

@@ -143,22 +143,21 @@ void QsgdCodec::QuantizeRange(const float* grad, const Shape& shape,
   args.level_count = level_count_;
   args.writer = &writer;
   args.magnitudes = magnitudes_.data();
-  args.values = grad;
   for (int64_t b = begin / bucket_size_; b * bucket_size_ < end; ++b) {
     const int64_t bucket_begin = b * bucket_size_;
     const int64_t bucket_end = std::min(bucket_begin + bucket_size_, end);
+    const float* values = grad + (bucket_begin - begin);
 
     double scale = 0.0;
     if (norm_ == QsgdNorm::kL2) {
       // Sequential widened sum: order-sensitive, stays scalar in every
       // dispatch mode so the wire scale is ISA-independent.
-      for (int64_t i = bucket_begin; i < bucket_end; ++i) {
-        scale += static_cast<double>(grad[i]) * grad[i];
+      for (int64_t i = 0; i < bucket_end - bucket_begin; ++i) {
+        scale += static_cast<double>(values[i]) * values[i];
       }
       scale = std::sqrt(scale);
     } else {
-      scale = elementwise.max_abs_f32(grad + bucket_begin,
-                                      bucket_end - bucket_begin);
+      scale = elementwise.max_abs_f32(values, bucket_end - bucket_begin);
     }
     scales[b] = static_cast<float>(scale);
     if (scale == 0.0) {
@@ -167,6 +166,7 @@ void QsgdCodec::QuantizeRange(const float* grad, const Shape& shape,
       continue;
     }
 
+    args.values = values;
     args.begin = bucket_begin;
     args.end = bucket_end;
     args.scale = scale;
@@ -200,7 +200,6 @@ Status QsgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
   args.reader = &reader;
   args.bits = bits_;
   args.s = static_cast<double>(level_count_);
-  args.out = out;
   const int64_t first_bucket = begin / bucket_size_;
   if (levels_ == QsgdLevelScheme::kSignMagnitude) {
     args.magnitude_mask = (1u << (bits_ - 1)) - 1u;
@@ -210,6 +209,7 @@ Status QsgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
     for (int64_t b = first_bucket; b * bucket_size_ < end; ++b) {
       args.begin = b * bucket_size_;
       args.end = std::min(args.begin + bucket_size_, end);
+      args.out = out + (args.begin - begin);
       args.scale = scales[b];
       kernels.dequantize_sm(args);
     }
@@ -217,6 +217,7 @@ Status QsgdCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
     for (int64_t b = first_bucket; b * bucket_size_ < end; ++b) {
       args.begin = b * bucket_size_;
       args.end = std::min(args.begin + bucket_size_, end);
+      args.out = out + (args.begin - begin);
       args.scale = scales[b];
       kernels.dequantize_sym(args);
     }

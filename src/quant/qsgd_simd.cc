@@ -32,15 +32,17 @@ LPSGD_HOT_PATH
 void QsgdQuantizeSm(const QuantizeArgs& args) {
   BitWriter* writer = args.writer;
   const double s = static_cast<double>(args.level_count);
-  int64_t i = args.begin;
-  while (i < args.end && !writer->AtWordBoundary()) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  const int64_t n = args.end - args.begin;
+  int64_t i = 0;
+  while (i < n && !writer->AtWordBoundary()) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + i));
     writer->Put(QsgdFieldSm(args.values[i], args.scale, s, args.level_count,
                             args.bits, u));
     ++i;
   }
   const int per_word = 32 / args.bits;
-  int64_t words_left = (args.end - i) / per_word;
+  int64_t words_left = (n - i) / per_word;
   if (words_left > 0) {
     uint32_t* out_words = writer->cursor();
     writer->SkipWords(words_left);
@@ -50,15 +52,15 @@ void QsgdQuantizeSm(const QuantizeArgs& args) {
       const int64_t count = tile_words * per_word;
       int64_t t = 0;
       for (; t + 4 <= count; t += 4) {
-        const __m256d u = Uniform4At(args.stream_seed, i + t);
+        const __m256d u = Uniform4At(args.stream_seed, args.begin + i + t);
         const __m256d dg = _mm256_cvtps_pd(_mm_loadu_ps(args.values + i + t));
         _mm_storeu_si128(
             reinterpret_cast<__m128i*>(fields + t),
             QuantizeSm4(dg, args.scale, s, args.level_count, args.bits, u));
       }
       for (; t < count; ++t) {
-        const double u =
-            StreamUniform(args.stream_seed, static_cast<uint64_t>(i + t));
+        const double u = StreamUniform(
+            args.stream_seed, static_cast<uint64_t>(args.begin + i + t));
         fields[t] = QsgdFieldSm(args.values[i + t], args.scale, s,
                                 args.level_count, args.bits, u);
       }
@@ -68,8 +70,9 @@ void QsgdQuantizeSm(const QuantizeArgs& args) {
       words_left -= tile_words;
     }
   }
-  for (; i < args.end; ++i) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  for (; i < n; ++i) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + i));
     writer->Put(QsgdFieldSm(args.values[i], args.scale, s, args.level_count,
                             args.bits, u));
   }
@@ -81,15 +84,17 @@ void QsgdQuantizeSym(const QuantizeArgs& args) {
   BitWriter* writer = args.writer;
   const double s = static_cast<double>(args.level_count);
   const double two_scale = 2.0 * args.scale;
-  int64_t i = args.begin;
-  while (i < args.end && !writer->AtWordBoundary()) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  const int64_t n = args.end - args.begin;
+  int64_t i = 0;
+  while (i < n && !writer->AtWordBoundary()) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + i));
     writer->Put(
         QsgdFieldSym(args.values[i], args.scale, s, args.level_count, u));
     ++i;
   }
   const int per_word = 32 / args.bits;
-  int64_t words_left = (args.end - i) / per_word;
+  int64_t words_left = (n - i) / per_word;
   if (words_left > 0) {
     uint32_t* out_words = writer->cursor();
     writer->SkipWords(words_left);
@@ -105,7 +110,7 @@ void QsgdQuantizeSym(const QuantizeArgs& args) {
       const int64_t count = tile_words * per_word;
       int64_t t = 0;
       for (; t + 4 <= count; t += 4) {
-        const __m256d u = Uniform4At(args.stream_seed, i + t);
+        const __m256d u = Uniform4At(args.stream_seed, args.begin + i + t);
         const __m256d dg = _mm256_cvtps_pd(_mm_loadu_ps(args.values + i + t));
         // std::clamp((g + scale) / (2*scale), 0, 1): select-form clamp.
         __m256d a =
@@ -117,8 +122,8 @@ void QsgdQuantizeSym(const QuantizeArgs& args) {
         _mm_storeu_si128(reinterpret_cast<__m128i*>(fields + t), level);
       }
       for (; t < count; ++t) {
-        const double u =
-            StreamUniform(args.stream_seed, static_cast<uint64_t>(i + t));
+        const double u = StreamUniform(
+            args.stream_seed, static_cast<uint64_t>(args.begin + i + t));
         fields[t] = QsgdFieldSym(args.values[i + t], args.scale, s,
                                  args.level_count, u);
       }
@@ -128,8 +133,9 @@ void QsgdQuantizeSym(const QuantizeArgs& args) {
       words_left -= tile_words;
     }
   }
-  for (; i < args.end; ++i) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  for (; i < n; ++i) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + i));
     writer->Put(
         QsgdFieldSym(args.values[i], args.scale, s, args.level_count, u));
   }
@@ -139,15 +145,16 @@ LPSGD_SIMD_TARGET_AVX2
 LPSGD_HOT_PATH
 void DequantizeSm(const DequantizeArgs& args) {
   BitReader* reader = args.reader;
-  int64_t i = args.begin;
-  while (i < args.end && !reader->AtWordBoundary()) {
+  const int64_t n = args.end - args.begin;
+  int64_t i = 0;
+  while (i < n && !reader->AtWordBoundary()) {
     args.out[i] = quant_simd::DequantizeSm(reader->Next(), args.magnitudes,
                                            args.scale, args.bits,
                                            args.magnitude_mask);
     ++i;
   }
   const int per_word = 32 / args.bits;
-  int64_t words_left = (args.end - i) / per_word;
+  int64_t words_left = (n - i) / per_word;
   if (words_left > 0) {
     const uint32_t* in_words = reader->cursor();
     reader->SkipWords(words_left);
@@ -177,7 +184,7 @@ void DequantizeSm(const DequantizeArgs& args) {
       words_left -= tile_words;
     }
   }
-  for (; i < args.end; ++i) {
+  for (; i < n; ++i) {
     args.out[i] = quant_simd::DequantizeSm(reader->Next(), args.magnitudes,
                                            args.scale, args.bits,
                                            args.magnitude_mask);
@@ -189,14 +196,15 @@ LPSGD_HOT_PATH
 void DequantizeSym(const DequantizeArgs& args) {
   BitReader* reader = args.reader;
   const double two_scale = 2.0 * args.scale;
-  int64_t i = args.begin;
-  while (i < args.end && !reader->AtWordBoundary()) {
+  const int64_t n = args.end - args.begin;
+  int64_t i = 0;
+  while (i < n && !reader->AtWordBoundary()) {
     args.out[i] = quant_simd::DequantizeSym(reader->Next(), args.scale,
                                             two_scale, args.s);
     ++i;
   }
   const int per_word = 32 / args.bits;
-  int64_t words_left = (args.end - i) / per_word;
+  int64_t words_left = (n - i) / per_word;
   if (words_left > 0) {
     const uint32_t* in_words = reader->cursor();
     reader->SkipWords(words_left);
@@ -228,7 +236,7 @@ void DequantizeSym(const DequantizeArgs& args) {
       words_left -= tile_words;
     }
   }
-  for (; i < args.end; ++i) {
+  for (; i < n; ++i) {
     args.out[i] = quant_simd::DequantizeSym(reader->Next(), args.scale,
                                             two_scale, args.s);
   }

@@ -1,10 +1,10 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
 // Scalar reference kernels and the ISA dispatch tables. The loop bodies
-// here are the codec hot loops of qsgd.cc / terngrad.cc / one_bit_sgd.cc /
-// topk.cc (via the shared per-element helpers in simd_kernels.h): they
-// define the wire format, and every vector kernel is property-tested
-// bit-identical against them.
+// here are the codec hot loops of qsgd.cc / terngrad.cc / one_bit_sgd.cc
+// (via the shared per-element helpers in simd_kernels.h): they define the
+// wire format, and every vector kernel is property-tested bit-identical
+// against them.
 #include "quant/simd_kernels.h"
 
 namespace lpsgd {
@@ -14,9 +14,10 @@ namespace {
 LPSGD_HOT_PATH
 void ScalarQsgdQuantizeSm(const QuantizeArgs& args) {
   const double s = static_cast<double>(args.level_count);
-  for (int64_t i = args.begin; i < args.end; ++i) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
-    args.writer->Put(QsgdFieldSm(args.values[i], args.scale, s,
+  for (int64_t j = 0; j < args.end - args.begin; ++j) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + j));
+    args.writer->Put(QsgdFieldSm(args.values[j], args.scale, s,
                                  args.level_count, args.bits, u));
   }
 }
@@ -24,17 +25,18 @@ void ScalarQsgdQuantizeSm(const QuantizeArgs& args) {
 LPSGD_HOT_PATH
 void ScalarQsgdQuantizeSym(const QuantizeArgs& args) {
   const double s = static_cast<double>(args.level_count);
-  for (int64_t i = args.begin; i < args.end; ++i) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  for (int64_t j = 0; j < args.end - args.begin; ++j) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + j));
     args.writer->Put(
-        QsgdFieldSym(args.values[i], args.scale, s, args.level_count, u));
+        QsgdFieldSym(args.values[j], args.scale, s, args.level_count, u));
   }
 }
 
 LPSGD_HOT_PATH
 void ScalarDequantizeSm(const DequantizeArgs& args) {
-  for (int64_t i = args.begin; i < args.end; ++i) {
-    args.out[i] = DequantizeSm(args.reader->Next(), args.magnitudes,
+  for (int64_t j = 0; j < args.end - args.begin; ++j) {
+    args.out[j] = DequantizeSm(args.reader->Next(), args.magnitudes,
                                args.scale, args.bits, args.magnitude_mask);
   }
 }
@@ -42,8 +44,8 @@ void ScalarDequantizeSm(const DequantizeArgs& args) {
 LPSGD_HOT_PATH
 void ScalarDequantizeSym(const DequantizeArgs& args) {
   const double two_scale = 2.0 * args.scale;
-  for (int64_t i = args.begin; i < args.end; ++i) {
-    args.out[i] =
+  for (int64_t j = 0; j < args.end - args.begin; ++j) {
+    args.out[j] =
         DequantizeSym(args.reader->Next(), args.scale, two_scale, args.s);
   }
 }
@@ -51,49 +53,43 @@ void ScalarDequantizeSym(const DequantizeArgs& args) {
 LPSGD_HOT_PATH
 void ScalarNuqQuantize(const QuantizeArgs& args) {
   const int s_int = static_cast<int>(args.level_count);
-  for (int64_t i = args.begin; i < args.end; ++i) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
-    args.writer->Put(NuqField(args.values[i], args.scale, args.magnitudes,
+  for (int64_t j = 0; j < args.end - args.begin; ++j) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + j));
+    args.writer->Put(NuqField(args.values[j], args.scale, args.magnitudes,
                               s_int, args.bits, u));
   }
 }
 
 LPSGD_HOT_PATH
 void ScalarTernGradQuantize(const QuantizeArgs& args) {
-  for (int64_t i = args.begin; i < args.end; ++i) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  for (int64_t j = 0; j < args.end - args.begin; ++j) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + j));
     args.writer->Put(
-        TernGradField(args.values[i], args.scale, args.threshold, u));
+        TernGradField(args.values[j], args.scale, args.threshold, u));
   }
 }
 
 LPSGD_HOT_PATH
 void ScalarTernGradDequantize(const DequantizeArgs& args) {
   const float scale = static_cast<float>(args.scale);
-  for (int64_t i = args.begin; i < args.end; ++i) {
-    args.out[i] = TernGradValue(args.reader->Next(), scale);
+  for (int64_t j = 0; j < args.end - args.begin; ++j) {
+    args.out[j] = TernGradValue(args.reader->Next(), scale);
   }
 }
 
 LPSGD_HOT_PATH
 void ScalarOneBitQuantize(const float* grad, int64_t begin, int64_t end,
                           uint32_t* bits) {
-  for (int64_t i = begin; i < end; ++i) OneBitStep(grad, i, bits);
+  for (int64_t i = begin; i < end; ++i) OneBitStep(grad[i - begin], i, bits);
 }
 
 LPSGD_HOT_PATH
 void ScalarOneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                             float avg_pos, float avg_neg, float* out) {
   for (int64_t i = begin; i < end; ++i) {
-    out[i] = OneBitValue(bits, i, avg_pos, avg_neg);
-  }
-}
-
-LPSGD_HOT_PATH
-void ScalarStageCorrected(const float* grad, const float* error, float* out,
-                          int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = grad[i] + (error != nullptr ? error[i] : 0.0f);
+    out[i - begin] = OneBitValue(bits, i, avg_pos, avg_neg);
   }
 }
 
@@ -106,7 +102,6 @@ const CodecKernels& CodecKernelsForIsa(SimdIsa isa) {
       ScalarNuqQuantize,
       ScalarTernGradQuantize,   ScalarTernGradDequantize,
       ScalarOneBitQuantize,     ScalarOneBitDequantize,
-      ScalarStageCorrected,
   };
 #if defined(__x86_64__)
   static const CodecKernels avx2_table = {
@@ -115,24 +110,22 @@ const CodecKernels& CodecKernelsForIsa(SimdIsa isa) {
       avx2::NuqQuantize,
       avx2::TernGradQuantize,   avx2::TernGradDequantize,
       avx2::OneBitQuantize,     avx2::OneBitDequantize,
-      avx2::StageCorrected,
   };
   if (isa == SimdIsa::kAvx2 && SimdIsaSupported(SimdIsa::kAvx2)) {
     return avx2_table;
   }
 #endif
 #if defined(__aarch64__)
-  // NEON covers the table-free decode kernels and the staging map; the
-  // hash-driven quantize kernels stay scalar pending a lane-exact 64-bit
-  // multiply (NEON has no 64x64 lane product, and emulating one costs more
-  // than the hash saves at 128-bit width).
+  // NEON covers the table-free decode kernels; the hash-driven quantize
+  // kernels stay scalar pending a lane-exact 64-bit multiply (NEON has no
+  // 64x64 lane product, and emulating one costs more than the hash saves
+  // at 128-bit width).
   static const CodecKernels neon_table = {
       ScalarQsgdQuantizeSm,     ScalarQsgdQuantizeSym,
       ScalarDequantizeSm,       ScalarDequantizeSym,
       ScalarNuqQuantize,
       ScalarTernGradQuantize,   neon::TernGradDequantize,
       ScalarOneBitQuantize,     neon::OneBitDequantize,
-      neon::StageCorrected,
   };
   if (isa == SimdIsa::kNeon) return neon_table;
 #endif

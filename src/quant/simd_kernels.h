@@ -4,8 +4,8 @@
 // hot loops of the codec family, selectable per ISA (base/simd/simd.h).
 //
 // The contract every table entry must satisfy: for identical arguments,
-// every ISA produces the identical wire bytes (through BitWriter), decoded
-// floats and staged values as the scalar reference — bit for bit. That holds
+// every ISA produces the identical wire bytes (through BitWriter) and
+// decoded floats as the scalar reference — bit for bit. That holds
 // because the per-element math is lane-independent IEEE arithmetic (div,
 // mul, min/clamp selects, truncating casts) plus the counter-based hash,
 // all of which are deterministic per element; the only order-sensitive
@@ -33,9 +33,10 @@ namespace quant_simd {
 
 // One bucket's worth of quantize work. `begin`/`end` are flat element
 // indices: the stochastic-rounding stream is addressed by flat index, so a
-// kernel invocation is position-dependent but history-free.
+// kernel invocation is position-dependent but history-free. `values`
+// points at element `begin`: values[j] is element begin + j.
 struct QuantizeArgs {
-  const float* values = nullptr;  // the codec's input, indexed by element
+  const float* values = nullptr;  // end - begin inputs, from element begin
   int64_t begin = 0;              // [begin, end) flat range
   int64_t end = 0;
   double scale = 0.0;             // bucket scale; caller handles scale == 0
@@ -47,7 +48,8 @@ struct QuantizeArgs {
   double threshold = 0.0;         // TernGrad clip threshold
 };
 
-// One bucket's worth of dequantize work.
+// One bucket's worth of dequantize work. `out` points at element `begin`,
+// like QuantizeArgs::values.
 struct DequantizeArgs {
   BitReader* reader = nullptr;    // positioned at the bucket's first field
   int64_t begin = 0;
@@ -57,7 +59,7 @@ struct DequantizeArgs {
   uint32_t magnitude_mask = 0;    // sign-magnitude: low-bits mask
   const double* magnitudes = nullptr;  // SM magnitude / NUQ level table
   double s = 0.0;                 // symmetric: level_count as double
-  float* out = nullptr;
+  float* out = nullptr;           // end - begin outputs, from element begin
 };
 
 // ---------------------------------------------------------------------------
@@ -154,13 +156,13 @@ inline float TernGradValue(uint32_t field, float scale) {
   return (field >> 1) & 1u ? -magnitude : magnitude;
 }
 
-// One 1bitSGD* quantize step: OR the sign bit of grad[i] into the flat
-// bitmap (Algorithm 2). `>= 0.0f` counts -0.0f positive and NaN negative.
-// Branch-free: gradient signs are random, so a branch would mispredict
-// half the time.
+// One 1bitSGD* quantize step: OR the sign bit of `g`, flat element i, into
+// the flat bitmap (Algorithm 2). `>= 0.0f` counts -0.0f positive and NaN
+// negative. Branch-free: gradient signs are random, so a branch would
+// mispredict half the time.
 LPSGD_HOT_PATH
-inline void OneBitStep(const float* grad, int64_t i, uint32_t* bits) {
-  bits[i >> 5] |= static_cast<uint32_t>(grad[i] >= 0.0f) << (i & 31);
+inline void OneBitStep(float g, int64_t i, uint32_t* bits) {
+  bits[i >> 5] |= static_cast<uint32_t>(g >= 0.0f) << (i & 31);
 }
 
 // One 1bitSGD dequantized element: avg+ where bit i is set, avg- where it
@@ -222,20 +224,15 @@ struct CodecKernels {
   void (*nuq_quantize)(const QuantizeArgs& args);
   void (*terngrad_quantize)(const QuantizeArgs& args);
   void (*terngrad_dequantize)(const DequantizeArgs& args);
-  // 1bitSGD* flat-bitmap quantize: OR the sign bits of grad[begin, end)
-  // into `bits` (pre-zeroed; buckets may straddle words).
+  // 1bitSGD* flat-bitmap quantize: OR the sign bits of elements
+  // [begin, end) into `bits` (pre-zeroed; buckets may straddle words).
+  // `grad` and `out` point at element `begin`; bit positions in `bits`
+  // are flat element indices.
   void (*one_bit_quantize)(const float* grad, int64_t begin, int64_t end,
                            uint32_t* bits);
   void (*one_bit_dequantize)(const uint32_t* bits, int64_t begin,
                              int64_t end, float avg_pos, float avg_neg,
                              float* out);
-  // c = grad + carried error staging (the error-feedback stage of
-  // GradientCodec::EncodeRange; TopK). `error` may be null: the scalar
-  // reference adds literal 0.0f then (which flushes -0.0f to +0.0f —
-  // wire-visible in TopK's EF-free pass, so a memcpy would NOT be
-  // equivalent).
-  void (*stage_corrected)(const float* grad, const float* error, float* out,
-                          int64_t n);
 };
 
 // Kernel table for `isa`; unsupported or not-compiled-in ISAs resolve to
@@ -261,8 +258,6 @@ void OneBitQuantize(const float* grad, int64_t begin, int64_t end,
                     uint32_t* bits);              // one_bit_simd.cc
 void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                       float avg_pos, float avg_neg, float* out);
-void StageCorrected(const float* grad, const float* error, float* out,
-                    int64_t n);                   // topk_simd.cc
 }  // namespace avx2
 #endif
 #if defined(__aarch64__)
@@ -270,8 +265,6 @@ namespace neon {
 void TernGradDequantize(const DequantizeArgs& args);  // terngrad_simd.cc
 void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                       float avg_pos, float avg_neg, float* out);
-void StageCorrected(const float* grad, const float* error, float* out,
-                    int64_t n);                       // topk_simd.cc
 }  // namespace neon
 #endif
 

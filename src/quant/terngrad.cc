@@ -94,13 +94,13 @@ void TernGradCodec::QuantizeRange(const float* grad, const Shape& shape,
   const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
   const ElementwiseKernels& elementwise = ActiveElementwiseKernels();
   quant_simd::QuantizeArgs args;
-  args.values = grad;
   args.stream_seed = stream.stream_seed();
   args.bits = kFieldBits;
   args.writer = &writer;
   for (int64_t b = begin / len; b * len < end; ++b) {
     const int64_t chunk_begin = b * len;
     const int64_t chunk_end = std::min(chunk_begin + len, end);
+    const float* values = grad + (chunk_begin - begin);
 
     double max_abs = 0.0;
     double threshold = std::numeric_limits<double>::infinity();
@@ -110,16 +110,15 @@ void TernGradCodec::QuantizeRange(const float* grad, const Shape& shape,
       // is order-sensitive, so this path stays scalar in every dispatch
       // mode.
       double sum_sq = 0.0;
-      for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-        const double g = grad[i];
+      for (int64_t i = 0; i < chunk_end - chunk_begin; ++i) {
+        const double g = values[i];
         max_abs = std::max(max_abs, std::abs(g));
         sum_sq += g * g;
       }
       const double count = static_cast<double>(chunk_end - chunk_begin);
       threshold = clip_ * std::sqrt(sum_sq / count);
     } else {
-      max_abs = elementwise.max_abs_f32(grad + chunk_begin,
-                                        chunk_end - chunk_begin);
+      max_abs = elementwise.max_abs_f32(values, chunk_end - chunk_begin);
     }
     const double scale = std::min(max_abs, threshold);
     scales[b] = static_cast<float>(scale);
@@ -129,6 +128,7 @@ void TernGradCodec::QuantizeRange(const float* grad, const Shape& shape,
       continue;
     }
 
+    args.values = values;
     args.begin = chunk_begin;
     args.end = chunk_end;
     args.scale = scale;
@@ -156,10 +156,10 @@ Status TernGradCodec::DecodeRange(const uint8_t* blob, const Shape& shape,
   quant_simd::DequantizeArgs args;
   args.reader = &reader;
   args.bits = kFieldBits;
-  args.out = out;
   for (int64_t b = begin / len; b * len < end; ++b) {
     args.begin = b * len;
     args.end = std::min(args.begin + len, end);
+    args.out = out + (args.begin - begin);
     args.scale = scales[b];
     kernels.terngrad_dequantize(args);
   }

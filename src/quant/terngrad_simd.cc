@@ -27,14 +27,16 @@ LPSGD_SIMD_TARGET_AVX2
 LPSGD_HOT_PATH
 void TernGradQuantize(const QuantizeArgs& args) {
   BitWriter* writer = args.writer;
-  int64_t i = args.begin;
-  while (i < args.end && !writer->AtWordBoundary()) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  const int64_t n = args.end - args.begin;
+  int64_t i = 0;
+  while (i < n && !writer->AtWordBoundary()) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + i));
     writer->Put(TernGradField(args.values[i], args.scale, args.threshold, u));
     ++i;
   }
   const int per_word = 32 / args.bits;  // 16 fields of 2 bits
-  int64_t words_left = (args.end - i) / per_word;
+  int64_t words_left = (n - i) / per_word;
   if (words_left > 0) {
     uint32_t* out_words = writer->cursor();
     writer->SkipWords(words_left);
@@ -50,7 +52,7 @@ void TernGradQuantize(const QuantizeArgs& args) {
       const int64_t count = tile_words * per_word;
       int64_t t = 0;
       for (; t + 4 <= count; t += 4) {
-        const __m256d u = Uniform4At(args.stream_seed, i + t);
+        const __m256d u = Uniform4At(args.stream_seed, args.begin + i + t);
         const __m256d dg = _mm256_cvtps_pd(_mm_loadu_ps(args.values + i + t));
         const __m256d ag = _mm256_and_pd(dg, abs_mask);
         // std::min(|g|, threshold) == (threshold < |g|) ? threshold : |g|.
@@ -68,8 +70,8 @@ void TernGradQuantize(const QuantizeArgs& args) {
         _mm_storeu_si128(reinterpret_cast<__m128i*>(fields + t), field);
       }
       for (; t < count; ++t) {
-        const double u =
-            StreamUniform(args.stream_seed, static_cast<uint64_t>(i + t));
+        const double u = StreamUniform(
+            args.stream_seed, static_cast<uint64_t>(args.begin + i + t));
         fields[t] =
             TernGradField(args.values[i + t], args.scale, args.threshold, u);
       }
@@ -79,8 +81,9 @@ void TernGradQuantize(const QuantizeArgs& args) {
       words_left -= tile_words;
     }
   }
-  for (; i < args.end; ++i) {
-    const double u = StreamUniform(args.stream_seed, static_cast<uint64_t>(i));
+  for (; i < n; ++i) {
+    const double u =
+        StreamUniform(args.stream_seed, static_cast<uint64_t>(args.begin + i));
     writer->Put(TernGradField(args.values[i], args.scale, args.threshold, u));
   }
 }
@@ -90,13 +93,14 @@ LPSGD_HOT_PATH
 void TernGradDequantize(const DequantizeArgs& args) {
   BitReader* reader = args.reader;
   const float scale = static_cast<float>(args.scale);
-  int64_t i = args.begin;
-  while (i < args.end && !reader->AtWordBoundary()) {
+  const int64_t n = args.end - args.begin;
+  int64_t i = 0;
+  while (i < n && !reader->AtWordBoundary()) {
     args.out[i] = TernGradValue(reader->Next(), scale);
     ++i;
   }
   const int per_word = 32 / args.bits;
-  int64_t words_left = (args.end - i) / per_word;
+  int64_t words_left = (n - i) / per_word;
   if (words_left > 0) {
     const uint32_t* in_words = reader->cursor();
     reader->SkipWords(words_left);
@@ -132,7 +136,7 @@ void TernGradDequantize(const DequantizeArgs& args) {
       words_left -= tile_words;
     }
   }
-  for (; i < args.end; ++i) {
+  for (; i < n; ++i) {
     args.out[i] = TernGradValue(reader->Next(), scale);
   }
 }
@@ -160,13 +164,14 @@ LPSGD_HOT_PATH
 void TernGradDequantize(const DequantizeArgs& args) {
   BitReader* reader = args.reader;
   const float scale = static_cast<float>(args.scale);
-  int64_t i = args.begin;
-  while (i < args.end && !reader->AtWordBoundary()) {
+  const int64_t n = args.end - args.begin;
+  int64_t i = 0;
+  while (i < n && !reader->AtWordBoundary()) {
     args.out[i] = TernGradValue(reader->Next(), scale);
     ++i;
   }
   const int per_word = 32 / args.bits;
-  int64_t words_left = (args.end - i) / per_word;
+  int64_t words_left = (n - i) / per_word;
   if (words_left > 0) {
     const uint32_t* in_words = reader->cursor();
     reader->SkipWords(words_left);
@@ -198,7 +203,7 @@ void TernGradDequantize(const DequantizeArgs& args) {
       words_left -= tile_words;
     }
   }
-  for (; i < args.end; ++i) {
+  for (; i < n; ++i) {
     args.out[i] = TernGradValue(reader->Next(), scale);
   }
 }

@@ -14,7 +14,6 @@
 #include "base/strings.h"
 #include "obs/span.h"
 #include "quant/registry.h"
-#include "quant/simd_kernels.h"
 #include "quant/workspace.h"
 
 namespace lpsgd {
@@ -26,11 +25,16 @@ using codec_internal::WordsAt;
 
 namespace {
 
-// Selection key of a staged value: its IEEE bits with the sign cleared.
-// Unsigned key order is magnitude order (denormals below normals, +inf
-// above every finite value), with every NaN ranked above +inf.
-inline uint32_t MagnitudeKey(float value) {
-  return std::bit_cast<uint32_t>(value) & 0x7fffffffu;
+// The value TopK sends for gradient element g: g + 0.0f, which flushes
+// -0.0f to +0.0f (wire-visible) and quiets a signalling NaN.
+inline float SentValue(float g) { return g + 0.0f; }
+
+// Selection key of gradient element g: the bits of its sent value with the
+// sign cleared. Unsigned key order is magnitude order (denormals below
+// normals, +inf above every finite value), with every NaN ranked above
+// +inf.
+inline uint32_t MagnitudeKey(float g) {
+  return std::bit_cast<uint32_t>(SentValue(g)) & 0x7fffffffu;
 }
 
 // The radix select's digits, most significant first: key bits 31..21,
@@ -62,17 +66,17 @@ struct Threshold {
   int64_t equal;
 };
 
-// Radix select of the k-th largest key of staged[0, n). The first digit
+// Radix select of the k-th largest key of grad[0, n). The first digit
 // is counted over every element, the second over the keys left in the
 // first digit's bucket (compacted into `candidates`), the third over the
 // candidates that also share the second digit. Integer-exact, so the
 // result is the same on every ISA.
 LPSGD_HOT_PATH
-Threshold SelectThreshold(const float* staged, int64_t n, int64_t k,
+Threshold SelectThreshold(const float* grad, int64_t n, int64_t k,
                           std::vector<uint32_t>* candidates) {
   DigitHistogram histogram{};
   for (int64_t i = 0; i < n; ++i) {
-    ++histogram[MagnitudeKey(staged[i]) >> kHighShift];
+    ++histogram[MagnitudeKey(grad[i]) >> kHighShift];
   }
   int64_t rank = k;
   const uint32_t high = TopDigit(histogram, kDigitMask + 1, &rank);
@@ -84,7 +88,7 @@ Threshold SelectThreshold(const float* staged, int64_t n, int64_t k,
       quant_internal::EnsureSize(candidates, static_cast<size_t>(n) + 1);
   int64_t m = 0;
   for (int64_t i = 0; i < n; ++i) {
-    const uint32_t key = MagnitudeKey(staged[i]);
+    const uint32_t key = MagnitudeKey(grad[i]);
     list[m] = key;
     m += (key >> kHighShift) == high;
   }
@@ -110,11 +114,11 @@ Threshold SelectThreshold(const float* staged, int64_t n, int64_t k,
 // is written and then overwritten, so `kept` needs one slot past the final
 // count.
 LPSGD_HOT_PATH
-int64_t KeepAbove(const float* staged, int64_t begin, int64_t end,
+int64_t KeepAbove(const float* grad, int64_t begin, int64_t end,
                   int64_t floor, uint32_t* kept, int64_t count) {
   for (int64_t i = begin; i < end; ++i) {
     kept[count] = static_cast<uint32_t>(i);
-    count += int64_t{MagnitudeKey(staged[i])} > floor;
+    count += int64_t{MagnitudeKey(grad[i])} > floor;
   }
   return count;
 }
@@ -168,17 +172,9 @@ void TopKCodec::QuantizeRange(const float* grad, const Shape& shape,
   CHECK_EQ(begin, 0);
   CHECK_EQ(end, n);
 
-  // The values are staged once (in reusable workspace scratch) as
-  // grad + 0.0f, which flushes -0.0f to +0.0f in the sent values (see
-  // CodecKernels::stage_corrected); the selection reads the staged copy.
-  const quant_simd::CodecKernels& kernels = quant_simd::ActiveCodecKernels();
-  float* staged =
-      quant_internal::EnsureSize(&workspace->corrected, static_cast<size_t>(n));
-  kernels.stage_corrected(grad, nullptr, staged, n);
-
   const int64_t k = KeptCount(n);
   const Threshold threshold =
-      SelectThreshold(staged, n, k, &workspace->candidates);
+      SelectThreshold(grad, n, k, &workspace->candidates);
 
   // The kept set: every key above T, then the lowest-indexed keys equal to
   // T until k are kept. Before `cut` (one past the last tie kept, or n
@@ -188,14 +184,14 @@ void TopKCodec::QuantizeRange(const float* grad, const Shape& shape,
   if (threshold.ties < threshold.equal) {
     int64_t seen = 0;
     for (cut = 0; seen < threshold.ties; ++cut) {
-      seen += MagnitudeKey(staged[cut]) == threshold.key;
+      seen += MagnitudeKey(grad[cut]) == threshold.key;
     }
   }
   uint32_t* kept = quant_internal::EnsureSize(&workspace->sparse_indices,
                                               static_cast<size_t>(k + 1));
   int64_t count =
-      KeepAbove(staged, 0, cut, int64_t{threshold.key} - 1, kept, 0);
-  count = KeepAbove(staged, cut, n, threshold.key, kept, count);
+      KeepAbove(grad, 0, cut, int64_t{threshold.key} - 1, kept, 0);
+  count = KeepAbove(grad, cut, n, threshold.key, kept, count);
   DCHECK_EQ(count, k);
 
   uint32_t* words = MutableWordsAt(blob, 0);
@@ -207,7 +203,7 @@ void TopKCodec::QuantizeRange(const float* grad, const Shape& shape,
                     static_cast<int64_t>(sizeof(uint32_t)));
   for (int64_t j = 0; j < k; ++j) {
     writer.Put(kept[j]);
-    values[j] = staged[kept[j]];
+    values[j] = SentValue(grad[kept[j]]);
   }
   writer.Finish();
 }

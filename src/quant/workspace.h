@@ -25,7 +25,6 @@ struct CodecWorkspace {
   // Error-feedback stage (GradientCodec::EncodeRange): the corrected range
   // c = grad + carried error, which the codec then quantizes.
   std::vector<float> ef_corrected;
-  // TopK encode: the staged gradient (grad + 0.0f) the selection reads.
   // TopK decode: the sparse values staged for validation.
   std::vector<float> corrected;
   // TopK encode: the radix select's candidates, the magnitude keys that

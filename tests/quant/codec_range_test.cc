@@ -3,9 +3,11 @@
 // The codec range contract (GradientCodec::RangeAlignment / EncodeRange /
 // DecodeRange): encoding the aligned ranges of a partition in any order
 // and then sealing reproduces Encode's bytes and residuals exactly, and
-// DecodeRange yields exactly Decode's slice without writing outside its
-// range. Codecs whose blob cannot be split report alignment 0 and accept
-// the full range only.
+// DecodeRange (like EncodeRange's `decoded`) yields exactly Decode's
+// slice. Each range's input and output is a vector of exactly its own
+// end - begin floats, so an access indexed by absolute element overflows
+// the heap under AddressSanitizer. Codecs whose blob cannot be split
+// report alignment 0 and accept the full range only.
 #include <algorithm>
 #include <cctype>
 #include <cstring>
@@ -74,6 +76,10 @@ TEST_P(SplittableCodecTest, ShuffledRangeEncodeMatchesEncode) {
     std::vector<uint8_t> whole;
     codec->Encode(grad.data(), shape, /*stochastic_tag=*/round,
                   feedback ? &error_whole : nullptr, &workspace, &whole);
+    std::vector<float> whole_decoded(static_cast<size_t>(n));
+    ASSERT_TRUE(codec->Decode(whole.data(), static_cast<int64_t>(whole.size()),
+                              shape, &workspace, whole_decoded.data())
+                    .ok());
 
     std::vector<std::pair<int64_t, int64_t>> ranges =
         Partition(n, 2 * alignment);
@@ -81,9 +87,15 @@ TEST_P(SplittableCodecTest, ShuffledRangeEncodeMatchesEncode) {
     std::vector<uint8_t> blob(
         static_cast<size_t>(codec->EncodedSizeBytes(shape)), 0xa5);
     for (const auto& [begin, end] : ranges) {
-      codec->EncodeRange(grad.data(), shape, /*stochastic_tag=*/round,
+      const std::vector<float> range_grad(grad.begin() + begin,
+                                          grad.begin() + end);
+      std::vector<float> decoded(static_cast<size_t>(end - begin));
+      codec->EncodeRange(range_grad.data(), shape, /*stochastic_tag=*/round,
                          feedback ? &error_ranges : nullptr, begin, end,
-                         &workspace, blob.data());
+                         &workspace, blob.data(), decoded.data());
+      EXPECT_EQ(0, std::memcmp(decoded.data(), whole_decoded.data() + begin,
+                               decoded.size() * sizeof(float)))
+          << "[" << begin << ", " << end << ")";
     }
     codec_internal::SealWireBlob(
         blob.data(), static_cast<int64_t>(blob.size()) -
@@ -119,18 +131,12 @@ TEST_P(SplittableCodecTest, RangeDecodeMatchesDecodeSlice) {
     for (const auto& [begin, end] : Partition(n, step)) {
       SCOPED_TRACE(testing::Message() << GetParam() << " [" << begin << ", "
                                       << end << ")");
-      // Sentinel everywhere: the range must be overwritten, the rest kept.
-      std::vector<float> out(static_cast<size_t>(n), 1234.5f);
+      std::vector<float> out(static_cast<size_t>(end - begin));
       ASSERT_TRUE(codec->DecodeRange(blob.data(), shape, begin, end,
                                      &workspace, out.data())
                       .ok());
-      EXPECT_EQ(0, std::memcmp(out.data() + begin, whole.data() + begin,
-                               static_cast<size_t>(end - begin) *
-                                   sizeof(float)));
-      EXPECT_TRUE(std::all_of(out.begin(), out.begin() + begin,
-                              [](float v) { return v == 1234.5f; }));
-      EXPECT_TRUE(std::all_of(out.begin() + end, out.end(),
-                              [](float v) { return v == 1234.5f; }));
+      EXPECT_EQ(0, std::memcmp(out.data(), whole.data() + begin,
+                               out.size() * sizeof(float)));
     }
   }
 }
@@ -183,7 +189,7 @@ TEST(RangeAlignmentTest, UnsplittableCodecsTakeTheFullRange) {
         static_cast<size_t>(codec->EncodedSizeBytes(shape)));
     codec->EncodeRange(grad.data(), shape, 5,
                        feedback ? &error_range : nullptr, 0, n, &workspace,
-                       blob.data());
+                       blob.data(), /*decoded=*/nullptr);
     codec_internal::SealWireBlob(
         blob.data(), static_cast<int64_t>(blob.size()) -
                          codec_internal::kWireChecksumBytes);

@@ -161,10 +161,19 @@ TEST(ErrorFeedbackTest, StageMatchesEfFreeCodecOnCorrectedGradient) {
         EXPECT_EQ(whole, expected);
         EXPECT_TRUE(BitwiseEqual(error_whole, error_ref));
 
+        // Each tile's gradient and decode are vectors of exactly its own
+        // end - begin floats (range-relative pointers).
         std::vector<uint8_t> tiled(expected.size(), 0xa5);
         for (const auto& [begin, end] : tiles) {
-          (*codec)->EncodeRange(grad.data(), shape, tag, &error_tiles, begin,
-                                end, &workspace, tiled.data());
+          const std::vector<float> tile_grad(grad.begin() + begin,
+                                             grad.begin() + end);
+          std::vector<float> tile_decoded(static_cast<size_t>(end - begin));
+          (*codec)->EncodeRange(tile_grad.data(), shape, tag, &error_tiles,
+                                begin, end, &workspace, tiled.data(),
+                                tile_decoded.data());
+          EXPECT_EQ(0, std::memcmp(tile_decoded.data(), decoded.data() + begin,
+                                   tile_decoded.size() * sizeof(float)))
+              << "[" << begin << ", " << end << ")";
         }
         codec_internal::SealWireBlob(
             tiled.data(), static_cast<int64_t>(tiled.size()) -

@@ -96,7 +96,9 @@ TEST(TopKCodecTest, SelectionMatchesStableSortReference) {
   // A small value set, so every radix digit sees ties across the
   // threshold: 1.0f and neighbours differing only in the low digit (bits
   // 9..0), only in the middle digit (bits 20..10), or in both, plus
-  // signed zeros, denormals, infinities and NaN.
+  // signed zeros, denormals, infinities, and quiet and signalling NaNs of
+  // both signs, with payloads (g + 0.0f quiets a signalling NaN, so its key
+  // is that of the quiet NaN it becomes).
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float denorm = std::numeric_limits<float>::denorm_min();
@@ -106,7 +108,9 @@ TEST(TopKCodecTest, SelectionMatchesStableSortReference) {
       bits(0x3f800400u), -bits(0x3f800401u), bits(0x3f800401u),
       0.5f,   0.0f,   -0.0f,
       denorm, -denorm, bits(0x00000401u), bits(0x007fffffu)};
-  const float rare[] = {inf, -inf, nan, -nan};
+  const float rare[] = {
+      inf, -inf, nan, -nan, bits(0x7f800001u), bits(0xff800001u),
+      bits(0x7fa00abcu), bits(0xff9fffffu)};
   const int64_t sizes[] = {1, 2, 7, 512, 2047, 2048, 2049, 16384, 100003};
   const double densities[] = {1e-9, 0.01, 0.25, 1.0};  // k = 1, 1%, 25%, n
   Rng rng(25);
