@@ -9,11 +9,12 @@
 //               [--lr F] [--primitive mpi|nccl] [--seed N] [--threads N]
 //               [--fault_plan <spec>] [--checkpoint_every N]
 //               [--max_retries N] [--obs <list>] [--obs_out <prefix>]
-//               [--simd auto|scalar|avx2|neon]
+//               [--simd auto|scalar|avx2]
 //               [--save_dir <dir>] [--save_every N]
 //               [--checkpoint_keep N] [--resume 0|1]
 //
-// Every flag also takes the --flag=value form.
+// Every flag also takes the --flag=value form. --simd auto picks avx2 where
+// the CPU has it; every non-AVX2 host runs the scalar reference kernels.
 //
 //   ./train_cli --model resnet --codec 1bit*:16 --gpus 8 --epochs 15
 //   ./train_cli --task sequence --model lstm --codec q2 --threads 4
@@ -163,7 +164,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 int Run(const Args& args) {
   if (!args.simd.empty()) {
     if (Status status = SetSimdMode(args.simd); !status.ok()) {
-      std::cerr << status << " (--simd takes auto|scalar|avx2|neon)\n";
+      std::cerr << status
+                << " (--simd takes auto|scalar|avx2; non-AVX2 hosts run"
+                   " scalar)\n";
       return 1;
     }
   }

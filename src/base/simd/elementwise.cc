@@ -165,18 +165,6 @@ const ElementwiseKernels& ElementwiseKernelsForIsa(SimdIsa isa) {
     return avx2;
   }
 #endif
-#if defined(__aarch64__)
-  static const ElementwiseKernels neon = {
-      simd_neon::MaxAbsF32,    simd_neon::AddF32,
-      simd_neon::AddAssignF32, simd_neon::AccumulateF64,
-      simd_neon::StoreF64AsF32,
-      // No ARMv8 CRC path (__crc32cd) yet: slicing-by-8 on every aarch64.
-      simd_scalar::Crc32c,
-      // No NEON tanh or sigmoid yet: libm on every aarch64.
-      simd_scalar::TanhF32,     simd_scalar::SigmoidF32,
-  };
-  if (isa == SimdIsa::kNeon) return neon;
-#endif
   (void)isa;
   return scalar;
 }

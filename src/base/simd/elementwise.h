@@ -94,15 +94,6 @@ void TanhF32(const float* x, float* out, int64_t n);
 void SigmoidF32(const float* x, float* out, int64_t n);
 }  // namespace simd_avx2
 #endif
-#if defined(__aarch64__)
-namespace simd_neon {
-double MaxAbsF32(const float* x, int64_t n);
-void AddF32(const float* a, const float* b, float* out, int64_t n);
-void AddAssignF32(float* acc, const float* x, int64_t n);
-void AccumulateF64(double* acc, const float* x, int64_t n);
-void StoreF64AsF32(const double* acc, float* out, int64_t n);
-}  // namespace simd_neon
-#endif
 
 }  // namespace lpsgd
 

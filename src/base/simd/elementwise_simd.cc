@@ -395,73 +395,3 @@ void SigmoidF32(const float* x, float* out, int64_t n) {
 }  // namespace simd_avx2
 }  // namespace lpsgd
 #endif  // defined(__x86_64__)
-
-#if defined(__aarch64__)
-#include <arm_neon.h>
-
-namespace lpsgd {
-namespace simd_neon {
-
-LPSGD_HOT_PATH
-double MaxAbsF32(const float* x, int64_t n) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t a = vabsq_f32(vld1q_f32(x + i));
-    // (acc < a) ? a : acc — mirrors the scalar std::max NaN drop.
-    acc = vbslq_f32(vcltq_f32(acc, a), a, acc);
-  }
-  float value_f = 0.0f;
-  float lanes[4];
-  vst1q_f32(lanes, acc);
-  for (const float lane : lanes) {
-    if (value_f < lane) value_f = lane;
-  }
-  double value = static_cast<double>(value_f);
-  for (; i < n; ++i) {
-    const double a = std::abs(static_cast<double>(x[i]));
-    if (value < a) value = a;
-  }
-  return value;
-}
-
-LPSGD_HOT_PATH
-void AddF32(const float* a, const float* b, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(out + i, vaddq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-LPSGD_HOT_PATH
-void AddAssignF32(float* acc, const float* x, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(acc + i, vaddq_f32(vld1q_f32(acc + i), vld1q_f32(x + i)));
-  }
-  for (; i < n; ++i) acc[i] += x[i];
-}
-
-LPSGD_HOT_PATH
-void AccumulateF64(double* acc, const float* x, int64_t n) {
-  int64_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t wide = vcvt_f64_f32(vld1_f32(x + i));
-    vst1q_f64(acc + i, vaddq_f64(vld1q_f64(acc + i), wide));
-  }
-  for (; i < n; ++i) acc[i] += static_cast<double>(x[i]);
-}
-
-LPSGD_HOT_PATH
-void StoreF64AsF32(const double* acc, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1_f32(out + i, vcvt_f32_f64(vld1q_f64(acc + i)));
-  }
-  for (; i < n; ++i) out[i] = static_cast<float>(acc[i]);
-}
-
-}  // namespace simd_neon
-}  // namespace lpsgd
-#endif  // defined(__aarch64__)

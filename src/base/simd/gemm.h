@@ -35,8 +35,8 @@ struct GemmKernels {
                           int64_t kc, float* out);
 };
 
-// Kernel table for `isa`; unsupported or not-compiled-in ISAs (NEON
-// included) resolve to the scalar table.
+// Kernel table for `isa`; unsupported or not-compiled-in ISAs resolve to
+// the scalar table.
 const GemmKernels& GemmKernelsForIsa(SimdIsa isa);
 
 inline const GemmKernels& ActiveGemmKernels() {

@@ -40,8 +40,6 @@ const char* SimdIsaName(SimdIsa isa) {
       return "scalar";
     case SimdIsa::kAvx2:
       return "avx2";
-    case SimdIsa::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -52,19 +50,12 @@ bool SimdIsaSupported(SimdIsa isa) {
       return true;
     case SimdIsa::kAvx2:
       return CpuHasAvx2();
-    case SimdIsa::kNeon:
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 SimdIsa DetectSimdIsa() {
   if (SimdIsaSupported(SimdIsa::kAvx2)) return SimdIsa::kAvx2;
-  if (SimdIsaSupported(SimdIsa::kNeon)) return SimdIsa::kNeon;
   return SimdIsa::kScalar;
 }
 
@@ -84,8 +75,7 @@ SimdIsa ActiveSimdIsa() {
 
 StatusOr<SimdIsa> ParseSimdMode(std::string_view mode) {
   if (mode == "auto") return DetectSimdIsa();
-  for (const SimdIsa isa :
-       {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2}) {
     if (mode != SimdIsaName(isa)) continue;
     if (!SimdIsaSupported(isa)) {
       return FailedPreconditionError(
@@ -97,7 +87,7 @@ StatusOr<SimdIsa> ParseSimdMode(std::string_view mode) {
   }
   return InvalidArgumentError(
       StrCat("unknown SIMD mode \"", std::string(mode),
-             "\" (expected auto, scalar, avx2, or neon)"));
+             "\" (expected one of auto, scalar, avx2)"));
 }
 
 Status SetSimdMode(std::string_view mode) {

@@ -16,17 +16,18 @@ namespace lpsgd {
 enum class SimdIsa {
   kScalar = 0,
   kAvx2 = 1,  // x86-64 AVX2: 256-bit integer/double lanes, 32-bit gathers
-  kNeon = 2,  // aarch64 Advanced SIMD: 128-bit lanes
 };
 
-// "scalar" | "avx2" | "neon" — the names --simd= and LPSGD_SIMD accept.
+// "scalar" | "avx2" — the names --simd= and LPSGD_SIMD accept.
 const char* SimdIsaName(SimdIsa isa);
 
 // True when `isa` is both compiled into this binary and supported by the
 // CPU it is running on.
 bool SimdIsaSupported(SimdIsa isa);
 
-// Best supported ISA on this host (ignores overrides).
+// Best supported ISA on this host (ignores overrides): kAvx2 where the CPU
+// has it, else kScalar — aarch64 and every other non-AVX2 host run the
+// scalar reference.
 SimdIsa DetectSimdIsa();
 
 // The ISA kernel dispatch uses. Resolution order: the last SetSimdMode()
@@ -35,9 +36,9 @@ SimdIsa DetectSimdIsa();
 SimdIsa ActiveSimdIsa();
 
 // Parses a --simd= / LPSGD_SIMD style value without installing it: "auto"
-// maps to DetectSimdIsa(); "scalar", "avx2", and "neon" name the ISA
-// directly. Fails with InvalidArgument on unknown names and
-// FailedPrecondition when the named ISA cannot run on this host.
+// maps to DetectSimdIsa(); "scalar" and "avx2" name the ISA directly.
+// Fails with InvalidArgument on unknown names and FailedPrecondition when
+// the named ISA cannot run on this host.
 StatusOr<SimdIsa> ParseSimdMode(std::string_view mode);
 
 // Installs the dispatch mode parsed by ParseSimdMode().

@@ -1,11 +1,11 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// AVX2 kernels (and a NEON dequantize) for the flat-bitmap 1bitSGD* hot
-// loops. The sign test is the scalar `grad[i] >= 0.0f` as an ordered compare
-// (NOT a raw sign-bit movemask: -0.0f must count positive and NaN must
-// count negative, exactly like the scalar reference); 32 sign bits are
-// assembled per word from four 8-lane masks. Buckets may start and end
-// mid-word, so the kernels align to 32-element boundaries scalar-first.
+// AVX2 kernels for the flat-bitmap 1bitSGD* hot loops. The sign test is
+// the scalar `grad[i] >= 0.0f` as an ordered compare (NOT a raw sign-bit
+// movemask: -0.0f must count positive and NaN must count negative, exactly
+// like the scalar reference); 32 sign bits are assembled per word from
+// four 8-lane masks. Buckets may start and end mid-word, so the kernels
+// align to 32-element boundaries scalar-first.
 #include "quant/simd_kernels.h"
 
 #if defined(__x86_64__)
@@ -74,42 +74,3 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
 }  // namespace lpsgd
 
 #endif  // defined(__x86_64__)
-
-#if defined(__aarch64__)
-
-#include <arm_neon.h>
-
-namespace lpsgd {
-namespace quant_simd {
-namespace neon {
-
-LPSGD_HOT_PATH
-void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
-                      float avg_pos, float avg_neg, float* out) {
-  int64_t i = begin;
-  while (i < end && (i & 31) != 0) {
-    out[i - begin] = OneBitValue(bits, i, avg_pos, avg_neg);
-    ++i;
-  }
-  const uint32x4_t lane_bit = {1u, 2u, 4u, 8u};
-  const float32x4_t pos_v = vdupq_n_f32(avg_pos);
-  const float32x4_t neg_v = vdupq_n_f32(avg_neg);
-  for (; i + 32 <= end; i += 32) {
-    const uint32_t word = bits[i >> 5];
-    for (int k = 0; k < 32; k += 4) {
-      const uint32x4_t selected =
-          vandq_u32(vdupq_n_u32(word >> k), lane_bit);
-      const uint32x4_t is_pos = vceqq_u32(selected, lane_bit);
-      vst1q_f32(out + (i - begin) + k, vbslq_f32(is_pos, pos_v, neg_v));
-    }
-  }
-  for (; i < end; ++i) {
-    out[i - begin] = OneBitValue(bits, i, avg_pos, avg_neg);
-  }
-}
-
-}  // namespace neon
-}  // namespace quant_simd
-}  // namespace lpsgd
-
-#endif  // defined(__aarch64__)

@@ -115,20 +115,6 @@ const CodecKernels& CodecKernelsForIsa(SimdIsa isa) {
     return avx2_table;
   }
 #endif
-#if defined(__aarch64__)
-  // NEON covers the table-free decode kernels; the hash-driven quantize
-  // kernels stay scalar pending a lane-exact 64-bit multiply (NEON has no
-  // 64x64 lane product, and emulating one costs more than the hash saves
-  // at 128-bit width).
-  static const CodecKernels neon_table = {
-      ScalarQsgdQuantizeSm,     ScalarQsgdQuantizeSym,
-      ScalarDequantizeSm,       ScalarDequantizeSym,
-      ScalarNuqQuantize,
-      ScalarTernGradQuantize,   neon::TernGradDequantize,
-      ScalarOneBitQuantize,     neon::OneBitDequantize,
-  };
-  if (isa == SimdIsa::kNeon) return neon_table;
-#endif
   (void)isa;
   return scalar;
 }

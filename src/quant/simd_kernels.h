@@ -260,13 +260,6 @@ void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
                       float avg_pos, float avg_neg, float* out);
 }  // namespace avx2
 #endif
-#if defined(__aarch64__)
-namespace neon {
-void TernGradDequantize(const DequantizeArgs& args);  // terngrad_simd.cc
-void OneBitDequantize(const uint32_t* bits, int64_t begin, int64_t end,
-                      float avg_pos, float avg_neg, float* out);
-}  // namespace neon
-#endif
 
 }  // namespace quant_simd
 }  // namespace lpsgd

@@ -1,9 +1,9 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// AVX2 kernels (and a NEON dequantize) for the TernGrad ternarize hot
-// loops. Encode follows the clip'ed-magnitude Bernoulli draw of Equation 3;
-// decode expands 2-bit fields to {-scale, -0, +0, +scale} with the sign
-// applied as a bit flip so -0.0f round-trips exactly like the scalar path.
+// AVX2 kernels for the TernGrad ternarize hot loops. Encode follows the
+// clip'ed-magnitude Bernoulli draw of Equation 3; decode expands 2-bit
+// fields to {-scale, -0, +0, +scale} with the sign applied as a bit flip
+// so -0.0f round-trips exactly like the scalar path.
 #include "quant/simd_kernels.h"
 
 #if defined(__x86_64__)
@@ -146,70 +146,3 @@ void TernGradDequantize(const DequantizeArgs& args) {
 }  // namespace lpsgd
 
 #endif  // defined(__x86_64__)
-
-#if defined(__aarch64__)
-
-#include <arm_neon.h>
-
-#include <algorithm>
-
-namespace lpsgd {
-namespace quant_simd {
-namespace neon {
-namespace {
-constexpr int64_t kTileWords = 64;
-}  // namespace
-
-LPSGD_HOT_PATH
-void TernGradDequantize(const DequantizeArgs& args) {
-  BitReader* reader = args.reader;
-  const float scale = static_cast<float>(args.scale);
-  const int64_t n = args.end - args.begin;
-  int64_t i = 0;
-  while (i < n && !reader->AtWordBoundary()) {
-    args.out[i] = TernGradValue(reader->Next(), scale);
-    ++i;
-  }
-  const int per_word = 32 / args.bits;
-  int64_t words_left = (n - i) / per_word;
-  if (words_left > 0) {
-    const uint32_t* in_words = reader->cursor();
-    reader->SkipWords(words_left);
-    const uint32x4_t one = vdupq_n_u32(1);
-    const uint32x4_t sign_bit = vdupq_n_u32(0x80000000u);
-    const uint32x4_t scale_bits =
-        vreinterpretq_u32_f32(vdupq_n_f32(scale));
-    uint32_t fields[kTileWords * 16];
-    while (words_left > 0) {
-      const int64_t tile_words = std::min(words_left, kTileWords);
-      const int64_t count = tile_words * per_word;
-      UnpackFieldWords(in_words, tile_words, per_word, args.bits, fields);
-      int64_t t = 0;
-      for (; t + 4 <= count; t += 4) {
-        const uint32x4_t f = vld1q_u32(fields + t);
-        const uint32x4_t mag_mask = vceqq_u32(vandq_u32(f, one), one);
-        const uint32x4_t magnitude = vandq_u32(mag_mask, scale_bits);
-        const uint32x4_t neg_mask =
-            vceqq_u32(vandq_u32(vshrq_n_u32(f, 1), one), one);
-        const uint32x4_t value =
-            veorq_u32(magnitude, vandq_u32(neg_mask, sign_bit));
-        vst1q_f32(args.out + i + t, vreinterpretq_f32_u32(value));
-      }
-      for (; t < count; ++t) {
-        args.out[i + t] = TernGradValue(fields[t], scale);
-      }
-      in_words += tile_words;
-      i += count;
-      words_left -= tile_words;
-    }
-  }
-  for (; i < n; ++i) {
-    args.out[i] = TernGradValue(reader->Next(), scale);
-  }
-}
-
-}  // namespace neon
-}  // namespace quant_simd
-}  // namespace lpsgd
-
-#endif  // defined(__aarch64__)
