@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "base/logging.h"
 #include "base/strings.h"
 
 namespace lpsgd {
@@ -19,17 +20,6 @@ bool CpuHasAvx2() {
 #else
   return false;
 #endif
-}
-
-SimdIsa ResolveInitial() {
-  // The env override is an operator knob, not program input: an unusable
-  // value falls back to detection instead of aborting the run.
-  if (const char* env = std::getenv("LPSGD_SIMD");
-      env != nullptr && *env != '\0') {
-    StatusOr<SimdIsa> parsed = ParseSimdMode(env);
-    if (parsed.ok()) return *parsed;
-  }
-  return DetectSimdIsa();
 }
 
 }  // namespace
@@ -62,7 +52,8 @@ SimdIsa DetectSimdIsa() {
 SimdIsa ActiveSimdIsa() {
   int value = g_active.load(std::memory_order_acquire);
   if (value < 0) {
-    const SimdIsa resolved = ResolveInitial();
+    const SimdIsa resolved =
+        simd_internal::ResolveSimdOverride(std::getenv("LPSGD_SIMD"));
     int expected = -1;
     if (g_active.compare_exchange_strong(expected, static_cast<int>(resolved),
                                          std::memory_order_acq_rel)) {
@@ -97,6 +88,19 @@ Status SetSimdMode(std::string_view mode) {
 }
 
 namespace simd_internal {
+
+SimdIsa ResolveSimdOverride(const char* value) {
+  // The env override is an operator knob, not program input: an unusable
+  // value falls back to detection instead of aborting the run, and says so.
+  const SimdIsa detected = DetectSimdIsa();
+  if (value == nullptr || *value == '\0') return detected;
+  StatusOr<SimdIsa> parsed = ParseSimdMode(value);
+  if (parsed.ok()) return *parsed;
+  LOG(Warning) << "ignoring LPSGD_SIMD=\"" << value
+               << "\": " << parsed.status().message() << "; using "
+               << SimdIsaName(detected);
+  return detected;
+}
 
 SimdIsa ExchangeActiveSimdIsa(SimdIsa isa) {
   const SimdIsa previous = ActiveSimdIsa();

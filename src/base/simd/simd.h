@@ -45,6 +45,13 @@ StatusOr<SimdIsa> ParseSimdMode(std::string_view mode);
 Status SetSimdMode(std::string_view mode);
 
 namespace simd_internal {
+// What ActiveSimdIsa() resolves an LPSGD_SIMD value (null when unset) to
+// when no SetSimdMode() call came first: the parsed mode, or for an unset
+// or empty value DetectSimdIsa(). A value ParseSimdMode() rejects also
+// resolves to DetectSimdIsa(), after one warning on stderr that names the
+// value and the ISA picked instead.
+SimdIsa ResolveSimdOverride(const char* value);
+
 // Swaps the active ISA, returning the previous one. No support check: an
 // unsupported ISA simply resolves to the scalar kernel tables, so forcing
 // is harmless. Used by ScopedSimdIsa; not part of the public surface.

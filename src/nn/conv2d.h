@@ -12,11 +12,14 @@
 namespace lpsgd {
 
 // 2-D convolution over {batch, channels, height, width} inputs. Square
-// kernels, uniform stride/padding. A training Forward or a Backward is one
-// im2col over the batch and one Gemm per product, with every sample's
-// output positions side by side; an eval Forward does the same a few
-// samples at a time. Each output and gradient element sees the same float
-// operations, in the same order, as a loop of per-sample Gemms gives it.
+// kernels, uniform stride/padding. The forward product and the weight
+// gradient are one Gemm each over the whole batch, with every sample's
+// output positions side by side. Their im2col patches matrix is never
+// stored: Gemm's B panels are packed straight from the zero-padded input
+// images (an implicit im2col). The input gradient is one Gemm and one col2im per
+// sample. Each output and gradient element sees the same float
+// operations, in the same order, as a loop of per-sample Gemms over
+// explicit patches gives it.
 class Conv2dLayer : public Layer {
  public:
   Conv2dLayer(std::string name, int in_channels, int out_channels,
@@ -29,12 +32,6 @@ class Conv2dLayer : public Layer {
   Shape OutputShape(const Shape& input_shape) const override;
 
  private:
-  // Runs im2col + Gemm for samples [first, first + count) of `input`,
-  // with their patches in `patches` ({count * plane, K}), and writes their
-  // outputs plus bias into `output`.
-  void ForwardSamples(const Tensor& input, int64_t first, int64_t count,
-                      Tensor* patches, Tensor* output) const;
-
   std::string name_;
   int in_channels_;
   int out_channels_;
@@ -45,13 +42,15 @@ class Conv2dLayer : public Layer {
   Tensor weight_grad_;  // same shape
   Tensor bias_;         // {out_c}
   Tensor bias_grad_;    // {out_c}
-  // Input shape and im2col patches ({batch * plane, K}, sample-major) of
-  // the last training Forward, which Backward needs. An eval Forward keeps
-  // no patches and clears `has_patches_`; concurrent eval passes all store
+  // The input of the last training Forward with its zero padding,
+  // {batch, in_c, H + 2 * padding, W + 2 * padding}: Forward packs from it
+  // and Backward packs the weight gradient's patches from it again. A
+  // training Forward sets `has_cached_input_` and an eval Forward, which
+  // pads into per-thread scratch instead, clears it, so Backward runs only
+  // right after a training Forward. Concurrent eval passes all store
   // false, hence relaxed atomic.
-  Shape cached_input_shape_;
-  Tensor patches_;
-  std::atomic<bool> has_patches_{false};
+  Tensor cached_input_;
+  std::atomic<bool> has_cached_input_{false};
 };
 
 }  // namespace lpsgd

@@ -11,43 +11,72 @@ namespace lpsgd {
 
 namespace {
 
-// Gemm's blocking. op(B) is cut into panels of k rows by j columns, 32K
-// floats (128 KiB) each, visited in ascending k so every C element
+// Gemm's blocking. op(B) comes from a GemmPanelSource, whose panels of
+// kGemmPanelFloats (128 KiB) are visited in ascending k so every C element
 // accumulates its k terms in order. A panel is packed once into
 // kGemmNr-wide strips stored k-major, and then stays in L2 while every row
 // of op(A) runs over it: one row's nonzero alpha * a_ik are packed, and
 // the micro-kernel walks them along each strip with a kGemmNr-wide tile of
-// C in registers. Packing reads the source a row at a time, so each panel
-// is long along the source's rows (B's run along j, B^T's along k), and a
-// 4 KiB row of B streams whole. The buffers are fixed-size thread-locals:
-// Gemm never allocates.
-constexpr int64_t kPanelFloats = 128 * 256;
-constexpr int64_t kPanelKOfB = 32;     // 32 x 1024
-constexpr int64_t kPanelKOfBt = 128;   // 128 x 256
-static_assert(kPanelFloats / kPanelKOfB % kGemmNr == 0 &&
-              kPanelFloats / kPanelKOfBt % kGemmNr == 0);
+// C in registers. A source packs its storage a row at a time, so each
+// panel is long along those rows: dense B's run along j, and a 4 KiB row
+// of B streams whole; dense B^T's run along k. The buffers are fixed-size
+// thread-locals: Gemm never allocates.
+static_assert(kGemmPanelFloats / kGemmPanelKAlongJ % kGemmNr == 0 &&
+              kGemmPanelFloats / kGemmPanelKAlongK % kGemmNr == 0);
 
-constexpr int64_t kMaxPanelK = std::max(kPanelKOfB, kPanelKOfBt);
+constexpr int64_t kMaxPanelK = std::max(kGemmPanelKAlongJ, kGemmPanelKAlongK);
 
-alignas(64) thread_local float t_b_panel[kPanelFloats];
+alignas(64) thread_local float t_b_panel[kGemmPanelFloats];
 alignas(64) thread_local float t_a_values[kMaxPanelK];
 thread_local int32_t t_a_index[kMaxPanelK];
 
-// Packs rows [p0, p0 + kc) x columns [j0, j0 + nc) of row-major B (row
-// stride ldb) into kGemmNr-wide strips: strip s holds out[s * kc * kGemmNr
-// + k * kGemmNr + j]. The last strip is zero-padded.
-void PackB(const float* bd, int64_t ldb, int64_t p0, int64_t kc, int64_t j0,
-           int64_t nc, float* out) {
-  for (int64_t k = 0; k < kc; ++k) {
-    const float* row = bd + (p0 + k) * ldb + j0;
-    for (int64_t j = 0; j < nc; j += kGemmNr) {
-      float* dst = out + j * kc + k * kGemmNr;
-      const int64_t cols = std::min(kGemmNr, nc - j);
-      std::copy(row + j, row + j + cols, dst);
-      std::fill(dst + cols, dst + kGemmNr, 0.0f);
+// Row-major B (row stride ldb), read along its rows.
+class DenseB final : public GemmPanelSource {
+ public:
+  explicit DenseB(const Tensor& b) : b_(b) {}
+  int64_t rows() const override { return b_.rows(); }
+  int64_t cols() const override { return b_.cols(); }
+  int64_t panel_k() const override { return kGemmPanelKAlongJ; }
+  void Pack(int64_t p0, int64_t kc, int64_t j0, int64_t nc,
+            float* out) const override {
+    const int64_t ldb = b_.cols();
+    for (int64_t k = 0; k < kc; ++k) {
+      const float* row = b_.data() + (p0 + k) * ldb + j0;
+      for (int64_t j = 0; j < nc; j += kGemmNr) {
+        float* dst = out + j * kc + k * kGemmNr;
+        const int64_t cols = std::min(kGemmNr, nc - j);
+        std::copy(row + j, row + j + cols, dst);
+        std::fill(dst + cols, dst + kGemmNr, 0.0f);
+      }
     }
   }
-}
+
+ private:
+  const Tensor& b_;
+};
+
+// op(B) = B^T of row-major B: each strip is a transposing copy of kGemmNr
+// rows of B, read along k.
+class DenseBt final : public GemmPanelSource {
+ public:
+  explicit DenseBt(const Tensor& b)
+      : b_(b), pack_transposed_(ActiveGemmKernels().pack_transposed) {}
+  int64_t rows() const override { return b_.cols(); }
+  int64_t cols() const override { return b_.rows(); }
+  int64_t panel_k() const override { return kGemmPanelKAlongK; }
+  void Pack(int64_t p0, int64_t kc, int64_t j0, int64_t nc,
+            float* out) const override {
+    const int64_t ldb = b_.cols();
+    for (int64_t jr = 0; jr < nc; jr += kGemmNr) {
+      pack_transposed_(b_.data() + (j0 + jr) * ldb + p0, ldb,
+                       std::min(kGemmNr, nc - jr), kc, out + jr * kc);
+    }
+  }
+
+ private:
+  const Tensor& b_;
+  decltype(GemmKernels::pack_transposed) pack_transposed_;
+};
 
 // Packs row i of op(A), k-range [p0, p0 + kc): the products alpha * a_ik
 // that are not zero (either sign; NaN is kept), k ascending, with their
@@ -73,11 +102,19 @@ int64_t PackARow(bool transpose_a, float alpha, const float* ad, int64_t lda,
 
 void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor* c) {
+  if (transpose_b) {
+    Gemm(transpose_a, alpha, a, DenseBt(b), beta, c);
+  } else {
+    Gemm(transpose_a, alpha, a, DenseB(b), beta, c);
+  }
+}
+
+void Gemm(bool transpose_a, float alpha, const Tensor& a,
+          const GemmPanelSource& b, float beta, Tensor* c) {
   const int64_t m = transpose_a ? a.cols() : a.rows();
   const int64_t k = transpose_a ? a.rows() : a.cols();
-  const int64_t k2 = transpose_b ? b.cols() : b.rows();
-  const int64_t n = transpose_b ? b.rows() : b.cols();
-  CHECK_EQ(k, k2) << "Gemm inner dimensions";
+  const int64_t n = b.cols();
+  CHECK_EQ(k, b.rows()) << "Gemm inner dimensions";
   CHECK_EQ(c->rows(), m);
   CHECK_EQ(c->cols(), n);
 
@@ -94,27 +131,18 @@ void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
 
   const GemmKernels& kernels = ActiveGemmKernels();
   const float* ad = a.data();
-  const float* bd = b.data();
   const int64_t lda = a.cols();
-  const int64_t ldb = b.cols();
 
-  const int64_t panel_k = transpose_b ? kPanelKOfBt : kPanelKOfB;
-  const int64_t panel_n = kPanelFloats / panel_k;
+  const int64_t panel_k = b.panel_k();
+  CHECK(panel_k == kGemmPanelKAlongJ || panel_k == kGemmPanelKAlongK);
+  const int64_t panel_n = kGemmPanelFloats / panel_k;
   for (int64_t jc = 0; jc < n; jc += panel_n) {
     const int64_t nc = std::min(panel_n, n - jc);
     for (int64_t pc = 0; pc < k; pc += panel_k) {
       const int64_t kc = std::min(panel_k, k - pc);
       // The first k-panel scales C by beta as the kernel loads each tile.
       const float panel_beta = pc == 0 ? beta : 1.0f;
-      if (transpose_b) {
-        for (int64_t jr = 0; jr < nc; jr += kGemmNr) {
-          kernels.pack_transposed(bd + (jc + jr) * ldb + pc, ldb,
-                                  std::min(kGemmNr, nc - jr), kc,
-                                  t_b_panel + jr * kc);
-        }
-      } else {
-        PackB(bd, ldb, pc, kc, jc, nc, t_b_panel);
-      }
+      b.Pack(pc, kc, jc, nc, t_b_panel);
       for (int64_t i = 0; i < m; ++i) {
         const int64_t count = PackARow(transpose_a, alpha, ad, lda, i, pc, kc,
                                        t_a_values, t_a_index);
@@ -198,49 +226,11 @@ void SoftmaxRows(const Tensor& logits, Tensor* probs) {
 
 namespace {
 
-// Im2Col and Col2Im bodies. A window row inside the image is a short
-// contiguous run; with its width kFixedWidth known at compile time (3, for
-// every 3x3 kernel) it becomes a few moves instead of a loop of unknown
-// length. kFixedWidth 0 reads the width from kernel_w. Both instantiations
-// perform the same copies and adds in the same order.
-template <int kFixedWidth>
-void Im2ColRows(const float* image, int channels, int height, int width,
-                int kernel_h, int kernel_w, int stride, int padding,
-                float* patches) {
-  const int kw = kFixedWidth > 0 ? kFixedWidth : kernel_w;
-  const int out_h = ConvOutputSize(height, kernel_h, stride, padding);
-  const int out_w = ConvOutputSize(width, kw, stride, padding);
-  for (int oy = 0; oy < out_h; ++oy) {
-    for (int ox = 0; ox < out_w; ++ox) {
-      float* row = patches;
-      patches += int64_t{channels} * kernel_h * kw;
-      // The window's left column, and whether the window lies within the
-      // image's width, so its rows need no per-element checks.
-      const int x0 = ox * stride - padding;
-      const bool inside_x = x0 >= 0 && x0 + kw <= width;
-      for (int ch = 0; ch < channels; ++ch) {
-        const float* plane = image + int64_t{ch} * height * width;
-        for (int ky = 0; ky < kernel_h; ++ky, row += kw) {
-          const int iy = oy * stride + ky - padding;
-          if (iy < 0 || iy >= height) {
-            std::fill(row, row + kw, 0.0f);
-            continue;
-          }
-          const float* line = plane + int64_t{iy} * width;
-          if (inside_x) {
-            for (int kx = 0; kx < kw; ++kx) row[kx] = line[x0 + kx];
-            continue;
-          }
-          for (int kx = 0; kx < kw; ++kx) {
-            const int ix = x0 + kx;
-            row[kx] = ix >= 0 && ix < width ? line[ix] : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
+// Col2Im's body. A window row inside the image is a short contiguous run;
+// with its width kFixedWidth known at compile time (3, for every 3x3
+// kernel) it becomes a few adds instead of a loop of unknown length.
+// kFixedWidth 0 reads the width from kernel_w. Both instantiations perform
+// the same adds in the same order.
 template <int kFixedWidth>
 void Col2ImRows(const float* patches, int channels, int height, int width,
                 int kernel_h, int kernel_w, int stride, int padding,
@@ -275,18 +265,6 @@ void Col2ImRows(const float* patches, int channels, int height, int width,
 }
 
 }  // namespace
-
-void Im2Col(const float* image, int channels, int height, int width,
-            int kernel_h, int kernel_w, int stride, int padding,
-            float* patches) {
-  if (kernel_w == 3) {
-    Im2ColRows<3>(image, channels, height, width, kernel_h, kernel_w, stride,
-                  padding, patches);
-  } else {
-    Im2ColRows<0>(image, channels, height, width, kernel_h, kernel_w, stride,
-                  padding, patches);
-  }
-}
 
 void Col2Im(const float* patches, int channels, int height, int width,
             int kernel_h, int kernel_w, int stride, int padding,

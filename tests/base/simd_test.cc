@@ -6,6 +6,7 @@
 // CRC-32C slot's known answers.
 #include "base/simd/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -55,6 +56,30 @@ TEST(SimdIsaTest, AutoIsDetectionAndBadNamesAreInvalidArgument) {
               std::string::npos)
         << parsed.status().message();
   }
+}
+
+TEST(SimdIsaTest, UnusableEnvOverrideWarnsAndFallsBackToDetection) {
+  // LPSGD_SIMD is read once per process, so the resolver is driven with
+  // the strings directly. A rejected value still must not abort the run.
+  const std::string detected = SimdIsaName(DetectSimdIsa());
+  for (const char* bad : {"neon", "scalr", "AVX2"}) {
+    testing::internal::CaptureStderr();
+    const SimdIsa resolved = simd_internal::ResolveSimdOverride(bad);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(resolved, DetectSimdIsa()) << bad;
+    EXPECT_NE(log.find("LPSGD_SIMD=\"" + std::string(bad) + "\""),
+              std::string::npos)
+        << log;
+    EXPECT_NE(log.find("using " + detected), std::string::npos) << log;
+    EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1) << log;
+  }
+  // Unset, empty and usable values resolve without a word.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(simd_internal::ResolveSimdOverride(nullptr), DetectSimdIsa());
+  EXPECT_EQ(simd_internal::ResolveSimdOverride(""), DetectSimdIsa());
+  EXPECT_EQ(simd_internal::ResolveSimdOverride("auto"), DetectSimdIsa());
+  EXPECT_EQ(simd_internal::ResolveSimdOverride("scalar"), SimdIsa::kScalar);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(SimdIsaTest, ScalarIsAlwaysSupportedAndDetectionIsSupported) {

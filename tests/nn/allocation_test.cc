@@ -2,10 +2,10 @@
 //
 // Allocation-regression tests for the layer compute path: after warm-up, a
 // Conv2dLayer training pass, an LstmLayer training pass and a ReLU pass
-// allocate only the tensors they return, with every im2col, Gemm, stack
-// and cache buffer reused; so does an eval pass of each on a thread whose
-// per-thread scratch is warm, also when that scratch changes shape between
-// calls. This test
+// allocate only the tensors they return, with every padded-input, Gemm,
+// stack and cache buffer reused; so does an eval pass of each on a thread
+// whose per-thread scratch is warm, also when that scratch changes shape
+// between calls. This test
 // overrides the global allocator to count allocations, so it lives in its
 // own binary (nn_allocation_test) and must not be merged into nn_test.
 #include <atomic>
@@ -81,7 +81,8 @@ int64_t AllocationsPerTensor(const Shape& shape) {
 }
 
 // The conv_compute body conv (16 -> 16 channels, 16x16, 3x3, pad 1) at its
-// per-rank batch of 16.
+// per-rank batch of 16. The layer's cached (padded) input is sized by the
+// first pass and reused after it.
 TEST(LayerAllocationTest, ConvTrainingPassAllocatesOnlyItsResults) {
   Rng rng(11);
   Conv2dLayer conv("conv", 16, 16, 3, 1, 1, &rng);
@@ -171,9 +172,9 @@ TEST(LayerAllocationTest, ReluPassAllocatesOnlyItsResults) {
 
 // SyncTrainer::Evaluate runs eval passes on every pool thread; each thread
 // warms its own scratch once and then allocates only the results. The
-// conv_compute body conv at a 32-sample eval slice, two full eval chunks,
-// and at a 40-sample one, chunks of 16, 16 and 8 samples, whose per-thread
-// scratch changes shape within a pass and between passes.
+// conv_compute body conv at a 32-sample eval slice and at a 40-sample one:
+// the per-thread padded input and Gemm output are sized for the whole
+// slice and change shape between the two.
 TEST(LayerAllocationTest, ConvEvalPassAllocatesOnlyItsResult) {
   for (const int64_t batch : {32, 40}) {
     SCOPED_TRACE(batch);

@@ -35,7 +35,9 @@ constexpr int64_t kTrainRows = 6;
 
 // What the Backward after the concurrent eval passes is compared with.
 enum class BackwardCheck {
-  kNone,  // Conv2d: an eval pass clears its patches, Backward must fail
+  // Conv2d: an eval pass invalidates the input its training Forward
+  // cached, so Backward must fail.
+  kNone,
   // The Backward of a net that saw no eval pass since its training
   // Forward: every layer's Backward reads training caches only.
   kNoEvalPass,

@@ -1,10 +1,12 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 //
-// Conv2dLayer runs one im2col and one Gemm per pass over the whole batch.
-// These tests keep the per-sample loop it replaced as the golden reference
-// and require every output, weight gradient, bias gradient and input
-// gradient to match it byte for byte, under every Gemm ISA, as
-// GemmBitExactTest does for the blocked Gemm.
+// Conv2dLayer packs Gemm's B panels straight from its input (an implicit
+// im2col) and runs one forward Gemm and one weight-gradient Gemm over the
+// whole batch. These tests keep the per-sample loop over explicit im2col
+// patches that it replaced as the golden reference, and require every
+// output, weight gradient, bias gradient and input gradient to match it
+// byte for byte, under every Gemm ISA, as GemmBitExactTest does for the
+// blocked Gemm.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +19,7 @@
 #include "base/simd/simd.h"
 #include "nn/conv2d.h"
 #include "tensor/ops.h"
+#include "../tensor/im2col_reference.h"
 
 namespace lpsgd {
 namespace {
@@ -180,7 +183,8 @@ void ExpectMatchesReference(const ConvCase& c) {
 
 // The conv layers of BuildMiniResNet(3, 16, 2, 16, 10), the benchmark's
 // conv_compute network, at its per-rank batch, plus the strided shapes of
-// the deeper residual stages.
+// the deeper residual stages, plus shapes that put the panel edges of the
+// implicit im2col where it could slip.
 constexpr ConvCase kCases[] = {
     {"resnet_body", 16, 16, 16, 3, 1, 1, 16, false},
     {"resnet_stem", 3, 16, 16, 3, 1, 1, 16, false},
@@ -189,6 +193,17 @@ constexpr ConvCase kCases[] = {
     {"batch1", 16, 16, 16, 3, 1, 1, 1, false},
     {"specials", 16, 16, 16, 3, 1, 1, 4, true},
     {"specials_stride2", 8, 16, 9, 3, 2, 1, 3, true},
+    // Window rows 5 wide, and two padding columns on each side.
+    {"kernel5_pad2", 4, 8, 12, 5, 1, 2, 3, true},
+    // K = 288 spans three forward k-panels (128, 128, 32).
+    {"in_channels32", 32, 16, 8, 3, 1, 1, 4, false},
+    // K = 1152 spans two weight-gradient column panels (1024, 128).
+    {"in_channels128", 128, 4, 4, 3, 1, 1, 2, false},
+    // out_w = 40 > 32: forward strips start mid output row.
+    {"wide40", 3, 8, 40, 3, 1, 1, 2, true},
+    // plane = 6 x 6 = 36: weight-gradient k-panels of 32 positions span
+    // two samples, and the last forward strip is partial.
+    {"stride2_plane36", 8, 8, 11, 3, 2, 1, 5, true},
 };
 
 TEST(Conv2dBitExactTest, MatchesPerSampleReference) {
@@ -201,8 +216,9 @@ TEST(Conv2dBitExactTest, MatchesPerSampleReference) {
   }
 }
 
-TEST(Conv2dBitExactTest, EvalForwardInChunksMatchesTrainingForward) {
-  // 37 samples is not a whole number of eval chunks.
+TEST(Conv2dBitExactTest, EvalForwardMatchesTrainingForward) {
+  // An eval pass pads into per-thread scratch instead of the layer's
+  // cached input, at an odd batch of 37.
   Rng rng(37);
   Conv2dLayer conv("conv", 16, 16, 3, 1, 1, &rng);
   std::vector<ParamRef> params;
@@ -227,7 +243,7 @@ TEST(Conv2dLayerDeathTest, BackwardWithoutTrainingForwardFails) {
   EXPECT_DEATH(conv.Backward(grad), "training-mode Forward");
   conv.Forward(input, /*training=*/true);
   conv.Forward(input, /*training=*/false);
-  // The training pass's patches are stale once an eval pass ran.
+  // The training pass's cached input is stale once an eval pass ran.
   EXPECT_DEATH(conv.Backward(grad), "training-mode Forward");
 }
 

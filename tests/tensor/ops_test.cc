@@ -13,6 +13,7 @@
 #include "base/logging.h"
 #include "base/rng.h"
 #include "base/simd/simd.h"
+#include "im2col_reference.h"
 
 namespace lpsgd {
 namespace {
