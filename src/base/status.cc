@@ -33,6 +33,18 @@ const char* StatusCodeToString(StatusCode code) {
   return "UNKNOWN";
 }
 
+bool IsTransient(StatusCode code) {
+  return code == StatusCode::kUnavailable ||
+         code == StatusCode::kDeadlineExceeded ||
+         code == StatusCode::kDataLoss || code == StatusCode::kInternal;
+}
+
+double RetryBackoffSeconds(double base_seconds, int attempt) {
+  double backoff = base_seconds;
+  for (int i = 1; i < attempt; ++i) backoff *= 2.0;
+  return backoff;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = StatusCodeToString(code_);

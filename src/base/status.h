@@ -28,6 +28,17 @@ enum class StatusCode {
 // Returns the canonical name of `code`, e.g. "INVALID_ARGUMENT".
 const char* StatusCodeToString(StatusCode code);
 
+// The codes a retry loop re-attempts (the exchange retry wrapper and the
+// durable-checkpoint writer): UNAVAILABLE, DEADLINE_EXCEEDED, DATA_LOSS and
+// INTERNAL. The failure is tied to one attempt, not to the system's
+// ability to ever complete one. ABORTED (a crashed rank) is not transient:
+// the caller must reconfigure, not retry.
+bool IsTransient(StatusCode code);
+
+// Backoff before retry `attempt` (1-based) of either retry loop:
+// base_seconds * 2^(attempt-1).
+double RetryBackoffSeconds(double base_seconds, int attempt);
+
 // Value-type result of a fallible operation: a code plus a human-readable
 // message. LPSGD does not use exceptions; every fallible public API returns
 // Status or StatusOr<T>. The class-level [[nodiscard]] makes silently

@@ -17,15 +17,6 @@ constexpr const char kManifestHeader[] = "lpsgd-ckpt-manifest v1";
 constexpr const char kCheckpointPrefix[] = "ckpt-";
 constexpr const char kCheckpointSuffix[] = ".lpck";
 
-// Same transient set as the exchange retry loop (comm/retry.cc): the
-// failure is tied to this write, not to the disk's ability to ever
-// complete one.
-bool IsTransientWrite(StatusCode code) {
-  return code == StatusCode::kUnavailable ||
-         code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kDataLoss || code == StatusCode::kInternal;
-}
-
 // "ckpt-<digits>.lpck" -> iteration; false for anything else.
 bool ParseCheckpointName(const std::string& name, int64_t* iteration) {
   const size_t prefix = sizeof(kCheckpointPrefix) - 1;
@@ -54,7 +45,7 @@ Status DurableCheckpointOptions::Validate() const {
   if (keep < 1) {
     return InvalidArgumentError(StrCat("keep must be >= 1, got ", keep));
   }
-  if (retry.max_retries < 0 || retry.backoff_base_seconds < 0.0) {
+  if (max_retries < 0 || backoff_base_seconds < 0.0) {
     return InvalidArgumentError("checkpoint retry budgets must be >= 0");
   }
   return OkStatus();
@@ -85,19 +76,20 @@ Status CheckpointManager::PublishFile(const std::string& name,
   const std::string temp_path = StrCat(final_path, ".tmp");
   storage_->SetFaultContext(iteration);
   Status last_error = OkStatus();
-  for (int attempt = 0; attempt <= options_.retry.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
       if (obs::MetricsEnabled()) {
         obs::Count("ckpt/retries");
         obs::Observe("ckpt/backoff_seconds",
-                     RetryBackoffSeconds(options_.retry, attempt));
+                     RetryBackoffSeconds(options_.backoff_base_seconds,
+                                         attempt));
       }
     }
     last_error = storage_->WriteFileSynced(temp_path, bytes);
     if (last_error.ok()) {
       return storage_->AtomicRename(temp_path, final_path);
     }
-    if (!IsTransientWrite(last_error.code())) break;
+    if (!IsTransient(last_error.code())) break;
   }
   if (obs::MetricsEnabled()) obs::Count("ckpt/write_failures");
   return last_error;

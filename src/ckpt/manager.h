@@ -11,7 +11,6 @@
 #include "base/statusor.h"
 #include "ckpt/format.h"
 #include "ckpt/storage.h"
-#include "comm/allreduce.h"
 
 namespace lpsgd {
 namespace ckpt {
@@ -24,10 +23,10 @@ struct DurableCheckpointOptions {
   int save_every = 0;
   // Retention: how many most-recent checkpoints survive GC.
   int keep = 3;
-  // Retry budget for transient write failures (ENOSPC and friends); the
-  // backoff schedule is the comm/retry one (RetryBackoffSeconds).
-  ExchangeRetryOptions retry{/*max_retries=*/4, /*timeout_seconds=*/0.0,
-                             /*backoff_base_seconds=*/0.001};
+  // Retry budget for transient write failures (ENOSPC and friends), with
+  // the exchange retry loop's backoff schedule (RetryBackoffSeconds).
+  int max_retries = 4;
+  double backoff_base_seconds = 0.001;
   // Storage backend; null means POSIX. Chaos tests inject a
   // FaultInjectingStorage here (the trainer also auto-wraps when its
   // FaultPlan carries storage verbs).

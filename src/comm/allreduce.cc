@@ -98,12 +98,6 @@ CommStats ExchangeCost(const CommCostModel& cost_model,
   return stats;
 }
 
-double RetryBackoffSeconds(const ExchangeRetryOptions& options, int attempt) {
-  double backoff = options.backoff_base_seconds;
-  for (int i = 1; i < attempt; ++i) backoff *= 2.0;
-  return backoff;
-}
-
 StatusOr<std::unique_ptr<GradientAggregator>> CreateAggregator(
     CommPrimitive primitive, int num_ranks, const CodecSpec& codec,
     const MachineSpec& machine, const ExecutionContext& execution) {

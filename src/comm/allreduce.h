@@ -111,11 +111,12 @@ class GradientAggregator {
   virtual std::string Name() const = 0;
 
   // `iteration` seeds the stochastic codecs so runs are reproducible.
-  // Contract with the retry layer: on a non-OK return the aggregator's
-  // internal persistent state (e.g. owner-side aggregation residuals) is
-  // unchanged — implementations restore it before returning. Caller-owned
-  // slot buffers (rank_grads, rank_errors) may be partially written; the
-  // retry wrapper snapshots and restores those.
+  // A non-OK return may leave the caller-owned slot buffers (rank_grads,
+  // rank_errors) and the aggregator's exchange state (e.g. owner-side
+  // aggregation residuals) partly written. RetryingAggregator is the one
+  // layer that undoes a failed exchange: it snapshots the slots and
+  // exports the exchange state before the first attempt, and restores
+  // both before every re-attempt and before it returns an error.
   virtual StatusOr<CommStats> AllReduce(std::vector<MatrixSlot>* slots,
                                         int64_t iteration) = 0;
 
@@ -160,12 +161,6 @@ struct ExchangeRetryOptions {
 
   bool enabled() const { return max_retries > 0 || timeout_seconds > 0.0; }
 };
-
-// Backoff penalty before retry `attempt` (1-based):
-// backoff_base_seconds * 2^(attempt-1). Shared by the retrying aggregator
-// and the durable-checkpoint writer so both layers charge the same
-// schedule for transient failures.
-double RetryBackoffSeconds(const ExchangeRetryOptions& options, int attempt);
 
 // Hook for layering a decorator (e.g. fault::FaultInjectingAggregator)
 // between the retry wrapper and the real engine built by CreateAggregator.

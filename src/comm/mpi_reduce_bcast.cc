@@ -49,31 +49,6 @@ MpiReduceBcastAggregator::MpiReduceBcastAggregator(
       // scratch is race-free (see ThreadPool::CurrentSlot()).
       workspaces_(static_cast<size_t>(exec_.threads())) {}
 
-void MpiReduceBcastAggregator::CheckpointExchangeState() {
-  if (aggregate_errors_snapshot_.size() < aggregate_errors_.size()) {
-    aggregate_errors_snapshot_.resize(aggregate_errors_.size());
-  }
-  for (size_t m = 0; m < aggregate_errors_.size(); ++m) {
-    aggregate_errors_snapshot_[m].assign(aggregate_errors_[m].begin(),
-                                         aggregate_errors_[m].end());
-  }
-  aggregate_errors_snapshot_count_ = aggregate_errors_.size();
-}
-
-void MpiReduceBcastAggregator::RollbackExchangeState() {
-  const size_t count =
-      std::min(aggregate_errors_snapshot_count_, aggregate_errors_.size());
-  for (size_t m = 0; m < count; ++m) {
-    aggregate_errors_[m].assign(aggregate_errors_snapshot_[m].begin(),
-                                aggregate_errors_snapshot_[m].end());
-  }
-  // Residuals first sized after the checkpoint hold partial state from the
-  // failed exchange; empty them so the next call's setup re-zeroes them.
-  for (size_t m = count; m < aggregate_errors_.size(); ++m) {
-    aggregate_errors_[m].clear();
-  }
-}
-
 void MpiReduceBcastAggregator::ExportExchangeState(
     std::vector<std::vector<float>>* state) const {
   *state = aggregate_errors_;
@@ -82,7 +57,6 @@ void MpiReduceBcastAggregator::ExportExchangeState(
 Status MpiReduceBcastAggregator::ImportExchangeState(
     const std::vector<std::vector<float>>& state) {
   aggregate_errors_ = state;
-  aggregate_errors_snapshot_count_ = 0;
   return OkStatus();
 }
 
@@ -90,20 +64,15 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
     std::vector<MatrixSlot>* slots, int64_t iteration) {
   CHECK(slots != nullptr);
   obs::Span allreduce_span(kAllReduceSpan);
-  // Internal-state transaction (comm/allreduce.h): any error return below
-  // rolls the aggregation residuals back to this checkpoint.
-  {
-    obs::Span checkpoint_span(obs::kPhaseRetry, &workspaces_[0].phases);
-    CheckpointExchangeState();
-  }
   const int k = num_ranks_;
   const int64_t num_matrices = static_cast<int64_t>(slots->size());
   const bool identity_codec = spec_.kind == CodecKind::kFullPrecision;
   const auto quantized = [&](const MatrixSlot& slot) {
     return slot.quantized && !identity_codec;
   };
+  // A failed call leaves slot buffers and owner residuals partly written
+  // (comm/allreduce.h); the retry layer restores both.
   const auto fail = [&](const Status& status) {
-    RollbackExchangeState();
     // Partial phase scratch from the failed attempt must not leak into the
     // next (retried) exchange's breakdown.
     for (CodecWorkspace& ws : workspaces_) ws.phases.Clear();
@@ -337,8 +306,8 @@ StatusOr<CommStats> MpiReduceBcastAggregator::AllReduce(
 
   // Stage 3 (parallel over matrices): seal each aggregate blob — the
   // owner's broadcast message — and verify it on receipt. A blob that
-  // fails fails the call; the retry layer restores the rank gradients
-  // stage 2 already overwrote.
+  // fails fails the call; the retry layer restores the rank gradients and
+  // owner residuals stage 2 already overwrote.
   const auto seal_aggregate = LPSGD_HOT_PATH [&](int64_t mi) -> Status {
     const size_t m = static_cast<size_t>(mi);
     if (!quantized((*slots)[m])) return OkStatus();

@@ -92,12 +92,6 @@ class MpiReduceBcastAggregator : public GradientAggregator {
   // This thread's codec scratch (see workspaces_).
   CodecWorkspace& SlotWorkspace();
 
-  // The AllReduce transaction (comm/allreduce.h contract): the owner
-  // residuals are snapshotted on entry and restored before any error
-  // return, so a failed exchange leaves them untouched.
-  void CheckpointExchangeState();
-  void RollbackExchangeState();
-
   int num_ranks_;
   CodecSpec spec_;
   std::unique_ptr<GradientCodec> codec_;
@@ -106,12 +100,6 @@ class MpiReduceBcastAggregator : public GradientAggregator {
   // Aggregation residual per matrix index (owner-side requantization
   // error). Lazily sized on first use.
   std::vector<std::vector<float>> aggregate_errors_;
-  // Checkpoint of aggregate_errors_ taken at AllReduce entry (capacity
-  // reused across calls); RollbackExchangeState restores from it. Entries
-  // that did not exist at checkpoint time are cleared on rollback so the
-  // next call's setup re-zeroes them.
-  std::vector<std::vector<float>> aggregate_errors_snapshot_;
-  size_t aggregate_errors_snapshot_count_ = 0;
   WireTamper wire_tamper_;
 
   // Reusable exchange workspaces (DESIGN.md "Hot-path kernels and

@@ -11,18 +11,6 @@
 #include "obs/span.h"
 
 namespace lpsgd {
-namespace {
-
-// Codes worth re-attempting: the failure is tied to this exchange, not to
-// the system's ability to ever complete one. ABORTED (a crashed rank) is
-// deliberately excluded — the trainer must reconfigure, not retry.
-bool IsTransient(StatusCode code) {
-  return code == StatusCode::kUnavailable ||
-         code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kDataLoss || code == StatusCode::kInternal;
-}
-
-}  // namespace
 
 StatusOr<std::unique_ptr<RetryingAggregator>> RetryingAggregator::Create(
     std::unique_ptr<GradientAggregator> inner, ExchangeRetryOptions options) {
@@ -106,7 +94,8 @@ StatusOr<CommStats> RetryingAggregator::AllReduce(
       obs::Span restore_span(obs::kPhaseRetry, &phases_);
       Restore(slots);
       if (obs::MetricsEnabled()) obs::Count("comm/retries");
-      penalty_seconds += RetryBackoffSeconds(options_, attempt);
+      penalty_seconds +=
+          RetryBackoffSeconds(options_.backoff_base_seconds, attempt);
     }
     StatusOr<CommStats> result = inner_->AllReduce(slots, iteration);
     if (result.ok()) {

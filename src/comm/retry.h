@@ -12,13 +12,14 @@
 namespace lpsgd {
 
 // Retry-with-exponential-backoff wrapper around any GradientAggregator
-// (DESIGN.md "Fault model and recovery"). Each AllReduce call becomes an
-// atomic transaction:
+// (DESIGN.md "Fault model and recovery"), and the one layer that undoes a
+// failed exchange: engines leave a failed call's state partly written
+// (comm/allreduce.h). Each AllReduce call becomes an atomic transaction:
 //
 //   - Before the first attempt the caller-visible slot state (rank_grads
 //     and rank_errors) and the inner aggregator's exported cross-call
 //     state are snapshotted into persistent member buffers.
-//   - A failed attempt with a transient code (UNAVAILABLE,
+//   - A failed attempt with a transient code (IsTransient: UNAVAILABLE,
 //     DEADLINE_EXCEEDED, DATA_LOSS, INTERNAL) restores the snapshot,
 //     re-imports the inner aggregator's state, charges the backoff penalty
 //     (backoff_base_seconds * 2^(attempt-1)) to virtual comm time, bumps
@@ -29,7 +30,7 @@ namespace lpsgd {
 //     duration is also charged.
 //   - Non-transient codes (e.g. ABORTED: a crashed rank) and exhausted
 //     budgets restore the snapshot and return the error, leaving every
-//     buffer exactly as it was before the call.
+//     buffer and the inner aggregator's state as they were before the call.
 class RetryingAggregator : public GradientAggregator {
  public:
   [[nodiscard]] static StatusOr<std::unique_ptr<RetryingAggregator>> Create(

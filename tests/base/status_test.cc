@@ -1,6 +1,9 @@
 // Copyright 2026 The LPSGD Authors. Licensed under the Apache License 2.0.
 #include "base/status.h"
 
+#include <cstddef>
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "base/statusor.h"
@@ -38,6 +41,38 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_EQ(InvalidArgumentError("a"), InvalidArgumentError("a"));
   EXPECT_FALSE(InvalidArgumentError("a") == InvalidArgumentError("b"));
   EXPECT_FALSE(InvalidArgumentError("a") == NotFoundError("a"));
+}
+
+// Pins the transient set that both retry loops (the exchange retry
+// wrapper and the durable-checkpoint writer) re-attempt. The table lists
+// every StatusCode; the code one past it has no name, so a new code fails
+// here until it is classified.
+TEST(StatusTest, ExactlyFourCodesAreTransient) {
+  const struct {
+    StatusCode code;
+    bool transient;
+  } kTable[] = {
+      {StatusCode::kOk, false},
+      {StatusCode::kInvalidArgument, false},
+      {StatusCode::kNotFound, false},
+      {StatusCode::kAlreadyExists, false},
+      {StatusCode::kOutOfRange, false},
+      {StatusCode::kFailedPrecondition, false},
+      {StatusCode::kUnimplemented, false},
+      {StatusCode::kInternal, true},
+      {StatusCode::kUnavailable, true},
+      {StatusCode::kDeadlineExceeded, true},
+      {StatusCode::kDataLoss, true},
+      {StatusCode::kAborted, false},
+  };
+  for (size_t i = 0; i < std::size(kTable); ++i) {
+    SCOPED_TRACE(StatusCodeToString(kTable[i].code));
+    EXPECT_EQ(static_cast<size_t>(kTable[i].code), i);
+    EXPECT_EQ(IsTransient(kTable[i].code), kTable[i].transient);
+  }
+  EXPECT_STREQ(
+      StatusCodeToString(static_cast<StatusCode>(std::size(kTable))),
+      "UNKNOWN");
 }
 
 Status FailsWhenNegative(int value) {

@@ -264,8 +264,8 @@ TEST(DurableChaosTest, EnospcWithinBudgetIsAbsorbed) {
   auto plan = fault::FaultPlan::Parse("enospc@4x2");
   ASSERT_TRUE(plan.ok());
   options.fault_tolerance.plan = *plan;
-  options.durable_checkpoint.retry.max_retries = 3;
-  options.durable_checkpoint.retry.backoff_base_seconds = 0.0;
+  options.durable_checkpoint.max_retries = 3;
+  options.durable_checkpoint.backoff_base_seconds = 0.0;
 
   auto trainer = SyncTrainer::Create(MlpFactory(), options);
   ASSERT_TRUE(trainer.ok()) << trainer.status();
@@ -294,8 +294,8 @@ TEST(DurableChaosTest, EnospcBeyondBudgetFailsTheRun) {
   auto plan = fault::FaultPlan::Parse("enospc@2x5");
   ASSERT_TRUE(plan.ok());
   options.fault_tolerance.plan = *plan;
-  options.durable_checkpoint.retry.max_retries = 1;
-  options.durable_checkpoint.retry.backoff_base_seconds = 0.0;
+  options.durable_checkpoint.max_retries = 1;
+  options.durable_checkpoint.backoff_base_seconds = 0.0;
 
   auto trainer = SyncTrainer::Create(MlpFactory(), options);
   ASSERT_TRUE(trainer.ok()) << trainer.status();

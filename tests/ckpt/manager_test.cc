@@ -49,9 +49,9 @@ TEST(DurableCheckpointOptionsTest, ValidateRejectsBadBudgets) {
   options.keep = 0;
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
   options.keep = 1;
-  options.retry.max_retries = -1;
+  options.max_retries = -1;
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-  options.retry.max_retries = 0;
+  options.max_retries = 0;
   EXPECT_TRUE(options.Validate().ok());
 }
 
@@ -149,8 +149,8 @@ TEST(CheckpointManagerTest, EnospcIsRetriedWithinBudget) {
   auto faulty =
       std::make_shared<FaultInjectingStorage>(MakePosixStorage(), *plan);
   DurableCheckpointOptions options = MakeOptions("mgr_enospc_ok", faulty);
-  options.retry.max_retries = 3;
-  options.retry.backoff_base_seconds = 0.0;
+  options.max_retries = 3;
+  options.backoff_base_seconds = 0.0;
   auto manager = CheckpointManager::Create(options);
   ASSERT_TRUE(manager.ok()) << manager.status();
   ASSERT_TRUE((*manager)->Save(MakeState(8)).ok());
@@ -166,8 +166,8 @@ TEST(CheckpointManagerTest, EnospcBeyondBudgetFailsTheSave) {
   DurableCheckpointOptions options = MakeOptions(
       "mgr_enospc_fail",
       std::make_shared<FaultInjectingStorage>(MakePosixStorage(), *plan));
-  options.retry.max_retries = 2;  // 3 attempts < 5 injected failures
-  options.retry.backoff_base_seconds = 0.0;
+  options.max_retries = 2;  // 3 attempts < 5 injected failures
+  options.backoff_base_seconds = 0.0;
   auto manager = CheckpointManager::Create(options);
   ASSERT_TRUE(manager.ok()) << manager.status();
   const Status saved = (*manager)->Save(MakeState(8));

@@ -24,6 +24,7 @@
 #include "comm/allreduce.h"
 #include "comm/cost_model.h"
 #include "comm/mpi_reduce_bcast.h"
+#include "comm/retry.h"
 #include "machine/specs.h"
 #include "quant/codec.h"
 #include "quant/workspace.h"
@@ -333,12 +334,15 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// A tampered blob still fails the exchange with DataLoss after the
-// range split — whether the corrupted bytes are a rank's stage-1 blob or
-// the owner's aggregate, which is sealed only after every tile has
-// advanced the owner residual — and the owner residuals roll back to
-// their state before the call.
-TEST(MpiRangeSplitFaultTest, TamperedBlobsFailWithOwnerResidualsRolledBack) {
+// A tampered blob still fails the exchange with DataLoss after the range
+// split — whether the corrupted bytes are a rank's stage-1 blob, encoded
+// after the rank residuals advanced, or the owner's aggregate, sealed only
+// after every tile has advanced the owner residual and overwritten the
+// rank gradients. The engine leaves that partial state behind
+// (comm/allreduce.h); the retry layer around it restores rank gradients,
+// rank residuals and owner residuals bit-equal to their state before the
+// call.
+TEST(MpiRangeSplitFaultTest, TamperedBlobsFailAndRetryLayerRestoresState) {
   const std::vector<MatrixSpec> matrices = {
       {Shape({3 * kTile + 17}), true}, {Shape({kTile / 8, 8}), true}};
   for (const char* codec_text : {"ecq4", "1bit*"}) {
@@ -347,33 +351,49 @@ TEST(MpiRangeSplitFaultTest, TamperedBlobsFailWithOwnerResidualsRolledBack) {
                                       << tampered_rank);
       auto spec = CodecSpec::Parse(codec_text);
       ASSERT_TRUE(spec.ok());
-      auto aggregator = MpiReduceBcastAggregator::Create(
+      auto engine = MpiReduceBcastAggregator::Create(
           kRanks, *spec, Ec2P2_8xlarge(), ExecutionContext::WithThreads(2));
+      ASSERT_TRUE(engine.ok());
+      MpiReduceBcastAggregator* mpi = engine->get();
+      ExchangeRetryOptions retry;
+      retry.max_retries = 1;
+      auto aggregator = RetryingAggregator::Create(std::move(*engine), retry);
       ASSERT_TRUE(aggregator.ok());
       ExchangeState state(matrices);
       state.FillGradients(0);
       ASSERT_TRUE((*aggregator)->AllReduce(&state.slots, 0).ok());
-      std::vector<std::vector<float>> before;
-      (*aggregator)->ExportExchangeState(&before);
+      state.FillGradients(1);
+      const auto grads_before = state.grads;
+      const auto errors_before = state.errors;
+      std::vector<std::vector<float>> owner_before;
+      (*aggregator)->ExportExchangeState(&owner_before);
 
-      (*aggregator)->set_wire_tamper([&](int64_t, int64_t matrix, int rank,
-                                         uint8_t* data, int64_t size) {
+      // Tampers with every attempt, so the retry budget runs out.
+      mpi->set_wire_tamper([&](int64_t, int64_t matrix, int rank,
+                               uint8_t* data, int64_t size) {
         const bool hit = matrix == 0 && rank == tampered_rank;
         if (hit) data[size / 3] ^= 0x20;
         return hit;
       });
-      state.FillGradients(1);
       const auto failed = (*aggregator)->AllReduce(&state.slots, 1);
       ASSERT_FALSE(failed.ok());
       EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss)
           << failed.status().ToString();
 
-      std::vector<std::vector<float>> after;
-      (*aggregator)->ExportExchangeState(&after);
-      ASSERT_EQ(after.size(), before.size());
-      for (size_t m = 0; m < after.size(); ++m) {
-        EXPECT_TRUE(BitsEqual(after[m], before[m]))
-            << "owner residual of matrix " << m << " not rolled back";
+      for (size_t m = 0; m < matrices.size(); ++m) {
+        for (int r = 0; r < kRanks; ++r) {
+          EXPECT_TRUE(BitsEqual(state.grads[m][r], grads_before[m][r]))
+              << "gradient of matrix " << m << " rank " << r;
+          EXPECT_TRUE(BitsEqual(state.errors[m][r], errors_before[m][r]))
+              << "residual of matrix " << m << " rank " << r;
+        }
+      }
+      std::vector<std::vector<float>> owner_after;
+      (*aggregator)->ExportExchangeState(&owner_after);
+      ASSERT_EQ(owner_after.size(), owner_before.size());
+      for (size_t m = 0; m < owner_after.size(); ++m) {
+        EXPECT_TRUE(BitsEqual(owner_after[m], owner_before[m]))
+            << "owner residual of matrix " << m;
       }
     }
   }

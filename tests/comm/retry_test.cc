@@ -2,9 +2,10 @@
 //
 // RetryingAggregator transaction semantics, driven through a flaky
 // test-double engine: transient failures are retried with the caller's
-// slot buffers restored, exhausted budgets and non-transient codes return
-// the error with every buffer untouched, and over-deadline successes are
-// discarded and re-attempted.
+// slot buffers and the engine's exchange state restored, exhausted
+// budgets and non-transient codes return the error with every buffer and
+// the engine's state untouched, and over-deadline successes are discarded
+// and re-attempted.
 #include "comm/retry.h"
 
 #include <memory>
@@ -23,11 +24,11 @@ namespace lpsgd {
 namespace {
 
 // A scripted engine: call i fails (scribbling over the caller's buffers
-// first, like a half-finished exchange) while i < fail_attempts; later
-// calls "aggregate" by doubling every gradient element and report a
-// scripted duration. Internal cross-call state (state) advances on every
-// attempt and round-trips through the exchange-state hooks, so the
-// wrapper's restore discipline is observable.
+// and leaving its own state advanced, like a half-finished exchange) while
+// i < fail_attempts; later calls "aggregate" by doubling every gradient
+// element and report a scripted duration. Internal cross-call state
+// (state) advances on every attempt and round-trips through the
+// exchange-state hooks, so only the wrapper's import can rewind it.
 class FlakyAggregator : public GradientAggregator {
  public:
   explicit FlakyAggregator(int num_ranks) : num_ranks_(num_ranks) {}
@@ -58,11 +59,10 @@ class FlakyAggregator : public GradientAggregator {
                                 int64_t iteration) override {
     (void)iteration;
     const int call = calls++;
-    const int state_at_entry = state;
     ++state;
     if (call < fail_attempts) {
-      // Half-finished exchange: scribble over the caller's buffers, then
-      // restore our own internal state per the AllReduce contract.
+      // Half-finished exchange: scribble over the caller's buffers and
+      // leave the advanced state, as the AllReduce contract allows.
       for (MatrixSlot& slot : *slots) {
         const int64_t n = slot.quant_shape.element_count();
         for (float* grad : slot.rank_grads) {
@@ -72,7 +72,6 @@ class FlakyAggregator : public GradientAggregator {
           if (error != nullptr) error->assign(error->size(), -888.0f);
         }
       }
-      state = state_at_entry;
       switch (fail_code) {
         case StatusCode::kAborted:
           return AbortedError("rank 1 crashed");
@@ -179,7 +178,9 @@ TEST(RetryingAggregatorTest, TransientFailureIsRetriedBitEqually) {
   // Backoff penalty: 0.001 before retry 1, 0.002 before retry 2, on top
   // of the successful attempt's own duration.
   EXPECT_NEAR(stats->comm_seconds, 0.25 + 0.003, 1e-12);
-  // Internal state advanced exactly once (failed attempts rolled back).
+  // Internal state advanced exactly once: the wrapper re-imported it
+  // before each of the two retries.
+  EXPECT_EQ(flaky->imports, 2);
   EXPECT_EQ(flaky->state, 1);
 }
 
@@ -208,6 +209,8 @@ TEST(RetryingAggregatorTest, ExhaustedBudgetRestoresSlotsAndReturnsError) {
   EXPECT_EQ(fixture.grads, grads_before)
       << "failed exchange leaked partial writes into the gradients";
   EXPECT_EQ(fixture.errors, errors_before);
+  // One import before each retry and one before returning the error.
+  EXPECT_EQ(flaky->imports, 3);
   EXPECT_EQ(flaky->state, 0) << "inner state not rolled back on failure";
 }
 
@@ -233,6 +236,7 @@ TEST(RetryingAggregatorTest, NonTransientErrorIsNotRetried) {
   EXPECT_EQ(flaky->calls, 1) << "ABORTED must not be retried";
   EXPECT_EQ(RetriesCounter() - retries_before, 0);
   EXPECT_EQ(fixture.grads, grads_before);
+  EXPECT_EQ(flaky->state, 0) << "inner state not rolled back on failure";
 }
 
 TEST(RetryingAggregatorTest, OverDeadlineSuccessIsDiscardedAndRetried) {

@@ -20,6 +20,7 @@
 #include "base/thread_pool.h"
 #include "comm/allreduce.h"
 #include "comm/mpi_reduce_bcast.h"
+#include "comm/retry.h"
 #include "machine/specs.h"
 #include "obs/metrics.h"
 #include "quant/codec.h"
@@ -424,11 +425,12 @@ TEST(WorkspaceAllocationTest, NcclSparseBuffersStopGrowingAfterWarmup) {
 }
 
 // A failed exchange must leave the aggregator's persistent buffers and
-// owner-side residuals safe to reuse: with the caller's slot state
-// restored (the retry wrapper's job, emulated here) and the same iteration
-// re-run, the continuation must be bit-identical to a run that never saw
-// the failure. Exercised for both failure points — a rank blob corrupted
-// in the reduce stage, and the aggregate blob corrupted in the broadcast
+// owner-side residuals safe to reuse. The engine leaves a failed call's
+// slot buffers and owner residuals partly written (comm/allreduce.h); the
+// retry layer around it restores both and re-runs the same iteration, and
+// the continuation must be bit-identical to a run that never saw the
+// failure. Exercised for both failure points — a rank blob corrupted in
+// the reduce stage, and the aggregate blob corrupted in the broadcast
 // stage after the owner residuals were already advanced.
 TEST(WorkspaceTest, ExchangeStateSafeToReuseAfterFailedExchange) {
   const int k = 4;
@@ -443,20 +445,27 @@ TEST(WorkspaceTest, ExchangeStateSafeToReuseAfterFailedExchange) {
     SCOPED_TRACE(c.name);
 
     using State = std::vector<std::vector<std::vector<float>>>;  // [m][r]
-    const auto make_state = [&](State* grads, State* errors) {
+    // Fresh local gradients every iteration, as a trainer step makes them;
+    // the residuals start at zero and carry over.
+    const auto fill_gradients = [&](State* grads, int64_t iteration) {
       grads->assign(shapes.size(), {});
-      errors->assign(shapes.size(), {});
       for (size_t m = 0; m < shapes.size(); ++m) {
-        const size_t n = static_cast<size_t>(shapes[m].element_count());
         for (int r = 0; r < k; ++r) {
-          (*grads)[m].push_back(
-              TestGradient(static_cast<int64_t>(n),
-                           0xfa17ULL + m * 31 + static_cast<uint64_t>(r)));
-          (*errors)[m].emplace_back(n, 0.0f);
+          (*grads)[m].push_back(TestGradient(
+              shapes[m].element_count(),
+              0xfa17ULL + static_cast<uint64_t>(iteration) * 1009 + m * 31 +
+                  static_cast<uint64_t>(r)));
         }
       }
     };
-    const auto run_iteration = [&](MpiReduceBcastAggregator* aggregator,
+    const auto make_errors = [&](State* errors) {
+      errors->assign(shapes.size(), {});
+      for (size_t m = 0; m < shapes.size(); ++m) {
+        const size_t n = static_cast<size_t>(shapes[m].element_count());
+        for (int r = 0; r < k; ++r) (*errors)[m].emplace_back(n, 0.0f);
+      }
+    };
+    const auto run_iteration = [&](GradientAggregator* aggregator,
                                    State* grads, State* errors,
                                    int64_t iteration) {
       std::vector<MatrixSlot> slots(shapes.size());
@@ -470,7 +479,7 @@ TEST(WorkspaceTest, ExchangeStateSafeToReuseAfterFailedExchange) {
               &(*errors)[m][static_cast<size_t>(r)]);
         }
       }
-      return (*aggregator).AllReduce(&slots, iteration);
+      return aggregator->AllReduce(&slots, iteration);
     };
 
     // Reference: the same schedule with no failures.
@@ -478,46 +487,51 @@ TEST(WorkspaceTest, ExchangeStateSafeToReuseAfterFailedExchange) {
         k, c.spec, Ec2P2_8xlarge(), ExecutionContext::Serial());
     ASSERT_TRUE(reference.ok());
     State ref_grads, ref_errors;
-    make_state(&ref_grads, &ref_errors);
-    for (int64_t it = 0; it < iterations; ++it) {
-      ASSERT_TRUE(
-          run_iteration(reference->get(), &ref_grads, &ref_errors, it).ok());
-    }
+    make_errors(&ref_errors);
 
-    auto faulty = MpiReduceBcastAggregator::Create(
+    auto engine = MpiReduceBcastAggregator::Create(
         k, c.spec, Ec2P2_8xlarge(), ExecutionContext::Serial());
+    ASSERT_TRUE(engine.ok());
+    MpiReduceBcastAggregator* mpi = engine->get();
+    ExchangeRetryOptions retry;
+    retry.max_retries = 1;
+    auto faulty = RetryingAggregator::Create(std::move(*engine), retry);
     ASSERT_TRUE(faulty.ok());
     State grads, errors;
-    make_state(&grads, &errors);
+    make_errors(&errors);
     for (int64_t it = 0; it < iterations; ++it) {
-      const bool fail_reduce = it == 1;
-      const bool fail_bcast = it == 3;
-      if (fail_reduce || fail_bcast) {
-        // Emulate the retry wrapper: snapshot caller state, provoke a
-        // checksum failure, restore, and retry the same iteration.
-        const State grads_snapshot = grads;
-        const State errors_snapshot = errors;
-        (*faulty)->set_wire_tamper(
-            [&](int64_t, int64_t matrix, int rank, uint8_t* data,
-                int64_t size) {
-              const bool hit = fail_reduce ? (matrix == 1 && rank == 2)
-                                           : (matrix == 0 && rank == -1);
-              if (hit && size > 0) data[size / 2] ^= 0x10;
-              return hit;
-            });
-        ASSERT_FALSE(
-            run_iteration(faulty->get(), &grads, &errors, it).ok());
-        (*faulty)->set_wire_tamper(nullptr);
-        grads = grads_snapshot;
-        errors = errors_snapshot;
-      }
+      SCOPED_TRACE(testing::Message() << "iteration " << it);
+      fill_gradients(&ref_grads, it);
+      fill_gradients(&grads, it);
+      ASSERT_TRUE(
+          run_iteration(reference->get(), &ref_grads, &ref_errors, it).ok());
+      // Iteration 1 corrupts a rank blob, iteration 3 the aggregate blob,
+      // each on the first attempt only; the retry then succeeds.
+      bool armed = it == 1 || it == 3;
+      mpi->set_wire_tamper([&](int64_t, int64_t matrix, int rank,
+                               uint8_t* data, int64_t size) {
+        const bool hit = armed && (it == 1 ? (matrix == 1 && rank == 2)
+                                           : (matrix == 0 && rank == -1));
+        if (hit && size > 0) {
+          data[size / 2] ^= 0x10;
+          armed = false;
+        }
+        return hit;
+      });
       ASSERT_TRUE(run_iteration(faulty->get(), &grads, &errors, it).ok());
-    }
+      mpi->set_wire_tamper(nullptr);
+      EXPECT_FALSE(armed) << "the planned tamper did not fire";
 
-    EXPECT_EQ(ref_grads, grads)
-        << "aggregated gradients diverged after a failed exchange";
-    EXPECT_EQ(ref_errors, errors)
-        << "error-feedback residuals diverged after a failed exchange";
+      EXPECT_EQ(ref_grads, grads)
+          << "aggregated gradients diverged after a failed exchange";
+      EXPECT_EQ(ref_errors, errors)
+          << "error-feedback residuals diverged after a failed exchange";
+      std::vector<std::vector<float>> ref_owner, owner;
+      (*reference)->ExportExchangeState(&ref_owner);
+      (*faulty)->ExportExchangeState(&owner);
+      EXPECT_EQ(ref_owner, owner)
+          << "owner residuals diverged after a failed exchange";
+    }
   }
 }
 
